@@ -17,11 +17,21 @@ and the flux bilinear form is the interior L2 product plus the stabilization
 with m the straight cell normal ("straight" mode) or the analytic-boundary
 normal pulled back to boundary chords ("curved" mode; interior edges keep the
 straight normal).
+
+A level is one pass over its cells.  `level_cells` builds each cell's bases,
+its assembly and projection rules and its edge rules once; `assemble_system`,
+`assemble_rhs` and the exact-solution projection all read them.  The two
+normal modes differ only in the boundary-edge terms, so `assemble_system`
+stabilizes the cells that have a boundary edge in both modes and returns
+both flux-norm matrices (the second as a difference on those cells),
+together with the diagonal blocks of the L2 mass matrices of the interior
+flux and of the pressure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +48,11 @@ class ConfigurationError(RuntimeError):
 def default_order(alpha: int, beta: int) -> int:
     """Quadrature exactness used for all bilinear forms."""
     return 2 * max(alpha, beta) + 2
+
+
+def projection_order(alpha: int) -> int:
+    """Quadrature exactness for sources and for projections of exact solutions."""
+    return 2 * alpha + 4
 
 
 class DofLayout:
@@ -71,9 +86,9 @@ class DofLayout:
 
         nc, ne = mesh.n_cells, mesh.n_edges
         self.interior_offsets = 2 * self.dim_alpha * np.arange(nc, dtype=np.int64)
-        base = 2 * self.dim_alpha * nc
+        self.n_interior = 2 * self.dim_alpha * nc
         self.trace_offsets = np.full(ne, -1, dtype=np.int64)
-        pos = base
+        pos = self.n_interior
         for e in range(ne):
             if include_boundary_traces or not mesh.is_boundary_edge(e):
                 self.trace_offsets[e] = pos
@@ -111,9 +126,6 @@ class DofLayout:
                 idx.append(np.arange(off, off + self.trace_dim))
         return np.concatenate(idx)
 
-    def local_size(self, c: int) -> int:
-        return 2 * self.dim_alpha + self.trace_dim * len(self.mesh.cell_edges[c])
-
 
 @dataclass
 class WgFunction:
@@ -141,12 +153,14 @@ class WgFunction:
 class _EdgeQuad:
     """Quadrature and orientation data for one edge of a cell."""
 
-    __slots__ = ("edge", "sign", "n_cell", "n_edge", "pts", "w", "t", "length", "segment")
+    __slots__ = ("edge", "sign", "boundary", "n_cell", "n_edge", "pts", "w", "t", "length",
+                 "segment")
 
     def __init__(self, mesh, e, sign, order):
         p0, p1 = mesh.edge_points(e)
         self.edge = e
         self.sign = sign
+        self.boundary = bool(mesh.is_boundary_edge(e))
         self.n_edge = mesh.edge_normals[e]
         self.n_cell = sign * self.n_edge
         self.pts, self.w, self.t = edge_rule(p0, p1, order)
@@ -155,35 +169,65 @@ class _EdgeQuad:
 
 
 class _CellOps:
-    """Per-cell bases, quadrature, and edge data shared by the local operators."""
+    """One cell's bases, quadrature rules and edge rules, built once per level.
+
+    `rule` is the assembly rule (exactness `order`) and `proj_rule` the
+    `projection_order` rule for sources and exact solutions; both are fanned
+    from the centroid the mesh stores.  The assembly rule, the edge rules and
+    the basis values at the assembly points are built on first use and
+    dropped by `release` once the cell is assembled, so between the assembly
+    and the solve a level's list of cells holds only bases and `proj_rule`.
+    """
 
     def __init__(self, mesh: PolygonalMesh, c: int, layout: DofLayout, order: int | None = None):
         self.mesh = mesh
         self.c = c
         self.layout = layout
         self.order = default_order(layout.alpha, layout.beta) if order is None else order
-        verts = mesh.vertices[mesh.cells[c]]
-        self.basis_a = cell_basis(verts, layout.alpha)
-        self.basis_b = self.basis_a if layout.beta == layout.alpha else cell_basis(verts, layout.beta)
-        self.basis_s = cell_basis(verts, layout.sigma)
-        self.rule = polygon_rule(verts, self.order)
-        x, y = self.rule.points[:, 0], self.rule.points[:, 1]
-        self.Va = self.basis_a.eval(x, y)
-        self.Vb = self.Va if self.basis_b is self.basis_a else self.basis_b.eval(x, y)
-        self.Gb = self.basis_b.grad(x, y)
-        self.Vs = self.basis_s.eval(x, y)
+        self.vertices = mesh.vertices[mesh.cells[c]]
+        self.center = mesh.cell_centroids[c]
+        self.basis_a = cell_basis(self.vertices, layout.alpha, self.center)
+        self.basis_s = cell_basis(self.vertices, layout.sigma, self.center)
+        self.proj_rule = polygon_rule(self.vertices, projection_order(layout.alpha), self.center)
         self.hk = float(mesh.cell_diameters[c])
         self.edge_basis = EdgeBasis(layout.beta)
-        self.edges = [
-            _EdgeQuad(mesh, int(e), int(sgn), self.order)
-            for e, sgn in zip(mesh.cell_edges[c], mesh.cell_edge_signs[c])
-        ]
         self.n_int = 2 * layout.dim_alpha
-        self.n_loc = self.n_int + layout.trace_dim * len(self.edges)
+        self.n_loc = self.n_int + layout.trace_dim * len(mesh.cell_edges[c])
+
+    @cached_property
+    def rule(self):
+        return polygon_rule(self.vertices, self.order, self.center)
+
+    @cached_property
+    def edges(self) -> list:
+        return [_EdgeQuad(self.mesh, int(e), int(sgn), self.order)
+                for e, sgn in zip(self.mesh.cell_edges[self.c], self.mesh.cell_edge_signs[self.c])]
+
+    @cached_property
+    def Va(self) -> np.ndarray:
+        return self.basis_a.eval(self.rule.points[:, 0], self.rule.points[:, 1])
+
+    @cached_property
+    def Ga(self) -> np.ndarray:
+        return self.basis_a.grad(self.rule.points[:, 0], self.rule.points[:, 1])
+
+    @cached_property
+    def Vs(self) -> np.ndarray:
+        return self.basis_s.eval(self.rule.points[:, 0], self.rule.points[:, 1])
+
+    def release(self) -> None:
+        """Drop the assembly and edge rules and the basis values at the assembly points."""
+        for name in ("rule", "edges", "Va", "Ga", "Vs"):
+            self.__dict__.pop(name, None)
 
     def trace_block(self, k: int) -> slice:
         off = self.n_int + k * self.layout.trace_dim
         return slice(off, off + self.layout.trace_dim)
+
+
+def level_cells(mesh: PolygonalMesh, layout: DofLayout, order: int | None = None) -> list:
+    """Every cell's bases and rules, for the assembly at exactness `order`."""
+    return [_CellOps(mesh, c, layout, order) for c in range(mesh.n_cells)]
 
 
 def local_mass(ops: _CellOps) -> np.ndarray:
@@ -198,20 +242,22 @@ def local_mass(ops: _CellOps) -> np.ndarray:
 
 
 def local_weak_divergence(ops: _CellOps) -> np.ndarray:
-    """Matrix sending local (interior + trace) dofs to P_beta coefficients."""
-    lay = ops.layout
-    na, nb = lay.dim_alpha, lay.dim_beta
-    N = np.zeros((nb, ops.n_loc))
+    """Matrix sending local (interior + trace) dofs to P_beta coefficients.
+
+    beta = alpha, so the weak divergence lives in the span of `basis_a`.
+    """
+    na = ops.layout.dim_alpha
+    N = np.zeros((na, ops.n_loc))
     w = ops.rule.weights
     # -(v_0, grad q)_K
-    N[:, :na] = -(ops.Gb[:, :, 0] * w[:, None]).T @ ops.Va
-    N[:, na:2 * na] = -(ops.Gb[:, :, 1] * w[:, None]).T @ ops.Va
+    N[:, :na] = -(ops.Ga[:, :, 0] * w[:, None]).T @ ops.Va
+    N[:, na:2 * na] = -(ops.Ga[:, :, 1] * w[:, None]).T @ ops.Va
     # <v_b n_e . n_K, q>_e with n_e . n_K = +-1
     for k, eq in enumerate(ops.edges):
-        Vq = ops.basis_b.eval(eq.pts[:, 0], eq.pts[:, 1])
+        Vq = ops.basis_a.eval(eq.pts[:, 0], eq.pts[:, 1])
         E = ops.edge_basis.eval(eq.t)
         N[:, ops.trace_block(k)] = eq.sign * (Vq.T @ (eq.w[:, None] * E))
-    Mb = ops.Vb.T @ (w[:, None] * ops.Vb)
+    Mb = ops.Va.T @ (w[:, None] * ops.Va)
     return np.linalg.solve(Mb, N)
 
 
@@ -224,12 +270,10 @@ def local_stabilization(ops: _CellOps, mode: str = "straight", rho: float = 1.0)
     """
     if mode not in ("straight", "curved"):
         raise ValueError(f"unknown normal mode '{mode}'")
-    lay = ops.layout
-    na = lay.dim_alpha
+    na = ops.layout.dim_alpha
     S = np.zeros((ops.n_loc, ops.n_loc))
     for k, eq in enumerate(ops.edges):
-        is_boundary = ops.mesh.is_boundary_edge(eq.edge)
-        if mode == "curved" and is_boundary:
+        if mode == "curved" and eq.boundary:
             if eq.segment is None:
                 raise ConfigurationError(
                     f"edge {eq.edge}: curved stabilization requires a CurvedSegment"
@@ -248,46 +292,36 @@ def local_stabilization(ops: _CellOps, mode: str = "straight", rho: float = 1.0)
     return (rho / ops.hk) * S
 
 
-def local_pressure_coupling(ops: _CellOps, D: np.ndarray | None = None) -> np.ndarray:
+def local_pressure_coupling(ops: _CellOps) -> np.ndarray:
     """Rows of b_h on the cell: entries -(div_w v, q)_K for q in the P_sigma basis."""
-    if D is None:
-        D = local_weak_divergence(ops)
     w = ops.rule.weights
-    Msb = ops.Vs.T @ (w[:, None] * ops.Vb)
-    return -Msb @ D
+    Msb = ops.Vs.T @ (w[:, None] * ops.Va)
+    return -Msb @ local_weak_divergence(ops)
 
 
-def edge_mean_deviation_pairing(p0, p1, f, q, order: int) -> float:
-    """int_e (f - mean_e f) q ds over the segment p0 -> p1."""
-    pts, w, _ = edge_rule(p0, p1, order)
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    qv = np.asarray(q(pts[:, 0], pts[:, 1]), dtype=float)
-    mean = float(w @ fv) / float(w.sum())
-    return float(w @ ((fv - mean) * qv))
+def local_boundary_correction(ops: _CellOps, eq: _EdgeQuad) -> np.ndarray:
+    """Pairings <phi.n - mean_e(phi.n), q>_e on the cell's boundary edge `eq`.
+
+    Rows run over the cell's pressure basis, columns over its interior dofs.
+    """
+    Va = ops.basis_a.eval(eq.pts[:, 0], eq.pts[:, 1])
+    n = eq.n_edge
+    F = np.hstack([Va * n[0], Va * n[1]])              # phi . n
+    mean = (eq.w @ F) / float(eq.w.sum())
+    Vs = ops.basis_s.eval(eq.pts[:, 0], eq.pts[:, 1])
+    return Vs.T @ (eq.w[:, None] * (F - mean[None, :]))
 
 
 def boundary_correction_entries(mesh: PolygonalMesh, e: int, layout: DofLayout,
                                 order: int | None = None) -> np.ndarray:
-    """Correction pairings <phi.n - mean_e(phi.n), q>_e on a boundary edge.
+    """Correction pairings of boundary edge e against its cell's bases.
 
-    Rows run over the pressure basis of the adjacent cell, columns over its
-    interior dofs; the assembled mass-conservation rows subtract these.
+    The assembled mass-conservation rows of the modified scheme subtract these.
     """
     if not mesh.is_boundary_edge(e):
         raise ValueError(f"edge {e} is interior; the correction lives on the boundary")
-    order = default_order(layout.alpha, layout.beta) if order is None else order
-    c = int(mesh.edge_cells[e, 0])
-    verts = mesh.vertices[mesh.cells[c]]
-    basis_a = cell_basis(verts, layout.alpha)
-    basis_s = cell_basis(verts, layout.sigma)
-    p0, p1 = mesh.edge_points(e)
-    pts, w, _ = edge_rule(p0, p1, order)
-    n = mesh.edge_normals[e]
-    Va = basis_a.eval(pts[:, 0], pts[:, 1])
-    F = np.hstack([Va * n[0], Va * n[1]])              # phi . n
-    mean = (w @ F) / float(w.sum())
-    Vs = basis_s.eval(pts[:, 0], pts[:, 1])
-    return Vs.T @ (w[:, None] * (F - mean[None, :]))
+    ops = _CellOps(mesh, int(mesh.edge_cells[e, 0]), layout, order)
+    return local_boundary_correction(ops, next(eq for eq in ops.edges if eq.edge == e))
 
 
 @dataclass
@@ -297,7 +331,11 @@ class SaddleSystem:
     The flux equation always couples pressures through B^T (the plain weak
     divergence); the mass-conservation rows are B for the original scheme and
     B1 = B - corrections for the boundary-corrected one, making the full
-    matrix non-symmetric exactly when a correction row is nonzero.
+    matrix non-symmetric exactly when a correction row is nonzero.  A is the
+    flux-norm matrix in the scheme's normal mode; A + A_delta is the one in
+    the other mode, A_delta being nonzero only on cells with a boundary edge.
+    flux_mass and pressure_mass hold the diagonal blocks of the L2 mass
+    matrices of the interior flux and of the pressure.
     """
 
     layout: DofLayout
@@ -309,12 +347,20 @@ class SaddleSystem:
     B1: sp.csr_matrix | None
     pressure_mean: np.ndarray    # entries (q_i, 1)_{Omega_h}
     area: float
+    A_delta: sp.csr_matrix
+    flux_mass: np.ndarray        # (cells, dim P_alpha, dim P_alpha), per flux component
+    pressure_mass: np.ndarray    # (cells, dim P_sigma, dim P_sigma)
     rhs: np.ndarray | None = None
-    quadrature_order: int = 0
 
     @property
     def pressure_rows(self) -> sp.csr_matrix:
         return self.B1 if self.scheme == "modified" else self.B
+
+    def vh_matrix(self, mode: str) -> sp.csr_matrix:
+        """Flux-norm matrix (mass + stabilization) in normal mode `mode`."""
+        if mode not in ("straight", "curved"):
+            raise ValueError(f"unknown normal mode '{mode}'")
+        return self.A if mode == self.normal_mode else (self.A + self.A_delta).tocsr()
 
     def full_matrix(self) -> sp.csr_matrix:
         return sp.bmat([[self.A, self.B.T], [self.pressure_rows, None]], format="csr")
@@ -326,16 +372,13 @@ class SaddleSystem:
         z[lay.n_velocity + lay.pressure_offsets] = 1.0
         return z
 
-    def export_coo(self, path) -> None:
-        """Write the full matrix as 'row col value' lines for debugging."""
-        coo = self.full_matrix().tocoo()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
-
 
 class _CooBuilder:
+    """Dense local blocks with their global row and column indices.
+
+    The triplets are expanded only in `to_csr`, so the blocks are held once.
+    """
+
     def __init__(self):
         self.rows: list[np.ndarray] = []
         self.cols: list[np.ndarray] = []
@@ -349,16 +392,16 @@ class _CooBuilder:
         if not (rmask.all() and cmask.all()):
             block = block[rmask][:, cmask]
             rows, cols = rows[rmask], cols[cmask]
-        R, C = np.meshgrid(rows, cols, indexing="ij")
-        self.rows.append(R.ravel())
-        self.cols.append(C.ravel())
+        self.rows.append(rows)
+        self.cols.append(cols)
         self.vals.append(np.asarray(block, dtype=float).ravel())
 
     def to_csr(self, shape) -> sp.csr_matrix:
         if not self.rows:
             return sp.csr_matrix(shape)
-        r = np.concatenate(self.rows)
-        c = np.concatenate(self.cols)
+        blocks = list(zip(self.rows, self.cols))
+        r = np.concatenate([np.repeat(rows, cols.size) for rows, cols in blocks])
+        c = np.concatenate([np.tile(cols, rows.size) for rows, cols in blocks])
         v = np.concatenate(self.vals)
         return sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
 
@@ -366,28 +409,23 @@ class _CooBuilder:
 def assemble_vh_matrix(mesh: PolygonalMesh, layout: DofLayout, mode: str = "straight",
                        rho: float = 1.0, order: int | None = None) -> sp.csr_matrix:
     """Mass + stabilization on the flux space (the a_h / a_{h,1} block)."""
-    builder = _CooBuilder()
-    for c in range(mesh.n_cells):
-        ops = _CellOps(mesh, c, layout, order)
-        loc = local_mass(ops)
-        S = local_stabilization(ops, mode=mode, rho=rho)
-        full = S.copy()
-        full[:ops.n_int, :ops.n_int] += loc
-        idx = layout.local_dofs(c)
-        builder.add(idx, idx, full)
-    return builder.to_csr((layout.n_velocity, layout.n_velocity))
+    return assemble_system(mesh, layout, rho=rho, order=order).vh_matrix(mode)
 
 
 def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
                     rho: float = 1.0, order: int | None = None,
-                    include_boundary_traces: bool = False) -> SaddleSystem:
+                    include_boundary_traces: bool = False,
+                    cells: list | None = None) -> SaddleSystem:
     """Assemble the saddle-point system for one scheme.
 
-    degrees is (alpha, beta, sigma) or an existing DofLayout.  The original
+    degrees is (alpha, beta, sigma) or an existing DofLayout; `cells` is the
+    level's `level_cells` list, built here when not given.  The original
     scheme stabilizes with straight normals and keeps the symmetric block
     structure; the modified scheme stabilizes with curved normals and
     subtracts the boundary-correction pairings from the mass-conservation
-    rows only.
+    rows only.  Cells with a boundary edge are stabilized in the other normal
+    mode too; the difference is A_delta, so both flux-norm matrices come from
+    one pass and share every entry no boundary cell touches.
     """
     if scheme not in ("original", "modified"):
         raise ValueError(f"unknown scheme '{scheme}'")
@@ -399,72 +437,75 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
                            include_boundary_traces=include_boundary_traces)
     if rho <= 0.0:
         raise ValueError("stabilization parameter rho must be positive")
-    mode = "curved" if scheme == "modified" else "straight"
-    if mode == "curved":
-        for e in mesh.boundary_edge_indices:
-            if int(e) not in mesh.boundary_segments:
-                raise ConfigurationError(f"boundary edge {e} lacks curve data")
-    qorder = default_order(layout.alpha, layout.beta) if order is None else order
+    mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")
+    if cells is None:
+        cells = level_cells(mesh, layout, order)
 
     a_build = _CooBuilder()
+    delta_build = _CooBuilder()
     b_build = _CooBuilder()
-    corr_build = _CooBuilder() if scheme == "modified" else None
+    corr_build = _CooBuilder()
+    na, ns = layout.dim_alpha, layout.dim_sigma
+    flux_mass = np.empty((mesh.n_cells, na, na))
+    pressure_mass = np.empty((mesh.n_cells, ns, ns))
     pmean = np.zeros(layout.n_pressure)
-    area = 0.0
-    for c in range(mesh.n_cells):
-        ops = _CellOps(mesh, c, layout, qorder)
+    for ops in cells:
+        c = ops.c
         idx = layout.local_dofs(c)
+        vidx = idx[:ops.n_int]
         pidx = np.arange(layout.pressure_slice(c).start, layout.pressure_slice(c).stop)
+        w = ops.rule.weights
 
         A_loc = local_stabilization(ops, mode=mode, rho=rho)
-        A_loc[:ops.n_int, :ops.n_int] += local_mass(ops)
+        boundary = [eq for eq in ops.edges if eq.boundary]
+        if boundary:
+            delta_build.add(idx, idx, local_stabilization(ops, mode=other, rho=rho) - A_loc)
+        M = local_mass(ops)
+        A_loc[:ops.n_int, :ops.n_int] += M
         a_build.add(idx, idx, A_loc)
+        flux_mass[c] = M[:na, :na]
 
-        D = local_weak_divergence(ops)
-        b_build.add(pidx, idx, local_pressure_coupling(ops, D))
+        b_build.add(pidx, idx, local_pressure_coupling(ops))
+        pressure_mass[c] = ops.Vs.T @ (w[:, None] * ops.Vs)
+        pmean[layout.pressure_slice(c)] = w @ ops.Vs
+        if scheme == "modified":
+            for eq in boundary:
+                corr_build.add(pidx, vidx, local_boundary_correction(ops, eq))
+        ops.release()
 
-        pmean[layout.pressure_slice(c)] = ops.rule.weights @ ops.Vs
-        area += float(mesh.cell_areas[c])
-
-    if scheme == "modified":
-        for e in mesh.boundary_edge_indices:
-            c = int(mesh.edge_cells[e, 0])
-            C = boundary_correction_entries(mesh, int(e), layout, qorder)
-            pidx = np.arange(layout.pressure_slice(c).start, layout.pressure_slice(c).stop)
-            vidx = np.arange(layout.cell_slice(c).start, layout.cell_slice(c).stop)
-            corr_build.add(pidx, vidx, C)
-
-    A = a_build.to_csr((layout.n_velocity, layout.n_velocity))
-    B = b_build.to_csr((layout.n_pressure, layout.n_velocity))
-    B1 = None
-    if scheme == "modified":
-        B1 = (B - corr_build.to_csr(B.shape)).tocsr()
+    nv, npr = layout.n_velocity, layout.n_pressure
+    A = a_build.to_csr((nv, nv))
+    B = b_build.to_csr((npr, nv))
+    B1 = (B - corr_build.to_csr(B.shape)).tocsr() if scheme == "modified" else None
     return SaddleSystem(layout=layout, scheme=scheme, normal_mode=mode, rho=rho,
-                        A=A, B=B, B1=B1, pressure_mean=pmean, area=area,
-                        quadrature_order=qorder)
+                        A=A, B=B, B1=B1, pressure_mean=pmean,
+                        area=float(mesh.cell_areas.sum()),
+                        A_delta=delta_build.to_csr((nv, nv)),
+                        flux_mass=flux_mass, pressure_mass=pressure_mass)
 
 
 def assemble_rhs(mesh: PolygonalMesh, layout: DofLayout, g, compat: bool = True,
-                 order: int | None = None) -> np.ndarray:
+                 cells: list | None = None) -> np.ndarray:
     """Right-hand side: zero flux block, pressure entries -(g, q)_{Omega_h}.
 
-    With compat=True the source is replaced by its mean-free part on the
+    The source is integrated with each cell's projection rule (`cells`, the
+    level's `level_cells` list, is built here when not given).  With
+    compat=True the source is replaced by its mean-free part on the
     computational domain, which makes the vector orthogonal to the constant
     pressure direction (the kernel of the transposed operator).
     """
-    order = 2 * layout.alpha + 4 if order is None else order
+    if cells is None:
+        cells = level_cells(mesh, layout)
     rhs = np.zeros(layout.n_velocity + layout.n_pressure)
     moments = np.zeros(layout.n_pressure)
     wconst = np.zeros(layout.n_pressure)
     total = 0.0
     area = 0.0
-    for c in range(mesh.n_cells):
-        verts = mesh.vertices[mesh.cells[c]]
-        basis_s = cell_basis(verts, layout.sigma)
-        rule = polygon_rule(verts, order)
-        Vs = basis_s.eval(rule.points[:, 0], rule.points[:, 1])
+    for ops in cells:
+        rule = ops.proj_rule
+        Vs = ops.basis_s.eval(rule.points[:, 0], rule.points[:, 1])
         gv = np.asarray(g(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-        sl = layout.pressure_slice(c)
+        sl = layout.pressure_slice(ops.c)
         moments[sl] = Vs.T @ (rule.weights * gv)
         wconst[sl] = rule.weights @ Vs
         total += float(rule.weights @ gv)

@@ -131,16 +131,18 @@ class CellBasis:
         return out
 
 
-def cell_basis(vertices, degree: int) -> CellBasis:
+def cell_basis(vertices, degree: int, center=None) -> CellBasis:
     """Monomial basis of P_degree in the cell's principal coordinates.
 
-    Basis function 0 is the constant 1; the others vanish at the centroid.
+    Basis function 0 is the constant 1; the others vanish at the centroid,
+    which is computed unless the caller already holds it (`center`).
     The mass-matrix conditioning does not degrade with the cell's aspect ratio
     (see the module docstring).
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    center = polygon_centroid(vertices)
+    if center is None:
+        center = polygon_centroid(vertices)
     return CellBasis(
         degree=degree,
         center=center,
@@ -173,19 +175,24 @@ def cell_mass_matrix(vertices, basis: CellBasis, order: int | None = None) -> np
 
 
 def project_cell(vertices, f, degree: int, order: int | None = None,
-                 basis: CellBasis | None = None) -> np.ndarray:
+                 basis: CellBasis | None = None, rule=None) -> np.ndarray:
     """Coefficients of the L2(K)-orthogonal projection of f onto P_degree.
 
-    The default quadrature order (2*degree) is exact when f is itself a
-    polynomial of degree <= degree; pass a higher order for general fields.
+    f(x, y) returns one value per point, or one row of k values per point;
+    the result then has shape (dim,) or (dim, k).  The default quadrature
+    order (2*degree) is exact when f is itself a polynomial of degree <=
+    degree; pass a higher order for general fields, or a prebuilt cell `rule`.
     """
     if basis is None:
         basis = cell_basis(vertices, degree)
-    order = 2 * degree if order is None else max(order, 2 * degree)
-    rule = polygon_rule(vertices, order)
-    V = basis.eval(rule.points[:, 0], rule.points[:, 1])
+    if rule is None:
+        order = 2 * degree if order is None else max(order, 2 * degree)
+        rule = polygon_rule(vertices, order)
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    V = basis.eval(x, y)
     M = V.T @ (rule.weights[:, None] * V)
-    rhs = V.T @ (rule.weights * np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float))
+    fv = np.asarray(f(x, y), dtype=float)
+    rhs = V.T @ (fv.T * rule.weights).T
     try:
         return np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:

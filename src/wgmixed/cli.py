@@ -59,20 +59,6 @@ def _parse_levels(text: str) -> tuple:
     return levels
 
 
-def _check_split_rule(rule: str) -> str:
-    if rule in ("none", "original", "modified"):
-        return rule
-    if rule.startswith("fixed:"):
-        try:
-            k = int(rule.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad --split-rule value '{rule}'") from None
-        if k < 1:
-            raise ValueError("fixed split count must be >= 1")
-        return rule
-    raise ValueError(f"bad --split-rule value '{rule}'")
-
-
 def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
@@ -87,7 +73,7 @@ def run_cli(argv=None) -> int:
             scheme=args.scheme,
             degree=args.degree,
             levels=levels,
-            split_rule=_check_split_rule(args.split_rule),
+            split_rule=args.split_rule,
             rho=args.rho,
             quadrature_order=args.quadrature_order,
         )

@@ -6,6 +6,13 @@ the exact flux (interior L2 projections per cell, edge projections of the
 normal component on interior edges, zero on boundary edges), measured in the
 flux norm; the pressure error is measured cellwise in L2 against the
 piecewise-polynomial projection of the exact pressure.
+
+A level runs as one pass over the cells, then the solve, then the norms:
+`level_cells` builds each cell's bases and rules once, the assembly, the
+right-hand side and the exact projection read them, and they are released
+before the solve.  The four error norms are quadratic forms in matrices the
+assembly already returned: the flux-norm matrix of each normal mode and the
+diagonal blocks of the interior-flux and pressure mass matrices.
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ from .assembly import (
     assemble_rhs,
     assemble_system,
     assemble_vh_matrix,
+    level_cells,
+    projection_order,
 )
-from .basis import cell_basis, project_cell, project_edge
+from .basis import project_cell, project_edge
 from .mesh import (
     PolygonalMesh,
     boundary_split_count,
@@ -34,7 +43,6 @@ from .mesh import (
     generate_square_tri,
     validate_mesh,
 )
-from .quadrature import polygon_rule
 from .solutions import registry_lookup
 from .solver import solve_saddle
 
@@ -52,26 +60,25 @@ def fit_rate(pairs) -> float:
 
 
 def project_exact(mesh: PolygonalMesh, u, p, layout: DofLayout,
-                  order: int | None = None) -> tuple[WgFunction, np.ndarray]:
+                  cells: list | None = None) -> tuple[WgFunction, np.ndarray]:
     """Projection of an exact pair onto the discrete spaces.
 
-    Interior flux coefficients are cellwise L2 projections of each component;
-    interior-edge traces are L2 projections of u . n_e; boundary-edge traces
-    are zero by definition of the constrained flux space.
+    Interior flux coefficients are cellwise L2 projections of each component
+    and pressures cellwise L2 projections, both with each cell's projection
+    rule (`cells`, the level's `level_cells` list, is built here when not
+    given); interior-edge traces are L2 projections of u . n_e; boundary-edge
+    traces are zero by definition of the constrained flux space.
     """
-    order = 2 * layout.alpha + 4 if order is None else order
+    if cells is None:
+        cells = level_cells(mesh, layout)
     w = WgFunction.zeros(layout)
     pex = np.zeros(layout.n_pressure)
-    for c in range(mesh.n_cells):
-        verts = mesh.vertices[mesh.cells[c]]
-        ba = cell_basis(verts, layout.alpha)
-        sl = layout.cell_slice(c)
-        na = layout.dim_alpha
-        w.coeffs[sl][:na] = project_cell(verts, lambda x, y: u(x, y)[:, 0],
-                                         layout.alpha, order, basis=ba)
-        w.coeffs[sl][na:] = project_cell(verts, lambda x, y: u(x, y)[:, 1],
-                                         layout.alpha, order, basis=ba)
-        pex[layout.pressure_slice(c)] = project_cell(verts, p, layout.sigma, order)
+    for ops in cells:
+        coef = project_cell(ops.vertices, u, layout.alpha, basis=ops.basis_a, rule=ops.proj_rule)
+        w.coeffs[layout.cell_slice(ops.c)] = coef.T.ravel()
+        pex[layout.pressure_slice(ops.c)] = project_cell(
+            ops.vertices, p, layout.sigma, basis=ops.basis_s, rule=ops.proj_rule)
+    order = projection_order(layout.alpha)
     for e in range(mesh.n_edges):
         sl = layout.edge_slice(e)
         if sl is None or mesh.is_boundary_edge(e):
@@ -83,13 +90,28 @@ def project_exact(mesh: PolygonalMesh, u, p, layout: DofLayout,
     return w, pex
 
 
+def quadratic_norm(matrix, x) -> float:
+    """sqrt(x . matrix x), clipped at zero against rounding."""
+    return math.sqrt(max(float(x @ (matrix @ x)), 0.0))
+
+
+def block_norm(blocks: np.ndarray, x) -> float:
+    """Quadratic norm for a block-diagonal matrix given by its (cells, b, b) blocks.
+
+    x holds each cell's coefficients in turn: one or more length-b groups per
+    cell (the two flux components, or one pressure), each paired with the
+    cell's block.
+    """
+    xb = np.reshape(x, (blocks.shape[0], -1, blocks.shape[1]))
+    return math.sqrt(max(float(np.einsum("cki,cij,ckj->", xb, blocks, xb)), 0.0))
+
+
 def vh_norm(mesh: PolygonalMesh, w: WgFunction, mode: str = "straight",
             rho: float = 1.0, order: int | None = None, matrix=None) -> float:
     """Flux norm sqrt(mass + stabilization) with the requested normal mode."""
     if matrix is None:
         matrix = assemble_vh_matrix(mesh, w.layout, mode=mode, rho=rho, order=order)
-    val = float(w.coeffs @ (matrix @ w.coeffs))
-    return math.sqrt(max(val, 0.0))
+    return quadratic_norm(matrix, w.coeffs)
 
 
 def l2_flux_interior_error(mesh: PolygonalMesh, w: WgFunction) -> float:
@@ -99,35 +121,15 @@ def l2_flux_interior_error(mesh: PolygonalMesh, w: WgFunction) -> float:
     order past the stabilized flux norm on polygon-exact domains; it is
     recorded as a diagnostic alongside the flux-norm errors.
     """
-    layout = w.layout
-    total = 0.0
-    for c in range(mesh.n_cells):
-        verts = mesh.vertices[mesh.cells[c]]
-        ba = cell_basis(verts, layout.alpha)
-        rule = polygon_rule(verts, 2 * layout.alpha)
-        V = ba.eval(rule.points[:, 0], rule.points[:, 1])
-        M = V.T @ (rule.weights[:, None] * V)
-        e = w.interior(c)
-        total += float(e[0] @ M @ e[0] + e[1] @ M @ e[1])
-    return math.sqrt(max(total, 0.0))
+    return block_norm(assemble_system(mesh, w.layout).flux_mass,
+                      w.coeffs[:w.layout.n_interior])
 
 
 def l2_pressure_error(mesh: PolygonalMesh, layout: DofLayout, p_coeffs,
-                      p_exact_coeffs, order: int | None = None) -> float:
+                      p_exact_coeffs) -> float:
     """Cellwise L2 norm of the pressure coefficient difference."""
-    order = 2 * layout.sigma if order is None else order
     diff = np.asarray(p_exact_coeffs, dtype=float) - np.asarray(p_coeffs, dtype=float)
-    total = 0.0
-    for c in range(mesh.n_cells):
-        d = diff[layout.pressure_slice(c)]
-        if not d.any():
-            continue
-        verts = mesh.vertices[mesh.cells[c]]
-        bs = cell_basis(verts, layout.sigma)
-        rule = polygon_rule(verts, max(order, 2 * layout.sigma))
-        V = bs.eval(rule.points[:, 0], rule.points[:, 1])
-        total += float(d @ (V.T @ (rule.weights[:, None] * V)) @ d)
-    return math.sqrt(max(total, 0.0))
+    return block_norm(assemble_system(mesh, layout).pressure_mass, diff)
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,24 @@ class StudyConfig:
     split_rule: str = "none"      # none | original | modified | fixed:<k>
     rho: float = 1.0
     quadrature_order: int | None = None
-    solver_method: str = "lagrange"
     threads: int | None = None    # default: WG_THREADS env or 1
     validate: bool = True
+
+    def __post_init__(self):
+        """Reject a study that cannot run before any of its levels does."""
+        levels = list(self.levels)
+        if not levels:
+            raise ValueError("study needs at least one refinement level")
+        if min(levels) < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValueError(f"levels {','.join(map(str, levels))} must be positive "
+                             "and strictly increasing")
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError(f"rho {self.rho} must be finite and positive")
+        q = self.quadrature_order
+        if q is not None and q < 2 * self.degree:
+            raise ValueError(f"quadrature order {q} is below 2j = {2 * self.degree}, "
+                             "the exactness the mass matrices need")
+        parse_split_rule(self.split_rule)
 
 
 @dataclass(frozen=True)
@@ -207,16 +224,24 @@ def generate_domain_mesh(domain: str, n: int, split: int = 1) -> PolygonalMesh:
     raise ValueError(f"unknown domain '{domain}'")
 
 
+def parse_split_rule(rule: str):
+    """The count k of 'fixed:<k>', or the name of the law 'none', 'original', 'modified'."""
+    if rule in ("none", "original", "modified"):
+        return rule
+    count = rule[len("fixed:"):] if rule.startswith("fixed:") else ""
+    if not (count.isdecimal() and int(count) >= 1):
+        raise ValueError(f"split rule '{rule}' is not none, original, modified "
+                         "or fixed:<k> with k >= 1")
+    return int(count)
+
+
 def split_for_level(config: StudyConfig, base_h: float) -> int:
-    rule = config.split_rule
-    if rule == "none" or config.domain == "square":
+    law = parse_split_rule(config.split_rule)
+    if law == "none" or config.domain == "square":
         return 1
-    if rule.startswith("fixed:"):
-        k = int(rule.split(":", 1)[1])
-        if k < 1:
-            raise ValueError(f"fixed split must be >= 1, got {k}")
-        return k
-    return boundary_split_count(base_h, config.degree, rule)
+    if isinstance(law, int):
+        return law
+    return boundary_split_count(base_h, config.degree, law)
 
 
 def run_level(config: StudyConfig, n: int):
@@ -231,25 +256,19 @@ def run_level(config: StudyConfig, n: int):
 
     layout = DofLayout(mesh, j, j, j - 1)
     case = registry_lookup(config.domain)
+    cells = level_cells(mesh, layout, config.quadrature_order)
     system = assemble_system(mesh, layout, scheme=config.scheme, rho=config.rho,
-                             order=config.quadrature_order)
-    rhs = assemble_rhs(mesh, layout, case.g, compat=True)
-    sol = solve_saddle(system, rhs, method=config.solver_method)
+                             order=config.quadrature_order, cells=cells)
+    rhs = assemble_rhs(mesh, layout, case.g, compat=True, cells=cells)
+    uex, pex = project_exact(mesh, case.u, case.p, layout, cells=cells)
+    del cells  # the solve and the norms need no per-cell data
+    sol = solve_saddle(system, rhs)
 
-    uex, pex = project_exact(mesh, case.u, case.p, layout)
-    err = WgFunction(layout, uex.coeffs - sol.u.coeffs)
-    if config.scheme == "modified":
-        mat_curved = system.A
-        mat_straight = assemble_vh_matrix(mesh, layout, mode="straight", rho=config.rho,
-                                          order=config.quadrature_order)
-    else:
-        mat_straight = system.A
-        mat_curved = assemble_vh_matrix(mesh, layout, mode="curved", rho=config.rho,
-                                        order=config.quadrature_order)
-    err_vh = vh_norm(mesh, err, matrix=mat_straight)
-    err_vh1 = vh_norm(mesh, err, matrix=mat_curved)
-    err_p = l2_pressure_error(mesh, layout, sol.p, pex)
-    err_l2 = l2_flux_interior_error(mesh, err)
+    err = uex.coeffs - sol.u.coeffs
+    err_vh = quadratic_norm(system.vh_matrix("straight"), err)
+    err_vh1 = quadratic_norm(system.vh_matrix("curved"), err)
+    err_p = block_norm(system.pressure_mass, pex - sol.p)
+    err_l2 = block_norm(system.flux_mass, err[:layout.n_interior])
     seconds = time.perf_counter() - t0
     row = StudyRow(n=n, split=split, h=mesh.h, s=mesh.s, dofs=layout.n_dofs,
                    err_u_vh=err_vh, err_u_vh1=err_vh1, err_p=err_p,
@@ -265,8 +284,6 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceTable:
     independent of the thread count.
     """
     levels = list(config.levels)
-    if not levels:
-        raise ValueError("study needs at least one refinement level")
     threads = config.threads
     if threads is None:
         threads = int(os.environ.get("WG_THREADS", "1"))

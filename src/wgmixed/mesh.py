@@ -626,30 +626,47 @@ def mesh_to_text(mesh: PolygonalMesh) -> str:
 
 
 def mesh_from_text(text: str) -> PolygonalMesh:
+    """Parse the documented JSON layout; malformed documents raise MeshError.
+
+    The vertex rows must number 0..nv-1 with distinct coordinates, and every
+    boundary edge needs exactly one curve entry, which names no other edge.
+    """
     data = json.loads(text)
     if data.get("format") != "wgmixed-mesh":
         raise MeshError("not a wgmixed mesh document")
     nv = len(data["vertices"])
+    if sorted(int(row[0]) for row in data["vertices"]) != list(range(nv)):
+        raise MeshError(f"vertex rows must be numbered 0..{nv - 1}, each once")
     verts = np.empty((nv, 2))
     for row in data["vertices"]:
         verts[int(row[0])] = (float(row[1]), float(row[2]))
+    vin = {(float(v[0]), float(v[1])): i for i, v in enumerate(verts)}
+    if len(vin) != nv:
+        raise MeshError(f"{nv - len(vin)} vertex rows repeat another row's coordinates")
     curve_by_pair = {}
     for row in data["boundary"]:
         key = frozenset((int(row[0]), int(row[1])))
+        if key in curve_by_pair:
+            raise MeshError(f"boundary edge {row[0]}-{row[1]} has two curve entries")
         curve_by_pair[key] = row[2:]
-    vin = {(float(v[0]), float(v[1])): i for i, v in enumerate(verts)}
 
     def lookup(p0, p1):
-        i0 = vin.get((float(p0[0]), float(p0[1])))
-        i1 = vin.get((float(p1[0]), float(p1[1])))
-        entry = curve_by_pair.get(frozenset((i0, i1)))
-        if entry is None or entry[0] == "flat":
+        i0 = vin[(float(p0[0]), float(p0[1]))]
+        i1 = vin[(float(p1[0]), float(p1[1]))]
+        entry = curve_by_pair.pop(frozenset((i0, i1)), None)
+        if entry is None:
+            raise MeshError(f"boundary edge {i0}-{i1} has no curve entry")
+        if entry[0] == "flat":
             return flat_segment(p0, p1)
         _, cx, cy, rad = entry
         return circle_segment(p0, p1, (float(cx), float(cy)), float(rad))
 
-    return build_mesh(verts, data["cells"], curve_lookup=lookup,
+    mesh = build_mesh(verts, data["cells"], curve_lookup=lookup,
                       domain=data.get("domain", "custom"))
+    if curve_by_pair:
+        pairs = ", ".join("-".join(map(str, sorted(k))) for k in curve_by_pair)
+        raise MeshError(f"curve entries name no boundary edge: {pairs}")
+    return mesh
 
 
 def write_mesh(mesh: PolygonalMesh, path) -> None:

@@ -2,10 +2,10 @@
 
 The pressure space is assembled without the mean-zero constraint, so the
 operator has a one-dimensional kernel spanned by the constant pressure.  The
-default treatment appends a scalar Lagrange multiplier enforcing
-(p, 1)_{Omega_h} = 0 (bordering with the pressure-mean functional, which is
-not orthogonal to the kernel on either side); the alternative pins one
-constant-mode pressure dof and renormalizes afterwards.
+solve appends a scalar Lagrange multiplier enforcing (p, 1)_{Omega_h} = 0:
+bordering with the pressure-mean functional, which is not orthogonal to the
+kernel on either side, makes the system nonsingular and returns the
+mean-zero pressure directly.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class Solution:
     p: np.ndarray
     residual: float
     multiplier: float
-    method: str
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -50,13 +49,11 @@ def _factorize(matrix: sp.csr_matrix):
 
 
 def solve_saddle(system: SaddleSystem, rhs: np.ndarray | None = None,
-                 method: str = "lagrange", tol: float = 1e-9) -> Solution:
+                 tol: float = 1e-9) -> Solution:
     """Solve the saddle system, returning flux and mean-zero pressure.
 
-    method="lagrange" borders the matrix with the pressure-mean functional;
-    method="pin" fixes the constant pressure mode of cell 0 to zero and
-    subtracts the mean afterwards (the right-hand side must then already be
-    compatible).  Identical inputs produce bitwise-identical solutions.
+    The matrix is bordered with the pressure-mean functional and factorized
+    by sparse LU.  Identical inputs produce bitwise-identical solutions.
     """
     lay = system.layout
     b = system.rhs if rhs is None else rhs
@@ -65,38 +62,17 @@ def solve_saddle(system: SaddleSystem, rhs: np.ndarray | None = None,
     if b.shape != (lay.n_dofs,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({lay.n_dofs},)")
     M = system.full_matrix()
-    w = system.pressure_mean
-
-    if method == "lagrange":
-        border = np.zeros(lay.n_dofs)
-        border[lay.n_velocity:] = w
-        K = sp.bmat([[M, border[:, None]], [border[None, :], None]], format="csc")
-        lu = _factorize(K)
-        ext = lu.solve(np.concatenate([b, [0.0]]))
-        x, lam = ext[:-1], float(ext[-1])
-    elif method == "pin":
-        pin = lay.n_velocity  # constant pressure mode of cell 0
-        keep = np.ones(lay.n_dofs, dtype=bool)
-        keep[pin] = False
-        Mr = M[keep][:, keep].tocsc()
-        lu = _factorize(Mr)
-        xr = lu.solve(b[keep])
-        x = np.zeros(lay.n_dofs)
-        x[keep] = xr
-        lam = 0.0
-    else:
-        raise ValueError(f"unknown solver method '{method}'")
-
+    border = np.zeros(lay.n_dofs)
+    border[lay.n_velocity:] = system.pressure_mean
+    K = sp.bmat([[M, border[:, None]], [border[None, :], None]], format="csc")
+    lu = _factorize(K)
+    ext = lu.solve(np.concatenate([b, [0.0]]))
+    x, lam = ext[:-1], float(ext[-1])
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite values")
 
-    u = WgFunction(lay, x[:lay.n_velocity].copy())
-    p = x[lay.n_velocity:].copy()
-    p -= (w @ p) / system.area
-
-    xfix = np.concatenate([u.coeffs, p])
     bnorm = float(np.linalg.norm(b))
-    rnorm = float(np.linalg.norm(M @ xfix - b))
+    rnorm = float(np.linalg.norm(M @ x - b))
     residual = rnorm / bnorm if bnorm > 0.0 else rnorm
     diagnostics = {
         "n_velocity": lay.n_velocity,
@@ -109,5 +85,5 @@ def solve_saddle(system: SaddleSystem, rhs: np.ndarray | None = None,
             f"relative residual {residual:.3e} above tolerance {tol:.1e} "
             f"(scheme={system.scheme}, dofs={lay.n_dofs})"
         )
-    return Solution(u=u, p=p, residual=residual, multiplier=lam,
-                    method=method, diagnostics=diagnostics)
+    return Solution(u=WgFunction(lay, x[:lay.n_velocity].copy()), p=x[lay.n_velocity:].copy(),
+                    residual=residual, multiplier=lam, diagnostics=diagnostics)

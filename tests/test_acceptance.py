@@ -267,7 +267,7 @@ def test_criterion8a_commutativity():
                 lambda x, y: u_comp(x, y, cu[0]) * n_e[0] + u_comp(x, y, cu[1]) * n_e[1],
                 alpha, 2 * alpha + 4)
         got = local_weak_divergence(ops) @ dof
-        expect = project_cell(verts, div_u, alpha, 2 * alpha + 4, basis=ops.basis_b)
+        expect = project_cell(verts, div_u, alpha, 2 * alpha + 4, basis=ops.basis_a)
         worst = max(worst, np.abs(got - expect).max() / max(1.0, np.abs(expect).max()))
     ok = worst <= 1e-10
     report("8a", f"weak-divergence/projection commutativity over 50 fields: "

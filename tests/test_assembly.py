@@ -14,7 +14,6 @@ from wgmixed.assembly import (
     assemble_system,
     assemble_vh_matrix,
     boundary_correction_entries,
-    edge_mean_deviation_pairing,
     local_mass,
     local_stabilization,
     local_weak_divergence,
@@ -73,7 +72,7 @@ def test_weak_divergence_of_identity_field_is_two():
         dof = consistent_trace_dofs(mesh, ops, u)
         div = local_weak_divergence(ops) @ dof
         pts = mesh.cell_centroids[c][None, :]
-        val = ops.basis_b.eval(pts[:, 0], pts[:, 1]) @ div
+        val = ops.basis_a.eval(pts[:, 0], pts[:, 1]) @ div
         assert val[0] == pytest.approx(2.0, abs=1e-12)
         # nonconstant coefficients vanish
         assert np.abs(div[1:]).max() <= 1e-12
@@ -87,7 +86,7 @@ def test_weak_divergence_interior_only_hand_value():
     dof[0] = 1.0
     div = local_weak_divergence(ops) @ dof
     xs = np.array([0.0, 0.25, 0.5, 0.9])
-    vals = ops.basis_b.eval(xs, np.full_like(xs, 0.3)) @ div
+    vals = ops.basis_a.eval(xs, np.full_like(xs, 0.3)) @ div
     assert np.allclose(vals, -12.0 * (xs - 0.5), atol=1e-12)
 
 
@@ -124,7 +123,7 @@ def test_commutativity_with_divergence_projection():
 
         dof = consistent_trace_dofs(mesh, ops, u)
         got = local_weak_divergence(ops) @ dof
-        expect = project_cell(verts, div_u, lay.beta, order=2 * alpha + 4, basis=ops.basis_b)
+        expect = project_cell(verts, div_u, lay.beta, order=2 * alpha + 4, basis=ops.basis_a)
         scale = max(1.0, np.abs(expect).max())
         assert np.abs(got - expect).max() <= 1e-10 * scale, trial
         checked += 1
@@ -213,20 +212,6 @@ def test_local_mass_orthogonality_vs_quadrature_oracle():
 # ---------------------------------------------------------------------------
 # boundary correction
 # ---------------------------------------------------------------------------
-
-def test_edge_mean_deviation_pairing_values():
-    # f with constant values is annihilated
-    val = edge_mean_deviation_pairing((0, 0), (1, 0), lambda x, y: np.full_like(x, 3.0),
-                                      lambda x, y: x**2, 6)
-    assert val == pytest.approx(0.0, abs=1e-15)
-    # q = 1 is annihilated for any f
-    val = edge_mean_deviation_pairing((0, 0), (1, 0), lambda x, y: np.sin(x),
-                                      lambda x, y: np.ones_like(x), 12)
-    assert val == pytest.approx(0.0, abs=1e-15)
-    # f = t, q = t on a unit edge: int (t - 1/2) t dt = 1/12
-    val = edge_mean_deviation_pairing((0, 0), (1, 0), lambda x, y: x, lambda x, y: x, 4)
-    assert val == pytest.approx(1.0 / 12.0, rel=1e-14)
-
 
 def test_boundary_correction_entries_structure():
     mesh = generate_disk_mesh(8, 1)
@@ -397,19 +382,18 @@ def test_vh_matrix_matches_system_block():
     assert np.abs((sys_.A - M)).max() <= 1e-14 * np.abs(M.toarray()).max()
 
 
-def test_export_coo(tmp_path):
-    mesh = generate_square_tri(1)
-    sys_ = assemble_system(mesh, (1, 1, 0), scheme="original")
-    path = tmp_path / "mat.txt"
-    sys_.export_coo(path)
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split()
-    assert header[0] == "#"
-    nnz = int(header[3])
-    assert len(lines) == nnz + 1
-    r, c, v = lines[1].split()
-    M = sys_.full_matrix().tocoo()
-    assert float(v) == M.data[0]
+def test_other_mode_matrix_matches_other_scheme():
+    # the boundary-cell difference reproduces the other scheme's own A block
+    mesh = generate_disk_mesh(8, 2)
+    lay = DofLayout(mesh, 2, 2, 1)
+    orig = assemble_system(mesh, lay, scheme="original", rho=2.5)
+    mod = assemble_system(mesh, lay, scheme="modified", rho=2.5)
+    scale = np.abs(orig.A.toarray()).max()
+    assert np.abs((orig.vh_matrix("curved") - mod.A)).max() <= 1e-14 * scale
+    assert np.abs((mod.vh_matrix("straight") - orig.A)).max() <= 1e-14 * scale
+    assert np.abs((orig.vh_matrix("curved") - orig.A)).max() > 1e-6 * scale
+    with pytest.raises(ValueError):
+        orig.vh_matrix("tilted")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Command-line interface: flags, exit codes, CSV output, mesh export."""
 
+import pytest
+
+from wgmixed import convergence
 from wgmixed.cli import run_cli
 from wgmixed.convergence import CSV_HEADER
 from wgmixed.mesh import read_mesh
@@ -78,3 +81,30 @@ def test_ring_runs_through_same_pipeline(tmp_path):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--domain", "square", "--levels", "4,4"], "4,4"),
+    (["--domain", "square", "--levels", "8,4"], "8,4"),
+    (["--domain", "square", "--levels", "0,4"], "0,4"),
+    (["--domain", "square", "--rho", "nan"], "nan"),
+    (["--domain", "square", "--rho", "inf"], "inf"),
+    (["--domain", "square", "--rho", "-1"], "-1"),
+    (["--domain", "square", "--quadrature-order", "0"], "0"),
+    (["--domain", "square", "--degree", "2", "--quadrature-order", "3"], "3"),
+    (["--domain", "disk", "--split-rule", "fixed:0"], "fixed:0"),
+    (["--domain", "disk", "--split-rule", "fixed:"], "fixed:"),
+])
+def test_bad_study_rejected_before_any_level(args, named, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(convergence, "run_level", lambda config, n: ran.append(n))
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and named in err[0], err
+    assert ran == []
+
+
+def test_quadrature_order_2j_accepted(tmp_path):
+    out = tmp_path / "q.csv"
+    assert run_cli(["--domain", "square", "--degree", "2", "--levels", "2,4",
+                    "--quadrature-order", "4", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 """Mesh generators, curved-boundary geometry, validators, and file round-trips."""
 
+import json
 import math
 
 import numpy as np
@@ -348,3 +349,45 @@ def test_mesh_text_roundtrip_bit_identical(mesh_fn, tmp_path):
         s1, s2 = m.boundary_segments[int(e)], m3.boundary_segments[int(e)]
         assert s1.curve_id == s2.curve_id
         assert s1.side == s2.side
+
+
+def _disk_document():
+    return json.loads(mesh_to_text(generate_disk_mesh(12, 2)))
+
+
+def _drop_curve_entries(doc):
+    doc["boundary"] = doc["boundary"][5:]
+
+
+def _curve_on_interior_edge(doc):
+    m = generate_disk_mesh(12, 2)
+    e = next(k for k in range(m.n_edges) if not m.is_boundary_edge(k))
+    doc["boundary"].append([int(m.edges[e, 0]), int(m.edges[e, 1]), "flat"])
+
+
+def _duplicate_vertex_coordinates(doc):
+    # an unused extra vertex placed on top of vertex 0
+    doc["vertices"].append([len(doc["vertices"]), *doc["vertices"][0][1:]])
+
+
+def _skip_vertex_index(doc):
+    doc["vertices"][-1][0] = len(doc["vertices"])
+
+
+def _repeat_vertex_index(doc):
+    doc["vertices"][-1][0] = 0
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_curve_entries,
+    _curve_on_interior_edge,
+    _duplicate_vertex_coordinates,
+    _skip_vertex_index,
+    _repeat_vertex_index,
+])
+def test_mesh_reader_rejects_malformed_documents(corrupt):
+    doc = _disk_document()
+    mesh_from_text(json.dumps(doc))  # the intact document reads
+    corrupt(doc)
+    with pytest.raises(MeshError):
+        mesh_from_text(json.dumps(doc))

@@ -50,17 +50,6 @@ def test_pressure_mean_zero():
         assert abs(mean) <= 1e-10 * max(np.linalg.norm(sol.p), 1.0)
 
 
-def test_pin_and_lagrange_agree():
-    mesh = generate_disk_mesh(8, 1)
-    system, rhs = make_problem(mesh, (1, 1, 0), "original", "disk")
-    a = solve_saddle(system, rhs, method="lagrange")
-    b = solve_saddle(system, rhs, method="pin")
-    scale_u = np.linalg.norm(a.u.coeffs)
-    scale_p = np.linalg.norm(a.p)
-    assert np.linalg.norm(a.u.coeffs - b.u.coeffs) <= 1e-8 * scale_u
-    assert np.linalg.norm(a.p - b.p) <= 1e-8 * scale_p
-
-
 def test_bitwise_deterministic():
     mesh = generate_square_tri(3)
     system, rhs = make_problem(mesh, (1, 1, 0), "original", "square")
