@@ -18,8 +18,10 @@ with m the straight cell normal ("straight" mode) or the analytic-boundary
 normal pulled back to boundary chords ("curved" mode; interior edges keep the
 straight normal).
 
-A level is one pass over its cells.  `level_cells` builds each cell's bases,
-its assembly and projection rules and its edge rules once; `assemble_system`,
+A level is one pass over its cells.  `level_cells` builds each cell's one
+basis (P_alpha; the P_sigma pressure basis is its leading functions), its
+assembly and projection rules and its edge rules once, reading the
+centroid, diameter and edge lengths the mesh stores; `assemble_system`,
 `assemble_rhs` and the exact-solution projection all read them.  The two
 normal modes differ only in the boundary-edge terms, so `assemble_system`
 stabilizes the cells that have a boundary edge in both modes and returns
@@ -164,19 +166,21 @@ class _EdgeQuad:
         self.n_edge = mesh.edge_normals[e]
         self.n_cell = sign * self.n_edge
         self.pts, self.w, self.t = edge_rule(p0, p1, order)
-        self.length = mesh.edge_length(e)
+        self.length = mesh.edge_lengths[e]
         self.segment = mesh.boundary_segments.get(int(e))
 
 
 class _CellOps:
-    """One cell's bases, quadrature rules and edge rules, built once per level.
+    """One cell's basis, quadrature rules and edge rules, built once per level.
 
-    `rule` is the assembly rule (exactness `order`) and `proj_rule` the
-    `projection_order` rule for sources and exact solutions; both are fanned
-    from the centroid the mesh stores.  The assembly rule, the edge rules and
-    the basis values at the assembly points are built on first use and
-    dropped by `release` once the cell is assembled, so between the assembly
-    and the solve a level's list of cells holds only bases and `proj_rule`.
+    `basis_a` is the cell's one basis, of P_alpha; the P_sigma pressure basis
+    is its leading `dim_sigma` functions, so pressure values are leading
+    columns of its values.  `rule` is the assembly rule (exactness `order`)
+    and `proj_rule` the `projection_order` rule for sources and exact
+    solutions; both are fanned from the stored centroid.  The assembly rule, the edge rules and the basis values and
+    mass matrix at the assembly points are built on first use and dropped by
+    `release` once the cell is assembled, so between the assembly and the
+    solve a level's list of cells holds only the basis and `proj_rule`.
     """
 
     def __init__(self, mesh: PolygonalMesh, c: int, layout: DofLayout, order: int | None = None):
@@ -186,8 +190,7 @@ class _CellOps:
         self.order = default_order(layout.alpha, layout.beta) if order is None else order
         self.vertices = mesh.vertices[mesh.cells[c]]
         self.center = mesh.cell_centroids[c]
-        self.basis_a = cell_basis(self.vertices, layout.alpha, self.center)
-        self.basis_s = cell_basis(self.vertices, layout.sigma, self.center)
+        self.basis_a = cell_basis(self.vertices, layout.alpha)
         self.proj_rule = polygon_rule(self.vertices, projection_order(layout.alpha), self.center)
         self.hk = float(mesh.cell_diameters[c])
         self.edge_basis = EdgeBasis(layout.beta)
@@ -212,12 +215,13 @@ class _CellOps:
         return self.basis_a.grad(self.rule.points[:, 0], self.rule.points[:, 1])
 
     @cached_property
-    def Vs(self) -> np.ndarray:
-        return self.basis_s.eval(self.rule.points[:, 0], self.rule.points[:, 1])
+    def mass(self) -> np.ndarray:
+        """Gram matrix of `basis_a`; its leading dim_sigma block is the pressure's."""
+        return self.Va.T @ (self.rule.weights[:, None] * self.Va)
 
     def release(self) -> None:
-        """Drop the assembly and edge rules and the basis values at the assembly points."""
-        for name in ("rule", "edges", "Va", "Ga", "Vs"):
+        """Drop the assembly and edge rules and the basis values and mass at its points."""
+        for name in ("rule", "edges", "Va", "Ga", "mass"):
             self.__dict__.pop(name, None)
 
     def trace_block(self, k: int) -> slice:
@@ -232,12 +236,10 @@ def level_cells(mesh: PolygonalMesh, layout: DofLayout, order: int | None = None
 
 def local_mass(ops: _CellOps) -> np.ndarray:
     """Block-diagonal two-component L2 mass matrix on the interior dofs."""
-    w = ops.rule.weights
-    M = ops.Va.T @ (w[:, None] * ops.Va)
     na = ops.layout.dim_alpha
     out = np.zeros((2 * na, 2 * na))
-    out[:na, :na] = M
-    out[na:, na:] = M
+    out[:na, :na] = ops.mass
+    out[na:, na:] = ops.mass
     return out
 
 
@@ -257,8 +259,7 @@ def local_weak_divergence(ops: _CellOps) -> np.ndarray:
         Vq = ops.basis_a.eval(eq.pts[:, 0], eq.pts[:, 1])
         E = ops.edge_basis.eval(eq.t)
         N[:, ops.trace_block(k)] = eq.sign * (Vq.T @ (eq.w[:, None] * E))
-    Mb = ops.Va.T @ (w[:, None] * ops.Va)
-    return np.linalg.solve(Mb, N)
+    return np.linalg.solve(ops.mass, N)
 
 
 def local_stabilization(ops: _CellOps, mode: str = "straight", rho: float = 1.0) -> np.ndarray:
@@ -294,9 +295,7 @@ def local_stabilization(ops: _CellOps, mode: str = "straight", rho: float = 1.0)
 
 def local_pressure_coupling(ops: _CellOps) -> np.ndarray:
     """Rows of b_h on the cell: entries -(div_w v, q)_K for q in the P_sigma basis."""
-    w = ops.rule.weights
-    Msb = ops.Vs.T @ (w[:, None] * ops.Va)
-    return -Msb @ local_weak_divergence(ops)
+    return -ops.mass[:ops.layout.dim_sigma] @ local_weak_divergence(ops)
 
 
 def local_boundary_correction(ops: _CellOps, eq: _EdgeQuad) -> np.ndarray:
@@ -308,7 +307,7 @@ def local_boundary_correction(ops: _CellOps, eq: _EdgeQuad) -> np.ndarray:
     n = eq.n_edge
     F = np.hstack([Va * n[0], Va * n[1]])              # phi . n
     mean = (eq.w @ F) / float(eq.w.sum())
-    Vs = ops.basis_s.eval(eq.pts[:, 0], eq.pts[:, 1])
+    Vs = Va[:, :ops.layout.dim_sigma]
     return Vs.T @ (eq.w[:, None] * (F - mean[None, :]))
 
 
@@ -454,20 +453,18 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
         idx = layout.local_dofs(c)
         vidx = idx[:ops.n_int]
         pidx = np.arange(layout.pressure_slice(c).start, layout.pressure_slice(c).stop)
-        w = ops.rule.weights
 
         A_loc = local_stabilization(ops, mode=mode, rho=rho)
         boundary = [eq for eq in ops.edges if eq.boundary]
         if boundary:
             delta_build.add(idx, idx, local_stabilization(ops, mode=other, rho=rho) - A_loc)
-        M = local_mass(ops)
-        A_loc[:ops.n_int, :ops.n_int] += M
+        A_loc[:ops.n_int, :ops.n_int] += local_mass(ops)
         a_build.add(idx, idx, A_loc)
-        flux_mass[c] = M[:na, :na]
+        flux_mass[c] = ops.mass
 
         b_build.add(pidx, idx, local_pressure_coupling(ops))
-        pressure_mass[c] = ops.Vs.T @ (w[:, None] * ops.Vs)
-        pmean[layout.pressure_slice(c)] = w @ ops.Vs
+        pressure_mass[c] = ops.mass[:ns, :ns]
+        pmean[layout.pressure_slice(c)] = ops.rule.weights @ ops.Va[:, :ns]
         if scheme == "modified":
             for eq in boundary:
                 corr_build.add(pidx, vidx, local_boundary_correction(ops, eq))
@@ -484,15 +481,15 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
                         flux_mass=flux_mass, pressure_mass=pressure_mass)
 
 
-def assemble_rhs(mesh: PolygonalMesh, layout: DofLayout, g, compat: bool = True,
+def assemble_rhs(mesh: PolygonalMesh, layout: DofLayout, g,
                  cells: list | None = None) -> np.ndarray:
     """Right-hand side: zero flux block, pressure entries -(g, q)_{Omega_h}.
 
     The source is integrated with each cell's projection rule (`cells`, the
-    level's `level_cells` list, is built here when not given).  With
-    compat=True the source is replaced by its mean-free part on the
-    computational domain, which makes the vector orthogonal to the constant
-    pressure direction (the kernel of the transposed operator).
+    level's `level_cells` list, is built here when not given).  The source is
+    replaced by its mean-free part on the computational domain, which makes
+    the vector orthogonal to the constant pressure direction (the kernel of
+    the transposed operator).
     """
     if cells is None:
         cells = level_cells(mesh, layout)
@@ -503,14 +500,13 @@ def assemble_rhs(mesh: PolygonalMesh, layout: DofLayout, g, compat: bool = True,
     area = 0.0
     for ops in cells:
         rule = ops.proj_rule
-        Vs = ops.basis_s.eval(rule.points[:, 0], rule.points[:, 1])
+        Vs = ops.basis_a.eval(rule.points[:, 0], rule.points[:, 1])[:, :layout.dim_sigma]
         gv = np.asarray(g(rule.points[:, 0], rule.points[:, 1]), dtype=float)
         sl = layout.pressure_slice(ops.c)
         moments[sl] = Vs.T @ (rule.weights * gv)
         wconst[sl] = rule.weights @ Vs
         total += float(rule.weights @ gv)
         area += float(rule.weights.sum())
-    if compat:
-        moments -= (total / area) * wconst
+    moments -= (total / area) * wconst
     rhs[layout.n_velocity:] = -moments
     return rhs

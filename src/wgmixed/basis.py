@@ -15,6 +15,13 @@ stays below 20, 2e2 and 2e3 for k = 2, 3, 4.  Dividing by the cell diameter
 instead, as plain scaled monomials do, is uniform only on shape-regular
 cells and loses digits on elongated ones (Mascotto, NMPDE 34, 2018).
 
+The centroid and the second moments come from `polygon_moments`; a mesh
+stores both per cell (`cell_centroids`, `cell_axes`).  Graded-lex order makes
+P_{k-1} the leading poly_dim(k-1) functions of P_k with the same centre and
+axes, so their values are the leading columns of the P_k values, bit for
+bit, and one P_j basis per cell serves both the flux and the P_{j-1}
+pressure.
+
 Edge bases are (t-1/2)^k in the arclength fraction t of the (globally
 oriented) edge.
 """
@@ -26,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (
-    MalformedCellError,
-    edge_rule,
-    polygon_centroid,
-    polygon_rule,
-)
+from .quadrature import MalformedCellError, edge_rule, polygon_moments, polygon_rule
 
 
 def poly_dim(degree: int) -> int:
@@ -53,27 +55,15 @@ def cell_diameter(vertices) -> float:
     return float(np.sqrt(d2.max()))
 
 
-def principal_axes(vertices, center) -> np.ndarray:
-    """Map sending x - center to the polygon's unit-covariance coordinates.
+def moment_axes(moments) -> np.ndarray:
+    """Map sending x - centroid to unit-covariance coordinates, from the
+    second moments (sxx, syy, sxy) that `polygon_moments` returns.
 
-    The rows are the principal axes of the second-moment (inertia) tensor
-    about `center`, each divided by the square root of its eigenvalue.  The
-    moments come in closed form from shoelace sums over the vertices, and the
-    2x2 eigenproblem is solved analytically.
+    The rows are the principal axes of the second-moment (inertia) tensor,
+    each divided by the square root of its eigenvalue; the 2x2 eigenproblem
+    is solved analytically.
     """
-    cx, cy = center
-    pts = np.asarray(vertices, dtype=float).tolist()
-    a2 = sxx = syy = sxy = 0.0
-    px, py = pts[-1][0] - cx, pts[-1][1] - cy
-    for x, y in pts:
-        qx, qy = x - cx, y - cy
-        c = px * qy - qx * py
-        a2 += c
-        sxx += c * (px * px + px * qx + qx * qx)
-        syy += c * (py * py + py * qy + qy * qy)
-        sxy += c * (px * qy + 2.0 * (px * py + qx * qy) + qx * py)
-        px, py = qx, qy
-    sxx, syy, sxy = sxx / (6.0 * a2), syy / (6.0 * a2), sxy / (12.0 * a2)
+    sxx, syy, sxy = moments
     big = 0.5 * (sxx + syy) + math.hypot(0.5 * (sxx - syy), sxy)
     small = (sxx * syy - sxy * sxy) / big
     if not small > 0.0:
@@ -82,6 +72,11 @@ def principal_axes(vertices, center) -> np.ndarray:
     cos, sin = math.cos(theta), math.sin(theta)
     rb, rs = 1.0 / math.sqrt(big), 1.0 / math.sqrt(small)
     return np.array([[rb * cos, rb * sin], [-rs * sin, rs * cos]])
+
+
+def principal_axes(vertices) -> np.ndarray:
+    """`moment_axes` of a polygon given as its vertex loop."""
+    return moment_axes(polygon_moments(vertices)[2])
 
 
 @dataclass(frozen=True)
@@ -131,22 +126,20 @@ class CellBasis:
         return out
 
 
-def cell_basis(vertices, degree: int, center=None) -> CellBasis:
+def cell_basis(vertices, degree: int) -> CellBasis:
     """Monomial basis of P_degree in the cell's principal coordinates.
 
-    Basis function 0 is the constant 1; the others vanish at the centroid,
-    which is computed unless the caller already holds it (`center`).
+    Basis function 0 is the constant 1; the others vanish at the centroid.
     The mass-matrix conditioning does not degrade with the cell's aspect ratio
     (see the module docstring).
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if center is None:
-        center = polygon_centroid(vertices)
+    _, center, moments = polygon_moments(vertices)
     return CellBasis(
         degree=degree,
-        center=center,
-        axes=principal_axes(vertices, center),
+        center=np.array(center),
+        axes=moment_axes(moments),
         exponents=graded_lex_exponents(degree),
     )
 
@@ -182,6 +175,8 @@ def project_cell(vertices, f, degree: int, order: int | None = None,
     the result then has shape (dim,) or (dim, k).  The default quadrature
     order (2*degree) is exact when f is itself a polynomial of degree <=
     degree; pass a higher order for general fields, or a prebuilt cell `rule`.
+    A prebuilt `basis` may have a higher degree: graded-lex P_degree is the
+    span of its leading poly_dim(degree) functions.
     """
     if basis is None:
         basis = cell_basis(vertices, degree)
@@ -189,7 +184,7 @@ def project_cell(vertices, f, degree: int, order: int | None = None,
         order = 2 * degree if order is None else max(order, 2 * degree)
         rule = polygon_rule(vertices, order)
     x, y = rule.points[:, 0], rule.points[:, 1]
-    V = basis.eval(x, y)
+    V = basis.eval(x, y)[:, :poly_dim(degree)]
     M = V.T @ (rule.weights[:, None] * V)
     fv = np.asarray(f(x, y), dtype=float)
     rhs = V.T @ (fv.T * rule.weights).T

@@ -7,10 +7,11 @@ normal component on interior edges, zero on boundary edges), measured in the
 flux norm; the pressure error is measured cellwise in L2 against the
 piecewise-polynomial projection of the exact pressure.
 
-A level runs as one pass over the cells, then the solve, then the norms:
-`level_cells` builds each cell's bases and rules once, the assembly, the
-right-hand side and the exact projection read them, and they are released
-before the solve.  The four error norms are quadratic forms in matrices the
+A level builds one mesh, whose generator applies the split law to the mesh
+size of its corner loops, then runs as one pass over the cells, then the
+solve, then the norms: `level_cells` builds each cell's basis and rules
+once, the assembly, the right-hand side and the exact projection read them,
+and they are released before the solve.  The four error norms are quadratic forms in matrices the
 assembly already returned: the flux-norm matrix of each normal mode and the
 diagonal blocks of the interior-flux and pressure mass matrices.
 """
@@ -77,7 +78,7 @@ def project_exact(mesh: PolygonalMesh, u, p, layout: DofLayout,
         coef = project_cell(ops.vertices, u, layout.alpha, basis=ops.basis_a, rule=ops.proj_rule)
         w.coeffs[layout.cell_slice(ops.c)] = coef.T.ravel()
         pex[layout.pressure_slice(ops.c)] = project_cell(
-            ops.vertices, p, layout.sigma, basis=ops.basis_s, rule=ops.proj_rule)
+            ops.vertices, p, layout.sigma, basis=ops.basis_a, rule=ops.proj_rule)
     order = projection_order(layout.alpha)
     for e in range(mesh.n_edges):
         sl = layout.edge_slice(e)
@@ -144,7 +145,6 @@ class StudyConfig:
     rho: float = 1.0
     quadrature_order: int | None = None
     threads: int | None = None    # default: WG_THREADS env or 1
-    validate: bool = True
 
     def __post_init__(self):
         """Reject a study that cannot run before any of its levels does."""
@@ -214,7 +214,8 @@ class ConvergenceTable:
             fh.write(self.to_csv())
 
 
-def generate_domain_mesh(domain: str, n: int, split: int = 1) -> PolygonalMesh:
+def generate_domain_mesh(domain: str, n: int, split=1) -> PolygonalMesh:
+    """The domain's mesh at n; `split` is a count or a law h -> count (see the disk mesh)."""
     if domain == "square":
         return generate_square_tri(n)
     if domain == "disk":
@@ -248,18 +249,22 @@ def run_level(config: StudyConfig, n: int):
     """Build, assemble, solve, and measure one refinement level."""
     t0 = time.perf_counter()
     j = config.degree
-    mesh = generate_domain_mesh(config.domain, n, 1)
-    split = split_for_level(config, mesh.h)
-    if split > 1:
-        mesh = generate_domain_mesh(config.domain, n, split)
-    report = validate_mesh(mesh) if config.validate else None
+    split = 1
+
+    def split_law(base_h):
+        nonlocal split
+        split = split_for_level(config, base_h)
+        return split
+
+    mesh = generate_domain_mesh(config.domain, n, split_law)
+    report = validate_mesh(mesh)
 
     layout = DofLayout(mesh, j, j, j - 1)
     case = registry_lookup(config.domain)
     cells = level_cells(mesh, layout, config.quadrature_order)
     system = assemble_system(mesh, layout, scheme=config.scheme, rho=config.rho,
                              order=config.quadrature_order, cells=cells)
-    rhs = assemble_rhs(mesh, layout, case.g, compat=True, cells=cells)
+    rhs = assemble_rhs(mesh, layout, case.g, cells=cells)
     uex, pex = project_exact(mesh, case.u, case.p, layout, cells=cells)
     del cells  # the solve and the norms need no per-cell data
     sol = solve_saddle(system, rhs)
@@ -294,7 +299,7 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceTable:
         results = [run_level(config, n) for n in levels]
 
     rows = [r for r, _ in results]
-    quality = [rep for _, rep in results if rep is not None]
+    quality = [rep for _, rep in results]
     hu = [(r.h, r.err_u_vh) for r in rows]
     slope_u = fit_rate(hu) if len(rows) > 1 else float("nan")
     slope_u1 = fit_rate([(r.h, r.err_u_vh1) for r in rows]) if len(rows) > 1 else float("nan")

@@ -7,6 +7,14 @@ the CCW traversal order of the *owning* cell (the lower-indexed adjacent
 cell); the prescribed edge normal n_e is that cell's outward unit normal.
 Boundary edges have exactly one adjacent cell and carry a CurvedSegment
 (possibly flat).  Meshes are immutable after construction.
+
+The mesh owns its geometry: `build_mesh` makes one `polygon_moments` pass per
+cell and stores each cell's area, centroid, diameter and principal axes
+(`basis.moment_axes`, equal bit for bit to what `cell_basis` computes), and
+it stores every edge's length and normal.  The assembly and `validate_mesh`
+read these arrays.  The disk and ring generators place the corner vertices
+before they subdivide the boundary chords, so a split law that depends on
+the mesh size is decided from the corner loops, inside one generator call.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import polygon_area, polygon_centroid
-from .basis import cell_diameter
+from .quadrature import polygon_area, polygon_moments
+from .basis import cell_diameter, moment_axes
 
 ON_CURVE_TOL = 1e-9
 
@@ -126,12 +134,14 @@ class PolygonalMesh:
     edges: np.ndarray             # (ne, 2), endpoints in owner's CCW order
     edge_cells: np.ndarray        # (ne, 2), [owner, neighbor or -1]
     edge_normals: np.ndarray      # (ne, 2), owner's outward normal n_e
+    edge_lengths: np.ndarray      # (ne,)
     cell_edges: list              # per cell: edge ids in traversal order
     cell_edge_signs: list         # per cell: +1 if owner else -1
     boundary_segments: dict       # boundary edge id -> CurvedSegment
     cell_areas: np.ndarray
     cell_centroids: np.ndarray
     cell_diameters: np.ndarray
+    cell_axes: np.ndarray         # (nc, 2, 2), basis.moment_axes of each cell
     h: float                      # max cell diameter
     s: float                      # max boundary edge length
     domain: str = "custom"
@@ -159,8 +169,7 @@ class PolygonalMesh:
         return self.vertices[self.edges[e, 0]], self.vertices[self.edges[e, 1]]
 
     def edge_length(self, e: int) -> float:
-        p0, p1 = self.edge_points(e)
-        return float(np.hypot(*(p1 - p0)))
+        return float(self.edge_lengths[e])
 
 
 def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> PolygonalMesh:
@@ -178,6 +187,7 @@ def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> Po
     areas = np.empty(len(loops))
     cents = np.empty((len(loops), 2))
     diams = np.empty(len(loops))
+    axes = np.empty((len(loops), 2, 2))
     for ci, loop in enumerate(loops):
         if loop.size < 3:
             raise MeshError(f"cell {ci}: fewer than 3 vertices")
@@ -185,12 +195,13 @@ def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> Po
             raise MeshError(f"cell {ci}: repeated vertex in loop")
         if loop.min() < 0 or loop.max() >= verts.shape[0]:
             raise MeshError(f"cell {ci}: vertex index out of range")
-        a = polygon_area(verts[loop])
+        pts = verts[loop]
+        a, cents[ci], moments = polygon_moments(pts)
         if a <= 1e-14 * scale * scale:
             raise MeshError(f"cell {ci}: area {a:.3e} not positive (CCW simple loop required)")
         areas[ci] = a
-        cents[ci] = polygon_centroid(verts[loop])
-        diams[ci] = cell_diameter(verts[loop])
+        axes[ci] = moment_axes(moments)
+        diams[ci] = cell_diameter(pts)
 
     edge_index: dict[tuple[int, int], int] = {}
     edge_list: list[tuple[int, int]] = []
@@ -245,7 +256,7 @@ def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> Po
     if s > h * (1.0 + 1e-12):
         raise MeshError(f"boundary edge length s={s} exceeds mesh size h={h}")
 
-    for arr in (verts, edges, edge_cells, edge_normals, areas, cents, diams):
+    for arr in (verts, edges, edge_cells, edge_normals, lengths, areas, cents, diams, axes):
         arr.setflags(write=False)
     return PolygonalMesh(
         vertices=verts,
@@ -253,12 +264,14 @@ def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> Po
         edges=edges,
         edge_cells=edge_cells,
         edge_normals=edge_normals,
+        edge_lengths=lengths,
         cell_edges=[np.array(e, dtype=np.int64) for e in cell_edges],
         cell_edge_signs=[np.array(sg, dtype=np.int64) for sg in cell_signs],
         boundary_segments=boundary_segments,
         cell_areas=areas,
         cell_centroids=cents,
         cell_diameters=diams,
+        cell_axes=axes,
         h=h,
         s=s,
         domain=domain,
@@ -290,19 +303,42 @@ def _disk_layers(n: int) -> int:
     return min(divisors, key=lambda d: (abs(d - n / 6.0), d))
 
 
-def generate_disk_mesh(n: int, split: int = 1) -> PolygonalMesh:
+def _split_chords(coords, cells, chords, n: int, split):
+    """Subdivide boundary chords into `split` sub-chords with ends on their circles.
+
+    `chords` holds (radius, k, cell, position, reverse) for chord k of the n
+    chords on the circle of that radius about the origin; its split-1 interior
+    points go into the cell's loop at `position`, in reverse angular order
+    when `reverse`.  The loops hold corner vertices only on entry, so a
+    callable `split` is called with their mesh size h (the largest cell
+    diameter) and returns the count; the corners do not depend on it.  New
+    points are numbered circle by circle, inner first, then by chord.
+    """
+    if callable(split):
+        corners = np.array(coords, dtype=float)
+        split = split(max(cell_diameter(corners[loop]) for loop in cells))
+    if split < 1:
+        raise ValueError(f"need split >= 1, got {split}")
+    for rad, k, ci, pos, reverse in sorted(chords):
+        ids = list(range(len(coords), len(coords) + split - 1))
+        for i in range(1, split):
+            ang = 2.0 * math.pi * (k + i / split) / n
+            coords.append((rad * math.cos(ang), rad * math.sin(ang)))
+        cells[ci][pos:pos] = ids[::-1] if reverse else ids
+
+
+def generate_disk_mesh(n: int, split=1) -> PolygonalMesh:
     """Body-fitted mesh of the unit disk with n boundary sides.
 
     Concentric rings at radii l/L (L a divisor of n near n/6) carry q*l
     vertices each (q = n/L), woven into triangles whose tangential and radial
     sizes both scale like 1/n.  Each of the n boundary chords is subdivided
     into `split` sub-chords with endpoints exactly on the unit circle, so
-    boundary cells become polygons with `split` short boundary edges.
+    boundary cells become polygons with `split` short boundary edges.  A
+    callable `split` maps the mesh size of the unsplit mesh to the count.
     """
     if n < 3:
         raise ValueError(f"need n >= 3 boundary sides, got {n}")
-    if split < 1:
-        raise ValueError(f"need split >= 1, got {split}")
     L = _disk_layers(n)
     q = n // L
 
@@ -321,36 +357,23 @@ def generate_disk_mesh(n: int, split: int = 1) -> PolygonalMesh:
             return 0
         return ring_start[l] + (k % (q * l))
 
-    # midpoints of the n boundary chords, exactly on the unit circle
-    mids = {}
-    for k in range(n):
-        ids = []
-        for i in range(1, split):
-            ang = 2.0 * math.pi * (k + i / split) / n
-            ids.append(len(coords))
-            coords.append((math.cos(ang), math.sin(ang)))
-        mids[k] = ids
-
     cells = []
+    chords = []
     for l in range(L):
-        inner = q * l if l > 0 else 1
-        outer = q * (l + 1)
         for sct in range(q):
             for j in range(l + 1):  # triangles with an outer base
-                vi = ring_vertex(l, l * sct + j)
                 o0 = (l + 1) * sct + j
-                o1 = o0 + 1
-                loop = [vi, ring_vertex(l + 1, o0)]
                 if l + 1 == L:
-                    loop.extend(mids[o0 % n])
-                loop.append(ring_vertex(l + 1, o1))
-                cells.append(loop)
+                    chords.append((1.0, o0 % n, len(cells), 2, False))
+                cells.append([ring_vertex(l, l * sct + j), ring_vertex(l + 1, o0),
+                              ring_vertex(l + 1, o0 + 1)])
             for j in range(l):      # triangles with an inner base
                 cells.append([
                     ring_vertex(l, l * sct + j),
                     ring_vertex(l + 1, (l + 1) * sct + j + 1),
                     ring_vertex(l, l * sct + j + 1),
                 ])
+    _split_chords(coords, cells, chords, n, split)
 
     center = np.zeros(2)
     def lookup(p0, p1):
@@ -358,19 +381,18 @@ def generate_disk_mesh(n: int, split: int = 1) -> PolygonalMesh:
     return build_mesh(coords, cells, curve_lookup=lookup, domain="disk")
 
 
-def generate_ring_mesh(n: int, split: int = 1) -> PolygonalMesh:
+def generate_ring_mesh(n: int, split=1) -> PolygonalMesh:
     """Body-fitted mesh of the annulus 1/2 < r < 1 with n sides per circle.
 
     Structured layers of quads (split into triangles) between the circles;
     both inner and outer boundary chords are subdivided into `split`
-    sub-chords with endpoints exactly on their circles.  The segments on the
-    inner circle have the domain on the outside, so their gap is measured
+    sub-chords with endpoints exactly on their circles (a callable `split`
+    maps the mesh size of the unsplit mesh to the count).  The segments on
+    the inner circle have the domain on the outside, so their gap is measured
     toward the annulus interior.
     """
     if n < 8:
         raise ValueError(f"need n >= 8 boundary sides, got {n}")
-    if split < 1:
-        raise ValueError(f"need split >= 1, got {split}")
     L = max(1, round(n / (3.0 * math.pi)))
 
     coords: list[tuple[float, float]] = []
@@ -382,33 +404,21 @@ def generate_ring_mesh(n: int, split: int = 1) -> PolygonalMesh:
             ang = 2.0 * math.pi * k / n
             coords.append((rad * math.cos(ang), rad * math.sin(ang)))
 
-    def chord_mids(rad, k):
-        ids = []
-        for i in range(1, split):
-            ang = 2.0 * math.pi * (k + i / split) / n
-            ids.append(len(coords))
-            coords.append((rad * math.cos(ang), rad * math.sin(ang)))
-        return ids
-
-    inner_mids = {k: chord_mids(0.5, k) for k in range(n)}
-    outer_mids = {k: chord_mids(1.0, k) for k in range(n)}
-
     cells = []
+    chords = []
     for l in range(L):
         for k in range(n):
             A, B = grid(l, k), grid(l, k + 1)
             C, D = grid(l + 1, k + 1), grid(l + 1, k)
             # outward triangle (A, D, C): owns the outer chord D -> C
-            loop1 = [A, D]
             if l + 1 == L:
-                loop1.extend(outer_mids[k])
-            loop1.append(C)
-            cells.append(loop1)
+                chords.append((1.0, k, len(cells), 2, False))
+            cells.append([A, D, C])
             # inward triangle (A, C, B): owns the inner chord B -> A
-            loop2 = [A, C, B]
             if l == 0:
-                loop2.extend(reversed(inner_mids[k]))
-            cells.append(loop2)
+                chords.append((0.5, k, len(cells), 3, True))
+            cells.append([A, C, B])
+    _split_chords(coords, cells, chords, n, split)
 
     center = np.zeros(2)
     def lookup(p0, p1):
@@ -491,7 +501,8 @@ def validate_mesh(mesh: PolygonalMesh,
     verts = mesh.vertices
     violations: list[str] = []
 
-    # structural re-checks (covers hand-built meshes that bypass build_mesh)
+    # structural re-checks from the vertices (covers hand-built meshes that
+    # bypass build_mesh); the measurements below read the stored geometry
     for ci, loop in enumerate(mesh.cells):
         a = polygon_area(verts[loop])
         if not a > 0.0:
@@ -513,7 +524,6 @@ def validate_mesh(mesh: PolygonalMesh,
         hk = mesh.cell_diameters[ci]
         m = loop.size
         rho = math.inf
-        longest = 0.0
         star_ok = True
         for j in range(m):
             a, b = pts[j], pts[(j + 1) % m]
@@ -521,9 +531,8 @@ def validate_mesh(mesh: PolygonalMesh,
             if cross <= 0.0:
                 star_ok = False
             rho = min(rho, _point_segment_distance(c, a, b))
-            longest = max(longest, float(np.hypot(*(b - a))))
         star[ci] = (rho / hk) if star_ok else 0.0
-        edge_ratio[ci] = longest / hk
+        edge_ratio[ci] = mesh.edge_lengths[mesh.cell_edges[ci]].max() / hk
         if not star_ok:
             violations.append(f"A1: cell {ci} is not star-shaped from its centroid")
 
@@ -532,8 +541,7 @@ def validate_mesh(mesh: PolygonalMesh,
     quasi = float(mesh.h / mesh.cell_diameters.min())
 
     bidx = mesh.boundary_edge_indices
-    blen = np.array([mesh.edge_length(int(e)) for e in bidx])
-    buni = float(mesh.s / blen.min()) if bidx.size else 1.0
+    buni = float(mesh.s / mesh.edge_lengths[bidx].min()) if bidx.size else 1.0
 
     max_gap = 0.0
     max_dev = 0.0

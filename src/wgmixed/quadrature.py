@@ -68,25 +68,60 @@ def triangle_rule(order: int) -> QuadratureRule:
     return QuadratureRule(pts, wts, 2 * n - 1)
 
 
+def polygon_moments(vertices):
+    """Signed area, centroid and second moments of a polygon's vertex loop.
+
+    Returns (area, (cx, cy), (sxx, syy, sxy)): the moments are the mean of
+    (x-cx)^2, (y-cy)^2 and (x-cx)(y-cy) over the polygon.  Two shoelace
+    passes in plain Python: the first, about the first vertex, gives the area
+    and centroid; the second gives the moments about the centroid, which keeps
+    the digits that a parallel-axis shift loses on a small cell far from the
+    origin.  A loop whose area is zero to rounding (1e-14 of its bounding box
+    squared) has area 0.0 and NaN centroid and moments.
+    """
+    pts = np.asarray(vertices, dtype=float).tolist()
+    x0, y0 = pts[0]
+    a2 = sx = sy = 0.0
+    px, py = pts[-1][0] - x0, pts[-1][1] - y0
+    for x, y in pts:
+        qx, qy = x - x0, y - y0
+        c = px * qy - qx * py
+        a2 += c
+        sx += (px + qx) * c
+        sy += (py + qy) * c
+        px, py = qx, qy
+    xs, ys = zip(*pts)
+    scale = max(max(xs) - min(xs), max(ys) - min(ys), 1e-300)
+    if abs(a2) <= 2e-14 * scale * scale:
+        nan = math.nan
+        return 0.0, (nan, nan), (nan, nan, nan)
+    cx, cy = x0 + sx / (3.0 * a2), y0 + sy / (3.0 * a2)
+    sxx = syy = sxy = 0.0
+    px, py = pts[-1][0] - cx, pts[-1][1] - cy
+    for x, y in pts:
+        qx, qy = x - cx, y - cy
+        c = px * qy - qx * py
+        sxx += c * (px * px + px * qx + qx * qx)
+        syy += c * (py * py + py * qy + qy * qy)
+        sxy += c * (px * qy + 2.0 * (px * py + qx * qy) + qx * py)
+        px, py = qx, qy
+    return 0.5 * a2, (cx, cy), (sxx / (6.0 * a2), syy / (6.0 * a2), sxy / (12.0 * a2))
+
+
 def polygon_area(vertices) -> float:
-    """Signed (shoelace) area of a polygon given as an (m, 2) vertex loop."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    """Signed (shoelace) area of a polygon given as an (m, 2) vertex loop.
+
+    A loop whose area is zero to rounding has area 0.0 (see `polygon_moments`).
+    """
+    return polygon_moments(vertices)[0]
 
 
 def polygon_centroid(vertices) -> np.ndarray:
     """Area centroid of a simple polygon."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    area = 0.5 * float(cross.sum())
-    scale = max(float(np.ptp(x)), float(np.ptp(y)), 1e-300)
-    if abs(area) <= 1e-14 * scale * scale:
+    area, centroid, _ = polygon_moments(vertices)
+    if area == 0.0:
         raise MalformedCellError("polygon has (numerically) zero area")
-    cx = float(np.sum((x + np.roll(x, -1)) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + np.roll(y, -1)) * cross)) / (6.0 * area)
-    return np.array([cx, cy])
+    return np.array(centroid)
 
 
 def polygon_rule(vertices, order: int, fan_point=None) -> QuadratureRule:
@@ -98,14 +133,12 @@ def polygon_rule(vertices, order: int, fan_point=None) -> QuadratureRule:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
         raise MalformedCellError("polygon needs at least 3 planar vertices")
-    x, y = v[:, 0], v[:, 1]
-    scale = max(float(np.ptp(x)), float(np.ptp(y)), 1e-300)
-    area = polygon_area(v)
-    if area <= 1e-14 * scale * scale:
+    area, centroid, _ = polygon_moments(v)
+    if not area > 0.0:
         raise MalformedCellError(
             f"polygon area {area:.3e} is not positive (CCW simple loop required)"
         )
-    c = polygon_centroid(v) if fan_point is None else np.asarray(fan_point, dtype=float)
+    c = np.array(centroid) if fan_point is None else np.asarray(fan_point, dtype=float)
     ref = triangle_rule(order)
     m = v.shape[0]
     pts = np.empty((m * ref.points.shape[0], 2))

@@ -403,14 +403,14 @@ def test_other_mode_matrix_matches_other_scheme():
 def test_rhs_zero_source():
     mesh = generate_square_tri(2)
     lay = DofLayout(mesh, 1, 1, 0)
-    rhs = assemble_rhs(mesh, lay, lambda x, y: np.zeros_like(x), compat=True)
+    rhs = assemble_rhs(mesh, lay, lambda x, y: np.zeros_like(x))
     assert np.abs(rhs).max() == 0.0
 
 
 def test_rhs_constant_source_compat_annihilates():
     mesh = generate_disk_mesh(8, 2)
     lay = DofLayout(mesh, 1, 1, 0)
-    rhs = assemble_rhs(mesh, lay, lambda x, y: np.ones_like(x), compat=True)
+    rhs = assemble_rhs(mesh, lay, lambda x, y: np.ones_like(x))
     assert np.abs(rhs).max() <= 1e-14
 
 
@@ -418,7 +418,7 @@ def test_rhs_disk_source_matches_quadrature_oracle():
     mesh = generate_disk_mesh(8, 1)
     lay = DofLayout(mesh, 1, 1, 0)
     case = registry_lookup("disk")
-    rhs = assemble_rhs(mesh, lay, case.g, compat=True)
+    rhs = assemble_rhs(mesh, lay, case.g)
 
     # oracle: independent very-high-order fan quadrature from the first vertex
     from wgmixed.quadrature import polygon_rule as prule
@@ -439,7 +439,7 @@ def test_rhs_compat_orthogonal_to_constant_pressure():
     mesh = generate_disk_mesh(12, 1)
     lay = DofLayout(mesh, 2, 2, 1)
     case = registry_lookup("disk")
-    rhs = assemble_rhs(mesh, lay, case.g, compat=True)
+    rhs = assemble_rhs(mesh, lay, case.g)
     sys_ = assemble_system(mesh, lay, scheme="original")
     cvec = sys_.constant_pressure_vector()
     assert abs(cvec @ rhs) <= 1e-12 * np.linalg.norm(rhs)

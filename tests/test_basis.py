@@ -148,6 +148,32 @@ def test_mass_matrix_conditioning_on_elongated_cells(name):
         assert ev.max() / ev.min() < 1e4, (name, d, ev.max() / ev.min())
 
 
+def _split_boundary_cell():
+    from wgmixed.mesh import generate_disk_mesh
+
+    mesh = generate_disk_mesh(16, 5)
+    return mesh.vertices[next(loop for loop in mesh.cells if loop.size == 7)]
+
+
+@pytest.mark.parametrize("verts", [ELONGATED_CELLS["quad"], _split_boundary_cell()],
+                         ids=["trial22_quad", "split_boundary_cell"])
+def test_lower_degree_basis_is_leading_columns(verts):
+    # graded-lex P_{j-1} on the same centre and axes is a prefix of P_j, so one
+    # basis per cell gives the pressure values and gradients bit for bit
+    rule = polygon_rule(verts, 8)
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    f = lambda x, y: np.exp(x) * np.cos(3.0 * y)
+    for j in range(1, 5):
+        big, small = cell_basis(verts, j), cell_basis(verts, j - 1)
+        k = poly_dim(j - 1)
+        assert np.array_equal(small.eval(x, y), big.eval(x, y)[:, :k])
+        assert np.array_equal(small.grad(x, y), big.grad(x, y)[:, :k])
+        # projecting onto P_{j-1} through the P_j basis uses its leading columns
+        own = project_cell(verts, f, j - 1, rule=rule)
+        prefix = project_cell(verts, f, j - 1, basis=big, rule=rule)
+        assert np.allclose(prefix, own, rtol=1e-12, atol=1e-12 * np.abs(own).max())
+
+
 def test_edge_projection_cases():
     # constants reproduced at any degree
     for d in range(4):

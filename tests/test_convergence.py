@@ -18,7 +18,12 @@ from wgmixed.convergence import (
     run_convergence_study,
     vh_norm,
 )
-from wgmixed.mesh import build_mesh, generate_disk_mesh, generate_square_tri
+from wgmixed.mesh import (
+    boundary_split_count,
+    build_mesh,
+    generate_disk_mesh,
+    generate_square_tri,
+)
 from wgmixed.solutions import registry_lookup
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -201,6 +206,25 @@ def test_split_rule_fixed_and_formula():
                        split_rule="original")
     table2 = run_convergence_study(cfg2)
     assert table2.rows[0].split >= 1
+
+
+@pytest.mark.parametrize("domain", ["disk", "ring"])
+def test_split_law_level_builds_one_mesh(monkeypatch, domain):
+    import wgmixed.mesh as mesh_mod
+    from wgmixed.convergence import generate_domain_mesh, run_level
+
+    built = []
+    build = mesh_mod.build_mesh
+    monkeypatch.setattr(mesh_mod, "build_mesh",
+                        lambda *args, **kw: built.append(kw["domain"]) or build(*args, **kw))
+    cfg = StudyConfig(domain=domain, scheme="original", degree=1, levels=(16,),
+                      split_rule="original")
+    row, _ = run_level(cfg, 16)
+    assert built == [domain]
+    # the count follows the law at the unsplit mesh's h, as before
+    unsplit = generate_domain_mesh(domain, 16)
+    assert row.split == boundary_split_count(unsplit.h, 1, "original") > 1
+    assert row.h == generate_domain_mesh(domain, 16, row.split).h
 
 
 def test_table_requires_decreasing_h():

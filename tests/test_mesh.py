@@ -351,6 +351,29 @@ def test_mesh_text_roundtrip_bit_identical(mesh_fn, tmp_path):
         assert s1.side == s2.side
 
 
+@pytest.mark.parametrize("mesh_fn", [
+    lambda: generate_disk_mesh(16, 5),
+    lambda: generate_ring_mesh(16, 3),
+], ids=["disk_split", "ring_split"])
+def test_stored_geometry_equals_standalone_functions(mesh_fn, tmp_path):
+    from wgmixed.basis import cell_diameter, principal_axes
+    from wgmixed.quadrature import edge_rule, polygon_area, polygon_centroid
+
+    m = mesh_fn()
+    write_mesh(m, tmp_path / "mesh.json")
+    for mesh in (m, read_mesh(tmp_path / "mesh.json")):
+        for c, loop in enumerate(mesh.cells):
+            pts = mesh.vertices[loop]
+            assert mesh.cell_areas[c] == polygon_area(pts)
+            assert np.array_equal(mesh.cell_centroids[c], polygon_centroid(pts))
+            assert mesh.cell_diameters[c] == cell_diameter(pts)
+            assert np.array_equal(mesh.cell_axes[c], principal_axes(pts))
+        for e in range(mesh.n_edges):
+            p0, p1 = mesh.edge_points(e)
+            # the one-point rule's weight is the edge length times 1.0
+            assert mesh.edge_lengths[e] == edge_rule(p0, p1, 0)[1][0]
+
+
 def _disk_document():
     return json.loads(mesh_to_text(generate_disk_mesh(12, 2)))
 

@@ -15,6 +15,7 @@ from wgmixed.quadrature import (
     integrate_edge,
     polygon_area,
     polygon_centroid,
+    polygon_moments,
     polygon_rule,
     segment_rule,
     triangle_rule,
@@ -141,6 +142,88 @@ def test_polygon_centroid_square():
     c = polygon_centroid(UNIT_SQUARE)
     assert np.allclose(c, [0.5, 0.5], atol=1e-15)
     assert polygon_area(UNIT_SQUARE) == pytest.approx(1.0)
+
+
+def exact_moments(verts):
+    """Area, centroid and central second moments of a polygon in exact
+    rational arithmetic (Green's theorem about the origin), as floats."""
+    import sympy as sp
+
+    pts = [(sp.Rational(float(x)), sp.Rational(float(y))) for x, y in verts]
+    area = ax = ay = ixx = iyy = ixy = sp.Integer(0)
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        c = x0 * y1 - x1 * y0
+        area += c / 2
+        ax += (x0 + x1) * c / 6
+        ay += (y0 + y1) * c / 6
+        ixx += c * (x0 * x0 + x0 * x1 + x1 * x1) / 12
+        iyy += c * (y0 * y0 + y0 * y1 + y1 * y1) / 12
+        ixy += c * (x0 * y1 + 2 * x0 * y0 + 2 * x1 * y1 + x1 * y0) / 24
+    cx, cy = ax / area, ay / area
+    moments = (ixx / area - cx * cx, iyy / area - cy * cy, ixy / area - cx * cy)
+    return float(area), (float(cx), float(cy)), tuple(float(m) for m in moments)
+
+
+def star_polygon(rng, m, size, center):
+    """Random simple polygon: m vertices at jittered, increasing angles about
+    `center` with random radii, so it is star-shaped and usually not convex."""
+    ang = 2.0 * np.pi * (np.arange(m) + rng.uniform(0.0, 0.8, m)) / m
+    rad = size * rng.uniform(0.2, 1.0, m)
+    return np.column_stack([center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang)])
+
+
+def assert_moments_exact(verts):
+    area, centroid, moments = polygon_moments(verts)
+    e_area, e_centroid, e_moments = exact_moments(verts)
+    v = np.asarray(verts)
+    diam = float(np.ptp(v, axis=0).max())
+    # area and centroid of a thin loop are ill-conditioned: rounding of the
+    # cross products is ~eps diam^2, against an area of diam^2 / kappa
+    kappa = diam * diam / abs(e_area)
+    assert abs(area - e_area) <= 1e-14 * kappa * abs(e_area)
+    assert np.abs(np.subtract(centroid, e_centroid)).max() <= 1e-13 * kappa * diam
+    # the moments about the centroid are ~diam^2 even where |centroid| ~ 1:
+    # a parallel-axis shift from the origin loses ~|centroid|^2 / diam^2 of them
+    assert np.abs(np.subtract(moments, e_moments)).max() <= 1e-12 * (e_moments[0] + e_moments[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([3, 4, 5, 7, 12, 19]),
+       size=st.sampled_from([1.0, 1e-2, 1e-3]),
+       seed=st.integers(0, 2**31))
+def test_polygon_moments_match_exact_oracle(m, size, seed):
+    rng = np.random.default_rng(seed)
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    center = rng.uniform(0.0, 1.0) * np.array([np.cos(ang), np.sin(ang)])
+    assert_moments_exact(star_polygon(rng, m, size, center))
+
+
+def test_polygon_moments_on_19_vertex_boundary_cells():
+    from wgmixed.mesh import generate_disk_mesh
+
+    mesh = generate_disk_mesh(64, 17)  # the split-law level of the j=2 disk study
+    loops = [loop for loop in mesh.cells if loop.size == 19]
+    assert len(loops) == 64
+    for loop in loops[::8]:
+        assert_moments_exact(mesh.vertices[loop])
+
+
+def test_degenerate_loops_raise_malformed_cell_error():
+    from wgmixed.basis import cell_basis, principal_axes
+
+    collinear = [(0, 0), (1, 0), (2, 0)]
+    bowtie = [(0, 0), (1, 1), (1, 0), (0, 1)]  # lobes of opposite sign cancel
+    clockwise = [(0, 0), (0, 1), (1, 1), (1, 0)]
+    for loop in (collinear, bowtie):
+        area, centroid, moments = polygon_moments(loop)
+        assert area == 0.0 and np.isnan(centroid).all() and np.isnan(moments).all()
+        for fn in (polygon_centroid, principal_axes, lambda v: cell_basis(v, 1),
+                   lambda v: polygon_rule(v, 2)):
+            with pytest.raises(MalformedCellError):
+                fn(loop)
+    assert polygon_moments(clockwise)[0] == -1.0
+    with pytest.raises(MalformedCellError):
+        polygon_rule(clockwise, 2)
 
 
 def test_integrate_edge_cases():

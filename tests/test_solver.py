@@ -13,7 +13,7 @@ def make_problem(mesh, degrees, scheme, domain):
     case = registry_lookup(domain)
     lay = DofLayout(mesh, *degrees)
     system = assemble_system(mesh, lay, scheme=scheme)
-    rhs = assemble_rhs(mesh, lay, case.g, compat=True)
+    rhs = assemble_rhs(mesh, lay, case.g)
     return system, rhs
 
 
@@ -65,7 +65,7 @@ def test_energy_identity():
     case = registry_lookup("square")
     lay = DofLayout(mesh, 1, 1, 0)
     system = assemble_system(mesh, lay, scheme="original")
-    rhs = assemble_rhs(mesh, lay, case.g, compat=True)
+    rhs = assemble_rhs(mesh, lay, case.g)
     sol = solve_saddle(system, rhs)
     a_uu = float(sol.u.coeffs @ (system.A @ sol.u.coeffs))
     b_up = float(sol.p @ (system.B @ sol.u.coeffs))
