@@ -18,16 +18,22 @@ with m the straight cell normal ("straight" mode) or the analytic-boundary
 normal pulled back to boundary chords ("curved" mode; interior edges keep the
 straight normal).
 
-A level is one pass over its cells.  `level_cells` builds each cell's one
-basis (P_alpha; the P_sigma pressure basis is its leading functions), its
-assembly and projection rules and its edge rules once, reading the
-centroid, diameter and edge lengths the mesh stores; `assemble_system`,
-`assemble_rhs` and the exact-solution projection all read them.  The two
-normal modes differ only in the boundary-edge terms, so `assemble_system`
-stabilizes the cells that have a boundary edge in both modes and returns
-both flux-norm matrices (the second as a difference on those cells),
-together with the diagonal blocks of the L2 mass matrices of the interior
-flux and of the pressure.
+A level's cells are handled in groups of one vertex count (a disk or ring
+mesh holds triangles and, with split boundary chords, one kind of boundary
+polygon).  `level_cells` builds each group once: its cells' P_alpha basis
+(the P_sigma pressure basis is its leading functions) in the centroids and
+principal axes the mesh stores, and its projection rule, as stacked arrays
+with the group axis first; the assembly rule, the edge rules and the basis
+values on them are built on first use and released once the group is
+assembled.  The `local_*` kernels compute every cell's block of a group at
+once with batched products and solves, and `assemble_system` scatters each
+group's blocks in one step.  A one-cell `_CellOps` is the group of one, whose
+kernels return the cell's block without the group axis.  The two normal
+modes differ only in the boundary-edge terms, so `assemble_system` stabilizes
+the cells that have a boundary edge in both modes and returns both flux-norm
+matrices (the second as a difference on those cells), together with the
+diagonal blocks of the L2 mass matrices of the interior flux and of the
+pressure.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import EdgeBasis, cell_basis, poly_dim
-from .mesh import PolygonalMesh
+from .mesh import PolygonalMesh, segment_geometry
 from .quadrature import edge_rule, polygon_rule
 
 
@@ -80,22 +86,17 @@ class DofLayout:
         self.alpha = alpha
         self.beta = beta
         self.sigma = sigma
-        self.include_boundary_traces = include_boundary_traces
         self.dim_alpha = poly_dim(alpha)
         self.dim_sigma = poly_dim(sigma)
-        self.dim_beta = poly_dim(beta)
         self.trace_dim = beta + 1
 
-        nc, ne = mesh.n_cells, mesh.n_edges
+        nc = mesh.n_cells
         self.interior_offsets = 2 * self.dim_alpha * np.arange(nc, dtype=np.int64)
         self.n_interior = 2 * self.dim_alpha * nc
-        self.trace_offsets = np.full(ne, -1, dtype=np.int64)
-        pos = self.n_interior
-        for e in range(ne):
-            if include_boundary_traces or not mesh.is_boundary_edge(e):
-                self.trace_offsets[e] = pos
-                pos += self.trace_dim
-        self.n_velocity = pos
+        kept = (mesh.edge_cells[:, 1] >= 0) | include_boundary_traces
+        offsets = self.n_interior + self.trace_dim * (np.cumsum(kept) - 1)
+        self.trace_offsets = np.where(kept, offsets, -1)
+        self.n_velocity = self.n_interior + self.trace_dim * int(kept.sum())
         self.pressure_offsets = self.dim_sigma * np.arange(nc, dtype=np.int64)
         self.n_pressure = self.dim_sigma * nc
 
@@ -113,20 +114,21 @@ class DofLayout:
             return None
         return slice(off, off + self.trace_dim)
 
-    def pressure_slice(self, c: int) -> slice:
-        off = self.pressure_offsets[c]
-        return slice(off, off + self.dim_sigma)
+    def local_dofs(self, cells) -> np.ndarray:
+        """Global velocity indices in the local dof order of cell `cells` (-1 = dropped).
 
-    def local_dofs(self, c: int) -> np.ndarray:
-        """Global velocity indices for the local dof order of cell c (-1 = dropped)."""
-        idx = [np.arange(self.cell_slice(c).start, self.cell_slice(c).stop)]
-        for e in self.mesh.cell_edges[c]:
-            off = self.trace_offsets[e]
-            if off < 0:
-                idx.append(np.full(self.trace_dim, -1, dtype=np.int64))
-            else:
-                idx.append(np.arange(off, off + self.trace_dim))
-        return np.concatenate(idx)
+        An array of cells with one vertex count gives one row per cell.
+        """
+        c = np.asarray(cells)
+        edges = np.array([self.mesh.cell_edges[i] for i in c.ravel()]).reshape(c.shape + (-1,))
+        off = self.trace_offsets[edges][..., None]
+        traces = np.where(off >= 0, off + np.arange(self.trace_dim), -1)
+        inner = self.interior_offsets[c][..., None] + np.arange(2 * self.dim_alpha)
+        return np.concatenate([inner, traces.reshape(c.shape + (-1,))], axis=-1)
+
+    def pressure_dofs(self, cells) -> np.ndarray:
+        """Global pressure indices of cell `cells`, or one row per cell of an array."""
+        return self.pressure_offsets[cells][..., None] + np.arange(self.dim_sigma)
 
 
 @dataclass
@@ -152,118 +154,137 @@ class WgFunction:
         return self.coeffs[sl]
 
 
-class _EdgeQuad:
-    """Quadrature and orientation data for one edge of a cell."""
+class CellGroup:
+    """Cells of one vertex count with their stacked basis and rules, built once per level.
 
-    __slots__ = ("edge", "sign", "boundary", "n_cell", "n_edge", "pts", "w", "t", "length",
-                 "segment")
-
-    def __init__(self, mesh, e, sign, order):
-        p0, p1 = mesh.edge_points(e)
-        self.edge = e
-        self.sign = sign
-        self.boundary = bool(mesh.is_boundary_edge(e))
-        self.n_edge = mesh.edge_normals[e]
-        self.n_cell = sign * self.n_edge
-        self.pts, self.w, self.t = edge_rule(p0, p1, order)
-        self.length = mesh.edge_lengths[e]
-        self.segment = mesh.boundary_segments.get(int(e))
-
-
-class _CellOps:
-    """One cell's basis, quadrature rules and edge rules, built once per level.
-
-    `basis_a` is the cell's one basis, of P_alpha; the P_sigma pressure basis
-    is its leading `dim_sigma` functions, so pressure values are leading
-    columns of its values.  `rule` is the assembly rule (exactness `order`)
-    and `proj_rule` the `projection_order` rule for sources and exact
-    solutions; both are fanned from the stored centroid.  The assembly rule, the edge rules and the basis values and
-    mass matrix at the assembly points are built on first use and dropped by
-    `release` once the cell is assembled, so between the assembly and the
-    solve a level's list of cells holds only the basis and `proj_rule`.
+    Arrays carry the group axis first.  `basis` is the cells' P_alpha basis in
+    the centroids and axes the mesh stores; the P_sigma pressure basis is its
+    leading `dim_sigma` functions, so pressure values are leading columns of
+    its values.  `proj_rule` is the `projection_order` rule for sources and
+    exact solutions, fanned from the stored centroids.  The assembly rule
+    (exactness `order`), the edge rules (along each edge's stored owner
+    orientation, so t runs backwards on a cell's non-owned edges) and the
+    basis values and mass matrices on them are built on first use and dropped
+    by `release` once the group is assembled.
     """
 
-    def __init__(self, mesh: PolygonalMesh, c: int, layout: DofLayout, order: int | None = None):
+    def __init__(self, mesh: PolygonalMesh, ids, layout: DofLayout, order: int | None = None):
         self.mesh = mesh
-        self.c = c
         self.layout = layout
+        self.ids = np.asarray(ids, dtype=np.int64)
         self.order = default_order(layout.alpha, layout.beta) if order is None else order
-        self.vertices = mesh.vertices[mesh.cells[c]]
-        self.center = mesh.cell_centroids[c]
-        self.basis_a = cell_basis(self.vertices, layout.alpha)
+        self.vertices = mesh.vertices[np.array([mesh.cells[c] for c in self.ids])]
+        self.edges = np.array([mesh.cell_edges[c] for c in self.ids])
+        self.signs = np.array([mesh.cell_edge_signs[c] for c in self.ids])
+        self.boundary = mesh.edge_cells[self.edges, 1] < 0
+        self.center = mesh.cell_centroids[self.ids]
+        self.basis = cell_basis(self.vertices, layout.alpha, self.center, mesh.cell_axes[self.ids])
         self.proj_rule = polygon_rule(self.vertices, projection_order(layout.alpha), self.center)
-        self.hk = float(mesh.cell_diameters[c])
         self.edge_basis = EdgeBasis(layout.beta)
         self.n_int = 2 * layout.dim_alpha
-        self.n_loc = self.n_int + layout.trace_dim * len(mesh.cell_edges[c])
+        self.n_loc = self.n_int + layout.trace_dim * self.edges.shape[1]
+
+    def _result(self, blocks):
+        return blocks
 
     @cached_property
     def rule(self):
         return polygon_rule(self.vertices, self.order, self.center)
 
     @cached_property
-    def edges(self) -> list:
-        return [_EdgeQuad(self.mesh, int(e), int(sgn), self.order)
-                for e, sgn in zip(self.mesh.cell_edges[self.c], self.mesh.cell_edge_signs[self.c])]
+    def edge_quad(self):
+        """Points (G, m, q, 2), weights (G, m, q) and parameters t (q,) on each cell's edges."""
+        ends = self.mesh.vertices[self.mesh.edges[self.edges]]
+        return edge_rule(ends[..., 0, :], ends[..., 1, :], self.order)
 
     @cached_property
     def Va(self) -> np.ndarray:
-        return self.basis_a.eval(self.rule.points[:, 0], self.rule.points[:, 1])
+        return self.basis.eval(self.rule.points[..., 0], self.rule.points[..., 1])
 
     @cached_property
-    def Ga(self) -> np.ndarray:
-        return self.basis_a.grad(self.rule.points[:, 0], self.rule.points[:, 1])
+    def Ve(self) -> np.ndarray:
+        """Basis values on the edge points, (G, m, q, dim P_alpha)."""
+        pts = self.edge_quad[0]
+        flat = pts.reshape(pts.shape[0], -1, 2)
+        return self.basis.eval(flat[..., 0], flat[..., 1]).reshape(pts.shape[:3] + (-1,))
 
     @cached_property
     def mass(self) -> np.ndarray:
-        """Gram matrix of `basis_a`; its leading dim_sigma block is the pressure's."""
-        return self.Va.T @ (self.rule.weights[:, None] * self.Va)
+        """Gram matrices of `basis`; the leading dim_sigma block is the pressure's."""
+        return np.swapaxes(self.Va, 1, 2) @ (self.rule.weights[..., None] * self.Va)
 
     def release(self) -> None:
-        """Drop the assembly and edge rules and the basis values and mass at its points."""
-        for name in ("rule", "edges", "Va", "Ga", "mass"):
+        """Drop the assembly and edge rules and the basis values and mass on them."""
+        for name in ("rule", "edge_quad", "Va", "Ve", "mass"):
             self.__dict__.pop(name, None)
 
     def trace_block(self, k: int) -> slice:
         off = self.n_int + k * self.layout.trace_dim
         return slice(off, off + self.layout.trace_dim)
 
+    def normals(self, mode: str):
+        """Stabilization normal m (G, m, q, 2) and n_e . m (G, m, q) on each edge point.
+
+        Straight mode uses the cell outward normal; curved mode replaces it on
+        boundary edges by the analytic-curve normal pulled back to the chord.
+        """
+        n_edge = self.mesh.edge_normals[self.edges]
+        t = self.edge_quad[2]
+        m_vec = np.repeat((self.signs[..., None] * n_edge)[:, :, None, :], t.size, axis=2)
+        ne_dot_m = np.repeat(self.signs[..., None].astype(float), t.size, axis=2)
+        if mode == "curved" and self.boundary.any():
+            edges = self.edges[self.boundary]
+            segments = [self.mesh.boundary_segments.get(int(e)) for e in edges]
+            if None in segments:
+                e = edges[segments.index(None)]
+                raise ConfigurationError(f"edge {e}: curved stabilization requires a CurvedSegment")
+            ntilde = segment_geometry(segments, self.mesh.edge_lengths[edges][:, None] * t)[2]
+            m_vec[self.boundary] = ntilde
+            ne_dot_m[self.boundary] = np.einsum("sqc,sc->sq", ntilde, n_edge[self.boundary])
+        return m_vec, ne_dot_m
+
+
+class _CellOps(CellGroup):
+    """One cell as a group of one; the `local_*` kernels return its blocks unstacked."""
+
+    def __init__(self, mesh: PolygonalMesh, c: int, layout: DofLayout, order: int | None = None):
+        super().__init__(mesh, [c], layout, order)
+        self.c = c
+        self.basis_a = self.basis[0]
+
+    def _result(self, blocks):
+        return blocks[0]
+
 
 def level_cells(mesh: PolygonalMesh, layout: DofLayout, order: int | None = None) -> list:
-    """Every cell's bases and rules, for the assembly at exactness `order`."""
-    return [_CellOps(mesh, c, layout, order) for c in range(mesh.n_cells)]
+    """The level's cell groups, one per vertex count, for the assembly at exactness `order`."""
+    return [CellGroup(mesh, ids, layout, order) for ids in mesh.cell_groups()]
 
 
-def local_mass(ops: _CellOps) -> np.ndarray:
-    """Block-diagonal two-component L2 mass matrix on the interior dofs."""
-    na = ops.layout.dim_alpha
-    out = np.zeros((2 * na, 2 * na))
-    out[:na, :na] = ops.mass
-    out[na:, na:] = ops.mass
-    return out
+def local_mass(cells: CellGroup) -> np.ndarray:
+    """Block-diagonal two-component L2 mass matrices on the interior dofs."""
+    return cells._result(np.kron(np.eye(2), cells.mass))
 
 
-def local_weak_divergence(ops: _CellOps) -> np.ndarray:
-    """Matrix sending local (interior + trace) dofs to P_beta coefficients.
+def local_weak_divergence(cells: CellGroup) -> np.ndarray:
+    """Matrices sending local (interior + trace) dofs to P_beta coefficients.
 
-    beta = alpha, so the weak divergence lives in the span of `basis_a`.
+    beta = alpha, so the weak divergence lives in the span of the cell basis.
     """
-    na = ops.layout.dim_alpha
-    N = np.zeros((na, ops.n_loc))
-    w = ops.rule.weights
-    # -(v_0, grad q)_K
-    N[:, :na] = -(ops.Ga[:, :, 0] * w[:, None]).T @ ops.Va
-    N[:, na:2 * na] = -(ops.Ga[:, :, 1] * w[:, None]).T @ ops.Va
-    # <v_b n_e . n_K, q>_e with n_e . n_K = +-1
-    for k, eq in enumerate(ops.edges):
-        Vq = ops.basis_a.eval(eq.pts[:, 0], eq.pts[:, 1])
-        E = ops.edge_basis.eval(eq.t)
-        N[:, ops.trace_block(k)] = eq.sign * (Vq.T @ (eq.w[:, None] * E))
-    return np.linalg.solve(ops.mass, N)
+    WG = cells.rule.weights[..., None, None] * cells.basis.grad(cells.rule.points[..., 0],
+                                                                cells.rule.points[..., 1])
+    _, w, t = cells.edge_quad
+    # -(v_0, grad q)_K, then <v_b n_e . n_K, q>_e with n_e . n_K = +-1
+    traces = np.einsum("gkqi,gkq,qr->gikr", cells.Ve, cells.signs[..., None] * w,
+                       cells.edge_basis.eval(t))
+    N = np.concatenate([-np.swapaxes(WG[..., 0], 1, 2) @ cells.Va,
+                        -np.swapaxes(WG[..., 1], 1, 2) @ cells.Va,
+                        traces.reshape(traces.shape[:2] + (-1,))], axis=2)
+    return cells._result(np.linalg.solve(cells.mass, N))
 
 
-def local_stabilization(ops: _CellOps, mode: str = "straight", rho: float = 1.0) -> np.ndarray:
-    """Quadratic form rho/h_K sum_e int_e ((u_0-u_b).m)((v_0-v_b).m) ds.
+def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1.0) -> np.ndarray:
+    """Quadratic forms rho/h_K sum_e int_e ((u_0-u_b).m)((v_0-v_b).m) ds.
 
     mode="straight" uses the cell outward normal on every edge; mode="curved"
     replaces it on boundary edges by the analytic-curve normal pulled back to
@@ -271,44 +292,36 @@ def local_stabilization(ops: _CellOps, mode: str = "straight", rho: float = 1.0)
     """
     if mode not in ("straight", "curved"):
         raise ValueError(f"unknown normal mode '{mode}'")
-    na = ops.layout.dim_alpha
-    S = np.zeros((ops.n_loc, ops.n_loc))
-    for k, eq in enumerate(ops.edges):
-        if mode == "curved" and eq.boundary:
-            if eq.segment is None:
-                raise ConfigurationError(
-                    f"edge {eq.edge}: curved stabilization requires a CurvedSegment"
-                )
-            m_vec = eq.segment.geometry(eq.t * eq.length)[2]
-            ne_dot_m = m_vec @ eq.n_edge
-        else:
-            m_vec = np.broadcast_to(eq.n_cell, (eq.t.size, 2))
-            ne_dot_m = np.full(eq.t.size, float(eq.sign))
-        Vae = ops.basis_a.eval(eq.pts[:, 0], eq.pts[:, 1])
-        R = np.zeros((eq.t.size, ops.n_loc))
-        R[:, :na] = Vae * m_vec[:, 0:1]
-        R[:, na:2 * na] = Vae * m_vec[:, 1:2]
-        R[:, ops.trace_block(k)] = -ops.edge_basis.eval(eq.t) * ne_dot_m[:, None]
-        S += R.T @ (eq.w[:, None] * R)
-    return (rho / ops.hk) * S
+    m_vec, ne_dot_m = cells.normals(mode)
+    _, w, t = cells.edge_quad
+    G, m, q = w.shape
+    traces = np.zeros((G, m, q, m, cells.layout.trace_dim))
+    own = -cells.edge_basis.eval(t) * ne_dot_m[..., None]   # each edge's own trace block
+    traces[:, np.arange(m), :, np.arange(m)] = np.swapaxes(own, 0, 1)
+    R = np.concatenate([cells.Ve * m_vec[..., 0:1], cells.Ve * m_vec[..., 1:2],
+                        traces.reshape(G, m, q, -1)], axis=-1).reshape(G, m * q, -1)
+    S = np.swapaxes(R, 1, 2) @ (w.reshape(G, -1, 1) * R)
+    return cells._result((rho / cells.mesh.cell_diameters[cells.ids])[:, None, None] * S)
 
 
-def local_pressure_coupling(ops: _CellOps) -> np.ndarray:
+def local_pressure_coupling(cells: CellGroup) -> np.ndarray:
     """Rows of b_h on the cell: entries -(div_w v, q)_K for q in the P_sigma basis."""
-    return -ops.mass[:ops.layout.dim_sigma] @ local_weak_divergence(ops)
+    return -cells._result(cells.mass)[..., :cells.layout.dim_sigma, :] @ local_weak_divergence(cells)
 
 
-def local_boundary_correction(ops: _CellOps, eq: _EdgeQuad) -> np.ndarray:
-    """Pairings <phi.n - mean_e(phi.n), q>_e on the cell's boundary edge `eq`.
+def local_boundary_correction(cells: CellGroup) -> np.ndarray:
+    """Pairings <phi.n - mean_e(phi.n), q>_e on each edge, (G, m, dim P_sigma, 2 dim P_alpha).
 
-    Rows run over the cell's pressure basis, columns over its interior dofs.
+    Rows run over the cell's pressure basis, columns over its interior dofs;
+    the pairings of interior edges are zero.
     """
-    Va = ops.basis_a.eval(eq.pts[:, 0], eq.pts[:, 1])
-    n = eq.n_edge
-    F = np.hstack([Va * n[0], Va * n[1]])              # phi . n
-    mean = (eq.w @ F) / float(eq.w.sum())
-    Vs = Va[:, :ops.layout.dim_sigma]
-    return Vs.T @ (eq.w[:, None] * (F - mean[None, :]))
+    _, w, _ = cells.edge_quad
+    n = cells.mesh.edge_normals[cells.edges][:, :, None, None, :]
+    F = np.concatenate([cells.Ve * n[..., 0], cells.Ve * n[..., 1]], axis=-1)   # phi . n
+    mean = np.einsum("gkq,gkqi->gki", w, F) / w.sum(axis=-1)[..., None]
+    C = np.einsum("gkqs,gkq,gkqi->gksi", cells.Ve[..., :cells.layout.dim_sigma], w,
+                  F - mean[:, :, None, :])
+    return cells._result(C * cells.boundary[..., None, None])
 
 
 def boundary_correction_entries(mesh: PolygonalMesh, e: int, layout: DofLayout,
@@ -319,8 +332,9 @@ def boundary_correction_entries(mesh: PolygonalMesh, e: int, layout: DofLayout,
     """
     if not mesh.is_boundary_edge(e):
         raise ValueError(f"edge {e} is interior; the correction lives on the boundary")
-    ops = _CellOps(mesh, int(mesh.edge_cells[e, 0]), layout, order)
-    return local_boundary_correction(ops, next(eq for eq in ops.edges if eq.edge == e))
+    c = int(mesh.edge_cells[e, 0])
+    k = list(mesh.cell_edges[c]).index(e)
+    return local_boundary_correction(_CellOps(mesh, c, layout, order))[k]
 
 
 @dataclass
@@ -373,36 +387,30 @@ class SaddleSystem:
 
 
 class _CooBuilder:
-    """Dense local blocks with their global row and column indices.
+    """Stacked dense local blocks (G, r, c) with their global rows (G, r) and columns (G, c).
 
-    The triplets are expanded only in `to_csr`, so the blocks are held once.
+    The triplets are expanded only in `to_csr`, so the blocks are held once;
+    negative indices (dropped dofs) are skipped there.
     """
 
     def __init__(self):
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
+        self.blocks: list[tuple] = []
 
-    def add(self, rows, cols, block):
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        rmask = rows >= 0
-        cmask = cols >= 0
-        if not (rmask.all() and cmask.all()):
-            block = block[rmask][:, cmask]
-            rows, cols = rows[rmask], cols[cmask]
-        self.rows.append(rows)
-        self.cols.append(cols)
-        self.vals.append(np.asarray(block, dtype=float).ravel())
+    def add(self, rows, cols, blocks):
+        self.blocks.append((rows, cols, blocks))
 
     def to_csr(self, shape) -> sp.csr_matrix:
-        if not self.rows:
+        r, c, v = [], [], []
+        for rows, cols, blocks in self.blocks:
+            R, C = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
+            keep = (R >= 0) & (C >= 0)
+            r.append(R[keep])
+            c.append(C[keep])
+            v.append(blocks[keep])
+        if not v:
             return sp.csr_matrix(shape)
-        blocks = list(zip(self.rows, self.cols))
-        r = np.concatenate([np.repeat(rows, cols.size) for rows, cols in blocks])
-        c = np.concatenate([np.tile(cols, rows.size) for rows, cols in blocks])
-        v = np.concatenate(self.vals)
-        return sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
+        return sp.coo_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                             shape=shape).tocsr()
 
 
 def assemble_vh_matrix(mesh: PolygonalMesh, layout: DofLayout, mode: str = "straight",
@@ -440,35 +448,31 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     if cells is None:
         cells = level_cells(mesh, layout, order)
 
-    a_build = _CooBuilder()
-    delta_build = _CooBuilder()
-    b_build = _CooBuilder()
-    corr_build = _CooBuilder()
-    na, ns = layout.dim_alpha, layout.dim_sigma
-    flux_mass = np.empty((mesh.n_cells, na, na))
+    a_build, delta_build, b_build, corr_build = (_CooBuilder() for _ in range(4))
+    ns = layout.dim_sigma
+    flux_mass = np.empty((mesh.n_cells, layout.dim_alpha, layout.dim_alpha))
     pressure_mass = np.empty((mesh.n_cells, ns, ns))
     pmean = np.zeros(layout.n_pressure)
-    for ops in cells:
-        c = ops.c
-        idx = layout.local_dofs(c)
-        vidx = idx[:ops.n_int]
-        pidx = np.arange(layout.pressure_slice(c).start, layout.pressure_slice(c).stop)
+    for group in cells:
+        idx = layout.local_dofs(group.ids)
+        pidx = layout.pressure_dofs(group.ids)
+        bd = group.boundary.any(axis=1)
 
-        A_loc = local_stabilization(ops, mode=mode, rho=rho)
-        boundary = [eq for eq in ops.edges if eq.boundary]
-        if boundary:
-            delta_build.add(idx, idx, local_stabilization(ops, mode=other, rho=rho) - A_loc)
-        A_loc[:ops.n_int, :ops.n_int] += local_mass(ops)
+        A_loc = local_stabilization(group, mode=mode, rho=rho)
+        if bd.any():
+            S_other = local_stabilization(group, mode=other, rho=rho)
+            delta_build.add(idx[bd], idx[bd], S_other[bd] - A_loc[bd])
+        A_loc[:, :group.n_int, :group.n_int] += local_mass(group)
         a_build.add(idx, idx, A_loc)
-        flux_mass[c] = ops.mass
+        flux_mass[group.ids] = group.mass
 
-        b_build.add(pidx, idx, local_pressure_coupling(ops))
-        pressure_mass[c] = ops.mass[:ns, :ns]
-        pmean[layout.pressure_slice(c)] = ops.rule.weights @ ops.Va[:, :ns]
-        if scheme == "modified":
-            for eq in boundary:
-                corr_build.add(pidx, vidx, local_boundary_correction(ops, eq))
-        ops.release()
+        b_build.add(pidx, idx, local_pressure_coupling(group))
+        pressure_mass[group.ids] = group.mass[:, :ns, :ns]
+        pmean[pidx] = np.einsum("gq,gqi->gi", group.rule.weights, group.Va[..., :ns])
+        if scheme == "modified" and bd.any():
+            corr_build.add(pidx[bd], idx[bd, :group.n_int],
+                           local_boundary_correction(group)[bd].sum(axis=1))
+        group.release()
 
     nv, npr = layout.n_velocity, layout.n_pressure
     A = a_build.to_csr((nv, nv))
@@ -496,16 +500,16 @@ def assemble_rhs(mesh: PolygonalMesh, layout: DofLayout, g,
     rhs = np.zeros(layout.n_velocity + layout.n_pressure)
     moments = np.zeros(layout.n_pressure)
     wconst = np.zeros(layout.n_pressure)
-    total = 0.0
-    area = 0.0
-    for ops in cells:
-        rule = ops.proj_rule
-        Vs = ops.basis_a.eval(rule.points[:, 0], rule.points[:, 1])[:, :layout.dim_sigma]
-        gv = np.asarray(g(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-        sl = layout.pressure_slice(ops.c)
-        moments[sl] = Vs.T @ (rule.weights * gv)
-        wconst[sl] = rule.weights @ Vs
-        total += float(rule.weights @ gv)
+    total = area = 0.0
+    for group in cells:
+        rule = group.proj_rule
+        x, y = rule.points[..., 0], rule.points[..., 1]
+        WVs = rule.weights[..., None] * group.basis.eval(x, y)[..., :layout.dim_sigma]
+        gv = np.asarray(g(x, y), dtype=float)
+        pidx = layout.pressure_dofs(group.ids)
+        moments[pidx] = np.einsum("gqi,gq->gi", WVs, gv)
+        wconst[pidx] = WVs.sum(axis=1)
+        total += float(np.sum(rule.weights * gv))
         area += float(rule.weights.sum())
     moments -= (total / area) * wconst
     rhs[layout.n_velocity:] = -moments

@@ -22,6 +22,12 @@ axes, so their values are the leading columns of the P_k values, bit for
 bit, and one P_j basis per cell serves both the flux and the P_{j-1}
 pressure.
 
+A `CellBasis` holds one cell's centre and axes, or a group's stacked (G, 2)
+and (G, 2, 2) arrays; a group's points carry the group axis first, and
+`project_cell` and `project_edge` project onto a whole group of cells or a
+stack of edges with one call of the function and one batched solve.  The
+monomials are products of powers built by repeated multiplication.
+
 Edge bases are (t-1/2)^k in the arclength fraction t of the (globally
 oriented) edge.
 """
@@ -81,9 +87,12 @@ def principal_axes(vertices) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CellBasis:
-    """Shape-adapted monomial basis of P_degree on a cell.
+    """Shape-adapted monomial basis of P_degree on a cell, or on each cell of a group.
 
     Basis function (a, b) is xi^a eta^b with (xi, eta) = axes @ (x - center).
+    `center` and `axes` are (2,) and (2, 2) for one cell, or (G, 2) and
+    (G, 2, 2) for a group; a group's points then carry the group axis first,
+    x and y of shape (G, npoints).
     """
 
     degree: int
@@ -95,53 +104,57 @@ class CellBasis:
     def dim(self) -> int:
         return self.exponents.shape[0]
 
-    def _local(self, x, y):
-        dx = np.asarray(x, dtype=float) - self.center[0]
-        dy = np.asarray(y, dtype=float) - self.center[1]
-        T = self.axes
-        return T[0, 0] * dx + T[0, 1] * dy, T[1, 0] * dx + T[1, 1] * dy
+    def __getitem__(self, g) -> "CellBasis":
+        """The basis of cell g of a group."""
+        return CellBasis(self.degree, self.center[g], self.axes[g], self.exponents)
+
+    def _powers(self, x, y):
+        """Powers xi^k and eta^k, k = 0..degree, along a last axis."""
+        dx = np.asarray(x, dtype=float) - self.center[..., 0, None]
+        dy = np.asarray(y, dtype=float) - self.center[..., 1, None]
+        T = self.axes[..., None]
+        X = T[..., 0, 0, :] * dx + T[..., 0, 1, :] * dy
+        Y = T[..., 1, 0, :] * dx + T[..., 1, 1, :] * dy
+        XY = np.stack([X, Y])[..., None]
+        return np.cumprod(np.concatenate([np.ones_like(XY), np.repeat(XY, self.degree, axis=-1)],
+                                         axis=-1), axis=-1)
 
     def eval(self, x, y) -> np.ndarray:
-        """Basis values at points; shape (npoints, dim)."""
-        X, Y = self._local(x, y)
-        a = self.exponents[:, 0][None, :]
-        b = self.exponents[:, 1][None, :]
-        return X[:, None] ** a * Y[:, None] ** b
+        """Basis values at points; shape (..., npoints, dim)."""
+        px, py = self._powers(x, y)
+        return px[..., self.exponents[:, 0]] * py[..., self.exponents[:, 1]]
 
     def grad(self, x, y) -> np.ndarray:
-        """Basis gradients at points; shape (npoints, dim, 2)."""
-        X, Y = self._local(x, y)
+        """Basis gradients at points; shape (..., npoints, dim, 2)."""
+        px, py = self._powers(x, y)
         a = self.exponents[:, 0]
         b = self.exponents[:, 1]
-        am1 = np.maximum(a - 1, 0)[None, :]
-        bm1 = np.maximum(b - 1, 0)[None, :]
-        Xa = X[:, None] ** a[None, :]
-        Yb = Y[:, None] ** b[None, :]
-        dxi = a[None, :] * X[:, None] ** am1 * Yb      # d/dxi
-        deta = b[None, :] * Xa * Y[:, None] ** bm1     # d/deta
-        T = self.axes
-        out = np.empty((X.shape[0], self.dim, 2))
-        out[:, :, 0] = T[0, 0] * dxi + T[1, 0] * deta
-        out[:, :, 1] = T[0, 1] * dxi + T[1, 1] * deta
-        return out
+        dxi = a * px[..., np.maximum(a - 1, 0)] * py[..., b]      # d/dxi
+        deta = b * px[..., a] * py[..., np.maximum(b - 1, 0)]     # d/deta
+        T = self.axes[..., None, None]
+        return np.stack([T[..., 0, 0, :, :] * dxi + T[..., 1, 0, :, :] * deta,
+                         T[..., 0, 1, :, :] * dxi + T[..., 1, 1, :, :] * deta], axis=-1)
 
 
-def cell_basis(vertices, degree: int) -> CellBasis:
-    """Monomial basis of P_degree in the cell's principal coordinates.
+def cell_basis(vertices, degree: int, center=None, axes=None) -> CellBasis:
+    """Monomial basis of P_degree in the principal coordinates of a cell or a group.
 
+    `vertices` is one (m, 2) loop or a (G, m, 2) group.  The centre and axes
+    default to each loop's centroid and `moment_axes`; a mesh stores both
+    (`cell_centroids`, `cell_axes`), equal bit for bit, and passes them.
     Basis function 0 is the constant 1; the others vanish at the centroid.
     The mass-matrix conditioning does not degrade with the cell's aspect ratio
     (see the module docstring).
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    _, center, moments = polygon_moments(vertices)
-    return CellBasis(
-        degree=degree,
-        center=np.array(center),
-        axes=moment_axes(moments),
-        exponents=graded_lex_exponents(degree),
-    )
+    if center is None or axes is None:
+        v = np.asarray(vertices, dtype=float)
+        moments = [polygon_moments(loop) for loop in v.reshape(-1, *v.shape[-2:])]
+        center = np.reshape([m[1] for m in moments], v.shape[:-2] + (2,))
+        axes = np.reshape([moment_axes(m[2]) for m in moments], v.shape[:-2] + (2, 2))
+    return CellBasis(degree=degree, center=np.asarray(center, dtype=float),
+                     axes=np.asarray(axes, dtype=float), exponents=graded_lex_exponents(degree))
 
 
 @dataclass(frozen=True)
@@ -171,8 +184,10 @@ def project_cell(vertices, f, degree: int, order: int | None = None,
                  basis: CellBasis | None = None, rule=None) -> np.ndarray:
     """Coefficients of the L2(K)-orthogonal projection of f onto P_degree.
 
-    f(x, y) returns one value per point, or one row of k values per point;
-    the result then has shape (dim,) or (dim, k).  The default quadrature
+    `vertices` is one cell's loop, or a (G, m, 2) group with a group `basis`
+    and `rule`; f is then called once, on (G, npoints) coordinates.  f(x, y)
+    returns one value per point, or k values per point along a last axis; the
+    result has shape (..., dim) or (..., dim, k).  The default quadrature
     order (2*degree) is exact when f is itself a polynomial of degree <=
     degree; pass a higher order for general fields, or a prebuilt cell `rule`.
     A prebuilt `basis` may have a higher degree: graded-lex P_degree is the
@@ -183,24 +198,29 @@ def project_cell(vertices, f, degree: int, order: int | None = None,
     if rule is None:
         order = 2 * degree if order is None else max(order, 2 * degree)
         rule = polygon_rule(vertices, order)
-    x, y = rule.points[:, 0], rule.points[:, 1]
-    V = basis.eval(x, y)[:, :poly_dim(degree)]
-    M = V.T @ (rule.weights[:, None] * V)
+    x, y = rule.points[..., 0], rule.points[..., 1]
+    V = basis.eval(x, y)[..., :poly_dim(degree)]
+    WV = rule.weights[..., None] * V
     fv = np.asarray(f(x, y), dtype=float)
-    rhs = V.T @ (fv.T * rule.weights).T
+    rhs = np.swapaxes(WV, -1, -2) @ fv.reshape(x.shape + (-1,))
     try:
-        return np.linalg.solve(M, rhs)
+        coef = np.linalg.solve(np.swapaxes(WV, -1, -2) @ V, rhs)
     except np.linalg.LinAlgError as exc:
         raise MalformedCellError(f"singular cell mass matrix: {exc}") from exc
+    return coef if fv.ndim > x.ndim else coef[..., 0]
 
 
 def project_edge(p0, p1, f, degree: int, order: int | None = None) -> np.ndarray:
-    """Coefficients of the L2(e) projection of f onto P_degree on edge p0 -> p1."""
+    """Coefficients of the L2(e) projection of f onto P_degree on edge p0 -> p1.
+
+    p0 and p1 may be (..., 2) stacks of edges; f is then called once, on
+    (..., npoints) coordinates, and the result has shape (..., degree + 1).
+    """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     order = 2 * degree if order is None else max(order, 2 * degree)
     pts, w, t = edge_rule(p0, p1, order)
     E = EdgeBasis(degree).eval(t)
-    M = E.T @ (w[:, None] * E)
-    rhs = E.T @ (w * np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))
-    return np.linalg.solve(M, rhs)
+    WE = w[..., None] * E
+    rhs = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)[..., None, :] @ WE
+    return np.linalg.solve(E.T @ WE, np.swapaxes(rhs, -1, -2))[..., 0]

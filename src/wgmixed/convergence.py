@@ -7,13 +7,16 @@ normal component on interior edges, zero on boundary edges), measured in the
 flux norm; the pressure error is measured cellwise in L2 against the
 piecewise-polynomial projection of the exact pressure.
 
-A level builds one mesh, whose generator applies the split law to the mesh
-size of its corner loops, then runs as one pass over the cells, then the
-solve, then the norms: `level_cells` builds each cell's basis and rules
-once, the assembly, the right-hand side and the exact projection read them,
-and they are released before the solve.  The four error norms are quadratic forms in matrices the
-assembly already returned: the flux-norm matrix of each normal mode and the
-diagonal blocks of the interior-flux and pressure mass matrices.
+A level builds one mesh (its generator applies a split law to the mesh
+size of its corner loops; a `none` or `fixed:<k>` study passes the count),
+then works on the level's cell groups, then solves, then measures:
+`level_cells` stacks the basis and rules of each group of cells with one
+vertex count once, the assembly, the right-hand side and the exact
+projection read them a group at a time, and they are released before the
+solve.  The four error norms are quadratic forms in matrices the assembly
+already returned: the flux-norm matrix of each normal mode and the diagonal
+blocks of the interior-flux and pressure mass matrices.  `run_level` records
+the seconds of each stage in `StudyRow.stages`.
 """
 
 from __future__ import annotations
@@ -74,20 +77,18 @@ def project_exact(mesh: PolygonalMesh, u, p, layout: DofLayout,
         cells = level_cells(mesh, layout)
     w = WgFunction.zeros(layout)
     pex = np.zeros(layout.n_pressure)
-    for ops in cells:
-        coef = project_cell(ops.vertices, u, layout.alpha, basis=ops.basis_a, rule=ops.proj_rule)
-        w.coeffs[layout.cell_slice(ops.c)] = coef.T.ravel()
-        pex[layout.pressure_slice(ops.c)] = project_cell(
-            ops.vertices, p, layout.sigma, basis=ops.basis_a, rule=ops.proj_rule)
-    order = projection_order(layout.alpha)
-    for e in range(mesh.n_edges):
-        sl = layout.edge_slice(e)
-        if sl is None or mesh.is_boundary_edge(e):
-            continue
-        n_e = mesh.edge_normals[e]
-        p0, p1 = mesh.edge_points(e)
-        w.coeffs[sl] = project_edge(p0, p1, lambda x, y: u(x, y) @ n_e,
-                                    layout.beta, order)
+    for group in cells:
+        coef = project_cell(group.vertices, u, layout.alpha, basis=group.basis, rule=group.proj_rule)
+        w.coeffs[layout.local_dofs(group.ids)[:, :group.n_int]] = np.swapaxes(coef, 1, 2).reshape(
+            group.ids.size, -1)
+        pex[layout.pressure_dofs(group.ids)] = project_cell(
+            group.vertices, p, layout.sigma, basis=group.basis, rule=group.proj_rule)
+    inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+    n_e = mesh.edge_normals[inner]
+    ends = mesh.vertices[mesh.edges[inner]]
+    w.coeffs[layout.trace_offsets[inner][:, None] + np.arange(layout.trace_dim)] = project_edge(
+        ends[:, 0], ends[:, 1], lambda x, y: np.einsum("eqc,ec->eq", u(x, y), n_e),
+        layout.beta, projection_order(layout.alpha))
     return w, pex
 
 
@@ -176,6 +177,7 @@ class StudyRow:
     seconds: float
     residual: float
     err_u_l2: float = float("nan")  # diagnostic, not part of the CSV format
+    stages: dict = field(default_factory=dict, compare=False)  # seconds per step, not in the CSV
 
 
 @dataclass
@@ -236,48 +238,56 @@ def parse_split_rule(rule: str):
     return int(count)
 
 
-def split_for_level(config: StudyConfig, base_h: float) -> int:
-    law = parse_split_rule(config.split_rule)
-    if law == "none" or config.domain == "square":
-        return 1
-    if isinstance(law, int):
-        return law
-    return boundary_split_count(base_h, config.degree, law)
-
-
 def run_level(config: StudyConfig, n: int):
-    """Build, assemble, solve, and measure one refinement level."""
-    t0 = time.perf_counter()
-    j = config.degree
-    split = 1
+    """Build, assemble, solve, and measure one refinement level.
+
+    The row's `stages` holds the seconds of each step: mesh, validate, cells,
+    assemble, rhs, project, solve and norms.
+    """
+    marks = [time.perf_counter()]
+    stages = {}
+
+    def lap(stage):
+        marks.append(time.perf_counter())
+        stages[stage] = marks[-1] - marks[-2]
+
+    law = parse_split_rule(config.split_rule)
+    split = 1 if law == "none" or config.domain == "square" else law
 
     def split_law(base_h):
         nonlocal split
-        split = split_for_level(config, base_h)
+        split = boundary_split_count(base_h, config.degree, law)
         return split
 
-    mesh = generate_domain_mesh(config.domain, n, split_law)
+    mesh = generate_domain_mesh(config.domain, n, split_law if isinstance(split, str) else split)
+    lap("mesh")
     report = validate_mesh(mesh)
-
-    layout = DofLayout(mesh, j, j, j - 1)
+    lap("validate")
+    layout = DofLayout(mesh, config.degree, config.degree, config.degree - 1)
     case = registry_lookup(config.domain)
     cells = level_cells(mesh, layout, config.quadrature_order)
+    lap("cells")
     system = assemble_system(mesh, layout, scheme=config.scheme, rho=config.rho,
                              order=config.quadrature_order, cells=cells)
+    lap("assemble")
     rhs = assemble_rhs(mesh, layout, case.g, cells=cells)
+    lap("rhs")
     uex, pex = project_exact(mesh, case.u, case.p, layout, cells=cells)
     del cells  # the solve and the norms need no per-cell data
+    lap("project")
     sol = solve_saddle(system, rhs)
+    lap("solve")
 
     err = uex.coeffs - sol.u.coeffs
     err_vh = quadratic_norm(system.vh_matrix("straight"), err)
     err_vh1 = quadratic_norm(system.vh_matrix("curved"), err)
     err_p = block_norm(system.pressure_mass, pex - sol.p)
     err_l2 = block_norm(system.flux_mass, err[:layout.n_interior])
-    seconds = time.perf_counter() - t0
+    lap("norms")
     row = StudyRow(n=n, split=split, h=mesh.h, s=mesh.s, dofs=layout.n_dofs,
                    err_u_vh=err_vh, err_u_vh1=err_vh1, err_p=err_p,
-                   seconds=seconds, residual=sol.residual, err_u_l2=err_l2)
+                   seconds=marks[-1] - marks[0], residual=sol.residual, err_u_l2=err_l2,
+                   stages=stages)
     return row, report
 
 

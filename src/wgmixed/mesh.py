@@ -12,9 +12,11 @@ The mesh owns its geometry: `build_mesh` makes one `polygon_moments` pass per
 cell and stores each cell's area, centroid, diameter and principal axes
 (`basis.moment_axes`, equal bit for bit to what `cell_basis` computes), and
 it stores every edge's length and normal.  The assembly and `validate_mesh`
-read these arrays.  The disk and ring generators place the corner vertices
-before they subdivide the boundary chords, so a split law that depends on
-the mesh size is decided from the corner loops, inside one generator call.
+read these arrays, a group of cells with one vertex count at a time
+(`cell_groups`), and `segment_geometry` evaluates many boundary segments at
+once.  The disk and ring generators place the corner vertices before they
+subdivide the boundary chords, so a split law that depends on the mesh size
+is decided from the corner loops, inside one generator call.
 """
 
 from __future__ import annotations
@@ -73,23 +75,41 @@ class CurvedSegment:
     def geometry(self, xhat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized (foot points, gaps, curve normals) at chord abscissae."""
         xh = np.atleast_1d(np.asarray(xhat, dtype=float))
-        L = self.chord_length
-        if np.any(xh < -1e-12 * L) or np.any(xh > L * (1.0 + 1e-12)):
-            raise ValueError(f"abscissa outside [0, {L}]")
-        base = self.start[None, :] + xh[:, None] * self.tangent[None, :]
-        n_e = self.chord_normal
-        if self.curve_id == "flat":
-            gamma = np.zeros_like(xh)
-            ntilde = np.broadcast_to(n_e, base.shape).copy()
-            return base, gamma, ntilde
-        yhat = self.side * n_e
-        w = base - self.center[None, :]
-        wy = w @ yhat
-        disc = wy * wy + self.radius * self.radius - (w * w).sum(axis=1)
-        gamma = np.maximum(-wy + np.sqrt(np.maximum(disc, 0.0)), 0.0)
-        foot = base + gamma[:, None] * yhat[None, :]
-        ntilde = self.side * (foot - self.center[None, :]) / self.radius
-        return foot, gamma, ntilde
+        foot, gamma, ntilde = segment_geometry([self], xh[None, :])
+        return foot[0], gamma[0], ntilde[0]
+
+
+def segment_geometry(segments, xhat):
+    """Foot points (S, q, 2), gaps (S, q) and curve normals (S, q, 2) on S segments.
+
+    Row s of `xhat` (S, q) holds chord abscissae on segment s, which must lie
+    in [0, its chord length].
+    """
+    xh = np.asarray(xhat, dtype=float)
+    d = np.array([seg.end - seg.start for seg in segments])
+    L = np.hypot(d[:, 0], d[:, 1])[:, None]
+    outside = np.flatnonzero(((xh < -1e-12 * L) | (xh > L * (1.0 + 1e-12))).any(axis=1))
+    if outside.size:
+        raise ValueError(f"abscissa outside [0, {L[outside[0], 0]}]")
+    tangent = d / L
+    n_e = np.column_stack([tangent[:, 1], -tangent[:, 0]])[:, None, :]
+    start = np.array([seg.start for seg in segments])
+    foot = start[:, None, :] + xh[..., None] * tangent[:, None, :]
+    gamma = np.zeros_like(xh)
+    ntilde = np.repeat(n_e, xh.shape[1], axis=1)
+    arcs = np.flatnonzero([seg.curve_id != "flat" for seg in segments])
+    if arcs.size:
+        center = np.array([segments[i].center for i in arcs])[:, None, :]
+        radius = np.array([segments[i].radius for i in arcs])[:, None]
+        side = np.array([segments[i].side for i in arcs])[:, None, None]
+        yhat = side * n_e[arcs]
+        w = foot[arcs] - center
+        wy = (w * yhat).sum(axis=-1)
+        disc = wy * wy + radius * radius - (w * w).sum(axis=-1)
+        gamma[arcs] = np.maximum(-wy + np.sqrt(np.maximum(disc, 0.0)), 0.0)
+        foot[arcs] += gamma[arcs][..., None] * yhat
+        ntilde[arcs] = side * (foot[arcs] - center) / radius[..., None]
+    return foot, gamma, ntilde
 
 
 def flat_segment(start, end) -> CurvedSegment:
@@ -170,6 +190,11 @@ class PolygonalMesh:
 
     def edge_length(self, e: int) -> float:
         return float(self.edge_lengths[e])
+
+    def cell_groups(self) -> list:
+        """Cell ids grouped by vertex count, fewest vertices first."""
+        sizes = np.array([loop.size for loop in self.cells])
+        return [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
 
 
 def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> PolygonalMesh:
@@ -483,58 +508,50 @@ class MeshQualityReport:
         return all(self.checks.values())
 
 
-def _point_segment_distance(p, a, b) -> float:
-    d = b - a
-    t = float(np.clip(((p - a) @ d) / (d @ d), 0.0, 1.0))
-    q = a + t * d
-    return float(np.hypot(*(p - q)))
-
-
 def validate_mesh(mesh: PolygonalMesh,
                   thresholds: QualityThresholds = QualityThresholds()) -> MeshQualityReport:
     """Measure the testable mesh-regularity quantities and flag violations.
 
     Star-shapedness is checked with respect to the cell centroid (sufficient
     for the generated mesh families); curve gaps and normals are sampled at
-    interior points of each boundary chord.
+    interior points of each boundary chord.  Cells are measured a group of
+    one vertex count at a time.
     """
     verts = mesh.vertices
     violations: list[str] = []
-
-    # structural re-checks from the vertices (covers hand-built meshes that
-    # bypass build_mesh); the measurements below read the stored geometry
-    for ci, loop in enumerate(mesh.cells):
-        a = polygon_area(verts[loop])
-        if not a > 0.0:
-            raise MeshError(f"cell {ci}: nonpositive area {a:.3e}")
-        if len(mesh.cell_edges[ci]) != loop.size:
-            raise MeshError(f"cell {ci}: edge list does not close the loop")
-    counts = np.zeros(mesh.n_edges, dtype=int)
-    for ce in mesh.cell_edges:
-        counts[ce] += 1
+    star = np.empty(mesh.n_cells)
+    edge_ratio = np.empty(mesh.n_cells)
+    not_star = []
+    for ids in mesh.cell_groups():
+        # structural re-checks from the vertices (covers hand-built meshes that
+        # bypass build_mesh); the measurements below read the stored geometry
+        pts = verts[np.array([mesh.cells[c] for c in ids])]
+        area = polygon_area(pts)
+        if not np.all(area > 0.0):
+            k = np.flatnonzero(~(area > 0.0))[0]
+            raise MeshError(f"cell {ids[k]}: nonpositive area {area[k]:.3e}")
+        for c in ids:
+            if len(mesh.cell_edges[c]) != pts.shape[1]:
+                raise MeshError(f"cell {c}: edge list does not close the loop")
+        cen = mesh.cell_centroids[ids][:, None, :]
+        a, b = pts - cen, np.roll(pts, -1, axis=1) - cen   # each edge's ends about the centroid
+        cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+        d = b - a
+        t = np.clip(-(a * d).sum(axis=-1) / (d * d).sum(axis=-1), 0.0, 1.0)
+        q = a + t[..., None] * d
+        rho = np.hypot(q[..., 0], q[..., 1]).min(axis=1)
+        hk = mesh.cell_diameters[ids]
+        star_ok = (cross > 0.0).all(axis=1)
+        star[ids] = np.where(star_ok, rho / hk, 0.0)
+        not_star.extend(ids[~star_ok])
+        edges = np.array([mesh.cell_edges[c] for c in ids])
+        edge_ratio[ids] = mesh.edge_lengths[edges].max(axis=1) / hk
+    counts = np.bincount(np.concatenate(mesh.cell_edges), minlength=mesh.n_edges)
     expected = np.where(mesh.edge_cells[:, 1] < 0, 1, 2)
     if not np.array_equal(counts, expected):
         raise MeshError("edge-cell adjacency is inconsistent")
-
-    star = np.empty(mesh.n_cells)
-    edge_ratio = np.empty(mesh.n_cells)
-    for ci, loop in enumerate(mesh.cells):
-        pts = verts[loop]
-        c = mesh.cell_centroids[ci]
-        hk = mesh.cell_diameters[ci]
-        m = loop.size
-        rho = math.inf
-        star_ok = True
-        for j in range(m):
-            a, b = pts[j], pts[(j + 1) % m]
-            cross = (a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0])
-            if cross <= 0.0:
-                star_ok = False
-            rho = min(rho, _point_segment_distance(c, a, b))
-        star[ci] = (rho / hk) if star_ok else 0.0
-        edge_ratio[ci] = mesh.edge_lengths[mesh.cell_edges[ci]].max() / hk
-        if not star_ok:
-            violations.append(f"A1: cell {ci} is not star-shaped from its centroid")
+    violations += [f"A1: cell {ci} is not star-shaped from its centroid"
+                   for ci in sorted(not_star)]
 
     min_star = float(star.min())
     min_edge = float(edge_ratio.min())
@@ -543,26 +560,25 @@ def validate_mesh(mesh: PolygonalMesh,
     bidx = mesh.boundary_edge_indices
     buni = float(mesh.s / mesh.edge_lengths[bidx].min()) if bidx.size else 1.0
 
-    max_gap = 0.0
-    max_dev = 0.0
-    max_dev_edge = 0.0
-    msmp = thresholds.samples_per_edge
-    for e in bidx:
-        seg = mesh.boundary_segments.get(int(e))
-        if seg is None:
-            raise MeshError(f"boundary edge {e} lacks a curved segment")
-        L = mesh.edge_length(int(e))
-        xh = L * (np.arange(msmp) + 0.5) / msmp
-        _, gamma, ntilde = seg.geometry(xh)
-        dev = float(np.linalg.norm(ntilde - mesh.edge_normals[e][None, :], axis=1).max())
-        gap = float(gamma.max())
+    max_gap = max_dev = max_dev_edge = 0.0
+    if bidx.size:
+        segments = [mesh.boundary_segments.get(int(e)) for e in bidx]
+        if None in segments:
+            raise MeshError(f"boundary edge {bidx[segments.index(None)]} lacks a curved segment")
+        L = mesh.edge_lengths[bidx][:, None]
+        msmp = thresholds.samples_per_edge
+        xh = np.hstack([L * (np.arange(msmp) + 0.5) / msmp, 0.0 * L, L])
+        _, gamma, ntilde = segment_geometry(segments, xh)
+        dev = np.linalg.norm(ntilde[:, :msmp] - mesh.edge_normals[bidx][:, None, :],
+                             axis=2).max(axis=1)
+        gap = gamma[:, :msmp].max(axis=1)
         if mesh.s > 0.0:
-            max_gap = max(max_gap, gap / mesh.s ** 2)
-            max_dev = max(max_dev, dev / mesh.s)
-        max_dev_edge = max(max_dev_edge, dev / L)
-        g0 = float(seg.geometry(np.array([0.0, L]))[1].max())
-        if g0 > 1e-12 * max(1.0, mesh.h):
-            violations.append(f"A4: edge {e} endpoints off the curve (gap {g0:.2e})")
+            max_gap = float(gap.max()) / mesh.s ** 2
+            max_dev = float(dev.max()) / mesh.s
+        max_dev_edge = float((dev / L[:, 0]).max())
+        g0 = gamma[:, msmp:].max(axis=1)
+        violations += [f"A4: edge {e} endpoints off the curve (gap {g:.2e})"
+                       for e, g in zip(bidx, g0) if g > 1e-12 * max(1.0, mesh.h)]
 
     checks = {
         "A1_star_shaped": min_star >= thresholds.min_star_ratio,

@@ -3,6 +3,12 @@
 Polygons are integrated by a signed fan split from the centroid: the fan
 triangles (c, v_i, v_{i+1}) carry signed Jacobians, so the rule is exact for
 globally defined integrands on any simple polygon, not just convex ones.
+
+`polygon_rule`, `polygon_area` and `edge_rule` take one polygon or edge, or
+a stack of them with the stack axes first (a group of cells with one vertex
+count, or a level's edges); each entry of a stack gets the same numbers it
+would get alone.  `polygon_moments` stays a plain-Python routine for one
+loop: the mesh calls it once per cell and stores the results.
 """
 
 from __future__ import annotations
@@ -108,12 +114,19 @@ def polygon_moments(vertices):
     return 0.5 * a2, (cx, cy), (sxx / (6.0 * a2), syy / (6.0 * a2), sxy / (12.0 * a2))
 
 
-def polygon_area(vertices) -> float:
-    """Signed (shoelace) area of a polygon given as an (m, 2) vertex loop.
+def polygon_area(vertices):
+    """Signed (shoelace) area of an (m, 2) vertex loop, or of each loop in a (..., m, 2) stack.
 
-    A loop whose area is zero to rounding has area 0.0 (see `polygon_moments`).
+    The sums run vertex by vertex (a cumulative sum) in the order
+    `polygon_moments` uses, so each area equals its first return value bit for
+    bit; a loop whose area is zero to rounding has area 0.0.
     """
-    return polygon_moments(vertices)[0]
+    v = np.asarray(vertices, dtype=float)
+    d = v - v[..., :1, :]
+    p = np.roll(d, 1, axis=-2)
+    a2 = np.cumsum(p[..., 0] * d[..., 1] - d[..., 0] * p[..., 1], axis=-1)[..., -1]
+    scale = np.maximum(np.ptp(v, axis=-2).max(axis=-1), 1e-300)
+    return np.where(np.abs(a2) <= 2e-14 * scale * scale, 0.0, 0.5 * a2)[()]
 
 
 def polygon_centroid(vertices) -> np.ndarray:
@@ -125,32 +138,33 @@ def polygon_centroid(vertices) -> np.ndarray:
 
 
 def polygon_rule(vertices, order: int, fan_point=None) -> QuadratureRule:
-    """Signed centroid-fan rule over a simple polygon.
+    """Signed centroid-fan rule over a simple polygon, or over each of a stack.
 
-    A nonpositive total signed area (wrong orientation, or a self-intersecting
-    loop whose lobes cancel) raises MalformedCellError.
+    `vertices` is one (m, 2) loop or a (G, m, 2) group of loops; the points
+    and weights then have shapes (q, 2) and (q,), or (G, q, 2) and (G, q).
+    `fan_point` (one per loop) defaults to the centroid.  A nonpositive total
+    signed area of any loop (wrong orientation, or a self-intersecting loop
+    whose lobes cancel) raises MalformedCellError.
     """
     v = np.asarray(vertices, dtype=float)
-    if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
+    if v.ndim not in (2, 3) or v.shape[-2] < 3 or v.shape[-1] != 2:
         raise MalformedCellError("polygon needs at least 3 planar vertices")
-    area, centroid, _ = polygon_moments(v)
+    area = np.min(polygon_area(v))
     if not area > 0.0:
-        raise MalformedCellError(
-            f"polygon area {area:.3e} is not positive (CCW simple loop required)"
-        )
-    c = np.array(centroid) if fan_point is None else np.asarray(fan_point, dtype=float)
+        raise MalformedCellError(f"polygon area {area:.3e} is not positive "
+                                 "(CCW simple loop required)")
+    if fan_point is None:
+        fan_point = [polygon_moments(loop)[1] for loop in v.reshape(-1, *v.shape[-2:])]
+    c = np.reshape(np.asarray(fan_point, dtype=float), v.shape[:-2] + (1, 1, 2))
     ref = triangle_rule(order)
-    m = v.shape[0]
-    pts = np.empty((m * ref.points.shape[0], 2))
-    wts = np.empty(m * ref.points.shape[0])
-    k = ref.points.shape[0]
-    for i in range(m):
-        a = v[i] - c
-        b = v[(i + 1) % m] - c
-        det = a[0] * b[1] - a[1] * b[0]
-        pts[i * k:(i + 1) * k] = c + np.outer(ref.points[:, 0], a) + np.outer(ref.points[:, 1], b)
-        wts[i * k:(i + 1) * k] = ref.weights * det
-    return QuadratureRule(pts, wts, ref.exactness)
+    r0, r1 = ref.points[:, 0, None], ref.points[:, 1, None]
+    a = v[..., None, :] - c
+    b = np.roll(v, -1, axis=-2)[..., None, :] - c
+    det = a[..., 0, 0] * b[..., 0, 1] - a[..., 0, 1] * b[..., 0, 0]
+    pts = c + r0 * a + r1 * b
+    wts = det[..., None] * ref.weights
+    return QuadratureRule(pts.reshape(v.shape[:-2] + (-1, 2)),
+                          wts.reshape(v.shape[:-2] + (-1,)), ref.exactness)
 
 
 def integrate_cell(vertices, f, order: int) -> float:
@@ -161,20 +175,21 @@ def integrate_cell(vertices, f, order: int) -> float:
 
 
 def edge_rule(p0, p1, order: int):
-    """Gauss points along the segment p0 -> p1.
+    """Gauss points along the segment p0 -> p1, or along each of a stack of segments.
 
-    Returns (points (m,2), weights (m,) carrying arclength, params t (m,)).
+    Returns (points (..., m, 2), weights (..., m) carrying arclength, params
+    t (m,)); p0 and p1 are (2,) or (..., 2).
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     d = p1 - p0
-    length = float(np.hypot(d[0], d[1]))
-    scale = float(np.abs(p0).max() + np.abs(p1).max() + 1.0)
-    if length <= 1e-15 * scale:
+    length = np.hypot(d[..., 0], d[..., 1])
+    scale = np.abs(p0).max(axis=-1) + np.abs(p1).max(axis=-1) + 1.0
+    if np.any(length <= 1e-15 * scale):
         raise MalformedEdgeError("edge has zero length")
     base = segment_rule(order)
-    pts = p0 + base.points[:, None] * d
-    return pts, base.weights * length, base.points
+    pts = p0[..., None, :] + base.points[:, None] * d[..., None, :]
+    return pts, base.weights * length[..., None], base.points
 
 
 def integrate_edge(p0, p1, f, order: int) -> float:

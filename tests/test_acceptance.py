@@ -259,9 +259,9 @@ def test_criterion8a_commutativity():
         dof[lay.dim_alpha:2 * lay.dim_alpha] = project_cell(
             verts, lambda x, y: u_comp(x, y, cu[1]), alpha, 2 * alpha + 4, basis=ops.basis_a)
         from wgmixed.basis import project_edge
-        for k, eq in enumerate(ops.edges):
-            p0, p1 = mesh.edge_points(eq.edge)
-            n_e = mesh.edge_normals[eq.edge]
+        for k, e in enumerate(mesh.cell_edges[0]):
+            p0, p1 = mesh.edge_points(e)
+            n_e = mesh.edge_normals[e]
             dof[ops.trace_block(k)] = project_edge(
                 p0, p1,
                 lambda x, y: u_comp(x, y, cu[0]) * n_e[0] + u_comp(x, y, cu[1]) * n_e[1],

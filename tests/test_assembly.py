@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wgmixed.assembly import (
     ConfigurationError,
@@ -14,12 +15,25 @@ from wgmixed.assembly import (
     assemble_system,
     assemble_vh_matrix,
     boundary_correction_entries,
+    default_order,
+    level_cells,
+    local_boundary_correction,
     local_mass,
+    local_pressure_coupling,
     local_stabilization,
     local_weak_divergence,
+    projection_order,
 )
 from wgmixed.basis import graded_lex_exponents, project_cell, project_edge
-from wgmixed.mesh import PolygonalMesh, build_mesh, generate_disk_mesh, generate_square_tri
+from wgmixed.convergence import project_exact
+from wgmixed.mesh import (
+    PolygonalMesh,
+    boundary_split_count,
+    build_mesh,
+    generate_disk_mesh,
+    generate_ring_mesh,
+    generate_square_tri,
+)
 from wgmixed.quadrature import polygon_rule
 from wgmixed.solutions import registry_lookup
 
@@ -43,9 +57,9 @@ def consistent_trace_dofs(mesh, ops, u):
                                        lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis_a)
     dof[lay.dim_alpha:2 * lay.dim_alpha] = project_cell(
         verts, lambda x, y: u(x, y)[:, 1], lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis_a)
-    for k, eq in enumerate(ops.edges):
-        p0, p1 = mesh.edge_points(eq.edge)
-        n_e = mesh.edge_normals[eq.edge]
+    for k, e in enumerate(mesh.cell_edges[ops.c]):
+        p0, p1 = mesh.edge_points(e)
+        n_e = mesh.edge_normals[e]
         dof[ops.trace_block(k)] = project_edge(
             p0, p1, lambda x, y: u(x, y) @ n_e, lay.beta, order=2 * lay.beta + 4)
     return dof
@@ -175,10 +189,10 @@ def test_stabilization_psd_and_symmetric():
 
 def test_stabilization_curved_requires_segment():
     mesh = generate_disk_mesh(8, 1)
-    c = int(mesh.edge_cells[mesh.boundary_edge_indices[0], 0])
-    ops = _CellOps(mesh, c, wh_layout(mesh, 1, 1, 0))
-    for eq in ops.edges:
-        eq.segment = None
+    e = int(mesh.boundary_edge_indices[0])
+    del mesh.boundary_segments[e]
+    ops = _CellOps(mesh, int(mesh.edge_cells[e, 0]), wh_layout(mesh, 1, 1, 0))
+    local_stabilization(ops, "straight", 1.0)
     with pytest.raises(ConfigurationError):
         local_stabilization(ops, "curved", 1.0)
 
@@ -443,3 +457,107 @@ def test_rhs_compat_orthogonal_to_constant_pressure():
     sys_ = assemble_system(mesh, lay, scheme="original")
     cvec = sys_.constant_pressure_vector()
     assert abs(cvec @ rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+# ---------------------------------------------------------------------------
+# cell groups against a plain per-cell loop
+# ---------------------------------------------------------------------------
+
+MIXED_MESHES = {
+    "disk-fixed3": lambda j: generate_disk_mesh(16, 3),
+    "disk-original-law": lambda j: generate_disk_mesh(
+        16, lambda h: boundary_split_count(h, j, "original")),
+    "ring-fixed3": lambda j: generate_ring_mesh(16, 3),
+}
+
+
+def per_cell_reference(mesh, layout, scheme, rho, case):
+    """Every assembled quantity from one-cell `_CellOps` blocks, scattered densely."""
+    mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")
+    nv, npr = layout.n_velocity, layout.n_pressure
+    na, ns = layout.dim_alpha, layout.dim_sigma
+    ref = dict(A=np.zeros((nv, nv)), A_delta=np.zeros((nv, nv)), B=np.zeros((npr, nv)),
+               corr=np.zeros((npr, nv)), pressure_mean=np.zeros(npr),
+               flux_mass=np.zeros((mesh.n_cells, na, na)),
+               pressure_mass=np.zeros((mesh.n_cells, ns, ns)),
+               uex=np.zeros(nv), pex=np.zeros(npr))
+    moments, wconst, total, area = np.zeros(npr), np.zeros(npr), 0.0, 0.0
+    for c in range(mesh.n_cells):
+        ops = _CellOps(mesh, c, layout)
+        idx = layout.local_dofs(c)
+        keep = idx >= 0
+        pidx = layout.pressure_dofs(c)
+        S = local_stabilization(ops, mode, rho)
+        S_mass = S.copy()
+        S_mass[:ops.n_int, :ops.n_int] += local_mass(ops)
+        ref["A"][np.ix_(idx[keep], idx[keep])] += S_mass[np.ix_(keep, keep)]
+        if mesh.edge_cells[mesh.cell_edges[c], 1].min() < 0:
+            delta = local_stabilization(ops, other, rho) - S
+            ref["A_delta"][np.ix_(idx[keep], idx[keep])] += delta[np.ix_(keep, keep)]
+            ref["corr"][np.ix_(pidx, idx[:ops.n_int])] += local_boundary_correction(ops).sum(axis=0)
+        ref["B"][np.ix_(pidx, idx[keep])] += local_pressure_coupling(ops)[:, keep]
+        ref["flux_mass"][c] = local_mass(ops)[:na, :na]
+        ref["pressure_mass"][c] = ref["flux_mass"][c][:ns, :ns]
+
+        verts = mesh.vertices[mesh.cells[c]]
+        rule = polygon_rule(verts, default_order(layout.alpha, layout.beta), mesh.cell_centroids[c])
+        V = ops.basis_a.eval(rule.points[:, 0], rule.points[:, 1])
+        ref["pressure_mean"][pidx] = rule.weights @ V[:, :ns]
+        rule = polygon_rule(verts, projection_order(layout.alpha), mesh.cell_centroids[c])
+        x, y = rule.points[:, 0], rule.points[:, 1]
+        V = ops.basis_a.eval(x, y)
+        gv = case.g(x, y)
+        moments[pidx] = V[:, :ns].T @ (rule.weights * gv)
+        wconst[pidx] = rule.weights @ V[:, :ns]
+        total += rule.weights @ gv
+        area += rule.weights.sum()
+        coef = project_cell(verts, case.u, layout.alpha, basis=ops.basis_a, rule=rule)
+        ref["uex"][layout.cell_slice(c)] = coef.T.ravel()
+        ref["pex"][pidx] = project_cell(verts, case.p, layout.sigma, basis=ops.basis_a, rule=rule)
+    for e in range(mesh.n_edges):
+        if not mesh.is_boundary_edge(e):
+            n_e = mesh.edge_normals[e]
+            ref["uex"][layout.edge_slice(e)] = project_edge(
+                *mesh.edge_points(e), lambda x, y: case.u(x, y) @ n_e, layout.beta,
+                projection_order(layout.alpha))
+    ref["rhs"] = np.concatenate([np.zeros(nv), -(moments - (total / area) * wconst)])
+    return ref
+
+
+@pytest.mark.parametrize("scheme", ["original", "modified"])
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("mesh_name", list(MIXED_MESHES))
+def test_grouped_assembly_matches_per_cell_loop(mesh_name, j, scheme):
+    # triangles and one kind of boundary polygon: two groups, scattered together
+    mesh = MIXED_MESHES[mesh_name](j)
+    layout = DofLayout(mesh, j, j, j - 1)
+    groups = level_cells(mesh, layout)
+    sizes = [g.vertices.shape[1] for g in groups]
+    assert len(sizes) == 2 and sizes[0] == 3
+    assert np.array_equal(np.sort(np.concatenate([g.ids for g in groups])),
+                          np.arange(mesh.n_cells))
+    for g in groups:
+        assert all(mesh.cells[c].size == g.vertices.shape[1] for c in g.ids)
+
+    case = registry_lookup(mesh.domain)
+    system = assemble_system(mesh, layout, scheme=scheme, rho=2.5, cells=groups)
+    rhs = assemble_rhs(mesh, layout, case.g, cells=groups)
+    uex, pex = project_exact(mesh, case.u, case.p, layout, cells=groups)
+    ref = per_cell_reference(mesh, layout, scheme, 2.5, case)
+
+    def close(got, want):
+        got = got.toarray() if sp.issparse(got) else np.asarray(got)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    close(system.A, ref["A"])
+    close(system.A_delta, ref["A_delta"])
+    close(system.B, ref["B"])
+    if scheme == "modified":
+        close(system.B1, ref["B"] - ref["corr"])
+    else:
+        assert system.B1 is None
+    for name in ("pressure_mean", "flux_mass", "pressure_mass"):
+        close(getattr(system, name), ref[name])
+    close(rhs, ref["rhs"])
+    close(uex.coeffs, ref["uex"])
+    close(pex, ref["pex"])

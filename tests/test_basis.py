@@ -200,3 +200,34 @@ def test_edge_basis_bounded_by_one():
     t = np.linspace(0, 1, 101)
     vals = EdgeBasis(4).eval(t)
     assert np.abs(vals).max() <= 1.0 + 1e-15
+
+
+def test_group_basis_and_projections_equal_one_cell_ones():
+    from wgmixed.mesh import generate_ring_mesh
+
+    mesh = generate_ring_mesh(16, 3)
+    ids = [c for c, loop in enumerate(mesh.cells) if loop.size == 5]
+    stack = mesh.vertices[np.array([mesh.cells[c] for c in ids])]
+    group = cell_basis(stack, 3)
+    stored = cell_basis(stack, 3, mesh.cell_centroids[ids], mesh.cell_axes[ids])
+    assert np.array_equal(group.center, stored.center) and np.array_equal(group.axes, stored.axes)
+    rule = polygon_rule(stack, 10, mesh.cell_centroids[ids])
+    x, y = rule.points[..., 0], rule.points[..., 1]
+    f = lambda x, y: np.stack([np.exp(x) * np.cos(3.0 * y), x * y], axis=-1)
+    coef = project_cell(stack, f, 3, basis=group, rule=rule)
+    assert coef.shape == (len(ids), 10, 2)
+    for g, c in enumerate(ids):
+        one = cell_basis(stack[g], 3)
+        assert np.array_equal(group[g].center, one.center)
+        assert np.array_equal(group[g].axes, one.axes)
+        assert np.array_equal(group.eval(x, y)[g], one.eval(x[g], y[g]))
+        assert np.array_equal(group.grad(x, y)[g], one.grad(x[g], y[g]))
+        single = project_cell(stack[g], f, 3, basis=one,
+                              rule=polygon_rule(stack[g], 10, mesh.cell_centroids[c]))
+        assert np.allclose(coef[g], single, rtol=1e-13, atol=1e-13 * np.abs(single).max())
+    ends = mesh.vertices[mesh.edges]
+    fe = lambda x, y: np.sin(x) + y ** 3
+    stacked = project_edge(ends[:, 0], ends[:, 1], fe, 2, 8)
+    for e in range(0, mesh.n_edges, 5):
+        single = project_edge(ends[e, 0], ends[e, 1], fe, 2, 8)
+        assert np.allclose(stacked[e], single, rtol=1e-13, atol=1e-13 * np.abs(single).max())

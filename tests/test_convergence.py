@@ -82,7 +82,7 @@ def test_project_exact_reproduces_polynomial_flux():
         V = ba.eval(pts[:, 0], pts[:, 1])
         got = np.stack([V @ w.interior(c)[0], V @ w.interior(c)[1]], axis=-1)
         assert np.allclose(got, u(pts[:, 0], pts[:, 1]), atol=1e-12)
-        assert pex[lay.pressure_slice(c)][0] == pytest.approx(4.0, rel=1e-13)
+        assert pex[lay.pressure_dofs(c)][0] == pytest.approx(4.0, rel=1e-13)
 
 
 def test_project_exact_boundary_traces_zero():

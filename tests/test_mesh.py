@@ -414,3 +414,36 @@ def test_mesh_reader_rejects_malformed_documents(corrupt):
     corrupt(doc)
     with pytest.raises(MeshError):
         mesh_from_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mesh_fn", [
+    lambda: generate_disk_mesh(16, 3),
+    lambda: generate_disk_mesh(64, 17),
+    lambda: generate_ring_mesh(16, 3),
+], ids=["disk_fixed3", "disk_split17", "ring_fixed3"])
+def test_quality_ratios_match_a_per_cell_loop(mesh_fn):
+    # the validator measures a group of same-size cells at a time
+    mesh = mesh_fn()
+    star, ratio = [], []
+    for c, loop in enumerate(mesh.cells):
+        pts, cen, hk = mesh.vertices[loop], mesh.cell_centroids[c], mesh.cell_diameters[c]
+        dist = []
+        for a, b in zip(pts, np.roll(pts, -1, axis=0)):
+            assert (a[0] - cen[0]) * (b[1] - cen[1]) - (a[1] - cen[1]) * (b[0] - cen[0]) > 0.0
+            t = min(max(float((cen - a) @ (b - a)) / float((b - a) @ (b - a)), 0.0), 1.0)
+            dist.append(math.hypot(*(cen - a - t * (b - a))))
+        star.append(min(dist) / hk)
+        ratio.append(mesh.edge_lengths[mesh.cell_edges[c]].max() / hk)
+    rep = validate_mesh(mesh)
+    assert rep.min_star_ratio == pytest.approx(min(star), rel=1e-14)
+    assert rep.min_edge_ratio == pytest.approx(min(ratio), rel=1e-14)
+    assert rep.passed and not rep.violations
+
+
+def test_validator_flags_cell_not_star_shaped():
+    # a chevron whose centroid (7/3, 2) lies outside it, beside a triangle
+    mesh = build_mesh([(0, 0), (4, 2), (0, 4), (3, 2), (2, -2)], [[1, 0, 4], [0, 1, 2, 3]])
+    rep = validate_mesh(mesh)
+    assert rep.min_star_ratio == 0.0 and not rep.checks["A1_star_shaped"]
+    assert [v for v in rep.violations if v.startswith("A1:")] == [
+        "A1: cell 1 is not star-shaped from its centroid"]

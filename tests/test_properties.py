@@ -1,0 +1,93 @@
+"""Properties of the grouped cell kernels on randomly perturbed disk meshes.
+
+The interior vertices of a disk mesh (split boundary chords included) move by
+up to 20% of the smallest diameter of the cells around them; the boundary
+vertices stay on the circle.  On every such mesh the WG interpolant of a
+[P_j]^2 field (cell projections, and edge projections of u . n_e on every
+edge, boundary edges included) has zero straight-mode stabilization, and the
+weak divergence commutes with the L2 projection onto P_j.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from wgmixed.assembly import (
+    DofLayout,
+    level_cells,
+    local_stabilization,
+    local_weak_divergence,
+    projection_order,
+)
+from wgmixed.basis import graded_lex_exponents, project_cell, project_edge
+from wgmixed.convergence import project_exact
+from wgmixed.mesh import build_mesh, circle_segment, generate_disk_mesh, validate_mesh
+
+
+def perturbed_disk(n, split, rng, fraction=0.2):
+    base = generate_disk_mesh(n, split)
+    on_boundary = np.zeros(base.n_vertices, dtype=bool)
+    on_boundary[base.edges[base.boundary_edge_indices].ravel()] = True
+    local_h = np.full(base.n_vertices, np.inf)
+    for c, loop in enumerate(base.cells):
+        local_h[loop] = np.minimum(local_h[loop], base.cell_diameters[c])
+    radius = fraction * local_h * np.sqrt(rng.uniform(size=base.n_vertices))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=base.n_vertices)
+    shift = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    verts = base.vertices + np.where(on_boundary[:, None], 0.0, shift)
+    return build_mesh(verts, base.cells, lambda p0, p1: circle_segment(p0, p1, (0.0, 0.0), 1.0),
+                      domain="disk")
+
+
+def polynomial_field(j, rng):
+    exps = graded_lex_exponents(j)
+    cu = rng.normal(size=(2, exps.shape[0]))
+    a, b = exps[:, 0], exps[:, 1]
+
+    def monomials(x, y, a=a, b=b):
+        return x[..., None] ** a * y[..., None] ** b
+
+    def u(x, y):
+        V = monomials(x, y)
+        return np.stack([V @ cu[0], V @ cu[1]], axis=-1)
+
+    def div_u(x, y):
+        dx = a * monomials(x, y, np.maximum(a - 1, 0), b)
+        dy = b * monomials(x, y, a, np.maximum(b - 1, 0))
+        return dx @ cu[0] + dy @ cu[1]
+
+    return u, div_u
+
+
+def wg_interpolant(mesh, layout, u):
+    """Projections of u on the cells and of u . n_e on every edge."""
+    w, _ = project_exact(mesh, u, lambda x, y: np.zeros_like(x), layout)
+    bidx = mesh.boundary_edge_indices
+    n_e = mesh.edge_normals[bidx]
+    ends = mesh.vertices[mesh.edges[bidx]]
+    w.coeffs[layout.trace_offsets[bidx][:, None] + np.arange(layout.trace_dim)] = project_edge(
+        ends[:, 0], ends[:, 1], lambda x, y: np.einsum("eqc,ec->eq", u(x, y), n_e),
+        layout.beta, projection_order(layout.alpha))
+    return w.coeffs
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(1, 3), n=st.sampled_from([8, 12, 16]),
+       split=st.sampled_from([1, 3]))
+def test_grouped_kernels_on_perturbed_disks(seed, j, n, split):
+    rng = np.random.default_rng(seed)
+    mesh = perturbed_disk(n, split, rng)
+    assume(not any(v.startswith("A1:") for v in validate_mesh(mesh).violations))
+    layout = DofLayout(mesh, j, j, j - 1, include_boundary_traces=True)
+    u, div_u = polynomial_field(j, rng)
+    coeffs = wg_interpolant(mesh, layout, u)
+    for group in level_cells(mesh, layout):
+        x = coeffs[layout.local_dofs(group.ids)]
+        S = local_stabilization(group, "straight")
+        energy = np.einsum("gi,gij,gj->", x, S, x)
+        assert energy <= 1e-12 * np.einsum("gi,gij,gj->", np.abs(x), np.abs(S), np.abs(x))
+
+        got = np.einsum("gij,gj->gi", local_weak_divergence(group), x)
+        expect = project_cell(group.vertices, div_u, layout.beta, basis=group.basis,
+                              rule=group.proj_rule)
+        assert np.abs(got - expect).max() <= 1e-10 * max(1.0, np.abs(expect).max())

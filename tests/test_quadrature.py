@@ -240,3 +240,34 @@ def test_edge_rule_point_count_and_zero_length():
         assert w.sum() == pytest.approx(np.hypot(2, 1), rel=1e-14)
     with pytest.raises(MalformedEdgeError):
         edge_rule((1.0, 1.0), (1.0, 1.0), 2)
+
+
+def test_stacked_rules_equal_one_loop_rules():
+    # a group of same-size loops, or a stack of edges, gets each entry's own numbers
+    from wgmixed.mesh import generate_disk_mesh
+
+    mesh = generate_disk_mesh(16, 5)
+    ids = [c for c, loop in enumerate(mesh.cells) if loop.size == 7]
+    stack = mesh.vertices[np.array([mesh.cells[c] for c in ids])]
+    rule = polygon_rule(stack, 6, mesh.cell_centroids[ids])
+    areas = polygon_area(stack)
+    assert rule.points.shape == (len(ids), 7 * 16, 2) and areas.shape == (len(ids),)
+    for g, c in enumerate(ids):
+        one = polygon_rule(stack[g], 6, mesh.cell_centroids[c])
+        assert np.array_equal(rule.points[g], one.points)
+        assert np.array_equal(rule.weights[g], one.weights)
+        assert areas[g] == polygon_moments(stack[g])[0] == mesh.cell_areas[c]
+    ends = mesh.vertices[mesh.edges]
+    pts, w, t = edge_rule(ends[:, 0], ends[:, 1], 5)
+    for e in range(0, mesh.n_edges, 7):
+        one = edge_rule(ends[e, 0], ends[e, 1], 5)
+        assert np.array_equal(pts[e], one[0]) and np.array_equal(w[e], one[1])
+    # one clockwise loop in a stack rejects the whole stack
+    bad = stack.copy()
+    bad[3] = bad[3][::-1]
+    with pytest.raises(MalformedCellError):
+        polygon_rule(bad, 2, mesh.cell_centroids[ids])
+    collapsed = ends.copy()
+    collapsed[5, 1] = collapsed[5, 0]
+    with pytest.raises(MalformedEdgeError):
+        edge_rule(collapsed[:, 0], collapsed[:, 1], 2)
