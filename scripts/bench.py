@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Time one level of each bench case and write bench/BENCH_<label>.json.
+
+Each case runs one refinement level through `run_level` in a fresh
+interpreter, so the peak resident memory it reports (`ru_maxrss`) is that
+level's own.  The record of a case holds the level's stage seconds
+(`StudyRow.stages`), its unknowns, residual and solver diagnostics, the peak
+memory and the git revision of the wgmixed checkout that was imported.
+
+    PYTHONPATH=src python scripts/bench.py --label after
+    PYTHONPATH=<other checkout>/src python scripts/bench.py --label before
+    PYTHONPATH=src python scripts/bench.py --case ring-original-j1-n384
+
+`--case` runs one case in this process and prints its record.  A checkout
+whose `StudyRow` has no `diagnostics` gives an empty `diagnostics` record.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (domain, scheme, degree, n, split rule)
+CASES = {
+    "disk-original-j1-n256": ("disk", "original", 1, 256, "none"),
+    "disk-modified-j2-n128-split": ("disk", "modified", 2, 128, "modified"),
+    "ring-original-j1-n384": ("ring", "original", 1, 384, "none"),
+    "square-original-j2-n32": ("square", "original", 2, 32, "none"),
+    "disk-modified-j4-n72-split": ("disk", "modified", 4, 72, "modified"),
+}
+
+
+def git_revision(path: Path) -> str | None:
+    proc = subprocess.run(["git", "-C", str(path), "describe", "--always", "--dirty"],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return proc.stdout.strip() or None
+
+
+def run_case(name: str) -> dict:
+    import wgmixed
+    from wgmixed.convergence import StudyConfig, run_level
+
+    domain, scheme, degree, n, split_rule = CASES[name]
+    config = StudyConfig(domain, scheme, degree, (n,), split_rule=split_rule)
+    t0 = time.perf_counter()
+    row, _ = run_level(config, n)
+    wall = time.perf_counter() - t0
+    return {
+        "case": name,
+        "domain": domain, "scheme": scheme, "degree": degree, "n": n,
+        "split_rule": split_rule, "split": row.split,
+        "dofs": row.dofs,
+        "residual": row.residual,
+        "level_s": wall,
+        "stages": row.stages,
+        "diagnostics": getattr(row, "diagnostics", {}),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "revision": git_revision(Path(wgmixed.__file__).resolve().parent),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", default="local")
+    parser.add_argument("--case", choices=list(CASES))
+    args = parser.parse_args(argv)
+    if args.case:
+        print(json.dumps(run_case(args.case)))
+        return 0
+
+    records = []
+    for name in CASES:
+        proc = subprocess.run([sys.executable, __file__, "--case", name],
+                              stdout=subprocess.PIPE, text=True, check=True)
+        record = json.loads(proc.stdout.strip().splitlines()[-1])
+        print(f"{name:30s} dofs={record['dofs']:>8d} level={record['level_s']:7.2f} s "
+              f"solve={record['stages']['solve']:7.2f} s rss={record['peak_rss_mb']:7.1f} MB")
+        records.append(record)
+    out = ROOT / "bench" / f"BENCH_{args.label}.json"
+    out.parent.mkdir(exist_ok=True)
+    bench = {"label": args.label, "python": platform.python_version(),
+             "numpy": numpy.__version__, "scipy": scipy.__version__,
+             "machine": f"{platform.machine()}, {os.cpu_count()} cpus", "cases": records}
+    out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    print(f"-> {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,6 +44,12 @@ from .quadrature import (
 )
 from .basis import CellBasis, EdgeBasis, project_cell, project_edge
 from .solutions import ExactSolutionCase, registry_lookup
-from .solver import SingularSystemError, Solution, SolverFailure, solve_saddle
+from .solver import (
+    InteriorCouplingError,
+    SingularSystemError,
+    Solution,
+    SolverFailure,
+    solve_saddle,
+)
 
 __version__ = "0.1.0"

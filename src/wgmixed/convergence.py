@@ -16,7 +16,8 @@ projection read them a group at a time, and they are released before the
 solve.  The four error norms are quadratic forms in matrices the assembly
 already returned: the flux-norm matrix of each normal mode and the diagonal
 blocks of the interior-flux and pressure mass matrices.  `run_level` records
-the seconds of each stage in `StudyRow.stages`.
+the seconds of each stage in `StudyRow.stages` and the solve's diagnostics
+(condensed size, LU fill, residuals) in `StudyRow.diagnostics`.
 """
 
 from __future__ import annotations
@@ -178,6 +179,7 @@ class StudyRow:
     residual: float
     err_u_l2: float = float("nan")  # diagnostic, not part of the CSV format
     stages: dict = field(default_factory=dict, compare=False)  # seconds per step, not in the CSV
+    diagnostics: dict = field(default_factory=dict, compare=False)  # the solve's, not in the CSV
 
 
 @dataclass
@@ -242,7 +244,8 @@ def run_level(config: StudyConfig, n: int):
     """Build, assemble, solve, and measure one refinement level.
 
     The row's `stages` holds the seconds of each step: mesh, validate, cells,
-    assemble, rhs, project, solve and norms.
+    assemble, rhs, project, solve and norms; its `diagnostics` are the
+    solve's `Solution.diagnostics`.
     """
     marks = [time.perf_counter()]
     stages = {}
@@ -287,7 +290,7 @@ def run_level(config: StudyConfig, n: int):
     row = StudyRow(n=n, split=split, h=mesh.h, s=mesh.s, dofs=layout.n_dofs,
                    err_u_vh=err_vh, err_u_vh1=err_vh1, err_p=err_p,
                    seconds=marks[-1] - marks[0], residual=sol.residual, err_u_l2=err_l2,
-                   stages=stages)
+                   stages=stages, diagnostics=sol.diagnostics)
     return row, report
 
 

@@ -266,16 +266,18 @@ def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> Po
         raise MeshError("mesh contains a zero-length edge")
     edge_normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
 
-    boundary_segments: dict[int, CurvedSegment] = {}
-    s = 0.0
-    for e in np.where(edge_cells[:, 1] < 0)[0]:
-        p0, p1 = verts[edges[e, 0]], verts[edges[e, 1]]
-        seg = flat_segment(p0, p1) if curve_lookup is None else curve_lookup(p0, p1)
-        if not (np.allclose(seg.start, p0, atol=1e-12 * scale)
-                and np.allclose(seg.end, p1, atol=1e-12 * scale)):
+    bidx = np.flatnonzero(edge_cells[:, 1] < 0)
+    chords = verts[edges[bidx]]                       # (boundary edges, 2 endpoints, 2)
+    lookup = flat_segment if curve_lookup is None else curve_lookup
+    segments = [lookup(p0, p1) for p0, p1 in chords]
+    if segments:
+        ends = np.array([(seg.start, seg.end) for seg in segments])
+        off = ~np.isclose(ends, chords, rtol=0.0, atol=1e-12 * scale).all(axis=(1, 2))
+        if off.any():
+            e = bidx[np.argmax(off)]
             raise MeshError(f"curved segment for edge {e} does not match chord endpoints")
-        boundary_segments[int(e)] = seg
-        s = max(s, float(lengths[e]))
+    boundary_segments = dict(zip(bidx.tolist(), segments))
+    s = float(lengths[bidx].max(initial=0.0))
 
     h = float(diams.max())
     if s > h * (1.0 + 1e-12):

@@ -310,6 +310,27 @@ def test_builder_rejects_degenerate_and_inconsistent():
         build_mesh([(0, 0), (1, 0), (1, 1)], [[0, 2, 1]])
 
 
+def test_builder_rejects_segment_off_its_chord():
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    cells = [[0, 1, 2], [0, 2, 3]]
+    plain = build_mesh(verts, cells)
+    index = {tuple(sorted(map(int, plain.edges[e]))): int(e) for e in plain.boundary_edge_indices}
+
+    def lookup_moving(dy):
+        # the segments of the two boundary edges at corner (1, 1) end dy above their chords
+        def lookup(p0, p1):
+            if (1.0, 1.0) in (tuple(p0), tuple(p1)):
+                return flat_segment(p0, np.asarray(p1) + (0.0, dy))
+            return flat_segment(p0, p1)
+        return lookup
+
+    first = min(index[(1, 2)], index[(2, 3)])   # the first offending edge is named
+    with pytest.raises(MeshError, match=rf"segment for edge {first} does not match chord"):
+        build_mesh(verts, cells, curve_lookup=lookup_moving(1e-9))
+    ok = build_mesh(verts, cells, curve_lookup=lookup_moving(0.5e-12))
+    assert sorted(ok.boundary_segments) == sorted(index.values())
+
+
 def test_validate_rejects_hacked_zero_area_cell():
     m = generate_square_tri(2)
     verts = m.vertices.copy()
