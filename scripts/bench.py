@@ -39,6 +39,7 @@ CASES = {
     "ring-original-j1-n384": ("ring", "original", 1, 384, "none"),
     "square-original-j2-n32": ("square", "original", 2, 32, "none"),
     "disk-modified-j4-n72-split": ("disk", "modified", 4, 72, "modified"),
+    "disk-original-j2-n64-split": ("disk", "original", 2, 64, "original"),
 }
 
 

@@ -21,6 +21,7 @@ from .convergence import (
     vh_norm,
 )
 from .mesh import (
+    BoundaryCurves,
     CurvedSegment,
     MeshError,
     MeshQualityReport,

@@ -120,7 +120,7 @@ class DofLayout:
         An array of cells with one vertex count gives one row per cell.
         """
         c = np.asarray(cells)
-        edges = np.array([self.mesh.cell_edges[i] for i in c.ravel()]).reshape(c.shape + (-1,))
+        edges = self.mesh.cell_arrays(c)[1]
         off = self.trace_offsets[edges][..., None]
         traces = np.where(off >= 0, off + np.arange(self.trace_dim), -1)
         inner = self.interior_offsets[c][..., None] + np.arange(2 * self.dim_alpha)
@@ -173,9 +173,8 @@ class CellGroup:
         self.layout = layout
         self.ids = np.asarray(ids, dtype=np.int64)
         self.order = default_order(layout.alpha, layout.beta) if order is None else order
-        self.vertices = mesh.vertices[np.array([mesh.cells[c] for c in self.ids])]
-        self.edges = np.array([mesh.cell_edges[c] for c in self.ids])
-        self.signs = np.array([mesh.cell_edge_signs[c] for c in self.ids])
+        loops, self.edges, self.signs = mesh.cell_arrays(self.ids)
+        self.vertices = mesh.vertices[loops]
         self.boundary = mesh.edge_cells[self.edges, 1] < 0
         self.center = mesh.cell_centroids[self.ids]
         self.basis = cell_basis(self.vertices, layout.alpha, self.center, mesh.cell_axes[self.ids])
@@ -222,25 +221,29 @@ class CellGroup:
         off = self.n_int + k * self.layout.trace_dim
         return slice(off, off + self.layout.trace_dim)
 
-    def normals(self, mode: str):
+    def normals(self, mode: str, rows=slice(None)):
         """Stabilization normal m (G, m, q, 2) and n_e . m (G, m, q) on each edge point.
 
-        Straight mode uses the cell outward normal; curved mode replaces it on
-        boundary edges by the analytic-curve normal pulled back to the chord.
+        `rows` selects cells of the group (all by default).  Straight mode uses
+        the cell outward normal; curved mode replaces it on boundary edges by
+        the analytic-curve normal pulled back to the chord.
         """
-        n_edge = self.mesh.edge_normals[self.edges]
+        edges, signs, boundary = self.edges[rows], self.signs[rows], self.boundary[rows]
+        n_edge = self.mesh.edge_normals[edges]
         t = self.edge_quad[2]
-        m_vec = np.repeat((self.signs[..., None] * n_edge)[:, :, None, :], t.size, axis=2)
-        ne_dot_m = np.repeat(self.signs[..., None].astype(float), t.size, axis=2)
-        if mode == "curved" and self.boundary.any():
-            edges = self.edges[self.boundary]
-            segments = [self.mesh.boundary_segments.get(int(e)) for e in edges]
-            if None in segments:
-                e = edges[segments.index(None)]
-                raise ConfigurationError(f"edge {e}: curved stabilization requires a CurvedSegment")
-            ntilde = segment_geometry(segments, self.mesh.edge_lengths[edges][:, None] * t)[2]
-            m_vec[self.boundary] = ntilde
-            ne_dot_m[self.boundary] = np.einsum("sqc,sc->sq", ntilde, n_edge[self.boundary])
+        m_vec = np.repeat((signs[..., None] * n_edge)[:, :, None, :], t.size, axis=2)
+        ne_dot_m = np.repeat(signs[..., None].astype(float), t.size, axis=2)
+        if mode == "curved" and boundary.any():
+            bedges = edges[boundary]
+            curves = self.mesh.boundary_segments
+            k = curves.rows(bedges)
+            if np.any(k < 0):
+                raise ConfigurationError(
+                    f"edge {bedges[np.argmin(k)]}: curved stabilization requires its curve")
+            ntilde = segment_geometry(curves.take(k),
+                                      self.mesh.edge_lengths[bedges][:, None] * t)[2]
+            m_vec[boundary] = ntilde
+            ne_dot_m[boundary] = np.einsum("sqc,sc->sq", ntilde, n_edge[boundary])
         return m_vec, ne_dot_m
 
 
@@ -283,25 +286,28 @@ def local_weak_divergence(cells: CellGroup) -> np.ndarray:
     return cells._result(np.linalg.solve(cells.mass, N))
 
 
-def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1.0) -> np.ndarray:
+def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1.0,
+                        rows=slice(None)) -> np.ndarray:
     """Quadratic forms rho/h_K sum_e int_e ((u_0-u_b).m)((v_0-v_b).m) ds.
 
     mode="straight" uses the cell outward normal on every edge; mode="curved"
     replaces it on boundary edges by the analytic-curve normal pulled back to
-    the chord (interior edges keep the straight normal).
+    the chord (interior edges keep the straight normal).  `rows` (a mask or
+    indices) stabilizes only those cells of the group.
     """
     if mode not in ("straight", "curved"):
         raise ValueError(f"unknown normal mode '{mode}'")
-    m_vec, ne_dot_m = cells.normals(mode)
+    m_vec, ne_dot_m = cells.normals(mode, rows)
     _, w, t = cells.edge_quad
+    w, Ve = w[rows], cells.Ve[rows]
     G, m, q = w.shape
     traces = np.zeros((G, m, q, m, cells.layout.trace_dim))
     own = -cells.edge_basis.eval(t) * ne_dot_m[..., None]   # each edge's own trace block
     traces[:, np.arange(m), :, np.arange(m)] = np.swapaxes(own, 0, 1)
-    R = np.concatenate([cells.Ve * m_vec[..., 0:1], cells.Ve * m_vec[..., 1:2],
+    R = np.concatenate([Ve * m_vec[..., 0:1], Ve * m_vec[..., 1:2],
                         traces.reshape(G, m, q, -1)], axis=-1).reshape(G, m * q, -1)
     S = np.swapaxes(R, 1, 2) @ (w.reshape(G, -1, 1) * R)
-    return cells._result((rho / cells.mesh.cell_diameters[cells.ids])[:, None, None] * S)
+    return cells._result((rho / cells.mesh.cell_diameters[cells.ids[rows]])[:, None, None] * S)
 
 
 def local_pressure_coupling(cells: CellGroup) -> np.ndarray:
@@ -460,8 +466,8 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
 
         A_loc = local_stabilization(group, mode=mode, rho=rho)
         if bd.any():
-            S_other = local_stabilization(group, mode=other, rho=rho)
-            delta_build.add(idx[bd], idx[bd], S_other[bd] - A_loc[bd])
+            S_other = local_stabilization(group, mode=other, rho=rho, rows=bd)
+            delta_build.add(idx[bd], idx[bd], S_other - A_loc[bd])
         A_loc[:, :group.n_int, :group.n_int] += local_mass(group)
         a_build.add(idx, idx, A_loc)
         flux_mass[group.ids] = group.mass

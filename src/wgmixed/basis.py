@@ -34,7 +34,6 @@ oriented) edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,29 +54,32 @@ def graded_lex_exponents(degree: int) -> np.ndarray:
     )
 
 
-def cell_diameter(vertices) -> float:
+def cell_diameter(vertices):
+    """Largest vertex distance of an (m, 2) loop, or of each loop in a (..., m, 2) stack."""
     v = np.asarray(vertices, dtype=float)
-    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.max()))
+    d2 = ((v[..., :, None, :] - v[..., None, :, :]) ** 2).sum(axis=-1)
+    return np.sqrt(d2.max(axis=(-2, -1)))[()]
 
 
 def moment_axes(moments) -> np.ndarray:
     """Map sending x - centroid to unit-covariance coordinates, from the
     second moments (sxx, syy, sxy) that `polygon_moments` returns.
 
-    The rows are the principal axes of the second-moment (inertia) tensor,
-    each divided by the square root of its eigenvalue; the 2x2 eigenproblem
-    is solved analytically.
+    `moments` is (3,) for one cell or (..., 3) for a stack, giving (2, 2) or
+    (..., 2, 2).  The rows are the principal axes of the second-moment
+    (inertia) tensor, each divided by the square root of its eigenvalue; the
+    2x2 eigenproblem is solved analytically.
     """
-    sxx, syy, sxy = moments
-    big = 0.5 * (sxx + syy) + math.hypot(0.5 * (sxx - syy), sxy)
+    sxx, syy, sxy = np.moveaxis(np.asarray(moments, dtype=float), -1, 0)
+    big = 0.5 * (sxx + syy) + np.hypot(0.5 * (sxx - syy), sxy)
     small = (sxx * syy - sxy * sxy) / big
-    if not small > 0.0:
+    if not np.all(small > 0.0):
         raise MalformedCellError("polygon has a degenerate second-moment tensor")
-    theta = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
-    cos, sin = math.cos(theta), math.sin(theta)
-    rb, rs = 1.0 / math.sqrt(big), 1.0 / math.sqrt(small)
-    return np.array([[rb * cos, rb * sin], [-rs * sin, rs * cos]])
+    theta = 0.5 * np.arctan2(2.0 * sxy, sxx - syy)
+    cos, sin = np.cos(theta), np.sin(theta)
+    rb, rs = 1.0 / np.sqrt(big), 1.0 / np.sqrt(small)
+    return np.stack([np.stack([rb * cos, rb * sin], axis=-1),
+                     np.stack([-rs * sin, rs * cos], axis=-1)], axis=-2)
 
 
 def principal_axes(vertices) -> np.ndarray:
@@ -149,10 +151,8 @@ def cell_basis(vertices, degree: int, center=None, axes=None) -> CellBasis:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if center is None or axes is None:
-        v = np.asarray(vertices, dtype=float)
-        moments = [polygon_moments(loop) for loop in v.reshape(-1, *v.shape[-2:])]
-        center = np.reshape([m[1] for m in moments], v.shape[:-2] + (2,))
-        axes = np.reshape([moment_axes(m[2]) for m in moments], v.shape[:-2] + (2, 2))
+        _, center, moments = polygon_moments(vertices)
+        axes = moment_axes(moments)
     return CellBasis(degree=degree, center=np.asarray(center, dtype=float),
                      axes=np.asarray(axes, dtype=float), exponents=graded_lex_exponents(degree))
 

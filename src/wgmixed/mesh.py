@@ -5,24 +5,36 @@ mesh-quality validation, and a plain-text mesh file format.
 Conventions: cells are CCW vertex loops.  Each edge stores its endpoints in
 the CCW traversal order of the *owning* cell (the lower-indexed adjacent
 cell); the prescribed edge normal n_e is that cell's outward unit normal.
-Boundary edges have exactly one adjacent cell and carry a CurvedSegment
+Boundary edges have exactly one adjacent cell and carry curve data
 (possibly flat).  Meshes are immutable after construction.
 
-The mesh owns its geometry: `build_mesh` makes one `polygon_moments` pass per
-cell and stores each cell's area, centroid, diameter and principal axes
-(`basis.moment_axes`, equal bit for bit to what `cell_basis` computes), and
-it stores every edge's length and normal.  The assembly and `validate_mesh`
-read these arrays, a group of cells with one vertex count at a time
-(`cell_groups`), and `segment_geometry` evaluates many boundary segments at
-once.  The disk and ring generators place the corner vertices before they
-subdivide the boundary chords, so a split law that depends on the mesh size
-is decided from the corner loops, inside one generator call.
+A mesh is built in stacked numpy passes, never one cell or one boundary edge
+at a time.  `build_mesh` groups the cells by vertex count and stores each
+group's loops, edge ids and edge signs as (G, m) arrays (`CellLoops`, in
+`groups`); `cells`, `cell_edges` and `cell_edge_signs` are per-cell views of
+them.  It makes one `polygon_moments` and `cell_diameter` pass per group
+and one `moment_axes` pass over all cells, and stores each cell's area,
+centroid, diameter and principal axes (equal bit for bit to what
+`cell_basis` computes for the cell alone), and every edge's length and
+normal.  The edges are numbered in
+order of first appearance by one `np.unique` over the vertex-pair keys of
+all half-edges.  The curve lookup is called once with every boundary chord
+and returns `BoundaryCurves`, arrays of centers, radii and sides that
+`segment_geometry` evaluates on many chords at once; a single chord's
+`CurvedSegment` is a row of it.  The assembly and `validate_mesh` read the
+stored arrays, a group at a time.  The disk and ring generators place the
+corner vertices before they subdivide the boundary chords, so a split law
+that depends on the mesh size is decided from the corner loops, inside one
+generator call.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,45 +75,86 @@ class CurvedSegment:
         d = self.end - self.start
         return float(np.hypot(d[0], d[1]))
 
-    @property
-    def tangent(self) -> np.ndarray:
-        return (self.end - self.start) / self.chord_length
-
-    @property
-    def chord_normal(self) -> np.ndarray:
-        t = self.tangent
-        return np.array([t[1], -t[0]])
-
     def geometry(self, xhat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized (foot points, gaps, curve normals) at chord abscissae."""
         xh = np.atleast_1d(np.asarray(xhat, dtype=float))
-        foot, gamma, ntilde = segment_geometry([self], xh[None, :])
+        center = np.zeros(2) if self.center is None else np.asarray(self.center, dtype=float)
+        one = BoundaryCurves(np.zeros(1, dtype=np.int64), np.asarray(self.start, float)[None],
+                             np.asarray(self.end, float)[None],
+                             np.array([self.curve_id != "flat"]), center[None],
+                             np.array([self.radius], dtype=float), np.array([self.side]))
+        foot, gamma, ntilde = segment_geometry(one, xh[None, :])
         return foot[0], gamma[0], ntilde[0]
 
 
-def segment_geometry(segments, xhat):
-    """Foot points (S, q, 2), gaps (S, q) and curve normals (S, q, 2) on S segments.
+@dataclass(frozen=True, eq=False)
+class BoundaryCurves(Mapping):
+    """Curve data of a stack of B boundary chords, one row per chord.
 
-    Row s of `xhat` (S, q) holds chord abscissae on segment s, which must lie
-    in [0, its chord length].
+    Row k maps the chord start[k] -> end[k] onto the arc of the circle about
+    center[k] with radius[k] where arc[k] holds, and onto itself (a flat
+    segment) elsewhere; side[k] is the `CurvedSegment` side.  As a mapping it
+    sends edge id edges[k] (ascending) to the `CurvedSegment` of row k.
+    """
+
+    edges: np.ndarray      # (B,) edge ids, ascending
+    start: np.ndarray      # (B, 2)
+    end: np.ndarray        # (B, 2)
+    arc: np.ndarray        # (B,) bool
+    center: np.ndarray     # (B, 2), zero on flat rows
+    radius: np.ndarray     # (B,), zero on flat rows
+    side: np.ndarray       # (B,) +1 or -1
+
+    def rows(self, edges) -> np.ndarray:
+        """Row of each edge id in `edges`, -1 where the edge has no curve."""
+        e = np.asarray(edges, dtype=np.int64)
+        if self.edges.size == 0:
+            return np.full(e.shape, -1, dtype=np.int64)
+        k = np.minimum(np.searchsorted(self.edges, e), self.edges.size - 1)
+        return np.where(self.edges[k] == e, k, -1)
+
+    def take(self, rows) -> "BoundaryCurves":
+        """The curves of rows `rows`, in that order."""
+        return BoundaryCurves(*(getattr(self, f.name)[rows] for f in dataclasses.fields(self)))
+
+    def __getitem__(self, e) -> CurvedSegment:
+        k = int(self.rows(e))
+        if k < 0:
+            raise KeyError(e)
+        if not self.arc[k]:
+            return CurvedSegment("flat", self.start[k], self.end[k])
+        return CurvedSegment("circle", self.start[k], self.end[k], self.center[k],
+                             float(self.radius[k]), int(self.side[k]))
+
+    def __iter__(self):
+        return iter(self.edges.tolist())
+
+    def __len__(self) -> int:
+        return self.edges.size
+
+
+def segment_geometry(curves: BoundaryCurves, xhat):
+    """Foot points (B, q, 2), gaps (B, q) and curve normals (B, q, 2) on B chords.
+
+    Row k of `xhat` (B, q) holds abscissae on the chord of row k of `curves`,
+    which must lie in [0, its length].
     """
     xh = np.asarray(xhat, dtype=float)
-    d = np.array([seg.end - seg.start for seg in segments])
+    d = curves.end - curves.start
     L = np.hypot(d[:, 0], d[:, 1])[:, None]
     outside = np.flatnonzero(((xh < -1e-12 * L) | (xh > L * (1.0 + 1e-12))).any(axis=1))
     if outside.size:
         raise ValueError(f"abscissa outside [0, {L[outside[0], 0]}]")
     tangent = d / L
     n_e = np.column_stack([tangent[:, 1], -tangent[:, 0]])[:, None, :]
-    start = np.array([seg.start for seg in segments])
-    foot = start[:, None, :] + xh[..., None] * tangent[:, None, :]
+    foot = curves.start[:, None, :] + xh[..., None] * tangent[:, None, :]
     gamma = np.zeros_like(xh)
     ntilde = np.repeat(n_e, xh.shape[1], axis=1)
-    arcs = np.flatnonzero([seg.curve_id != "flat" for seg in segments])
+    arcs = np.flatnonzero(curves.arc)
     if arcs.size:
-        center = np.array([segments[i].center for i in arcs])[:, None, :]
-        radius = np.array([segments[i].radius for i in arcs])[:, None]
-        side = np.array([segments[i].side for i in arcs])[:, None, None]
+        center = curves.center[arcs][:, None, :]
+        radius = curves.radius[arcs][:, None]
+        side = curves.side[arcs][:, None, None]
         yhat = side * n_e[arcs]
         w = foot[arcs] - center
         wy = (w * yhat).sum(axis=-1)
@@ -112,22 +165,43 @@ def segment_geometry(segments, xhat):
     return foot, gamma, ntilde
 
 
+def circle_curves(chords, center, radius, arc=True) -> BoundaryCurves:
+    """Curves of B chords (B, 2, 2) on circles; rows where `arc` is False are flat.
+
+    `center` ((2,) or (B, 2)), `radius` and `arc` (scalars or (B,)) give each
+    chord's circle.  Both ends of an arc must lie on its circle; the arc side
+    is inferred from the chord midpoint.  Row k is edge k.
+    """
+    ch = np.asarray(chords, dtype=float).reshape(-1, 2, 2)
+    B = ch.shape[0]
+    arc = np.broadcast_to(np.asarray(arc, dtype=bool), (B,))
+    center = np.where(arc[:, None], np.asarray(center, dtype=float), 0.0)
+    radius = np.where(arc, np.asarray(radius, dtype=float), 0.0)
+    r = ch - center[:, None, :]
+    off = arc[:, None] & (np.abs(np.hypot(r[..., 0], r[..., 1]) - radius[:, None])
+                          > ON_CURVE_TOL * np.maximum(radius, 1.0)[:, None])
+    if off.any():
+        k, i = np.argwhere(off)[0]
+        raise MeshError(f"chord endpoint {ch[k, i]} not on circle (r={radius[k]})")
+    d = ch[:, 1] - ch[:, 0]
+    t = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+    w = 0.5 * (ch[:, 0] + ch[:, 1]) - center
+    side = np.where(arc & ~(w[:, 0] * t[:, 1] - w[:, 1] * t[:, 0] >= 0.0), -1, 1)
+    return BoundaryCurves(np.arange(B), ch[:, 0], ch[:, 1], arc.copy(), center, radius, side)
+
+
+def flat_curves(chords) -> BoundaryCurves:
+    """Flat curves of B chords (B, 2, 2); row k is edge k."""
+    return circle_curves(chords, (0.0, 0.0), 0.0, arc=False)
+
+
 def flat_segment(start, end) -> CurvedSegment:
-    return CurvedSegment("flat", np.asarray(start, float), np.asarray(end, float))
+    return flat_curves([[start, end]])[0]
 
 
 def circle_segment(start, end, center, radius: float) -> CurvedSegment:
     """Chord of a circle; the arc side is inferred from the chord midpoint."""
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    center = np.asarray(center, dtype=float)
-    for p in (start, end):
-        if abs(np.hypot(*(p - center)) - radius) > ON_CURVE_TOL * max(radius, 1.0):
-            raise MeshError(f"chord endpoint {p} not on circle (r={radius})")
-    seg = CurvedSegment("circle", start, end, center, radius, side=1)
-    mid = 0.5 * (start + end)
-    side = 1 if float((mid - center) @ seg.chord_normal) >= 0.0 else -1
-    return CurvedSegment("circle", start, end, center, radius, side=side)
+    return circle_curves([[start, end]], center, radius)[0]
 
 
 def curved_geometry(segment: CurvedSegment, xhat):
@@ -145,19 +219,48 @@ def curved_geometry(segment: CurvedSegment, xhat):
 # mesh container and builder
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class CellLoops:
+    """The cells of one vertex count m, stacked with the group axis first."""
+
+    ids: np.ndarray        # (G,) cell ids, ascending
+    loops: np.ndarray      # (G, m) CCW vertex loops
+    edges: np.ndarray      # (G, m) edge ids in traversal order
+    signs: np.ndarray      # (G, m) +1 where the cell owns the edge, else -1
+
+
+class _CellRows(Sequence):
+    """Per-cell view of one array of a mesh's groups: item c is cell c's row."""
+
+    def __init__(self, mesh: "PolygonalMesh", name: str):
+        self._arrays = [getattr(g, name) for g in mesh.groups]
+        self._slots = mesh.cell_slots
+
+    def __len__(self) -> int:
+        return self._slots.shape[0]
+
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return [self[i] for i in range(*c.indices(len(self)))]
+        g, r = self._slots[c]
+        return self._arrays[g][r]
+
+    def __iter__(self):
+        return (self._arrays[g][r] for g, r in self._slots.tolist())
+
+
 @dataclass
 class PolygonalMesh:
     """Immutable polygonal mesh with adjacency, edge normals and curve data."""
 
     vertices: np.ndarray          # (nv, 2)
-    cells: list                   # CCW vertex loops, int arrays
+    groups: tuple                 # CellLoops per vertex count, fewest vertices first
+    cell_slots: np.ndarray        # (nc, 2): each cell's group and row in it
     edges: np.ndarray             # (ne, 2), endpoints in owner's CCW order
     edge_cells: np.ndarray        # (ne, 2), [owner, neighbor or -1]
     edge_normals: np.ndarray      # (ne, 2), owner's outward normal n_e
     edge_lengths: np.ndarray      # (ne,)
-    cell_edges: list              # per cell: edge ids in traversal order
-    cell_edge_signs: list         # per cell: +1 if owner else -1
-    boundary_segments: dict       # boundary edge id -> CurvedSegment
+    boundary_segments: BoundaryCurves   # rows for the boundary edges
     cell_areas: np.ndarray
     cell_centroids: np.ndarray
     cell_diameters: np.ndarray
@@ -167,12 +270,27 @@ class PolygonalMesh:
     domain: str = "custom"
 
     @property
+    def cells(self) -> Sequence:
+        """CCW vertex loop of each cell."""
+        return _CellRows(self, "loops")
+
+    @property
+    def cell_edges(self) -> Sequence:
+        """Edge ids of each cell, in traversal order."""
+        return _CellRows(self, "edges")
+
+    @property
+    def cell_edge_signs(self) -> Sequence:
+        """Per cell: +1 where the cell owns the edge, else -1."""
+        return _CellRows(self, "signs")
+
+    @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return self.cell_slots.shape[0]
 
     @property
     def n_edges(self) -> int:
@@ -193,108 +311,158 @@ class PolygonalMesh:
 
     def cell_groups(self) -> list:
         """Cell ids grouped by vertex count, fewest vertices first."""
-        sizes = np.array([loop.size for loop in self.cells])
-        return [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
+        return [g.ids for g in self.groups]
+
+    def cell_arrays(self, cells):
+        """Loops, edge ids and edge signs of `cells`, all of one vertex count.
+
+        One cell id gives (m,) rows; an array of ids gives one row per id.
+        """
+        slots = self.cell_slots[np.asarray(cells)]
+        g = np.unique(slots[..., 0])
+        if g.size != 1:
+            raise ValueError("cells of different vertex counts do not stack")
+        group, r = self.groups[g[0]], slots[..., 1]
+        return group.loops[r], group.edges[r], group.signs[r]
 
 
 def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> PolygonalMesh:
-    """Derive edges, adjacency, and normals from CCW cell loops.
+    """Derive edges, adjacency, normals and cell geometry from CCW cell loops.
 
-    curve_lookup(p0, p1) -> CurvedSegment is consulted for each boundary edge
-    with the stored (owner-CCW) endpoints; default is a flat segment.
+    `cells` is a sequence of vertex loops, or an (nc, m) integer array of
+    loops padded at the end of each row with -1 where a loop has fewer than
+    m vertices.  curve_lookup(ends, chords) -> BoundaryCurves is called once
+    with all boundary edges, by ascending edge id: their vertex ids (B, 2)
+    and end points (B, 2, 2), both in the owner's CCW order.  The default
+    makes every boundary edge flat.
+
+    Faults are reported by kind, in this order, each naming the first cell
+    or edge that has it: short loops, repeated vertices, indices out of
+    range, nonpositive areas, edges of three cells, edges traversed twice in
+    one direction, zero-length edges, curves off their chords, s > h.
     """
+    if isinstance(cells, np.ndarray) and cells.ndim == 2:
+        given = cells >= 0
+        gap = np.flatnonzero((given[:, 1:] & ~given[:, :-1]).any(axis=1))
+        if gap.size:
+            raise MeshError(f"cell {gap[0]}: vertex index out of range")
+        flat, sizes = cells[given].astype(np.int64), given.sum(axis=1)
+    else:
+        sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        flat = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64,
+                           count=int(sizes.sum()))
     verts = np.array(vertices, dtype=float)
-    loops = [np.asarray(c, dtype=np.int64) for c in cells]
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshError("vertices must be an (n, 2) array")
     scale = max(float(np.ptp(verts[:, 0])), float(np.ptp(verts[:, 1])), 1e-300)
+    nv, nc = verts.shape[0], sizes.size
 
-    areas = np.empty(len(loops))
-    cents = np.empty((len(loops), 2))
-    diams = np.empty(len(loops))
-    axes = np.empty((len(loops), 2, 2))
-    for ci, loop in enumerate(loops):
-        if loop.size < 3:
-            raise MeshError(f"cell {ci}: fewer than 3 vertices")
-        if len(set(loop.tolist())) != loop.size:
-            raise MeshError(f"cell {ci}: repeated vertex in loop")
-        if loop.min() < 0 or loop.max() >= verts.shape[0]:
-            raise MeshError(f"cell {ci}: vertex index out of range")
-        pts = verts[loop]
-        a, cents[ci], moments = polygon_moments(pts)
-        if a <= 1e-14 * scale * scale:
-            raise MeshError(f"cell {ci}: area {a:.3e} not positive (CCW simple loop required)")
-        areas[ci] = a
-        axes[ci] = moment_axes(moments)
-        diams[ci] = cell_diameter(pts)
+    few = np.flatnonzero(sizes < 3)
+    if few.size:
+        raise MeshError(f"cell {few[0]}: fewer than 3 vertices")
+    starts = np.cumsum(sizes) - sizes
+    groups = []   # each group's cell ids and the positions of its loops in `flat`
+    for m in np.unique(sizes):
+        ids = np.flatnonzero(sizes == m)
+        groups.append((ids, starts[ids][:, None] + np.arange(m)))
+    repeated = np.zeros(nc, dtype=bool)
+    for ids, pos in groups:
+        ordered = np.sort(flat[pos], axis=1)
+        repeated[ids] = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeated.any():
+        raise MeshError(f"cell {np.argmax(repeated)}: repeated vertex in loop")
+    cell_of = np.repeat(np.arange(nc), sizes)
+    outside = np.flatnonzero((flat < 0) | (flat >= nv))
+    if outside.size:
+        raise MeshError(f"cell {cell_of[outside[0]]}: vertex index out of range")
 
-    edge_index: dict[tuple[int, int], int] = {}
-    edge_list: list[tuple[int, int]] = []
-    owners: list[int] = []
-    neighbors: list[int] = []
-    cell_edges = [[] for _ in loops]
-    cell_signs = [[] for _ in loops]
-    for ci, loop in enumerate(loops):
-        m = loop.size
-        for j in range(m):
-            a, b = int(loop[j]), int(loop[(j + 1) % m])
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_index:
-                e = len(edge_list)
-                edge_index[key] = e
-                edge_list.append((a, b))
-                owners.append(ci)
-                neighbors.append(-1)
-                sign = 1
-            else:
-                e = edge_index[key]
-                if neighbors[e] >= 0:
-                    raise MeshError(f"edge {key} shared by more than two cells")
-                if (a, b) == edge_list[e]:
-                    raise MeshError(f"edge {key} traversed twice in the same direction")
-                neighbors[e] = ci
-                sign = -1
-            cell_edges[ci].append(e)
-            cell_signs[ci].append(sign)
+    areas = np.empty(nc)
+    cents = np.empty((nc, 2))
+    moments = np.empty((nc, 3))
+    diams = np.empty(nc)
+    for ids, pos in groups:
+        pts = verts[flat[pos]]
+        areas[ids], cents[ids], moments[ids] = polygon_moments(pts)
+        diams[ids] = cell_diameter(pts)
+    small = np.flatnonzero(areas <= 1e-14 * scale * scale)
+    if small.size:
+        c = small[0]
+        raise MeshError(f"cell {c}: area {areas[c]:.3e} not positive (CCW simple loop required)")
+    axes = moment_axes(moments)
 
-    edges = np.array(edge_list, dtype=np.int64)
-    edge_cells = np.column_stack([np.array(owners, dtype=np.int64),
-                                  np.array(neighbors, dtype=np.int64)])
+    # half-edge i runs from flat[i] to the next vertex of its loop
+    succ = np.arange(1, flat.size + 1)
+    succ[starts + sizes - 1] = starts
+    head, tail = flat, flat[succ]
+    lo, hi = np.minimum(head, tail), np.maximum(head, tail)
+    _, first, inverse, counts = np.unique(lo * nv + hi, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    order = np.argsort(first)            # edges numbered by first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    edge_of = rank[inverse]
+    first, counts = first[order], counts[order]
+    crowded = np.flatnonzero(counts > 2)
+    if crowded.size:
+        i = first[crowded[0]]
+        raise MeshError(f"edge ({lo[i]}, {hi[i]}) shared by more than two cells")
+    owned = np.zeros(flat.size, dtype=bool)
+    owned[first] = True
+    second = np.flatnonzero(~owned)
+    same = second[head[second] == head[first[edge_of[second]]]]
+    if same.size:
+        i = same[0]
+        raise MeshError(f"edge ({lo[i]}, {hi[i]}) traversed twice in the same direction")
+    edges = np.column_stack([head[first], tail[first]])
+    neighbors = np.full(first.size, -1, dtype=np.int64)
+    neighbors[edge_of[second]] = cell_of[second]
+    edge_cells = np.column_stack([cell_of[first], neighbors])
+    signs = np.where(owned, 1, -1)
+    cell_groups = tuple(CellLoops(ids, flat[pos], edge_of[pos], signs[pos]) for ids, pos in groups)
+    slots = np.empty((nc, 2), dtype=np.int64)
+    for gi, (ids, _) in enumerate(groups):
+        slots[ids, 0] = gi
+        slots[ids, 1] = np.arange(ids.size)
+
     d = verts[edges[:, 1]] - verts[edges[:, 0]]
     lengths = np.hypot(d[:, 0], d[:, 1])
     if np.any(lengths <= 1e-15 * scale):
         raise MeshError("mesh contains a zero-length edge")
     edge_normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
 
-    bidx = np.flatnonzero(edge_cells[:, 1] < 0)
-    chords = verts[edges[bidx]]                       # (boundary edges, 2 endpoints, 2)
-    lookup = flat_segment if curve_lookup is None else curve_lookup
-    segments = [lookup(p0, p1) for p0, p1 in chords]
-    if segments:
-        ends = np.array([(seg.start, seg.end) for seg in segments])
-        off = ~np.isclose(ends, chords, rtol=0.0, atol=1e-12 * scale).all(axis=(1, 2))
-        if off.any():
-            e = bidx[np.argmax(off)]
-            raise MeshError(f"curved segment for edge {e} does not match chord endpoints")
-    boundary_segments = dict(zip(bidx.tolist(), segments))
+    bidx = np.flatnonzero(neighbors < 0)
+    ends = edges[bidx]
+    chords = verts[ends]                              # (boundary edges, 2 endpoints, 2)
+    curves = flat_curves(chords) if curve_lookup is None else curve_lookup(ends, chords)
+    if len(curves) != bidx.size:
+        raise MeshError(f"curve lookup gave {len(curves)} curves for {bidx.size} boundary edges")
+    off = ~np.isclose(np.stack([curves.start, curves.end], axis=1), chords,
+                      rtol=0.0, atol=1e-12 * scale).all(axis=(1, 2))
+    if off.any():
+        raise MeshError(f"curved segment for edge {bidx[np.argmax(off)]} does not match "
+                        "chord endpoints")
+    curves = dataclasses.replace(curves, edges=bidx)
     s = float(lengths[bidx].max(initial=0.0))
 
     h = float(diams.max())
     if s > h * (1.0 + 1e-12):
-        raise MeshError(f"boundary edge length s={s} exceeds mesh size h={h}")
+        e = bidx[np.argmax(lengths[bidx])]
+        raise MeshError(f"boundary edge {e}: length s={s} exceeds mesh size h={h}")
 
-    for arr in (verts, edges, edge_cells, edge_normals, lengths, areas, cents, diams, axes):
+    arrays = [verts, slots, edges, edge_cells, edge_normals, lengths, areas, cents, diams, axes]
+    arrays += [a for g in cell_groups for a in vars(g).values()]
+    arrays += vars(curves).values()
+    for arr in arrays:
         arr.setflags(write=False)
     return PolygonalMesh(
         vertices=verts,
-        cells=loops,
+        groups=cell_groups,
+        cell_slots=slots,
         edges=edges,
         edge_cells=edge_cells,
         edge_normals=edge_normals,
         edge_lengths=lengths,
-        cell_edges=[np.array(e, dtype=np.int64) for e in cell_edges],
-        cell_edge_signs=[np.array(sg, dtype=np.int64) for sg in cell_signs],
-        boundary_segments=boundary_segments,
+        boundary_segments=curves,
         cell_areas=areas,
         cell_centroids=cents,
         cell_diameters=diams,
@@ -309,19 +477,28 @@ def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> Po
 # generators
 # ---------------------------------------------------------------------------
 
+def _circle_points(rad: float, ang) -> np.ndarray:
+    """Points rad * (cos, sin) at angles `ang` about the origin.
+
+    cos and sin are libm's (`math`), as for one angle at a time, so the
+    coordinates do not depend on how numpy vectorizes them on a machine.
+    """
+    ang = np.ravel(ang).tolist()
+    cos = np.fromiter(map(math.cos, ang), dtype=float, count=len(ang))
+    sin = np.fromiter(map(math.sin, ang), dtype=float, count=len(ang))
+    return np.column_stack([rad * cos, rad * sin])
+
+
 def generate_square_tri(n: int) -> PolygonalMesh:
     """Uniform triangulation of (0,1)^2 with 2 n^2 cells; h = sqrt(2)/n."""
     if n < 1:
         raise ValueError(f"need n >= 1 cells per side, got {n}")
-    def vid(i, j):
-        return i * (n + 1) + j
-    verts = [(i / n, j / n) for i in range(n + 1) for j in range(n + 1)]
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-            cells.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return build_mesh(verts, cells, curve_lookup=None, domain="square")
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    verts = np.column_stack([i.ravel() / n, j.ravel() / n])
+    v = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()   # vertex (i, j) of square (i, j)
+    tri = np.stack([np.column_stack([v, v + n + 1, v + n + 2]),
+                    np.column_stack([v, v + n + 2, v + 1])], axis=1)
+    return build_mesh(verts, tri.reshape(-1, 3), domain="square")
 
 
 def _disk_layers(n: int) -> int:
@@ -330,28 +507,37 @@ def _disk_layers(n: int) -> int:
     return min(divisors, key=lambda d: (abs(d - n / 6.0), d))
 
 
-def _split_chords(coords, cells, chords, n: int, split):
+def _split_chords(coords, tri, circles, n: int, split):
     """Subdivide boundary chords into `split` sub-chords with ends on their circles.
 
-    `chords` holds (radius, k, cell, position, reverse) for chord k of the n
-    chords on the circle of that radius about the origin; its split-1 interior
-    points go into the cell's loop at `position`, in reverse angular order
-    when `reverse`.  The loops hold corner vertices only on entry, so a
-    callable `split` is called with their mesh size h (the largest cell
-    diameter) and returns the count; the corners do not depend on it.  New
-    points are numbered circle by circle, inner first, then by chord.
+    `tri` (cells, 3) holds the corner loops.  Each entry (radius, owners,
+    position, reverse) of `circles` stands for the n chords on the circle of
+    that radius about the origin: chord k spans the angles 2 pi k/n to
+    2 pi (k+1)/n, and its split-1 interior points go into the loop of cell
+    owners[k] at `position`, in reverse angular order when `reverse`.  A
+    callable `split` is called with the corner mesh size h (the largest cell
+    diameter, one batched call) and returns the count; the corners do not
+    depend on it.  New points are numbered circle by circle, in the order
+    given, then by chord.  Returns the vertices and the loops, padded with
+    -1 as `build_mesh` takes them.
     """
     if callable(split):
-        corners = np.array(coords, dtype=float)
-        split = split(max(cell_diameter(corners[loop]) for loop in cells))
+        split = split(float(cell_diameter(coords[tri]).max()))
     if split < 1:
         raise ValueError(f"need split >= 1, got {split}")
-    for rad, k, ci, pos, reverse in sorted(chords):
-        ids = list(range(len(coords), len(coords) + split - 1))
-        for i in range(1, split):
-            ang = 2.0 * math.pi * (k + i / split) / n
-            coords.append((rad * math.cos(ang), rad * math.sin(ang)))
-        cells[ci][pos:pos] = ids[::-1] if reverse else ids
+    loops = np.full((tri.shape[0], split + 2), -1, dtype=np.int64)
+    loops[:, :3] = tri
+    frac = np.arange(1, split) / split
+    points = [coords]
+    nv = coords.shape[0]
+    for rad, owners, pos, reverse in circles:
+        points.append(_circle_points(rad, 2.0 * math.pi * (np.arange(n)[:, None] + frac) / n))
+        ids = nv + np.arange(n * (split - 1)).reshape(n, split - 1)
+        nv += ids.size
+        corner = tri[owners]
+        loops[owners] = np.concatenate([corner[:, :pos], ids[:, ::-1] if reverse else ids,
+                                        corner[:, pos:]], axis=1)
+    return np.concatenate(points), loops
 
 
 def generate_disk_mesh(n: int, split=1) -> PolygonalMesh:
@@ -369,43 +555,37 @@ def generate_disk_mesh(n: int, split=1) -> PolygonalMesh:
     L = _disk_layers(n)
     q = n // L
 
-    coords: list[tuple[float, float]] = [(0.0, 0.0)]
-    ring_start = [0] * (L + 1)
+    coords = [np.zeros((1, 2))]
     for l in range(1, L + 1):
-        ring_start[l] = len(coords)
-        rad = l / L
         count = q * l
-        for k in range(count):
-            ang = 2.0 * math.pi * k / count
-            coords.append((rad * math.cos(ang), rad * math.sin(ang)))
+        coords.append(_circle_points(l / L, 2.0 * math.pi * np.arange(count) / count))
 
     def ring_vertex(l, k):
         if l == 0:
-            return 0
-        return ring_start[l] + (k % (q * l))
+            return np.zeros_like(k)
+        return 1 + q * l * (l - 1) // 2 + k % (q * l)
 
-    cells = []
-    chords = []
+    # ring l holds, sector by sector, l+1 triangles with an outer base and l
+    # with an inner base: q (2l+1) cells after the q l^2 of the rings inside it
+    sct = np.arange(q)[:, None]
+    tri = []
     for l in range(L):
-        for sct in range(q):
-            for j in range(l + 1):  # triangles with an outer base
-                o0 = (l + 1) * sct + j
-                if l + 1 == L:
-                    chords.append((1.0, o0 % n, len(cells), 2, False))
-                cells.append([ring_vertex(l, l * sct + j), ring_vertex(l + 1, o0),
-                              ring_vertex(l + 1, o0 + 1)])
-            for j in range(l):      # triangles with an inner base
-                cells.append([
-                    ring_vertex(l, l * sct + j),
-                    ring_vertex(l + 1, (l + 1) * sct + j + 1),
-                    ring_vertex(l, l * sct + j + 1),
-                ])
-    _split_chords(coords, cells, chords, n, split)
+        j = np.arange(l + 1)
+        outer = [ring_vertex(l, l * sct + j), ring_vertex(l + 1, (l + 1) * sct + j),
+                 ring_vertex(l + 1, (l + 1) * sct + j + 1)]
+        j = np.arange(l)
+        inner = [ring_vertex(l, l * sct + j), ring_vertex(l + 1, (l + 1) * sct + j + 1),
+                 ring_vertex(l, l * sct + j + 1)]
+        tri.append(np.concatenate([np.stack(outer, axis=-1), np.stack(inner, axis=-1)],
+                                  axis=1).reshape(-1, 3))
+    k = np.arange(n)   # boundary chord k: outer base of triangle k % L of sector k // L
+    owners = q * (L - 1) ** 2 + (k // L) * (2 * L - 1) + k % L
+    verts, loops = _split_chords(np.concatenate(coords), np.concatenate(tri),
+                                 [(1.0, owners, 2, False)], n, split)
 
-    center = np.zeros(2)
-    def lookup(p0, p1):
-        return circle_segment(p0, p1, center, 1.0)
-    return build_mesh(coords, cells, curve_lookup=lookup, domain="disk")
+    def lookup(ends, chords):
+        return circle_curves(chords, (0.0, 0.0), 1.0)
+    return build_mesh(verts, loops, curve_lookup=lookup, domain="disk")
 
 
 def generate_ring_mesh(n: int, split=1) -> PolygonalMesh:
@@ -422,36 +602,23 @@ def generate_ring_mesh(n: int, split=1) -> PolygonalMesh:
         raise ValueError(f"need n >= 8 boundary sides, got {n}")
     L = max(1, round(n / (3.0 * math.pi)))
 
-    coords: list[tuple[float, float]] = []
-    def grid(l, k):
-        return l * n + (k % n)
-    for l in range(L + 1):
-        rad = 0.5 + 0.5 * l / L
-        for k in range(n):
-            ang = 2.0 * math.pi * k / n
-            coords.append((rad * math.cos(ang), rad * math.sin(ang)))
+    ang = 2.0 * math.pi * np.arange(n) / n
+    coords = np.concatenate([_circle_points(0.5 + 0.5 * l / L, ang) for l in range(L + 1)])
+    l, k = np.arange(L)[:, None], np.arange(n)
+    A, B = l * n + k, l * n + (k + 1) % n
+    C, D = B + n, A + n
+    # per quad: the outward triangle (A, D, C), which owns the outer chord
+    # D -> C on the last layer, then the inward one (A, C, B), which owns the
+    # inner chord B -> A on the first
+    tri = np.stack([np.stack([A, D, C], axis=-1), np.stack([A, C, B], axis=-1)], axis=2)
+    verts, loops = _split_chords(
+        coords, tri.reshape(-1, 3),
+        [(0.5, 2 * k + 1, 3, True), (1.0, 2 * ((L - 1) * n + k), 2, False)], n, split)
 
-    cells = []
-    chords = []
-    for l in range(L):
-        for k in range(n):
-            A, B = grid(l, k), grid(l, k + 1)
-            C, D = grid(l + 1, k + 1), grid(l + 1, k)
-            # outward triangle (A, D, C): owns the outer chord D -> C
-            if l + 1 == L:
-                chords.append((1.0, k, len(cells), 2, False))
-            cells.append([A, D, C])
-            # inward triangle (A, C, B): owns the inner chord B -> A
-            if l == 0:
-                chords.append((0.5, k, len(cells), 3, True))
-            cells.append([A, C, B])
-    _split_chords(coords, cells, chords, n, split)
-
-    center = np.zeros(2)
-    def lookup(p0, p1):
-        rad = 1.0 if abs(np.hypot(*p0) - 1.0) < 0.25 else 0.5
-        return circle_segment(p0, p1, center, rad)
-    return build_mesh(coords, cells, curve_lookup=lookup, domain="ring")
+    def lookup(ends, chords):
+        r0 = np.hypot(chords[:, 0, 0], chords[:, 0, 1])
+        return circle_curves(chords, (0.0, 0.0), np.where(np.abs(r0 - 1.0) < 0.25, 1.0, 0.5))
+    return build_mesh(verts, loops, curve_lookup=lookup, domain="ring")
 
 
 def boundary_split_count(h: float, j: int, rule: str) -> int:
@@ -524,17 +691,17 @@ def validate_mesh(mesh: PolygonalMesh,
     star = np.empty(mesh.n_cells)
     edge_ratio = np.empty(mesh.n_cells)
     not_star = []
-    for ids in mesh.cell_groups():
+    for group in mesh.groups:
+        ids = group.ids
         # structural re-checks from the vertices (covers hand-built meshes that
         # bypass build_mesh); the measurements below read the stored geometry
-        pts = verts[np.array([mesh.cells[c] for c in ids])]
+        pts = verts[group.loops]
         area = polygon_area(pts)
         if not np.all(area > 0.0):
             k = np.flatnonzero(~(area > 0.0))[0]
             raise MeshError(f"cell {ids[k]}: nonpositive area {area[k]:.3e}")
-        for c in ids:
-            if len(mesh.cell_edges[c]) != pts.shape[1]:
-                raise MeshError(f"cell {c}: edge list does not close the loop")
+        if group.edges.shape != group.loops.shape:
+            raise MeshError(f"cell {ids[0]}: edge list does not close the loop")
         cen = mesh.cell_centroids[ids][:, None, :]
         a, b = pts - cen, np.roll(pts, -1, axis=1) - cen   # each edge's ends about the centroid
         cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -546,9 +713,9 @@ def validate_mesh(mesh: PolygonalMesh,
         star_ok = (cross > 0.0).all(axis=1)
         star[ids] = np.where(star_ok, rho / hk, 0.0)
         not_star.extend(ids[~star_ok])
-        edges = np.array([mesh.cell_edges[c] for c in ids])
-        edge_ratio[ids] = mesh.edge_lengths[edges].max(axis=1) / hk
-    counts = np.bincount(np.concatenate(mesh.cell_edges), minlength=mesh.n_edges)
+        edge_ratio[ids] = mesh.edge_lengths[group.edges].max(axis=1) / hk
+    counts = np.bincount(np.concatenate([g.edges.ravel() for g in mesh.groups]),
+                         minlength=mesh.n_edges)
     expected = np.where(mesh.edge_cells[:, 1] < 0, 1, 2)
     if not np.array_equal(counts, expected):
         raise MeshError("edge-cell adjacency is inconsistent")
@@ -564,13 +731,13 @@ def validate_mesh(mesh: PolygonalMesh,
 
     max_gap = max_dev = max_dev_edge = 0.0
     if bidx.size:
-        segments = [mesh.boundary_segments.get(int(e)) for e in bidx]
-        if None in segments:
-            raise MeshError(f"boundary edge {bidx[segments.index(None)]} lacks a curved segment")
+        rows = mesh.boundary_segments.rows(bidx)
+        if np.any(rows < 0):
+            raise MeshError(f"boundary edge {bidx[np.argmin(rows)]} lacks a curved segment")
         L = mesh.edge_lengths[bidx][:, None]
         msmp = thresholds.samples_per_edge
         xh = np.hstack([L * (np.arange(msmp) + 0.5) / msmp, 0.0 * L, L])
-        _, gamma, ntilde = segment_geometry(segments, xh)
+        _, gamma, ntilde = segment_geometry(mesh.boundary_segments.take(rows), xh)
         dev = np.linalg.norm(ntilde[:, :msmp] - mesh.edge_normals[bidx][:, None, :],
                              axis=2).max(axis=1)
         gap = gamma[:, :msmp].max(axis=1)
@@ -579,8 +746,9 @@ def validate_mesh(mesh: PolygonalMesh,
             max_dev = float(dev.max()) / mesh.s
         max_dev_edge = float((dev / L[:, 0]).max())
         g0 = gamma[:, msmp:].max(axis=1)
-        violations += [f"A4: edge {e} endpoints off the curve (gap {g:.2e})"
-                       for e, g in zip(bidx, g0) if g > 1e-12 * max(1.0, mesh.h)]
+        off = np.flatnonzero(g0 > 1e-12 * max(1.0, mesh.h))
+        violations += [f"A4: edge {bidx[k]} endpoints off the curve (gap {g0[k]:.2e})"
+                       for k in off]
 
     checks = {
         "A1_star_shaped": min_star >= thresholds.min_star_ratio,
@@ -635,16 +803,13 @@ def mesh_to_text(mesh: PolygonalMesh) -> str:
     lines.append(f'"vertices": [\n{vrows}\n],')
     crows = ",\n".join("[" + ",".join(str(int(v)) for v in loop) + "]" for loop in mesh.cells)
     lines.append(f'"cells": [\n{crows}\n],')
-    brows = []
-    for e in mesh.boundary_edge_indices:
-        va, vb = int(mesh.edges[e, 0]), int(mesh.edges[e, 1])
-        seg = mesh.boundary_segments[int(e)]
-        if seg.curve_id == "circle":
-            brows.append(
-                f'[{va},{vb},"circle",{_fmt(seg.center[0])},{_fmt(seg.center[1])},{_fmt(seg.radius)}]'
-            )
-        else:
-            brows.append(f'[{va},{vb},"flat"]')
+    curves = mesh.boundary_segments
+    brows = [
+        f'[{va},{vb},"circle",{_fmt(cx)},{_fmt(cy)},{_fmt(rad)}]' if arc else f'[{va},{vb},"flat"]'
+        for (va, vb), arc, (cx, cy), rad in zip(mesh.edges[curves.edges].tolist(),
+                                                 curves.arc.tolist(), curves.center.tolist(),
+                                                 curves.radius.tolist())
+    ]
     bjoined = ",\n".join(brows)
     lines.append(f'"boundary": [\n{bjoined}\n]')
     lines.append("}")
@@ -656,43 +821,57 @@ def mesh_from_text(text: str) -> PolygonalMesh:
 
     The vertex rows must number 0..nv-1 with distinct coordinates, and every
     boundary edge needs exactly one curve entry, which names no other edge.
+    The curve entries are matched to the boundary edges in one batched lookup.
     """
     data = json.loads(text)
     if data.get("format") != "wgmixed-mesh":
         raise MeshError("not a wgmixed mesh document")
     nv = len(data["vertices"])
-    if sorted(int(row[0]) for row in data["vertices"]) != list(range(nv)):
+    table = np.array(data["vertices"], dtype=float)
+    if table.shape != (nv, 3):
+        raise MeshError("vertex rows must be [index, x, y]")
+    ids = table[:, 0].astype(np.int64)
+    if not np.array_equal(np.sort(ids), np.arange(nv)):
         raise MeshError(f"vertex rows must be numbered 0..{nv - 1}, each once")
     verts = np.empty((nv, 2))
-    for row in data["vertices"]:
-        verts[int(row[0])] = (float(row[1]), float(row[2]))
-    vin = {(float(v[0]), float(v[1])): i for i, v in enumerate(verts)}
-    if len(vin) != nv:
-        raise MeshError(f"{nv - len(vin)} vertex rows repeat another row's coordinates")
-    curve_by_pair = {}
-    for row in data["boundary"]:
-        key = frozenset((int(row[0]), int(row[1])))
-        if key in curve_by_pair:
-            raise MeshError(f"boundary edge {row[0]}-{row[1]} has two curve entries")
-        curve_by_pair[key] = row[2:]
+    verts[ids] = table[:, 1:]
+    repeats = nv - np.unique(verts + 0.0, axis=0).shape[0]    # + 0.0 makes -0.0 equal 0.0
+    if repeats:
+        raise MeshError(f"{repeats} vertex rows repeat another row's coordinates")
 
-    def lookup(p0, p1):
-        i0 = vin[(float(p0[0]), float(p0[1]))]
-        i1 = vin[(float(p1[0]), float(p1[1]))]
-        entry = curve_by_pair.pop(frozenset((i0, i1)), None)
-        if entry is None:
+    rows = data["boundary"]
+    pairs = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    if not all(row[2:] == ["flat"] or (row[2:3] == ["circle"] and len(row) == 6) for row in rows):
+        raise MeshError('curve entries must be [a, b, "flat"] or [a, b, "circle", cx, cy, r]')
+    arc = np.array([row[2] == "circle" for row in rows], dtype=bool)
+    circle = np.array([row[3:] if row[2] == "circle" else [0.0] * 3 for row in rows],
+                      dtype=float).reshape(-1, 3)
+    if not np.all((pairs >= 0) & (pairs < nv)):
+        bad = pairs[np.flatnonzero(((pairs < 0) | (pairs >= nv)).any(axis=1))[0]]
+        raise MeshError(f"curve entries name no boundary edge: {bad[0]}-{bad[1]}")
+    keys = pairs.min(axis=1) * nv + pairs.max(axis=1)
+    known, first = np.unique(keys, return_index=True)
+    if known.size < keys.size:
+        a, b = pairs[np.setdiff1d(np.arange(keys.size), first)[0]]
+        raise MeshError(f"boundary edge {a}-{b} has two curve entries")
+
+    def lookup(ends, chords):
+        want = ends.min(axis=1) * nv + ends.max(axis=1)
+        at = np.searchsorted(known, want)
+        found = at < known.size
+        found[found] = known[at[found]] == want[found]
+        if not found.all():
+            i0, i1 = ends[np.argmin(found)]
             raise MeshError(f"boundary edge {i0}-{i1} has no curve entry")
-        if entry[0] == "flat":
-            return flat_segment(p0, p1)
-        _, cx, cy, rad = entry
-        return circle_segment(p0, p1, (float(cx), float(cy)), float(rad))
+        unused = np.setdiff1d(np.arange(known.size), at)
+        if unused.size:
+            names = ", ".join(f"{k // nv}-{k % nv}" for k in known[unused].tolist())
+            raise MeshError(f"curve entries name no boundary edge: {names}")
+        k = first[at]
+        return circle_curves(chords, circle[k, :2], circle[k, 2], arc=arc[k])
 
-    mesh = build_mesh(verts, data["cells"], curve_lookup=lookup,
+    return build_mesh(verts, data["cells"], curve_lookup=lookup,
                       domain=data.get("domain", "custom"))
-    if curve_by_pair:
-        pairs = ", ".join("-".join(map(str, sorted(k))) for k in curve_by_pair)
-        raise MeshError(f"curve entries name no boundary edge: {pairs}")
-    return mesh
 
 
 def write_mesh(mesh: PolygonalMesh, path) -> None:

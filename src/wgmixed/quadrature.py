@@ -7,8 +7,8 @@ globally defined integrands on any simple polygon, not just convex ones.
 `polygon_rule`, `polygon_area` and `edge_rule` take one polygon or edge, or
 a stack of them with the stack axes first (a group of cells with one vertex
 count, or a level's edges); each entry of a stack gets the same numbers it
-would get alone.  `polygon_moments` stays a plain-Python routine for one
-loop: the mesh calls it once per cell and stores the results.
+would get alone.  `polygon_moments` takes a stack too: the mesh calls it
+once per group of same-size cells and stores the results.
 """
 
 from __future__ import annotations
@@ -75,43 +75,40 @@ def triangle_rule(order: int) -> QuadratureRule:
 
 
 def polygon_moments(vertices):
-    """Signed area, centroid and second moments of a polygon's vertex loop.
+    """Signed area, centroid and second moments of a vertex loop, or of each loop in a stack.
 
-    Returns (area, (cx, cy), (sxx, syy, sxy)): the moments are the mean of
+    `vertices` is one (m, 2) loop or a (..., m, 2) stack; the results are the
+    area (...), the centroid (..., 2) and the moments (..., 3): the means of
     (x-cx)^2, (y-cy)^2 and (x-cx)(y-cy) over the polygon.  Two shoelace
-    passes in plain Python: the first, about the first vertex, gives the area
-    and centroid; the second gives the moments about the centroid, which keeps
-    the digits that a parallel-axis shift loses on a small cell far from the
-    origin.  A loop whose area is zero to rounding (1e-14 of its bounding box
-    squared) has area 0.0 and NaN centroid and moments.
+    passes: the first, about the first vertex, gives the area and centroid;
+    the second gives the moments about the centroid, which keeps the digits
+    that a parallel-axis shift loses on a small cell far from the origin.
+    Each pass sums vertex by vertex (a cumulative sum), so every loop of a
+    stack gets the numbers it gets alone.  A loop whose area is zero to
+    rounding (1e-14 of its bounding box squared) has area 0.0 and NaN
+    centroid and moments.
     """
-    pts = np.asarray(vertices, dtype=float).tolist()
-    x0, y0 = pts[0]
-    a2 = sx = sy = 0.0
-    px, py = pts[-1][0] - x0, pts[-1][1] - y0
-    for x, y in pts:
-        qx, qy = x - x0, y - y0
-        c = px * qy - qx * py
-        a2 += c
-        sx += (px + qx) * c
-        sy += (py + qy) * c
-        px, py = qx, qy
-    xs, ys = zip(*pts)
-    scale = max(max(xs) - min(xs), max(ys) - min(ys), 1e-300)
-    if abs(a2) <= 2e-14 * scale * scale:
-        nan = math.nan
-        return 0.0, (nan, nan), (nan, nan, nan)
-    cx, cy = x0 + sx / (3.0 * a2), y0 + sy / (3.0 * a2)
-    sxx = syy = sxy = 0.0
-    px, py = pts[-1][0] - cx, pts[-1][1] - cy
-    for x, y in pts:
-        qx, qy = x - cx, y - cy
-        c = px * qy - qx * py
-        sxx += c * (px * px + px * qx + qx * qx)
-        syy += c * (py * py + py * qy + qy * qy)
-        sxy += c * (px * qy + 2.0 * (px * py + qx * qy) + qx * py)
-        px, py = qx, qy
-    return 0.5 * a2, (cx, cy), (sxx / (6.0 * a2), syy / (6.0 * a2), sxy / (12.0 * a2))
+    v = np.asarray(vertices, dtype=float)
+    d = v - v[..., :1, :]
+    p = np.roll(d, 1, axis=-2)
+    px, py, qx, qy = p[..., 0], p[..., 1], d[..., 0], d[..., 1]
+    c = px * qy - qx * py
+    a2 = np.cumsum(c, axis=-1)[..., -1]
+    sx = np.cumsum((px + qx) * c, axis=-1)[..., -1]
+    sy = np.cumsum((py + qy) * c, axis=-1)[..., -1]
+    scale = np.maximum(np.ptp(v, axis=-2).max(axis=-1), 1e-300)
+    flat = np.abs(a2) <= 2e-14 * scale * scale
+    a2 = np.where(flat, np.nan, a2)
+    cen = v[..., 0, :] + np.stack([sx, sy], axis=-1) / (3.0 * a2[..., None])
+    d = v - cen[..., None, :]
+    p = np.roll(d, 1, axis=-2)
+    px, py, qx, qy = p[..., 0], p[..., 1], d[..., 0], d[..., 1]
+    c = px * qy - qx * py
+    sxx = np.cumsum(c * (px * px + px * qx + qx * qx), axis=-1)[..., -1]
+    syy = np.cumsum(c * (py * py + py * qy + qy * qy), axis=-1)[..., -1]
+    sxy = np.cumsum(c * (px * qy + 2.0 * (px * py + qx * qy) + qx * py), axis=-1)[..., -1]
+    moments = np.stack([sxx / (6.0 * a2), syy / (6.0 * a2), sxy / (12.0 * a2)], axis=-1)
+    return np.where(flat, 0.0, 0.5 * a2)[()], cen, moments
 
 
 def polygon_area(vertices):
@@ -132,9 +129,9 @@ def polygon_area(vertices):
 def polygon_centroid(vertices) -> np.ndarray:
     """Area centroid of a simple polygon."""
     area, centroid, _ = polygon_moments(vertices)
-    if area == 0.0:
+    if np.any(area == 0.0):
         raise MalformedCellError("polygon has (numerically) zero area")
-    return np.array(centroid)
+    return centroid
 
 
 def polygon_rule(vertices, order: int, fan_point=None) -> QuadratureRule:
@@ -154,7 +151,7 @@ def polygon_rule(vertices, order: int, fan_point=None) -> QuadratureRule:
         raise MalformedCellError(f"polygon area {area:.3e} is not positive "
                                  "(CCW simple loop required)")
     if fan_point is None:
-        fan_point = [polygon_moments(loop)[1] for loop in v.reshape(-1, *v.shape[-2:])]
+        fan_point = polygon_moments(v)[1]
     c = np.reshape(np.asarray(fan_point, dtype=float), v.shape[:-2] + (1, 1, 2))
     ref = triangle_rule(order)
     r0, r1 = ref.points[:, 0, None], ref.points[:, 1, None]

@@ -134,7 +134,8 @@ def solve_saddle(system: SaddleSystem, rhs: np.ndarray | None = None,
         "n_velocity": lay.n_velocity,
         "n_pressure": lay.n_pressure,
         "n_condensed": lu.shape[0],
-        "lu_fill": lu.L.nnz + lu.U.nnz,   # copies of both factors, freed with lu
+        "matrix_nnz": M.nnz,
+        "lu_fill": lu.nnz,   # SuperLU's stored count; reading lu.L or lu.U would copy the factors
         "rhs_norm": bnorm,
         "absolute_residual": rnorm,
         "residual_unrefined": unrefined / bnorm if bnorm > 0.0 else unrefined,

@@ -1,6 +1,7 @@
 """Local operators, global assembly, and the structural algebraic properties
 of the saddle systems (symmetry, kernels, orientation invariance)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -188,9 +189,11 @@ def test_stabilization_psd_and_symmetric():
 
 
 def test_stabilization_curved_requires_segment():
-    mesh = generate_disk_mesh(8, 1)
-    e = int(mesh.boundary_edge_indices[0])
-    del mesh.boundary_segments[e]
+    full = generate_disk_mesh(8, 1)
+    e = int(full.boundary_edge_indices[0])
+    curves = full.boundary_segments
+    mesh = PolygonalMesh(**{**full.__dict__,
+                            "boundary_segments": curves.take(curves.edges != e)})
     ops = _CellOps(mesh, int(mesh.edge_cells[e, 0]), wh_layout(mesh, 1, 1, 0))
     local_stabilization(ops, "straight", 1.0)
     with pytest.raises(ConfigurationError):
@@ -365,13 +368,11 @@ def test_edge_orientation_flip_invariance():
     normals[e] = -normals[e]
     cells_of_e = mesh.edge_cells.copy()
     cells_of_e[e] = cells_of_e[e][::-1]
-    signs = [s.copy() for s in mesh.cell_edge_signs]
-    for c in cells_of_e[e]:
-        loc = list(mesh.cell_edges[c]).index(e)
-        signs[c][loc] = -signs[c][loc]
+    groups = [dataclasses.replace(g, signs=g.signs * np.where(g.edges == e, -1, 1))
+              for g in mesh.groups]
     flipped = PolygonalMesh(**{**mesh.__dict__, "edges": edges,
                                "edge_normals": normals, "edge_cells": cells_of_e,
-                               "cell_edge_signs": signs})
+                               "groups": tuple(groups)})
     sys_f = assemble_system(flipped, DofLayout(flipped, 2, 2, 1), scheme="original")
 
     # dof transform on the flipped edge: t -> 1-t and n_e -> -n_e means

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wgmixed.mesh as mesh_module
 from wgmixed.mesh import (
     MeshError,
     PolygonalMesh,
     boundary_split_count,
     build_mesh,
+    circle_curves,
     circle_segment,
     curved_geometry,
+    flat_curves,
     flat_segment,
     generate_disk_mesh,
     generate_ring_mesh,
@@ -310,6 +313,179 @@ def test_builder_rejects_degenerate_and_inconsistent():
         build_mesh([(0, 0), (1, 0), (1, 1)], [[0, 2, 1]])
 
 
+# ---------------------------------------------------------------------------
+# the array-built mesh against the per-cell and per-edge code it replaced
+# ---------------------------------------------------------------------------
+
+def reference_numbering(cells):
+    """Dict-based edge numbering: edges by first appearance in cell order, each
+    stored in its first (owning) cell's direction; signs -1 on the second cell."""
+    index, ends, owners, neighbors, cell_edges, cell_signs = {}, [], [], [], [], []
+    for ci, loop in enumerate(cells):
+        loop = [int(v) for v in loop]
+        edges, signs = [], []
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            key = (min(a, b), max(a, b))
+            if key not in index:
+                index[key] = len(ends)
+                ends.append((a, b))
+                owners.append(ci)
+                neighbors.append(-1)
+                signs.append(1)
+            else:
+                neighbors[index[key]] = ci
+                signs.append(-1)
+            edges.append(index[key])
+        cell_edges.append(edges)
+        cell_signs.append(signs)
+    return np.array(ends), np.column_stack([owners, neighbors]), cell_edges, cell_signs
+
+
+def reference_area_centroid(pts):
+    """First shoelace pass, one vertex at a time in plain Python."""
+    pts = np.asarray(pts, dtype=float).tolist()
+    x0, y0 = pts[0]
+    a2 = sx = sy = 0.0
+    px, py = pts[-1][0] - x0, pts[-1][1] - y0
+    for x, y in pts:
+        qx, qy = x - x0, y - y0
+        c = px * qy - qx * py
+        a2 += c
+        sx += (px + qx) * c
+        sy += (py + qy) * c
+        px, py = qx, qy
+    return 0.5 * a2, (x0 + sx / (3.0 * a2), y0 + sy / (3.0 * a2))
+
+
+def reference_diameter(pts):
+    v = np.asarray(pts, dtype=float)
+    return float(np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2).max()))
+
+
+def reference_circle_side(p0, p1, center, radius):
+    """Per-edge circle lookup: endpoint check, then the side of the chord midpoint."""
+    p0, p1, center = (np.asarray(p, dtype=float) for p in (p0, p1, center))
+    for p in (p0, p1):
+        if abs(np.hypot(*(p - center)) - radius) > 1e-9 * max(radius, 1.0):
+            raise MeshError(f"chord endpoint {p} not on circle (r={radius})")
+    t = (p1 - p0) / float(np.hypot(*(p1 - p0)))
+    return 1 if float((0.5 * (p0 + p1) - center) @ np.array([t[1], -t[0]])) >= 0.0 else -1
+
+
+def disk_radius(p0):
+    return 1.0
+
+
+def ring_radius(p0):
+    return 1.0 if abs(np.hypot(*p0) - 1.0) < 0.25 else 0.5
+
+
+def assert_builder_matches_references(mesh, radius_of):
+    """Numbering, adjacency, signs, cell geometry and curve sides equal the
+    per-cell and per-edge references bit for bit; radius_of(p0) gives the
+    circle of a boundary chord (None: flat)."""
+    ends, edge_cells, cell_edges, cell_signs = reference_numbering(mesh.cells)
+    assert np.array_equal(mesh.edges, ends)
+    assert np.array_equal(mesh.edge_cells, edge_cells)
+    assert [e.tolist() for e in mesh.cell_edges] == cell_edges
+    assert [sg.tolist() for sg in mesh.cell_edge_signs] == cell_signs
+    for c, loop in enumerate(mesh.cells):
+        pts = mesh.vertices[loop]
+        area, centroid = reference_area_centroid(pts)
+        assert mesh.cell_areas[c] == area
+        assert tuple(mesh.cell_centroids[c]) == centroid
+        assert mesh.cell_diameters[c] == reference_diameter(pts)
+    assert mesh.h == max(mesh.cell_diameters)
+    bidx = mesh.boundary_edge_indices
+    assert sorted(mesh.boundary_segments) == bidx.tolist()
+    assert mesh.s == max(float(np.hypot(*(mesh.vertices[b] - mesh.vertices[a])))
+                         for a, b in mesh.edges[bidx])
+    for e in bidx:
+        p0, p1 = mesh.edge_points(e)
+        seg = mesh.boundary_segments[int(e)]
+        assert np.array_equal(seg.start, p0) and np.array_equal(seg.end, p1)
+        rad = radius_of(p0)
+        if rad is None:
+            assert seg.curve_id == "flat" and seg.side == 1
+        else:
+            assert seg.curve_id == "circle" and seg.radius == rad
+            assert seg.side == reference_circle_side(p0, p1, (0.0, 0.0), rad)
+    # the generators' padded loop arrays and a list of loops build the same mesh
+    again = build_mesh(mesh.vertices, [list(loop) for loop in mesh.cells])
+    for name in ("edges", "edge_cells", "cell_areas", "cell_centroids", "cell_diameters",
+                 "cell_axes", "cell_slots"):
+        assert np.array_equal(getattr(again, name), getattr(mesh, name))
+
+
+EQUIVALENCE_MESHES = {
+    "disk-split1": (lambda: generate_disk_mesh(16, 1), disk_radius),
+    "disk-original-law": (lambda: generate_disk_mesh(
+        32, lambda h: boundary_split_count(h, 2, "original")), disk_radius),
+    "disk-modified-law": (lambda: generate_disk_mesh(
+        32, lambda h: boundary_split_count(h, 2, "modified")), disk_radius),
+    "ring-split1": (lambda: generate_ring_mesh(16, 1), ring_radius),
+    "ring-split3": (lambda: generate_ring_mesh(24, 3), ring_radius),
+    "square": (lambda: generate_square_tri(5), lambda p0: None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_MESHES))
+def test_builder_matches_per_cell_and_per_edge_references(name):
+    mesh_fn, radius_of = EQUIVALENCE_MESHES[name]
+    assert_builder_matches_references(mesh_fn(), radius_of)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 12, 16]),
+       split=st.sampled_from([1, 3]))
+def test_builder_matches_references_on_perturbed_disks(seed, n, split):
+    from test_properties import perturbed_disk
+
+    assert_builder_matches_references(perturbed_disk(n, split, np.random.default_rng(seed)),
+                                      disk_radius)
+
+
+TRIANGLE_PAIR = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+
+def _shift_corner_curves(ends, chords):
+    moved = chords.copy()
+    moved[:, 1] += 1e-6
+    return flat_curves(moved)
+
+
+@pytest.mark.parametrize("vertices, cells, lookup, message", [
+    (TRIANGLE_PAIR, [[0, 1, 2], [0, 2]], None, "cell 1: fewer than 3 vertices"),
+    (TRIANGLE_PAIR, [[0, 1, 2], [0, 2, 2]], None, "cell 1: repeated vertex"),
+    (TRIANGLE_PAIR, [[0, 1, 2], [0, 2, 7]], None, "cell 1: vertex index out of range"),
+    (TRIANGLE_PAIR, [[0, 1, 2], [0, 2, -1]], None, "cell 1: vertex index out of range"),
+    (TRIANGLE_PAIR, np.array([[0, 1, 2, -1], [0, -1, 2, 3]]), None,
+     "cell 1: vertex index out of range"),
+    (TRIANGLE_PAIR, [[0, 1, 2], [0, 3, 2]], None, "cell 1: area .* not positive"),
+    ([(0, 0), (1, 0), (1, 1)], [[0, 2, 1]], None, "cell 0: area .* not positive"),
+    ([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)], [[0, 1, 2], [1, 0, 3], [0, 1, 4]], None,
+     r"edge \(0, 1\) shared by more than two cells"),
+    ([(0, 0), (1, 0), (0.5, 1), (0.5, 0.5)], [[0, 1, 2], [0, 1, 3]], None,
+     r"edge \(0, 1\) traversed twice in the same direction"),
+    (TRIANGLE_PAIR, [[0, 1, 2], [0, 2, 3]],
+     lambda ends, chords: circle_curves(chords, (0.0, 0.0), 1.0), "not on circle"),
+    (TRIANGLE_PAIR, [[0, 1, 2], [0, 2, 3]], _shift_corner_curves,
+     "segment for edge 0 does not match chord"),
+], ids=["short", "repeated", "index-high", "index-negative", "padding-gap", "clockwise",
+        "clockwise-alone", "three-cells", "same-direction", "off-circle", "off-chord"])
+def test_every_builder_fault_is_named(vertices, cells, lookup, message):
+    with pytest.raises(MeshError, match=message):
+        build_mesh(vertices, cells, curve_lookup=lookup)
+
+
+def test_boundary_edge_longer_than_h_is_named(monkeypatch):
+    # no loop has an edge longer than its diameter, so the guard needs diameters shrunk
+    diameter = mesh_module.cell_diameter
+    monkeypatch.setattr(mesh_module, "cell_diameter", lambda v: 0.5 * diameter(v))
+    with pytest.raises(MeshError, match=r"boundary edge 0: length s=1.0 exceeds mesh size"):
+        build_mesh(TRIANGLE_PAIR, [[0, 1, 2], [0, 2, 3]])
+
+
 def test_builder_rejects_segment_off_its_chord():
     verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
     cells = [[0, 1, 2], [0, 2, 3]]
@@ -318,10 +494,10 @@ def test_builder_rejects_segment_off_its_chord():
 
     def lookup_moving(dy):
         # the segments of the two boundary edges at corner (1, 1) end dy above their chords
-        def lookup(p0, p1):
-            if (1.0, 1.0) in (tuple(p0), tuple(p1)):
-                return flat_segment(p0, np.asarray(p1) + (0.0, dy))
-            return flat_segment(p0, p1)
+        def lookup(ends, chords):
+            moved = chords.copy()
+            moved[(chords == (1.0, 1.0)).all(axis=2).any(axis=1), 1, 1] += dy
+            return flat_curves(moved)
         return lookup
 
     first = min(index[(1, 2)], index[(2, 3)])   # the first offending edge is named

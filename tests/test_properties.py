@@ -1,11 +1,12 @@
-"""Properties of the grouped cell kernels on randomly perturbed disk meshes.
+"""Properties of the grouped cell kernels and of the mesh file on randomly perturbed disk meshes.
 
 The interior vertices of a disk mesh (split boundary chords included) move by
 up to 20% of the smallest diameter of the cells around them; the boundary
 vertices stay on the circle.  On every such mesh the WG interpolant of a
 [P_j]^2 field (cell projections, and edge projections of u . n_e on every
-edge, boundary edges included) has zero straight-mode stabilization, and the
-weak divergence commutes with the L2 projection onto P_j.
+edge, boundary edges included) has zero straight-mode stabilization, the
+weak divergence commutes with the L2 projection onto P_j, and writing the
+mesh and reading it back gives the same text and the same stored arrays.
 """
 
 import numpy as np
@@ -21,7 +22,14 @@ from wgmixed.assembly import (
 )
 from wgmixed.basis import graded_lex_exponents, project_cell, project_edge
 from wgmixed.convergence import project_exact
-from wgmixed.mesh import build_mesh, circle_segment, generate_disk_mesh, validate_mesh
+from wgmixed.mesh import (
+    build_mesh,
+    circle_curves,
+    generate_disk_mesh,
+    mesh_from_text,
+    mesh_to_text,
+    validate_mesh,
+)
 
 
 def perturbed_disk(n, split, rng, fraction=0.2):
@@ -35,8 +43,8 @@ def perturbed_disk(n, split, rng, fraction=0.2):
     angle = rng.uniform(0.0, 2.0 * np.pi, size=base.n_vertices)
     shift = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     verts = base.vertices + np.where(on_boundary[:, None], 0.0, shift)
-    return build_mesh(verts, base.cells, lambda p0, p1: circle_segment(p0, p1, (0.0, 0.0), 1.0),
-                      domain="disk")
+    return build_mesh(verts, base.cells,
+                      lambda ends, chords: circle_curves(chords, (0.0, 0.0), 1.0), domain="disk")
 
 
 def polynomial_field(j, rng):
@@ -91,3 +99,26 @@ def test_grouped_kernels_on_perturbed_disks(seed, j, n, split):
         expect = project_cell(group.vertices, div_u, layout.beta, basis=group.basis,
                               rule=group.proj_rule)
         assert np.abs(got - expect).max() <= 1e-10 * max(1.0, np.abs(expect).max())
+
+
+MESH_ARRAYS = ("vertices", "cell_slots", "edges", "edge_cells", "edge_normals", "edge_lengths",
+               "cell_areas", "cell_centroids", "cell_diameters", "cell_axes")
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 12, 16]),
+       split=st.sampled_from([1, 3]))
+def test_perturbed_disk_text_round_trip(seed, n, split):
+    mesh = perturbed_disk(n, split, np.random.default_rng(seed))
+    text = mesh_to_text(mesh)
+    back = mesh_from_text(text)
+    assert mesh_to_text(back) == text
+    assert (back.h, back.s, back.domain) == (mesh.h, mesh.s, mesh.domain)
+    for name in MESH_ARRAYS:
+        assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
+    for g, h in zip(back.groups, mesh.groups, strict=True):
+        for name in ("ids", "loops", "edges", "signs"):
+            assert np.array_equal(getattr(g, name), getattr(h, name)), name
+    for name in ("edges", "start", "end", "arc", "center", "radius", "side"):
+        assert np.array_equal(getattr(back.boundary_segments, name),
+                              getattr(mesh.boundary_segments, name)), name

@@ -150,6 +150,7 @@ def test_diagnostics_report_condensed_size_fill_and_unrefined_residual():
     d = solve_saddle(system, rhs).diagnostics
     n_traces = lay.n_velocity - lay.n_interior
     assert d["n_condensed"] == n_traces + lay.n_pressure + 1
+    assert d["matrix_nnz"] == system.full_matrix().nnz
     # the condensed factor holds well under half the entries of the full one
     border = np.zeros(lay.n_dofs)
     border[lay.n_velocity:] = system.pressure_mean
