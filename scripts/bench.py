@@ -11,8 +11,12 @@ memory and the git revision of the wgmixed checkout that was imported.
     PYTHONPATH=<other checkout>/src python scripts/bench.py --label before
     PYTHONPATH=src python scripts/bench.py --case ring-original-j1-n384
 
+    python scripts/bench.py --compare bench/BENCH_before.json bench/BENCH_after.json
+
 `--case` runs one case in this process and prints its record.  A checkout
 whose `StudyRow` has no `diagnostics` gives an empty `diagnostics` record.
+`--compare` reads two records and prints, for each case in both, every
+stage's seconds before and after and their ratio; it writes nothing.
 """
 
 from __future__ import annotations
@@ -72,11 +76,36 @@ def run_case(name: str) -> dict:
     }
 
 
+def compare(before_path, after_path) -> None:
+    """Print each case's stage seconds in two bench records, with after/before ratios."""
+    before, after = (json.loads(Path(p).read_text(encoding="utf-8"))
+                     for p in (before_path, after_path))
+    old = {record["case"]: record for record in before["cases"]}
+    print(f"{'case':30s} {'stage':10s} {'before s':>10s} {'after s':>10s} {'ratio':>7s}")
+    for record in after["cases"]:
+        prev = old.get(record["case"])
+        if prev is None:
+            print(f"{record['case']:30s} (not in {before_path})")
+            continue
+        seconds_before = dict(prev["stages"], level=prev["level_s"])
+        seconds_after = dict(record["stages"], level=record["level_s"])
+        for stage, t1 in seconds_after.items():
+            if stage not in seconds_before:
+                continue
+            t0 = seconds_before[stage]
+            ratio = f"{t1 / t0:7.3f}" if t0 > 0 else "    inf"
+            print(f"{record['case']:30s} {stage:10s} {t0:10.4f} {t1:10.4f} {ratio}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="local")
     parser.add_argument("--case", choices=list(CASES))
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
     if args.case:
         print(json.dumps(run_case(args.case)))
         return 0

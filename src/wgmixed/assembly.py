@@ -22,9 +22,11 @@ A level's cells are handled in groups of one vertex count (a disk or ring
 mesh holds triangles and, with split boundary chords, one kind of boundary
 polygon).  `level_cells` builds each group once: its cells' P_alpha basis
 (the P_sigma pressure basis is its leading functions) in the centroids and
-principal axes the mesh stores, and its projection rule, as stacked arrays
-with the group axis first; the assembly rule, the edge rules and the basis
-values on them are built on first use and released once the group is
+principal axes the mesh stores, as stacked arrays with the group axis first.
+The projection rule and the basis values on it are built on first use and
+kept for the level's lifetime, so the right-hand side and both exact
+projections read one tabulation; the assembly rule, the edge rules and the
+basis values on them are built on first use and released once the group is
 assembled.  The `local_*` kernels compute every cell's block of a group at
 once with batched products and solves, and `assemble_system` scatters each
 group's blocks in one step.  A one-cell `_CellOps` is the group of one, whose
@@ -161,11 +163,14 @@ class CellGroup:
     the centroids and axes the mesh stores; the P_sigma pressure basis is its
     leading `dim_sigma` functions, so pressure values are leading columns of
     its values.  `proj_rule` is the `projection_order` rule for sources and
-    exact solutions, fanned from the stored centroids.  The assembly rule
-    (exactness `order`), the edge rules (along each edge's stored owner
-    orientation, so t runs backwards on a cell's non-owned edges) and the
-    basis values and mass matrices on them are built on first use and dropped
-    by `release` once the group is assembled.
+    exact solutions, fanned from the stored centroids, and `proj_values` the
+    basis values on it; both are built on first use and kept for the level's
+    lifetime (the right-hand side and the exact projections of flux and
+    pressure all read them).  The assembly rule (exactness `order`), the edge
+    rules (along each edge's stored owner orientation, so t runs backwards on
+    a cell's non-owned edges) and the basis values and mass matrices on them
+    are built on first use and dropped by `release` once the group is
+    assembled.
     """
 
     def __init__(self, mesh: PolygonalMesh, ids, layout: DofLayout, order: int | None = None):
@@ -178,13 +183,21 @@ class CellGroup:
         self.boundary = mesh.edge_cells[self.edges, 1] < 0
         self.center = mesh.cell_centroids[self.ids]
         self.basis = cell_basis(self.vertices, layout.alpha, self.center, mesh.cell_axes[self.ids])
-        self.proj_rule = polygon_rule(self.vertices, projection_order(layout.alpha), self.center)
         self.edge_basis = EdgeBasis(layout.beta)
         self.n_int = 2 * layout.dim_alpha
         self.n_loc = self.n_int + layout.trace_dim * self.edges.shape[1]
 
     def _result(self, blocks):
         return blocks
+
+    @cached_property
+    def proj_rule(self):
+        return polygon_rule(self.vertices, projection_order(self.layout.alpha), self.center)
+
+    @cached_property
+    def proj_values(self) -> np.ndarray:
+        """Basis values on the projection rule's points, (G, q, dim P_alpha)."""
+        return self.basis.eval(self.proj_rule.points[..., 0], self.proj_rule.points[..., 1])
 
     @cached_property
     def rule(self):
@@ -495,11 +508,11 @@ def assemble_rhs(mesh: PolygonalMesh, layout: DofLayout, g,
                  cells: list | None = None) -> np.ndarray:
     """Right-hand side: zero flux block, pressure entries -(g, q)_{Omega_h}.
 
-    The source is integrated with each cell's projection rule (`cells`, the
-    level's `level_cells` list, is built here when not given).  The source is
-    replaced by its mean-free part on the computational domain, which makes
-    the vector orthogonal to the constant pressure direction (the kernel of
-    the transposed operator).
+    The source is integrated with each cell's projection rule and the basis
+    values on it (`cells`, the level's `level_cells` list, is built here when
+    not given).  The source is replaced by its mean-free part on the
+    computational domain, which makes the vector orthogonal to the constant
+    pressure direction (the kernel of the transposed operator).
     """
     if cells is None:
         cells = level_cells(mesh, layout)
@@ -510,7 +523,7 @@ def assemble_rhs(mesh: PolygonalMesh, layout: DofLayout, g,
     for group in cells:
         rule = group.proj_rule
         x, y = rule.points[..., 0], rule.points[..., 1]
-        WVs = rule.weights[..., None] * group.basis.eval(x, y)[..., :layout.dim_sigma]
+        WVs = rule.weights[..., None] * group.proj_values[..., :layout.dim_sigma]
         gv = np.asarray(g(x, y), dtype=float)
         pidx = layout.pressure_dofs(group.ids)
         moments[pidx] = np.einsum("gqi,gq->gi", WVs, gv)

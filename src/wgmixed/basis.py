@@ -26,7 +26,16 @@ A `CellBasis` holds one cell's centre and axes, or a group's stacked (G, 2)
 and (G, 2, 2) arrays; a group's points carry the group axis first, and
 `project_cell` and `project_edge` project onto a whole group of cells or a
 stack of edges with one call of the function and one batched solve.  The
-monomials are products of powers built by repeated multiplication.
+monomials are products of entries of one power table per point set, filled
+by plain multiplication: plane 0 is 1, plane 1 is xi (or eta), and plane k
+is plane k-1 times xi (or eta), so xi^k is the product of k factors taken
+left to right, the same bits as a running product.  Each plane is
+contiguous, and `eval` and `grad` write one basis function at a time, from
+the planes it needs, into its own contiguous plane of a preallocated result
+(the function axis is last in shape, first in memory; the batched products
+downstream sum in an order that follows this layout).  `project_cell` accepts
+basis values already tabulated on its rule, so a group's values on one rule
+are computed once and shared.
 
 Edge bases are (t-1/2)^k in the arclength fraction t of the (globally
 oriented) edge.
@@ -111,31 +120,39 @@ class CellBasis:
         return CellBasis(self.degree, self.center[g], self.axes[g], self.exponents)
 
     def _powers(self, x, y):
-        """Powers xi^k and eta^k, k = 0..degree, along a last axis."""
+        """Table of the powers xi^k and eta^k, k = 0..degree, shape (2, degree + 1, ...)."""
         dx = np.asarray(x, dtype=float) - self.center[..., 0, None]
         dy = np.asarray(y, dtype=float) - self.center[..., 1, None]
         T = self.axes[..., None]
         X = T[..., 0, 0, :] * dx + T[..., 0, 1, :] * dy
-        Y = T[..., 1, 0, :] * dx + T[..., 1, 1, :] * dy
-        XY = np.stack([X, Y])[..., None]
-        return np.cumprod(np.concatenate([np.ones_like(XY), np.repeat(XY, self.degree, axis=-1)],
-                                         axis=-1), axis=-1)
+        table = np.empty((2, self.degree + 1) + X.shape)
+        table[:, 0] = 1.0
+        if self.degree:
+            table[0, 1] = X
+            table[1, 1] = T[..., 1, 0, :] * dx + T[..., 1, 1, :] * dy
+        for k in range(2, self.degree + 1):
+            np.multiply(table[:, k - 1], table[:, 1], out=table[:, k])
+        return table
 
     def eval(self, x, y) -> np.ndarray:
-        """Basis values at points; shape (..., npoints, dim)."""
+        """Basis values at points; shape (..., npoints, dim), one function per memory plane."""
         px, py = self._powers(x, y)
-        return px[..., self.exponents[:, 0]] * py[..., self.exponents[:, 1]]
+        out = np.empty((self.dim,) + px.shape[1:])
+        for i, (a, b) in enumerate(self.exponents):
+            np.multiply(px[a], py[b], out=out[i])
+        return np.moveaxis(out, 0, -1)
 
     def grad(self, x, y) -> np.ndarray:
-        """Basis gradients at points; shape (..., npoints, dim, 2)."""
+        """Basis gradients at points; shape (..., npoints, dim, 2), laid out as `eval`'s."""
         px, py = self._powers(x, y)
-        a = self.exponents[:, 0]
-        b = self.exponents[:, 1]
-        dxi = a * px[..., np.maximum(a - 1, 0)] * py[..., b]      # d/dxi
-        deta = b * px[..., a] * py[..., np.maximum(b - 1, 0)]     # d/deta
-        T = self.axes[..., None, None]
-        return np.stack([T[..., 0, 0, :, :] * dxi + T[..., 1, 0, :, :] * deta,
-                         T[..., 0, 1, :, :] * dxi + T[..., 1, 1, :, :] * deta], axis=-1)
+        out = np.empty((self.dim,) + px.shape[1:] + (2,))
+        T = self.axes[..., None]
+        for i, (a, b) in enumerate(self.exponents):
+            dxi = a * px[max(a - 1, 0)] * py[b]      # d/dxi
+            deta = b * px[a] * py[max(b - 1, 0)]     # d/deta
+            out[i, ..., 0] = T[..., 0, 0, :] * dxi + T[..., 1, 0, :] * deta
+            out[i, ..., 1] = T[..., 0, 1, :] * dxi + T[..., 1, 1, :] * deta
+        return np.moveaxis(out, 0, -2)
 
 
 def cell_basis(vertices, degree: int, center=None, axes=None) -> CellBasis:
@@ -181,7 +198,7 @@ def cell_mass_matrix(vertices, basis: CellBasis, order: int | None = None) -> np
 
 
 def project_cell(vertices, f, degree: int, order: int | None = None,
-                 basis: CellBasis | None = None, rule=None) -> np.ndarray:
+                 basis: CellBasis | None = None, rule=None, values=None) -> np.ndarray:
     """Coefficients of the L2(K)-orthogonal projection of f onto P_degree.
 
     `vertices` is one cell's loop, or a (G, m, 2) group with a group `basis`
@@ -191,15 +208,20 @@ def project_cell(vertices, f, degree: int, order: int | None = None,
     order (2*degree) is exact when f is itself a polynomial of degree <=
     degree; pass a higher order for general fields, or a prebuilt cell `rule`.
     A prebuilt `basis` may have a higher degree: graded-lex P_degree is the
-    span of its leading poly_dim(degree) functions.
+    span of its leading poly_dim(degree) functions.  `values`, the basis
+    already evaluated on the points of `rule` (shape (..., npoints, dim) with
+    dim >= poly_dim(degree)), stands in for `basis`.
     """
-    if basis is None:
-        basis = cell_basis(vertices, degree)
     if rule is None:
+        if values is not None:
+            raise ValueError("basis values need the rule they were evaluated on")
         order = 2 * degree if order is None else max(order, 2 * degree)
         rule = polygon_rule(vertices, order)
     x, y = rule.points[..., 0], rule.points[..., 1]
-    V = basis.eval(x, y)[..., :poly_dim(degree)]
+    if values is None:
+        basis = cell_basis(vertices, degree) if basis is None else basis
+        values = basis.eval(x, y)
+    V = values[..., :poly_dim(degree)]
     WV = rule.weights[..., None] * V
     fv = np.asarray(f(x, y), dtype=float)
     rhs = np.swapaxes(WV, -1, -2) @ fv.reshape(x.shape + (-1,))

@@ -5,12 +5,15 @@ Example:
     wgmixed --domain disk --scheme modified --degree 2 \
             --levels 16,32,64,128 --split-rule modified --out disk_mod.csv
 
-Exit codes: 0 on success, 1 on solver failure, 2 on bad arguments.
+Exit codes: 0 on success, 1 on solver failure, 2 on bad arguments (an
+output path whose directory is missing or not writable among them, caught
+before any level runs).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .convergence import StudyConfig, run_convergence_study
@@ -59,6 +62,21 @@ def _parse_levels(text: str) -> tuple:
     return levels
 
 
+def _mesh_path(base: str, n: int) -> str:
+    return f"{base}.n{n}.json"
+
+
+def _check_writable(path: str, flag: str) -> None:
+    """Reject an output path whose directory is missing or not writable, or that is a directory."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ValueError(f"{flag} directory '{folder}' does not exist")
+    if not os.access(folder, os.W_OK):
+        raise ValueError(f"{flag} directory '{folder}' is not writable")
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} path '{path}' is a directory")
+
+
 def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
@@ -77,6 +95,10 @@ def run_cli(argv=None) -> int:
             rho=args.rho,
             quadrature_order=args.quadrature_order,
         )
+        if args.out != "-":
+            _check_writable(args.out, "--out")
+        if args.mesh_out:
+            _check_writable(_mesh_path(args.mesh_out, levels[0]), "--mesh-out")
         table = run_convergence_study(config)
     except (SolverFailure, SingularSystemError) as exc:
         print(f"wgmixed: solver failure: {exc}", file=sys.stderr)
@@ -98,7 +120,7 @@ def run_cli(argv=None) -> int:
         from .mesh import write_mesh
         for row in table.rows:
             mesh = generate_domain_mesh(args.domain, row.n, row.split)
-            path = f"{args.mesh_out}.n{row.n}.json"
+            path = _mesh_path(args.mesh_out, row.n)
             write_mesh(mesh, path)
             print(f"wrote {path}")
     return 0

@@ -13,7 +13,9 @@ then works on the level's cell groups, then solves, then measures:
 `level_cells` stacks the basis and rules of each group of cells with one
 vertex count once, the assembly, the right-hand side and the exact
 projection read them a group at a time, and they are released before the
-solve.  The four error norms are quadratic forms in matrices the assembly
+solve.  The basis is tabulated on a group's projection rule once: the
+right-hand side and `project_exact` (flux and pressure) read the same
+values.  The four error norms are quadratic forms in matrices the assembly
 already returned: the flux-norm matrix of each normal mode and the diagonal
 blocks of the interior-flux and pressure mass matrices.  `run_level` records
 the seconds of each stage in `StudyRow.stages` and the solve's diagnostics
@@ -70,20 +72,23 @@ def project_exact(mesh: PolygonalMesh, u, p, layout: DofLayout,
 
     Interior flux coefficients are cellwise L2 projections of each component
     and pressures cellwise L2 projections, both with each cell's projection
-    rule (`cells`, the level's `level_cells` list, is built here when not
-    given); interior-edge traces are L2 projections of u . n_e; boundary-edge
-    traces are zero by definition of the constrained flux space.
+    rule and the basis values the group keeps on it, which the right-hand
+    side reads too (`cells`, the level's `level_cells` list, is built here
+    when not given); interior-edge traces are L2 projections of u . n_e;
+    boundary-edge traces are zero by definition of the constrained flux
+    space.
     """
     if cells is None:
         cells = level_cells(mesh, layout)
     w = WgFunction.zeros(layout)
     pex = np.zeros(layout.n_pressure)
     for group in cells:
-        coef = project_cell(group.vertices, u, layout.alpha, basis=group.basis, rule=group.proj_rule)
+        coef = project_cell(group.vertices, u, layout.alpha, rule=group.proj_rule,
+                            values=group.proj_values)
         w.coeffs[layout.local_dofs(group.ids)[:, :group.n_int]] = np.swapaxes(coef, 1, 2).reshape(
             group.ids.size, -1)
         pex[layout.pressure_dofs(group.ids)] = project_cell(
-            group.vertices, p, layout.sigma, basis=group.basis, rule=group.proj_rule)
+            group.vertices, p, layout.sigma, rule=group.proj_rule, values=group.proj_values)
     inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
     n_e = mesh.edge_normals[inner]
     ends = mesh.vertices[mesh.edges[inner]]
@@ -117,6 +122,19 @@ def vh_norm(mesh: PolygonalMesh, w: WgFunction, mode: str = "straight",
     return quadratic_norm(matrix, w.coeffs)
 
 
+def _cell_mass_blocks(mesh: PolygonalMesh, layout: DofLayout, dim: int) -> np.ndarray:
+    """(cells, dim, dim) Gram matrices of each cell's leading `dim` basis functions.
+
+    These are the `flux_mass` (dim P_alpha) or `pressure_mass` (dim P_sigma)
+    blocks `assemble_system` returns, bit for bit, read from the level's cell
+    groups without assembling the system.
+    """
+    blocks = np.empty((mesh.n_cells, dim, dim))
+    for group in level_cells(mesh, layout):
+        blocks[group.ids] = group.mass[:, :dim, :dim]
+    return blocks
+
+
 def l2_flux_interior_error(mesh: PolygonalMesh, w: WgFunction) -> float:
     """Interior L2 norm of a discrete flux (trace dofs ignored).
 
@@ -124,15 +142,16 @@ def l2_flux_interior_error(mesh: PolygonalMesh, w: WgFunction) -> float:
     order past the stabilized flux norm on polygon-exact domains; it is
     recorded as a diagnostic alongside the flux-norm errors.
     """
-    return block_norm(assemble_system(mesh, w.layout).flux_mass,
-                      w.coeffs[:w.layout.n_interior])
+    layout = w.layout
+    return block_norm(_cell_mass_blocks(mesh, layout, layout.dim_alpha),
+                      w.coeffs[:layout.n_interior])
 
 
 def l2_pressure_error(mesh: PolygonalMesh, layout: DofLayout, p_coeffs,
                       p_exact_coeffs) -> float:
     """Cellwise L2 norm of the pressure coefficient difference."""
     diff = np.asarray(p_exact_coeffs, dtype=float) - np.asarray(p_coeffs, dtype=float)
-    return block_norm(assemble_system(mesh, layout).pressure_mass, diff)
+    return block_norm(_cell_mass_blocks(mesh, layout, layout.dim_sigma), diff)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wgmixed import basis, convergence
 from wgmixed.assembly import (
     ConfigurationError,
     DofLayout,
+    WgFunction,
     _CellOps,
     assemble_rhs,
     assemble_system,
@@ -26,7 +28,14 @@ from wgmixed.assembly import (
     projection_order,
 )
 from wgmixed.basis import graded_lex_exponents, project_cell, project_edge
-from wgmixed.convergence import project_exact
+from wgmixed.convergence import (
+    StudyConfig,
+    block_norm,
+    l2_flux_interior_error,
+    l2_pressure_error,
+    project_exact,
+    run_level,
+)
 from wgmixed.mesh import (
     PolygonalMesh,
     boundary_split_count,
@@ -562,3 +571,63 @@ def test_grouped_assembly_matches_per_cell_loop(mesh_name, j, scheme):
     close(rhs, ref["rhs"])
     close(uex.coeffs, ref["uex"])
     close(pex, ref["pex"])
+
+
+# ---------------------------------------------------------------------------
+# projection-rule values shared by the right-hand side and the projections
+# ---------------------------------------------------------------------------
+
+SHARED_MESHES = {
+    "disk-original-law": lambda: generate_disk_mesh(
+        16, lambda h: boundary_split_count(h, 2, "original")),
+    "ring-fixed3": lambda: generate_ring_mesh(16, 3),
+}
+
+
+@pytest.mark.parametrize("mesh_name", list(SHARED_MESHES))
+def test_shared_cells_give_the_same_bits_as_fresh_ones(mesh_name):
+    mesh = SHARED_MESHES[mesh_name]()
+    layout = DofLayout(mesh, 2, 2, 1)
+    case = registry_lookup(mesh.domain)
+    shared = level_cells(mesh, layout)
+    assemble_system(mesh, layout, scheme="modified", cells=shared)   # releases what it built
+    rhs = assemble_rhs(mesh, layout, case.g, cells=shared)
+    uex, pex = project_exact(mesh, case.u, case.p, layout, cells=shared)
+    assert np.array_equal(rhs, assemble_rhs(mesh, layout, case.g))
+    fresh_u, fresh_p = project_exact(mesh, case.u, case.p, layout)
+    assert np.array_equal(uex.coeffs, fresh_u.coeffs)
+    assert np.array_equal(pex, fresh_p)
+
+
+def test_run_level_tabulates_each_projection_rule_once(monkeypatch):
+    groups, points = [], []
+    build, tabulate = convergence.level_cells, basis.CellBasis.eval
+
+    def kept_cells(*args):
+        groups.extend(build(*args))
+        return list(groups)
+
+    def counted_eval(self, x, y):
+        points.append(x)
+        return tabulate(self, x, y)
+
+    monkeypatch.setattr(convergence, "level_cells", kept_cells)
+    monkeypatch.setattr(basis.CellBasis, "eval", counted_eval)
+    run_level(StudyConfig("disk", "modified", 2, (16,), split_rule="original"), 16)
+    assert len(groups) == 2
+    for group in groups:
+        on_rule = [x for x in points if np.shares_memory(x, group.proj_rule.points)]
+        assert len(on_rule) == 1
+
+
+@pytest.mark.parametrize("mesh_name", list(SHARED_MESHES))
+def test_l2_norms_read_the_assembled_mass_blocks(mesh_name):
+    mesh = SHARED_MESHES[mesh_name]()
+    layout = DofLayout(mesh, 2, 2, 1)
+    system = assemble_system(mesh, layout)
+    rng = np.random.default_rng(3)
+    w = WgFunction(layout, rng.standard_normal(layout.n_velocity))
+    p, q = rng.standard_normal((2, layout.n_pressure))
+    assert l2_flux_interior_error(mesh, w) == block_norm(system.flux_mass,
+                                                         w.coeffs[:layout.n_interior])
+    assert l2_pressure_error(mesh, layout, p, q) == block_norm(system.pressure_mass, q - p)

@@ -231,3 +231,90 @@ def test_group_basis_and_projections_equal_one_cell_ones():
     for e in range(0, mesh.n_edges, 5):
         single = project_edge(ends[e, 0], ends[e, 1], fe, 2, 8)
         assert np.allclose(stacked[e], single, rtol=1e-13, atol=1e-13 * np.abs(single).max())
+
+
+# ---------------------------------------------------------------------------
+# power-table tabulation
+# ---------------------------------------------------------------------------
+
+def _tabulation_cases():
+    """One triangle, one pentagon and a stacked group of four hexagons, with points."""
+    rng = np.random.default_rng(7)
+    tri = np.array([(0.0, 0.0), (2.0, 0.3), (0.4, 0.9)])
+    pent = regular_polygon(5, radius=0.6, center=(1.0, -2.0)) * [1.0, 0.4]
+    stack = np.stack([regular_polygon(6, radius=0.5 + 0.2 * g, center=(g, -g)) * [1.0, 0.5]
+                      for g in range(4)])
+    cases = []
+    for verts in (tri, pent, stack):
+        lo, hi = verts.min(axis=-2), verts.max(axis=-2)
+        pts = lo[..., None, :] + (hi - lo)[..., None, :] * rng.random(verts.shape[:-2] + (9, 2))
+        cases.append((verts, pts[..., 0], pts[..., 1]))
+    return cases
+
+
+def _running_product_tabulation(basis, x, y):
+    """The former tabulation: powers by a cumulative product, monomials by fancy indexing."""
+    dx = np.asarray(x, dtype=float) - basis.center[..., 0, None]
+    dy = np.asarray(y, dtype=float) - basis.center[..., 1, None]
+    T = basis.axes[..., None]
+    X = T[..., 0, 0, :] * dx + T[..., 0, 1, :] * dy
+    Y = T[..., 1, 0, :] * dx + T[..., 1, 1, :] * dy
+    XY = np.stack([X, Y])[..., None]
+    px, py = np.cumprod(np.concatenate([np.ones_like(XY), np.repeat(XY, basis.degree, axis=-1)],
+                                       axis=-1), axis=-1)
+    a, b = basis.exponents[:, 0], basis.exponents[:, 1]
+    values = px[..., a] * py[..., b]
+    dxi = a * px[..., np.maximum(a - 1, 0)] * py[..., b]
+    deta = b * px[..., a] * py[..., np.maximum(b - 1, 0)]
+    T = basis.axes[..., None, None]
+    grads = np.stack([T[..., 0, 0, :, :] * dxi + T[..., 1, 0, :, :] * deta,
+                      T[..., 0, 1, :, :] * dxi + T[..., 1, 1, :, :] * deta], axis=-1)
+    return values, grads
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_eval_and_grad_match_power_reference(degree):
+    # xi**a * eta**b and its chain-rule gradient, to 1e-13 of the largest entry
+    for verts, x, y in _tabulation_cases():
+        bas = cell_basis(verts, degree)
+        d = np.stack([x - bas.center[..., 0, None], y - bas.center[..., 1, None]], axis=-1)
+        xi, eta = np.moveaxis(np.einsum("...ij,...qj->...qi", bas.axes, d), -1, 0)
+        a, b = bas.exponents[:, 0], bas.exponents[:, 1]
+        X, Y = xi[..., None], eta[..., None]
+        ref = X ** a * Y ** b
+        dxi = a * X ** np.maximum(a - 1, 0) * Y ** b
+        deta = b * X ** a * Y ** np.maximum(b - 1, 0)
+        T = bas.axes[..., None, None, :, :]      # chain rule: d(xi, eta)/d(x, y) = axes
+        ref_grad = np.stack([T[..., 0, 0] * dxi + T[..., 1, 0] * deta,
+                             T[..., 0, 1] * dxi + T[..., 1, 1] * deta], axis=-1)
+        vals, grads = bas.eval(x, y), bas.grad(x, y)
+        assert vals.shape == x.shape + (bas.dim,) and grads.shape == x.shape + (bas.dim, 2)
+        assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(grads - ref_grad).max() <= 1e-13 * max(np.abs(ref_grad).max(), 1.0)
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_tabulation_bitwise_equals_running_product(degree):
+    # same bits and the same memory layout (function axis outermost), so the
+    # batched products that read these values sum in the same order as before
+    for verts, x, y in _tabulation_cases():
+        bas = cell_basis(verts, degree)
+        values, grads = _running_product_tabulation(bas, x, y)
+        for got, want in ((bas.eval(x, y), values), (bas.grad(x, y), grads)):
+            assert got.shape == want.shape
+            assert [st for n, st in zip(got.shape, got.strides) if n > 1] == \
+                [st for n, st in zip(want.shape, want.strides) if n > 1]
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_project_cell_takes_tabulated_values():
+    verts = _split_boundary_cell()
+    rule = polygon_rule(verts, 8)
+    bas = cell_basis(verts, 3)
+    values = bas.eval(rule.points[:, 0], rule.points[:, 1])
+    f = lambda x, y: np.stack([np.exp(x) * np.cos(3.0 * y), x * y], axis=-1)
+    for degree in (2, 3):
+        want = project_cell(verts, f, degree, basis=bas, rule=rule)
+        assert np.array_equal(project_cell(verts, f, degree, rule=rule, values=values), want)
+    with pytest.raises(ValueError, match="rule"):
+        project_cell(verts, f, 2, values=values)

@@ -108,3 +108,21 @@ def test_quadrature_order_2j_accepted(tmp_path):
     out = tmp_path / "q.csv"
     assert run_cli(["--domain", "square", "--degree", "2", "--levels", "2,4",
                     "--quadrature-order", "4", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("flag, target, named", [
+    ("--out", "missing/x.csv", "missing"),
+    ("--mesh-out", "missing/m", "missing"),
+    ("--out", ".", "is a directory"),
+])
+def test_unwritable_output_rejected_before_any_level(flag, target, named, tmp_path,
+                                                     monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(convergence, "run_level", lambda config, n: ran.append(n))
+    args = ["--domain", "square", "--levels", "2,4", flag, str(tmp_path / target)]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and flag in err[0] and named in err[0], err
+    assert captured.out == ""
+    assert ran == []
