@@ -9,7 +9,6 @@ from .assembly import (
     assemble_rhs,
     assemble_system,
     assemble_vh_matrix,
-    boundary_correction_entries,
 )
 from .convergence import (
     ConvergenceTable,
@@ -22,13 +21,11 @@ from .convergence import (
 )
 from .mesh import (
     BoundaryCurves,
-    CurvedSegment,
     MeshError,
     MeshQualityReport,
     PolygonalMesh,
     boundary_split_count,
     build_mesh,
-    curved_geometry,
     generate_disk_mesh,
     generate_ring_mesh,
     generate_square_tri,

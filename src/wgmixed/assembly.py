@@ -28,14 +28,13 @@ kept for the level's lifetime, so the right-hand side and both exact
 projections read one tabulation; the assembly rule, the edge rules and the
 basis values on them are built on first use and released once the group is
 assembled.  The `local_*` kernels compute every cell's block of a group at
-once with batched products and solves, and `assemble_system` scatters each
-group's blocks in one step.  A one-cell `_CellOps` is the group of one, whose
-kernels return the cell's block without the group axis.  The two normal
-modes differ only in the boundary-edge terms, so `assemble_system` stabilizes
-the cells that have a boundary edge in both modes and returns both flux-norm
-matrices (the second as a difference on those cells), together with the
-diagonal blocks of the L2 mass matrices of the interior flux and of the
-pressure.
+once with batched products and solves and return them stacked, group axis
+first; `assemble_system` scatters each group's blocks in one step.  A single
+cell is a group of one.  The two normal modes differ only in the
+boundary-edge terms, so `assemble_system` stabilizes the cells that have a
+boundary edge in both modes and returns both flux-norm matrices (the second
+as a difference on those cells), together with the diagonal blocks of the L2
+mass matrices of the interior flux and of the pressure.
 """
 
 from __future__ import annotations
@@ -106,16 +105,6 @@ class DofLayout:
     def n_dofs(self) -> int:
         return self.n_velocity + self.n_pressure
 
-    def cell_slice(self, c: int) -> slice:
-        off = self.interior_offsets[c]
-        return slice(off, off + 2 * self.dim_alpha)
-
-    def edge_slice(self, e: int):
-        off = self.trace_offsets[e]
-        if off < 0:
-            return None
-        return slice(off, off + self.trace_dim)
-
     def local_dofs(self, cells) -> np.ndarray:
         """Global velocity indices in the local dof order of cell `cells` (-1 = dropped).
 
@@ -143,17 +132,6 @@ class WgFunction:
     @classmethod
     def zeros(cls, layout: DofLayout) -> "WgFunction":
         return cls(layout, np.zeros(layout.n_velocity))
-
-    def interior(self, c: int) -> np.ndarray:
-        """Interior coefficients of cell c, shape (2, dim P_alpha)."""
-        return self.coeffs[self.layout.cell_slice(c)].reshape(2, self.layout.dim_alpha)
-
-    def trace(self, e: int) -> np.ndarray:
-        """Trace coefficients of edge e (zeros for eliminated boundary edges)."""
-        sl = self.layout.edge_slice(e)
-        if sl is None:
-            return np.zeros(self.layout.trace_dim)
-        return self.coeffs[sl]
 
 
 class CellGroup:
@@ -186,9 +164,6 @@ class CellGroup:
         self.edge_basis = EdgeBasis(layout.beta)
         self.n_int = 2 * layout.dim_alpha
         self.n_loc = self.n_int + layout.trace_dim * self.edges.shape[1]
-
-    def _result(self, blocks):
-        return blocks
 
     @cached_property
     def proj_rule(self):
@@ -260,18 +235,6 @@ class CellGroup:
         return m_vec, ne_dot_m
 
 
-class _CellOps(CellGroup):
-    """One cell as a group of one; the `local_*` kernels return its blocks unstacked."""
-
-    def __init__(self, mesh: PolygonalMesh, c: int, layout: DofLayout, order: int | None = None):
-        super().__init__(mesh, [c], layout, order)
-        self.c = c
-        self.basis_a = self.basis[0]
-
-    def _result(self, blocks):
-        return blocks[0]
-
-
 def level_cells(mesh: PolygonalMesh, layout: DofLayout, order: int | None = None) -> list:
     """The level's cell groups, one per vertex count, for the assembly at exactness `order`."""
     return [CellGroup(mesh, ids, layout, order) for ids in mesh.cell_groups()]
@@ -279,7 +242,7 @@ def level_cells(mesh: PolygonalMesh, layout: DofLayout, order: int | None = None
 
 def local_mass(cells: CellGroup) -> np.ndarray:
     """Block-diagonal two-component L2 mass matrices on the interior dofs."""
-    return cells._result(np.kron(np.eye(2), cells.mass))
+    return np.kron(np.eye(2), cells.mass)
 
 
 def local_weak_divergence(cells: CellGroup) -> np.ndarray:
@@ -296,7 +259,7 @@ def local_weak_divergence(cells: CellGroup) -> np.ndarray:
     N = np.concatenate([-np.swapaxes(WG[..., 0], 1, 2) @ cells.Va,
                         -np.swapaxes(WG[..., 1], 1, 2) @ cells.Va,
                         traces.reshape(traces.shape[:2] + (-1,))], axis=2)
-    return cells._result(np.linalg.solve(cells.mass, N))
+    return np.linalg.solve(cells.mass, N)
 
 
 def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1.0,
@@ -320,12 +283,12 @@ def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1
     R = np.concatenate([Ve * m_vec[..., 0:1], Ve * m_vec[..., 1:2],
                         traces.reshape(G, m, q, -1)], axis=-1).reshape(G, m * q, -1)
     S = np.swapaxes(R, 1, 2) @ (w.reshape(G, -1, 1) * R)
-    return cells._result((rho / cells.mesh.cell_diameters[cells.ids[rows]])[:, None, None] * S)
+    return (rho / cells.mesh.cell_diameters[cells.ids[rows]])[:, None, None] * S
 
 
 def local_pressure_coupling(cells: CellGroup) -> np.ndarray:
     """Rows of b_h on the cell: entries -(div_w v, q)_K for q in the P_sigma basis."""
-    return -cells._result(cells.mass)[..., :cells.layout.dim_sigma, :] @ local_weak_divergence(cells)
+    return -cells.mass[:, :cells.layout.dim_sigma, :] @ local_weak_divergence(cells)
 
 
 def local_boundary_correction(cells: CellGroup) -> np.ndarray:
@@ -340,20 +303,7 @@ def local_boundary_correction(cells: CellGroup) -> np.ndarray:
     mean = np.einsum("gkq,gkqi->gki", w, F) / w.sum(axis=-1)[..., None]
     C = np.einsum("gkqs,gkq,gkqi->gksi", cells.Ve[..., :cells.layout.dim_sigma], w,
                   F - mean[:, :, None, :])
-    return cells._result(C * cells.boundary[..., None, None])
-
-
-def boundary_correction_entries(mesh: PolygonalMesh, e: int, layout: DofLayout,
-                                order: int | None = None) -> np.ndarray:
-    """Correction pairings of boundary edge e against its cell's bases.
-
-    The assembled mass-conservation rows of the modified scheme subtract these.
-    """
-    if not mesh.is_boundary_edge(e):
-        raise ValueError(f"edge {e} is interior; the correction lives on the boundary")
-    c = int(mesh.edge_cells[e, 0])
-    k = list(mesh.cell_edges[c]).index(e)
-    return local_boundary_correction(_CellOps(mesh, c, layout, order))[k]
+    return C * cells.boundary[..., None, None]
 
 
 @dataclass

@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 
-from .convergence import StudyConfig, run_convergence_study
+from .convergence import DOMAINS, SCHEMES, StudyConfig, run_convergence_study
 from .mesh import MeshError
 from .solver import SingularSystemError, SolverFailure
 
@@ -32,8 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wgmixed",
         description="Weak Galerkin mixed-FEM convergence studies on square/disk/ring domains.",
     )
-    parser.add_argument("--domain", choices=("square", "disk", "ring"), required=True)
-    parser.add_argument("--scheme", choices=("original", "modified"), default="original")
+    parser.add_argument("--domain", choices=DOMAINS, required=True)
+    parser.add_argument("--scheme", choices=SCHEMES, default="original")
     parser.add_argument("--degree", type=int, default=1, metavar="J",
                         help="polynomial degree j of the P_j-P_j-P_{j-1} scheme")
     parser.add_argument("--levels", type=str, default=None, metavar="N1,N2,...",

@@ -25,9 +25,7 @@ the seconds of each stage in `StudyRow.stages` and the solve's diagnostics
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +52,8 @@ from .solutions import registry_lookup
 from .solver import solve_saddle
 
 CSV_HEADER = "n,h,s,dofs,err_u_Vh,err_u_Vh1,err_p_L2,seconds"
+DOMAINS = ("square", "disk", "ring")
+SCHEMES = ("original", "modified")
 
 
 def fit_rate(pairs) -> float:
@@ -165,10 +165,20 @@ class StudyConfig:
     split_rule: str = "none"      # none | original | modified | fixed:<k>
     rho: float = 1.0
     quadrature_order: int | None = None
-    threads: int | None = None    # default: WG_THREADS env or 1
+    threads: int | None = None    # None or 1: the levels run one after another
 
     def __post_init__(self):
         """Reject a study that cannot run before any of its levels does."""
+        if self.domain not in DOMAINS:
+            raise ValueError(f"domain '{self.domain}' is not one of {', '.join(DOMAINS)}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme '{self.scheme}' is not one of {', '.join(SCHEMES)}")
+        if self.degree < 1:
+            raise ValueError(f"degree {self.degree} must be >= 1: the pressures are "
+                             "P_(degree-1)")
+        if self.threads not in (None, 1):
+            raise ValueError(f"threads {self.threads} must be None or 1: the levels run "
+                             "one after another")
         levels = list(self.levels)
         if not levels:
             raise ValueError("study needs at least one refinement level")
@@ -314,21 +324,11 @@ def run_level(config: StudyConfig, n: int):
 
 
 def run_convergence_study(config: StudyConfig) -> ConvergenceTable:
-    """Run every refinement level of a study and fit convergence slopes.
+    """Run the refinement levels of a study in order and fit convergence slopes.
 
-    Levels may execute concurrently (WG_THREADS or config.threads); the table
-    rows keep the order of the requested levels and all numbers are
-    independent of the thread count.
+    The table rows and quality reports follow the order of `config.levels`.
     """
-    levels = list(config.levels)
-    threads = config.threads
-    if threads is None:
-        threads = int(os.environ.get("WG_THREADS", "1"))
-    if threads > 1 and len(levels) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda n: run_level(config, n), levels))
-    else:
-        results = [run_level(config, n) for n in levels]
+    results = [run_level(config, n) for n in config.levels]
 
     rows = [r for r, _ in results]
     quality = [rep for _, rep in results]

@@ -20,12 +20,12 @@ normal.  The edges are numbered in
 order of first appearance by one `np.unique` over the vertex-pair keys of
 all half-edges.  The curve lookup is called once with every boundary chord
 and returns `BoundaryCurves`, arrays of centers, radii and sides that
-`segment_geometry` evaluates on many chords at once; a single chord's
-`CurvedSegment` is a row of it.  The assembly and `validate_mesh` read the
-stored arrays, a group at a time.  The disk and ring generators place the
-corner vertices before they subdivide the boundary chords, so a split law
-that depends on the mesh size is decided from the corner loops, inside one
-generator call.
+`segment_geometry` evaluates on many chords at once; it is the only curve
+representation, and one chord is a one-row stack.  The assembly and
+`validate_mesh` read the stored arrays, a group at a time.  The disk and
+ring generators place the corner vertices before they subdivide the
+boundary chords, so a split law that depends on the mesh size is decided
+from the corner loops, inside one generator call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import dataclasses
 import itertools
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,48 +53,15 @@ class MeshError(ValueError):
 # curved boundary segments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurvedSegment:
-    """Map from a straight boundary chord onto the analytic boundary curve.
-
-    The local frame has its origin at `start` and abscissa along the chord;
-    the gap is measured on the side of the chord where the curve lies
-    (`side` = +1 for the +n_e side, -1 for the -n_e side, with n_e the
-    right-hand normal of start -> end).
-    """
-
-    curve_id: str              # "flat" or "circle"
-    start: np.ndarray
-    end: np.ndarray
-    center: np.ndarray | None = None
-    radius: float = 0.0
-    side: int = 1
-
-    @property
-    def chord_length(self) -> float:
-        d = self.end - self.start
-        return float(np.hypot(d[0], d[1]))
-
-    def geometry(self, xhat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized (foot points, gaps, curve normals) at chord abscissae."""
-        xh = np.atleast_1d(np.asarray(xhat, dtype=float))
-        center = np.zeros(2) if self.center is None else np.asarray(self.center, dtype=float)
-        one = BoundaryCurves(np.zeros(1, dtype=np.int64), np.asarray(self.start, float)[None],
-                             np.asarray(self.end, float)[None],
-                             np.array([self.curve_id != "flat"]), center[None],
-                             np.array([self.radius], dtype=float), np.array([self.side]))
-        foot, gamma, ntilde = segment_geometry(one, xh[None, :])
-        return foot[0], gamma[0], ntilde[0]
-
-
 @dataclass(frozen=True, eq=False)
-class BoundaryCurves(Mapping):
+class BoundaryCurves:
     """Curve data of a stack of B boundary chords, one row per chord.
 
-    Row k maps the chord start[k] -> end[k] onto the arc of the circle about
-    center[k] with radius[k] where arc[k] holds, and onto itself (a flat
-    segment) elsewhere; side[k] is the `CurvedSegment` side.  As a mapping it
-    sends edge id edges[k] (ascending) to the `CurvedSegment` of row k.
+    Row k maps the chord start[k] -> end[k] of edge edges[k] onto the arc of
+    the circle about center[k] with radius[k] where arc[k] holds, and onto
+    itself (a flat segment) elsewhere.  The gap is measured on the side of
+    the chord where the curve lies: side[k] = +1 for the +n_e side, -1 for
+    the -n_e side, with n_e the right-hand normal of start -> end.
     """
 
     edges: np.ndarray      # (B,) edge ids, ascending
@@ -116,21 +83,6 @@ class BoundaryCurves(Mapping):
     def take(self, rows) -> "BoundaryCurves":
         """The curves of rows `rows`, in that order."""
         return BoundaryCurves(*(getattr(self, f.name)[rows] for f in dataclasses.fields(self)))
-
-    def __getitem__(self, e) -> CurvedSegment:
-        k = int(self.rows(e))
-        if k < 0:
-            raise KeyError(e)
-        if not self.arc[k]:
-            return CurvedSegment("flat", self.start[k], self.end[k])
-        return CurvedSegment("circle", self.start[k], self.end[k], self.center[k],
-                             float(self.radius[k]), int(self.side[k]))
-
-    def __iter__(self):
-        return iter(self.edges.tolist())
-
-    def __len__(self) -> int:
-        return self.edges.size
 
 
 def segment_geometry(curves: BoundaryCurves, xhat):
@@ -193,26 +145,6 @@ def circle_curves(chords, center, radius, arc=True) -> BoundaryCurves:
 def flat_curves(chords) -> BoundaryCurves:
     """Flat curves of B chords (B, 2, 2); row k is edge k."""
     return circle_curves(chords, (0.0, 0.0), 0.0, arc=False)
-
-
-def flat_segment(start, end) -> CurvedSegment:
-    return flat_curves([[start, end]])[0]
-
-
-def circle_segment(start, end, center, radius: float) -> CurvedSegment:
-    """Chord of a circle; the arc side is inferred from the chord midpoint."""
-    return circle_curves([[start, end]], center, radius)[0]
-
-
-def curved_geometry(segment: CurvedSegment, xhat):
-    """Foot point on the curve, gap, and outward curve normal at abscissa xhat.
-
-    Scalar xhat gives scalar results; array xhat gives arrays.
-    """
-    foot, gamma, ntilde = segment.geometry(xhat)
-    if np.isscalar(xhat) or np.asarray(xhat).ndim == 0:
-        return foot[0], float(gamma[0]), ntilde[0]
-    return foot, gamma, ntilde
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +237,6 @@ class PolygonalMesh:
 
     def edge_points(self, e: int):
         return self.vertices[self.edges[e, 0]], self.vertices[self.edges[e, 1]]
-
-    def edge_length(self, e: int) -> float:
-        return float(self.edge_lengths[e])
 
     def cell_groups(self) -> list:
         """Cell ids grouped by vertex count, fewest vertices first."""
@@ -434,8 +363,9 @@ def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> Po
     ends = edges[bidx]
     chords = verts[ends]                              # (boundary edges, 2 endpoints, 2)
     curves = flat_curves(chords) if curve_lookup is None else curve_lookup(ends, chords)
-    if len(curves) != bidx.size:
-        raise MeshError(f"curve lookup gave {len(curves)} curves for {bidx.size} boundary edges")
+    if curves.edges.size != bidx.size:
+        raise MeshError(f"curve lookup gave {curves.edges.size} curves for {bidx.size} "
+                        "boundary edges")
     off = ~np.isclose(np.stack([curves.start, curves.end], axis=1), chords,
                       rtol=0.0, atol=1e-12 * scale).all(axis=(1, 2))
     if off.any():

@@ -114,16 +114,10 @@ def polygon_moments(vertices):
 def polygon_area(vertices):
     """Signed (shoelace) area of an (m, 2) vertex loop, or of each loop in a (..., m, 2) stack.
 
-    The sums run vertex by vertex (a cumulative sum) in the order
-    `polygon_moments` uses, so each area equals its first return value bit for
-    bit; a loop whose area is zero to rounding has area 0.0.
+    The area `polygon_moments` returns; a loop whose area is zero to rounding
+    has area 0.0.
     """
-    v = np.asarray(vertices, dtype=float)
-    d = v - v[..., :1, :]
-    p = np.roll(d, 1, axis=-2)
-    a2 = np.cumsum(p[..., 0] * d[..., 1] - d[..., 0] * p[..., 1], axis=-1)[..., -1]
-    scale = np.maximum(np.ptp(v, axis=-2).max(axis=-1), 1e-300)
-    return np.where(np.abs(a2) <= 2e-14 * scale * scale, 0.0, 0.5 * a2)[()]
+    return polygon_moments(vertices)[0]
 
 
 def polygon_centroid(vertices) -> np.ndarray:

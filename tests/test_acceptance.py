@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from wgmixed.assembly import (
+    CellGroup,
     DofLayout,
     WgFunction,
-    _CellOps,
     assemble_system,
     assemble_vh_matrix,
     local_weak_divergence,
@@ -31,10 +31,10 @@ from wgmixed.basis import graded_lex_exponents, project_cell
 from wgmixed.convergence import StudyConfig, fit_rate, run_convergence_study, vh_norm
 from wgmixed.mesh import (
     build_mesh,
-    curved_geometry,
     generate_disk_mesh,
     generate_ring_mesh,
     generate_square_tri,
+    segment_geometry,
     validate_mesh,
 )
 from wgmixed.quadrature import polygon_rule
@@ -238,7 +238,7 @@ def test_criterion8a_commutativity():
         m = verts.shape[0]
         mesh = build_mesh(verts, [list(range(m))])
         lay = DofLayout(mesh, alpha, alpha, alpha - 1, include_boundary_traces=True)
-        ops = _CellOps(mesh, 0, lay)
+        ops = CellGroup(mesh, [0], lay)
         exps = graded_lex_exponents(alpha)
         cu = rng.normal(size=(2, exps.shape[0]))
 
@@ -255,9 +255,9 @@ def test_criterion8a_commutativity():
 
         dof = np.zeros(ops.n_loc)
         dof[:lay.dim_alpha] = project_cell(verts, lambda x, y: u_comp(x, y, cu[0]),
-                                           alpha, 2 * alpha + 4, basis=ops.basis_a)
+                                           alpha, 2 * alpha + 4, basis=ops.basis[0])
         dof[lay.dim_alpha:2 * lay.dim_alpha] = project_cell(
-            verts, lambda x, y: u_comp(x, y, cu[1]), alpha, 2 * alpha + 4, basis=ops.basis_a)
+            verts, lambda x, y: u_comp(x, y, cu[1]), alpha, 2 * alpha + 4, basis=ops.basis[0])
         from wgmixed.basis import project_edge
         for k, e in enumerate(mesh.cell_edges[0]):
             p0, p1 = mesh.edge_points(e)
@@ -266,8 +266,8 @@ def test_criterion8a_commutativity():
                 p0, p1,
                 lambda x, y: u_comp(x, y, cu[0]) * n_e[0] + u_comp(x, y, cu[1]) * n_e[1],
                 alpha, 2 * alpha + 4)
-        got = local_weak_divergence(ops) @ dof
-        expect = project_cell(verts, div_u, alpha, 2 * alpha + 4, basis=ops.basis_a)
+        got = local_weak_divergence(ops)[0] @ dof
+        expect = project_cell(verts, div_u, alpha, 2 * alpha + 4, basis=ops.basis[0])
         worst = max(worst, np.abs(got - expect).max() / max(1.0, np.abs(expect).max()))
     ok = worst <= 1e-10
     report("8a", f"weak-divergence/projection commutativity over 50 fields: "
@@ -393,16 +393,15 @@ def test_criterion9_sagitta_and_normals():
     worst_dev = 0.0
     for mesh in (generate_disk_mesh(16, 1), generate_disk_mesh(32, 4),
                  generate_ring_mesh(16, 1), generate_ring_mesh(32, 3)):
-        for e in mesh.boundary_edge_indices:
-            seg = mesh.boundary_segments[int(e)]
-            he = seg.chord_length
-            gamma = curved_geometry(seg, he / 2)[1]
-            exact = seg.radius - math.sqrt(seg.radius**2 - (he / 2) ** 2)
-            worst_gap = max(worst_gap, abs(gamma - exact))
-            xh = he * (np.arange(16) + 0.5) / 16.0
-            nt = seg.geometry(xh)[2]
-            dev = np.linalg.norm(nt - mesh.edge_normals[e][None, :], axis=1).max()
-            worst_dev = max(worst_dev, dev / he)
+        curves = mesh.boundary_segments           # one row per boundary edge
+        he = mesh.edge_lengths[curves.edges][:, None]
+        xh = np.hstack([he / 2, he * (np.arange(16) + 0.5) / 16.0])
+        _, gamma, nt = segment_geometry(curves, xh)
+        exact = curves.radius - np.sqrt(curves.radius**2 - (he[:, 0] / 2) ** 2)
+        worst_gap = max(worst_gap, float(np.abs(gamma[:, 0] - exact).max()))
+        dev = np.linalg.norm(nt[:, 1:] - mesh.edge_normals[curves.edges][:, None, :],
+                             axis=2).max(axis=1)
+        worst_dev = max(worst_dev, float((dev / he[:, 0]).max()))
     ok = worst_gap <= 1e-12 and worst_dev <= 1.0
     report("9", f"sagitta error {worst_gap:.2e} (<= 1e-12), "
                 f"max |curve normal - chord normal| / h_e = {worst_dev:.3f} (<= 1)", ok)

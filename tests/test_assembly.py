@@ -10,14 +10,13 @@ import scipy.sparse as sp
 
 from wgmixed import basis, convergence
 from wgmixed.assembly import (
+    CellGroup,
     ConfigurationError,
     DofLayout,
     WgFunction,
-    _CellOps,
     assemble_rhs,
     assemble_system,
     assemble_vh_matrix,
-    boundary_correction_entries,
     default_order,
     level_cells,
     local_boundary_correction,
@@ -58,16 +57,22 @@ def wh_layout(mesh, alpha, beta, sigma):
     return DofLayout(mesh, alpha, beta, sigma, include_boundary_traces=True)
 
 
+def one_cell(mesh, c, layout):
+    """Cell c as a group of one; its blocks are row 0 of each kernel's result."""
+    return CellGroup(mesh, [c], layout)
+
+
 def consistent_trace_dofs(mesh, ops, u):
     """Local dof vector for interior field u with traces Q_b(u . n_e)."""
     lay = ops.layout
+    c = int(ops.ids[0])
     dof = np.zeros(ops.n_loc)
-    verts = mesh.vertices[mesh.cells[ops.c]]
+    verts = mesh.vertices[mesh.cells[c]]
     dof[:lay.dim_alpha] = project_cell(verts, lambda x, y: u(x, y)[:, 0],
-                                       lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis_a)
+                                       lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis[0])
     dof[lay.dim_alpha:2 * lay.dim_alpha] = project_cell(
-        verts, lambda x, y: u(x, y)[:, 1], lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis_a)
-    for k, e in enumerate(mesh.cell_edges[ops.c]):
+        verts, lambda x, y: u(x, y)[:, 1], lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis[0])
+    for k, e in enumerate(mesh.cell_edges[c]):
         p0, p1 = mesh.edge_points(e)
         n_e = mesh.edge_normals[e]
         dof[ops.trace_block(k)] = project_edge(
@@ -81,10 +86,10 @@ def consistent_trace_dofs(mesh, ops, u):
 
 def test_weak_divergence_of_constants_with_consistent_traces():
     mesh = one_cell_square()
-    ops = _CellOps(mesh, 0, wh_layout(mesh, 1, 1, 0))
+    ops = one_cell(mesh, 0, wh_layout(mesh, 1, 1, 0))
     u = lambda x, y: np.stack([2.0 * np.ones_like(x), -0.5 * np.ones_like(x)], axis=-1)
     dof = consistent_trace_dofs(mesh, ops, u)
-    div = local_weak_divergence(ops) @ dof
+    div = local_weak_divergence(ops)[0] @ dof
     assert np.abs(div).max() <= 1e-13
 
 
@@ -92,11 +97,11 @@ def test_weak_divergence_of_identity_field_is_two():
     mesh = generate_square_tri(2)
     u = lambda x, y: np.stack([x, y], axis=-1)
     for c in range(mesh.n_cells):
-        ops = _CellOps(mesh, c, wh_layout(mesh, 1, 1, 0))
+        ops = one_cell(mesh, c, wh_layout(mesh, 1, 1, 0))
         dof = consistent_trace_dofs(mesh, ops, u)
-        div = local_weak_divergence(ops) @ dof
+        div = local_weak_divergence(ops)[0] @ dof
         pts = mesh.cell_centroids[c][None, :]
-        val = ops.basis_a.eval(pts[:, 0], pts[:, 1]) @ div
+        val = ops.basis[0].eval(pts[:, 0], pts[:, 1]) @ div
         assert val[0] == pytest.approx(2.0, abs=1e-12)
         # nonconstant coefficients vanish
         assert np.abs(div[1:]).max() <= 1e-12
@@ -105,12 +110,12 @@ def test_weak_divergence_of_identity_field_is_two():
 def test_weak_divergence_interior_only_hand_value():
     # v_0 = (1, 0), all traces zero, on the unit square: div_w v = -12 (x - 1/2)
     mesh = one_cell_square()
-    ops = _CellOps(mesh, 0, wh_layout(mesh, 1, 1, 0))
+    ops = one_cell(mesh, 0, wh_layout(mesh, 1, 1, 0))
     dof = np.zeros(ops.n_loc)
     dof[0] = 1.0
-    div = local_weak_divergence(ops) @ dof
+    div = local_weak_divergence(ops)[0] @ dof
     xs = np.array([0.0, 0.25, 0.5, 0.9])
-    vals = ops.basis_a.eval(xs, np.full_like(xs, 0.3)) @ div
+    vals = ops.basis[0].eval(xs, np.full_like(xs, 0.3)) @ div
     assert np.allclose(vals, -12.0 * (xs - 0.5), atol=1e-12)
 
 
@@ -129,7 +134,7 @@ def test_commutativity_with_divergence_projection():
         verts = verts + rng.uniform(-3, 3, 2)
         mesh = build_mesh(verts, [list(range(m))])
         lay = wh_layout(mesh, alpha, alpha, alpha - 1)
-        ops = _CellOps(mesh, 0, lay)
+        ops = one_cell(mesh, 0, lay)
 
         exps = graded_lex_exponents(alpha)
         cu = rng.normal(size=(2, exps.shape[0]))
@@ -146,8 +151,8 @@ def test_commutativity_with_divergence_projection():
             return dx @ cu[0] + dy @ cu[1]
 
         dof = consistent_trace_dofs(mesh, ops, u)
-        got = local_weak_divergence(ops) @ dof
-        expect = project_cell(verts, div_u, lay.beta, order=2 * alpha + 4, basis=ops.basis_a)
+        got = local_weak_divergence(ops)[0] @ dof
+        expect = project_cell(verts, div_u, lay.beta, order=2 * alpha + 4, basis=ops.basis[0])
         scale = max(1.0, np.abs(expect).max())
         assert np.abs(got - expect).max() <= 1e-10 * scale, trial
         checked += 1
@@ -160,8 +165,8 @@ def test_commutativity_with_divergence_projection():
 
 def test_stabilization_hand_value_unit_square():
     mesh = one_cell_square()
-    ops = _CellOps(mesh, 0, wh_layout(mesh, 1, 1, 0))
-    S = local_stabilization(ops, "straight", 1.0)
+    ops = one_cell(mesh, 0, wh_layout(mesh, 1, 1, 0))
+    S = local_stabilization(ops, "straight", 1.0)[0]
     dof = np.zeros(ops.n_loc)
     dof[0] = 1.0  # v_0 = (1, 0), v_b = 0
     assert dof @ S @ dof == pytest.approx(math.sqrt(2.0), rel=1e-14)
@@ -171,18 +176,18 @@ def test_stabilization_vanishes_on_consistent_polynomials():
     mesh = generate_square_tri(2)
     u = lambda x, y: np.stack([1.0 + 2 * x - y, 3.0 * y], axis=-1)
     for c in range(mesh.n_cells):
-        ops = _CellOps(mesh, c, wh_layout(mesh, 1, 1, 0))
+        ops = one_cell(mesh, c, wh_layout(mesh, 1, 1, 0))
         dof = consistent_trace_dofs(mesh, ops, u)
-        S = local_stabilization(ops, "straight", 1.0)
+        S = local_stabilization(ops, "straight", 1.0)[0]
         assert dof @ S @ dof <= 1e-13
 
 
 def test_stabilization_curved_equals_straight_on_flat_mesh():
     mesh = generate_square_tri(3)
     for c in range(mesh.n_cells):
-        ops = _CellOps(mesh, c, wh_layout(mesh, 1, 1, 0))
-        Ss = local_stabilization(ops, "straight", 1.0)
-        Sc = local_stabilization(ops, "curved", 1.0)
+        ops = one_cell(mesh, c, wh_layout(mesh, 1, 1, 0))
+        Ss = local_stabilization(ops, "straight", 1.0)[0]
+        Sc = local_stabilization(ops, "curved", 1.0)[0]
         assert np.abs(Ss - Sc).max() <= 1e-14
 
 
@@ -190,8 +195,8 @@ def test_stabilization_psd_and_symmetric():
     mesh = generate_disk_mesh(8, 2)
     for c in range(mesh.n_cells):
         for mode in ("straight", "curved"):
-            ops = _CellOps(mesh, c, wh_layout(mesh, 2, 2, 1))
-            S = local_stabilization(ops, mode, 1.0)
+            ops = one_cell(mesh, c, wh_layout(mesh, 2, 2, 1))
+            S = local_stabilization(ops, mode, 1.0)[0]
             assert np.abs(S - S.T).max() <= 1e-13 * max(1.0, np.abs(S).max())
             ev = np.linalg.eigvalsh(S)
             assert ev.min() >= -1e-12 * max(1.0, ev.max())
@@ -203,7 +208,7 @@ def test_stabilization_curved_requires_segment():
     curves = full.boundary_segments
     mesh = PolygonalMesh(**{**full.__dict__,
                             "boundary_segments": curves.take(curves.edges != e)})
-    ops = _CellOps(mesh, int(mesh.edge_cells[e, 0]), wh_layout(mesh, 1, 1, 0))
+    ops = one_cell(mesh, int(mesh.edge_cells[e, 0]), wh_layout(mesh, 1, 1, 0))
     local_stabilization(ops, "straight", 1.0)
     with pytest.raises(ConfigurationError):
         local_stabilization(ops, "curved", 1.0)
@@ -211,8 +216,8 @@ def test_stabilization_curved_requires_segment():
 
 def test_local_mass_spd_and_hand_value():
     mesh = one_cell_square()
-    ops = _CellOps(mesh, 0, wh_layout(mesh, 1, 1, 0))
-    M = local_mass(ops)
+    ops = one_cell(mesh, 0, wh_layout(mesh, 1, 1, 0))
+    M = local_mass(ops)[0]
     dof = np.zeros(ops.n_int)
     dof[0] = 1.0
     assert dof @ M @ dof == pytest.approx(1.0, rel=1e-14)
@@ -226,10 +231,10 @@ def test_local_mass_spd_and_hand_value():
 def test_local_mass_orthogonality_vs_quadrature_oracle():
     verts = np.array([(0.2, 0.1), (1.1, 0.0), (1.3, 0.9), (0.5, 1.2), (0.0, 0.7)])
     mesh = build_mesh(verts, [list(range(5))])
-    ops = _CellOps(mesh, 0, wh_layout(mesh, 2, 2, 1))
-    M = local_mass(ops)
+    ops = one_cell(mesh, 0, wh_layout(mesh, 2, 2, 1))
+    M = local_mass(ops)[0]
     rule = polygon_rule(verts, 12)
-    V = ops.basis_a.eval(rule.points[:, 0], rule.points[:, 1])
+    V = ops.basis[0].eval(rule.points[:, 0], rule.points[:, 1])
     Mref = V.T @ (rule.weights[:, None] * V)
     na = ops.layout.dim_alpha
     assert np.allclose(M[:na, :na], Mref, atol=1e-13)
@@ -239,26 +244,33 @@ def test_local_mass_orthogonality_vs_quadrature_oracle():
 # boundary correction
 # ---------------------------------------------------------------------------
 
+def owner_corrections(mesh, e, layout):
+    """The owner cell's correction pairings (m, dim P_sigma, 2 dim P_alpha) and e's position."""
+    c = int(mesh.edge_cells[e, 0])
+    pairings = local_boundary_correction(one_cell(mesh, c, layout))[0]
+    return pairings, mesh.cell_edges[c].tolist().index(e)
+
+
 def test_boundary_correction_entries_structure():
     mesh = generate_disk_mesh(8, 1)
     lay = DofLayout(mesh, 1, 1, 1)
     e = int(mesh.boundary_edge_indices[0])
-    C = boundary_correction_entries(mesh, e, lay)
+    pairings, k = owner_corrections(mesh, e, lay)
+    C = pairings[k]
     assert C.shape == (lay.dim_sigma, 2 * lay.dim_alpha)
     # q = constant row vanishes (mean deviation is mean-free)
     assert np.abs(C[0]).max() <= 1e-14
-    # interior edge rejected
-    interior = [k for k in range(mesh.n_edges) if not mesh.is_boundary_edge(k)][0]
-    with pytest.raises(ValueError):
-        boundary_correction_entries(mesh, interior, lay)
+    # the cell's interior edges carry no correction
+    interior = mesh.edge_cells[mesh.cell_edges[int(mesh.edge_cells[e, 0])], 1] >= 0
+    assert interior.any() and np.all(pairings[interior] == 0.0)
 
 
 def test_boundary_correction_annihilates_constant_normal_component():
     mesh = generate_disk_mesh(8, 1)
     lay = DofLayout(mesh, 1, 1, 0)
     e = int(mesh.boundary_edge_indices[0])
-    C = boundary_correction_entries(mesh, e, lay)
-    c = int(mesh.edge_cells[e, 0])
+    pairings, k = owner_corrections(mesh, e, lay)
+    C = pairings[k]
     n = mesh.edge_normals[e]
     # interior field u_0 = n (constant): u_0 . n = 1 on the edge
     dof = np.zeros(2 * lay.dim_alpha)
@@ -387,9 +399,9 @@ def test_edge_orientation_flip_invariance():
     # dof transform on the flipped edge: t -> 1-t and n_e -> -n_e means
     # coefficient k picks up a factor (-1)^(k+1)
     T = np.eye(lay.n_velocity)
-    sl = lay.edge_slice(e)
+    off = lay.trace_offsets[e]
     for k in range(lay.trace_dim):
-        T[sl.start + k, sl.start + k] = (-1.0) ** (k + 1)
+        T[off + k, off + k] = (-1.0) ** (k + 1)
     A = sys_.A.toarray()
     Af = sys_f.A.toarray()
     assert np.abs(T @ Af @ T - A).max() <= 1e-12 * np.abs(A).max()
@@ -482,7 +494,7 @@ MIXED_MESHES = {
 
 
 def per_cell_reference(mesh, layout, scheme, rho, case):
-    """Every assembled quantity from one-cell `_CellOps` blocks, scattered densely."""
+    """Every assembled quantity from one-cell groups' blocks, scattered densely."""
     mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")
     nv, npr = layout.n_velocity, layout.n_pressure
     na, ns = layout.dim_alpha, layout.dim_sigma
@@ -493,41 +505,42 @@ def per_cell_reference(mesh, layout, scheme, rho, case):
                uex=np.zeros(nv), pex=np.zeros(npr))
     moments, wconst, total, area = np.zeros(npr), np.zeros(npr), 0.0, 0.0
     for c in range(mesh.n_cells):
-        ops = _CellOps(mesh, c, layout)
+        ops = one_cell(mesh, c, layout)
         idx = layout.local_dofs(c)
         keep = idx >= 0
         pidx = layout.pressure_dofs(c)
-        S = local_stabilization(ops, mode, rho)
+        S = local_stabilization(ops, mode, rho)[0]
         S_mass = S.copy()
-        S_mass[:ops.n_int, :ops.n_int] += local_mass(ops)
+        S_mass[:ops.n_int, :ops.n_int] += local_mass(ops)[0]
         ref["A"][np.ix_(idx[keep], idx[keep])] += S_mass[np.ix_(keep, keep)]
         if mesh.edge_cells[mesh.cell_edges[c], 1].min() < 0:
-            delta = local_stabilization(ops, other, rho) - S
+            delta = local_stabilization(ops, other, rho)[0] - S
             ref["A_delta"][np.ix_(idx[keep], idx[keep])] += delta[np.ix_(keep, keep)]
-            ref["corr"][np.ix_(pidx, idx[:ops.n_int])] += local_boundary_correction(ops).sum(axis=0)
-        ref["B"][np.ix_(pidx, idx[keep])] += local_pressure_coupling(ops)[:, keep]
-        ref["flux_mass"][c] = local_mass(ops)[:na, :na]
+            corr = local_boundary_correction(ops)[0].sum(axis=0)
+            ref["corr"][np.ix_(pidx, idx[:ops.n_int])] += corr
+        ref["B"][np.ix_(pidx, idx[keep])] += local_pressure_coupling(ops)[0][:, keep]
+        ref["flux_mass"][c] = local_mass(ops)[0][:na, :na]
         ref["pressure_mass"][c] = ref["flux_mass"][c][:ns, :ns]
 
         verts = mesh.vertices[mesh.cells[c]]
         rule = polygon_rule(verts, default_order(layout.alpha, layout.beta), mesh.cell_centroids[c])
-        V = ops.basis_a.eval(rule.points[:, 0], rule.points[:, 1])
+        V = ops.basis[0].eval(rule.points[:, 0], rule.points[:, 1])
         ref["pressure_mean"][pidx] = rule.weights @ V[:, :ns]
         rule = polygon_rule(verts, projection_order(layout.alpha), mesh.cell_centroids[c])
         x, y = rule.points[:, 0], rule.points[:, 1]
-        V = ops.basis_a.eval(x, y)
+        V = ops.basis[0].eval(x, y)
         gv = case.g(x, y)
         moments[pidx] = V[:, :ns].T @ (rule.weights * gv)
         wconst[pidx] = rule.weights @ V[:, :ns]
         total += rule.weights @ gv
         area += rule.weights.sum()
-        coef = project_cell(verts, case.u, layout.alpha, basis=ops.basis_a, rule=rule)
-        ref["uex"][layout.cell_slice(c)] = coef.T.ravel()
-        ref["pex"][pidx] = project_cell(verts, case.p, layout.sigma, basis=ops.basis_a, rule=rule)
+        coef = project_cell(verts, case.u, layout.alpha, basis=ops.basis[0], rule=rule)
+        ref["uex"][idx[:ops.n_int]] = coef.T.ravel()
+        ref["pex"][pidx] = project_cell(verts, case.p, layout.sigma, basis=ops.basis[0], rule=rule)
     for e in range(mesh.n_edges):
         if not mesh.is_boundary_edge(e):
             n_e = mesh.edge_normals[e]
-            ref["uex"][layout.edge_slice(e)] = project_edge(
+            ref["uex"][layout.trace_offsets[e] + np.arange(layout.trace_dim)] = project_edge(
                 *mesh.edge_points(e), lambda x, y: case.u(x, y) @ n_e, layout.beta,
                 projection_order(layout.alpha))
     ref["rhs"] = np.concatenate([np.zeros(nv), -(moments - (total / area) * wconst)])

@@ -1,13 +1,16 @@
 """Error norms, exact-solution projection, rate fitting, and small studies."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgmixed import convergence
 from wgmixed.assembly import DofLayout, WgFunction, assemble_vh_matrix
+from wgmixed.cli import run_cli
 from wgmixed.convergence import (
     ConvergenceTable,
     StudyConfig,
@@ -80,7 +83,8 @@ def test_project_exact_reproduces_polynomial_flux():
         ba = cell_basis(verts, 1)
         pts = mesh.cell_centroids[c][None, :] + 0.01
         V = ba.eval(pts[:, 0], pts[:, 1])
-        got = np.stack([V @ w.interior(c)[0], V @ w.interior(c)[1]], axis=-1)
+        interior = w.coeffs[lay.local_dofs(c)[:2 * lay.dim_alpha]].reshape(2, lay.dim_alpha)
+        got = np.stack([V @ interior[0], V @ interior[1]], axis=-1)
         assert np.allclose(got, u(pts[:, 0], pts[:, 1]), atol=1e-12)
         assert pex[lay.pressure_dofs(c)][0] == pytest.approx(4.0, rel=1e-13)
 
@@ -90,8 +94,10 @@ def test_project_exact_boundary_traces_zero():
     lay = DofLayout(mesh, 1, 1, 0, include_boundary_traces=True)
     case = registry_lookup("disk")
     w, _ = project_exact(mesh, case.u, case.p, lay)
-    for e in mesh.boundary_edge_indices:
-        assert np.abs(w.trace(int(e))).max() == 0.0
+    bidx = mesh.boundary_edge_indices
+    assert np.all(lay.trace_offsets[bidx] >= 0)
+    traces = w.coeffs[lay.trace_offsets[bidx][:, None] + np.arange(lay.trace_dim)]
+    assert np.abs(traces).max() == 0.0
 
 
 def test_error_of_projection_against_itself_is_zero():
@@ -185,16 +191,42 @@ def test_small_square_study_pipeline():
     assert len(lines) == 5
 
 
-def test_study_threads_do_not_change_numbers(monkeypatch):
+def test_study_with_threads_one_runs_its_levels_in_order():
+    # threads=1 is what the study benchmark passes; it is the default behaviour
     cfg1 = StudyConfig(domain="disk", scheme="original", degree=1, levels=(8, 16),
                        threads=1)
-    cfg2 = StudyConfig(domain="disk", scheme="original", degree=1, levels=(8, 16),
-                       threads=2)
+    cfg = StudyConfig(domain="disk", scheme="original", degree=1, levels=(8, 16))
     t1 = run_convergence_study(cfg1)
-    t2 = run_convergence_study(cfg2)
-    for a, b in zip(t1.rows, t2.rows):
+    t = run_convergence_study(cfg)
+    assert [r.n for r in t1.rows] == [8, 16]
+    for a, b in zip(t1.rows, t.rows):
         assert a.err_u_vh == b.err_u_vh
         assert a.err_p == b.err_p
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({"domain": "cube"}, "domain 'cube'"),
+    ({"scheme": "foo"}, "scheme 'foo'"),
+    ({"degree": 0}, "degree 0"),
+    ({"degree": -2}, "degree -2"),
+    ({"threads": -3}, "threads -3"),
+    ({"threads": 0}, "threads 0"),
+    ({"threads": 2}, "threads 2"),
+])
+def test_study_config_names_a_bad_field_before_any_level(bad, named, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(convergence, "run_level", lambda config, n: ran.append(n))
+    fields = {"domain": "disk", "scheme": "original", "degree": 1, "levels": (8,), **bad}
+    with pytest.raises(ValueError, match=re.escape(named)):
+        StudyConfig(**fields)
+    if "degree" in bad:
+        # the CLI passes the degree through and prints the same one line
+        argv = ["--domain", "disk", "--degree", str(bad["degree"]), "--levels", "8"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0], err
+        assert "nonnegative" not in err[0]
+    assert ran == []
 
 
 def test_split_rule_fixed_and_formula():

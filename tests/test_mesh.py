@@ -15,19 +15,19 @@ from wgmixed.mesh import (
     boundary_split_count,
     build_mesh,
     circle_curves,
-    circle_segment,
-    curved_geometry,
     flat_curves,
-    flat_segment,
     generate_disk_mesh,
     generate_ring_mesh,
     generate_square_tri,
     mesh_from_text,
     mesh_to_text,
     read_mesh,
+    segment_geometry,
     validate_mesh,
     write_mesh,
 )
+from test_properties import perturbed_disk  # here, not inside a @given test: importing
+# the module there would apply its @given decorators inside a running one
 
 
 def shoelace(pts):
@@ -45,7 +45,7 @@ def test_square_smallest():
     assert m.n_vertices == 4
     assert m.n_edges == 5
     assert m.h == pytest.approx(math.sqrt(2.0))
-    assert all(seg.curve_id == "flat" for seg in m.boundary_segments.values())
+    assert not m.boundary_segments.arc.any()
 
 
 def test_square_counts_n2():
@@ -138,15 +138,14 @@ def test_ring_inner_split_count():
 def test_ring_inner_gap_points_into_annulus():
     # the gap on inner-circle chords is measured toward the domain interior
     m = generate_ring_mesh(16, 1)
-    for e in m.boundary_edge_indices:
-        seg = m.boundary_segments[int(e)]
-        if abs(seg.radius - 0.5) > 1e-12:
-            continue
-        foot, gamma, ntilde = seg.geometry(np.array([seg.chord_length / 2]))
-        assert gamma[0] > 0
-        assert np.hypot(*foot[0]) == pytest.approx(0.5, abs=1e-13)
-        # curve normal is outward for the annulus: toward the center
-        assert float(ntilde[0] @ foot[0]) < 0
+    curves = m.boundary_segments
+    inner = curves.take(np.flatnonzero(np.abs(curves.radius - 0.5) <= 1e-12))
+    assert inner.edges.size == 16
+    foot, gamma, ntilde = segment_geometry(inner, m.edge_lengths[inner.edges][:, None] / 2)
+    assert np.all(gamma[:, 0] > 0)
+    assert np.abs(np.hypot(foot[:, 0, 0], foot[:, 0, 1]) - 0.5).max() <= 1e-13
+    # curve normal is outward for the annulus: toward the center
+    assert np.all(np.einsum("bc,bc->b", ntilde[:, 0], foot[:, 0]) < 0)
 
 
 def test_ring_rejects_small_n():
@@ -195,52 +194,50 @@ def test_edge_normals_unit_and_outward_of_owner(mesh_fn):
 
 def test_disk_sagitta_formula():
     m = generate_disk_mesh(16, 4)
-    for e in m.boundary_edge_indices:
-        seg = m.boundary_segments[int(e)]
-        he = seg.chord_length
-        gamma = curved_geometry(seg, he / 2)[1]
-        exact = 1.0 - math.sqrt(1.0 - (he / 2) ** 2)
-        assert abs(gamma - exact) <= 1e-12
+    curves = m.boundary_segments
+    he = m.edge_lengths[curves.edges]
+    gamma = segment_geometry(curves, he[:, None] / 2)[1][:, 0]
+    exact = 1.0 - np.sqrt(1.0 - (he / 2) ** 2)
+    assert np.abs(gamma - exact).max() <= 1e-12
 
 
 def test_gap_vanishes_at_chord_endpoints():
     m = generate_ring_mesh(24, 2)
-    for e in m.boundary_edge_indices:
-        seg = m.boundary_segments[int(e)]
-        _, gamma, _ = seg.geometry(np.array([0.0, seg.chord_length]))
-        assert gamma.max() <= 1e-12
+    curves = m.boundary_segments
+    L = m.edge_lengths[curves.edges][:, None]
+    _, gamma, _ = segment_geometry(curves, np.hstack([0.0 * L, L]))
+    assert gamma.max() <= 1e-12
 
 
 def test_curved_geometry_quarter_chord_example():
-    seg = circle_segment((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), 1.0)
-    foot, gamma, nt = curved_geometry(seg, seg.chord_length / 2)
-    assert np.allclose(foot, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=1e-14)
-    assert gamma == pytest.approx(1.0 - math.sqrt(2) / 2, abs=1e-14)
-    assert np.allclose(nt, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=1e-14)
+    seg = circle_curves([[(1.0, 0.0), (0.0, 1.0)]], (0.0, 0.0), 1.0)
+    chord = math.hypot(1.0, 1.0)
+    foot, gamma, nt = segment_geometry(seg, [[chord / 2]])
+    assert np.allclose(foot[0, 0], [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=1e-14)
+    assert gamma[0, 0] == pytest.approx(1.0 - math.sqrt(2) / 2, abs=1e-14)
+    assert np.allclose(nt[0, 0], [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=1e-14)
     with pytest.raises(ValueError):
-        curved_geometry(seg, -0.1)
+        segment_geometry(seg, [[-0.1]])
     with pytest.raises(ValueError):
-        curved_geometry(seg, seg.chord_length * 1.01)
+        segment_geometry(seg, [[chord * 1.01]])
 
 
 def test_flat_segment_geometry():
-    seg = flat_segment((0.0, 0.0), (2.0, 0.0))
-    foot, gamma, nt = seg.geometry(np.linspace(0, 2, 5))
+    seg = flat_curves([[(0.0, 0.0), (2.0, 0.0)]])
+    foot, gamma, nt = segment_geometry(seg, np.linspace(0, 2, 5)[None, :])
     assert np.allclose(gamma, 0.0)
     assert np.allclose(nt, [0.0, -1.0])  # right-hand normal of +x direction
-    assert np.allclose(foot[:, 1], 0.0)
+    assert np.allclose(foot[..., 1], 0.0)
 
 
 def test_normal_deviation_bounded_by_edge_length():
     for m in (generate_disk_mesh(16, 1), generate_disk_mesh(32, 3),
               generate_ring_mesh(16, 1), generate_ring_mesh(32, 2)):
-        for e in m.boundary_edge_indices:
-            seg = m.boundary_segments[int(e)]
-            L = seg.chord_length
-            xh = L * (np.arange(16) + 0.5) / 16.0
-            nt = seg.geometry(xh)[2]
-            dev = np.linalg.norm(nt - m.edge_normals[e][None, :], axis=1).max()
-            assert dev <= L
+        curves = m.boundary_segments
+        L = m.edge_lengths[curves.edges][:, None]
+        nt = segment_geometry(curves, L * (np.arange(16) + 0.5) / 16.0)[2]
+        dev = np.linalg.norm(nt - m.edge_normals[curves.edges][:, None, :], axis=2).max(axis=1)
+        assert np.all(dev <= L[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -397,19 +394,20 @@ def assert_builder_matches_references(mesh, radius_of):
         assert mesh.cell_diameters[c] == reference_diameter(pts)
     assert mesh.h == max(mesh.cell_diameters)
     bidx = mesh.boundary_edge_indices
-    assert sorted(mesh.boundary_segments) == bidx.tolist()
+    curves = mesh.boundary_segments
+    assert np.array_equal(curves.edges, bidx)
+    assert np.array_equal(curves.rows(bidx), np.arange(bidx.size))
     assert mesh.s == max(float(np.hypot(*(mesh.vertices[b] - mesh.vertices[a])))
                          for a, b in mesh.edges[bidx])
-    for e in bidx:
+    for k, e in enumerate(bidx):
         p0, p1 = mesh.edge_points(e)
-        seg = mesh.boundary_segments[int(e)]
-        assert np.array_equal(seg.start, p0) and np.array_equal(seg.end, p1)
+        assert np.array_equal(curves.start[k], p0) and np.array_equal(curves.end[k], p1)
         rad = radius_of(p0)
         if rad is None:
-            assert seg.curve_id == "flat" and seg.side == 1
+            assert not curves.arc[k] and curves.side[k] == 1
         else:
-            assert seg.curve_id == "circle" and seg.radius == rad
-            assert seg.side == reference_circle_side(p0, p1, (0.0, 0.0), rad)
+            assert curves.arc[k] and curves.radius[k] == rad
+            assert curves.side[k] == reference_circle_side(p0, p1, (0.0, 0.0), rad)
     # the generators' padded loop arrays and a list of loops build the same mesh
     again = build_mesh(mesh.vertices, [list(loop) for loop in mesh.cells])
     for name in ("edges", "edge_cells", "cell_areas", "cell_centroids", "cell_diameters",
@@ -439,8 +437,6 @@ def test_builder_matches_per_cell_and_per_edge_references(name):
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 12, 16]),
        split=st.sampled_from([1, 3]))
 def test_builder_matches_references_on_perturbed_disks(seed, n, split):
-    from test_properties import perturbed_disk
-
     assert_builder_matches_references(perturbed_disk(n, split, np.random.default_rng(seed)),
                                       disk_radius)
 
@@ -504,7 +500,7 @@ def test_builder_rejects_segment_off_its_chord():
     with pytest.raises(MeshError, match=rf"segment for edge {first} does not match chord"):
         build_mesh(verts, cells, curve_lookup=lookup_moving(1e-9))
     ok = build_mesh(verts, cells, curve_lookup=lookup_moving(0.5e-12))
-    assert sorted(ok.boundary_segments) == sorted(index.values())
+    assert sorted(ok.boundary_segments.edges.tolist()) == sorted(index.values())
 
 
 def test_validate_rejects_hacked_zero_area_cell():
@@ -518,7 +514,7 @@ def test_validate_rejects_hacked_zero_area_cell():
 
 def test_circle_segment_rejects_off_circle_endpoints():
     with pytest.raises(MeshError):
-        circle_segment((1.1, 0.0), (0.0, 1.0), (0.0, 0.0), 1.0)
+        circle_curves([[(1.1, 0.0), (0.0, 1.0)]], (0.0, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +538,10 @@ def test_mesh_text_roundtrip_bit_identical(mesh_fn, tmp_path):
     m3 = read_mesh(path)
     assert np.array_equal(m.vertices, m3.vertices)
     assert m3.domain == m.domain
-    for e in m.boundary_edge_indices:
-        s1, s2 = m.boundary_segments[int(e)], m3.boundary_segments[int(e)]
-        assert s1.curve_id == s2.curve_id
-        assert s1.side == s2.side
+    c1, c3 = m.boundary_segments, m3.boundary_segments
+    assert np.array_equal(c1.edges, c3.edges)
+    assert np.array_equal(c1.arc, c3.arc)
+    assert np.array_equal(c1.side, c3.side)
 
 
 @pytest.mark.parametrize("mesh_fn", [

@@ -244,7 +244,7 @@ def test_edge_rule_point_count_and_zero_length():
 
 def test_stacked_rules_equal_one_loop_rules():
     # a group of same-size loops, or a stack of edges, gets each entry's own numbers
-    from wgmixed.mesh import generate_disk_mesh
+    from wgmixed.mesh import generate_disk_mesh, generate_ring_mesh, generate_square_tri
 
     mesh = generate_disk_mesh(16, 5)
     ids = [c for c, loop in enumerate(mesh.cells) if loop.size == 7]
@@ -257,6 +257,12 @@ def test_stacked_rules_equal_one_loop_rules():
         assert np.array_equal(rule.points[g], one.points)
         assert np.array_equal(rule.weights[g], one.weights)
         assert areas[g] == polygon_moments(stack[g])[0] == mesh.cell_areas[c]
+    # polygon_area is the area of polygon_moments, bit for bit, on every group
+    for m in (mesh, generate_ring_mesh(16, 3), generate_square_tri(4)):
+        for group in m.groups:
+            loops = m.vertices[group.loops]
+            assert np.array_equal(polygon_area(loops), polygon_moments(loops)[0])
+            assert np.array_equal(polygon_area(loops), m.cell_areas[group.ids])
     ends = mesh.vertices[mesh.edges]
     pts, w, t = edge_rule(ends[:, 0], ends[:, 1], 5)
     for e in range(0, mesh.n_edges, 7):
