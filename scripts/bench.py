@@ -16,7 +16,9 @@ memory and the git revision of the wgmixed checkout that was imported.
 `--case` runs one case in this process and prints its record.  A checkout
 whose `StudyRow` has no `diagnostics` gives an empty `diagnostics` record.
 `--compare` reads two records and prints, for each case in both, every
-stage's seconds before and after and their ratio; it writes nothing.
+stage's seconds before and after and their ratio, then the solver
+diagnostics `n_condensed`, `condensed_nnz` (the factored matrix's nnz),
+`lu_fill` and `residual_unrefined` before and after; it writes nothing.
 """
 
 from __future__ import annotations
@@ -76,8 +78,20 @@ def run_case(name: str) -> dict:
     }
 
 
+# the solver diagnostics `--compare` shows side by side; condensed_nnz is the
+# factored (bordered condensed) matrix's nnz, absent from older records
+SOLVER_DIAGNOSTICS = ("n_condensed", "condensed_nnz", "lu_fill", "residual_unrefined")
+
+
+def _diagnostic(value) -> str:
+    if value is None:
+        return "-"
+    return f"{value:d}" if isinstance(value, int) else f"{value:.3g}"
+
+
 def compare(before_path, after_path) -> None:
-    """Print each case's stage seconds in two bench records, with after/before ratios."""
+    """Print each case's stage seconds in two bench records, with after/before ratios,
+    then its solver diagnostics before and after."""
     before, after = (json.loads(Path(p).read_text(encoding="utf-8"))
                      for p in (before_path, after_path))
     old = {record["case"]: record for record in before["cases"]}
@@ -95,6 +109,9 @@ def compare(before_path, after_path) -> None:
             t0 = seconds_before[stage]
             ratio = f"{t1 / t0:7.3f}" if t0 > 0 else "    inf"
             print(f"{record['case']:30s} {stage:10s} {t0:10.4f} {t1:10.4f} {ratio}")
+        for key in SOLVER_DIAGNOSTICS:
+            d0, d1 = (r.get("diagnostics", {}).get(key) for r in (prev, record))
+            print(f"{record['case']:30s} {key:18s} {_diagnostic(d0):>10s} {_diagnostic(d1):>10s}")
 
 
 def main(argv=None) -> int:

@@ -43,7 +43,6 @@ from .quadrature import (
 from .basis import CellBasis, EdgeBasis, project_cell, project_edge
 from .solutions import ExactSolutionCase, registry_lookup
 from .solver import (
-    InteriorCouplingError,
     SingularSystemError,
     Solution,
     SolverFailure,

@@ -29,16 +29,25 @@ projections read one tabulation; the assembly rule, the edge rules and the
 basis values on them are built on first use and released once the group is
 assembled.  The `local_*` kernels compute every cell's block of a group at
 once with batched products and solves and return them stacked, group axis
-first; `assemble_system` scatters each group's blocks in one step.  A single
-cell is a group of one.  The two normal modes differ only in the
-boundary-edge terms, so `assemble_system` stabilizes the cells that have a
-boundary edge in both modes and returns both flux-norm matrices (the second
-as a difference on those cells), together with the diagonal blocks of the L2
-mass matrices of the interior flux and of the pressure.
+first.  A single cell is a group of one.  The two normal modes differ only in
+the boundary-edge terms, so `assemble_system` stabilizes the cells that have
+a boundary edge in both modes and keeps the second as a difference on those
+cells, together with the diagonal blocks of the L2 mass matrices of the
+interior flux and of the pressure.
+
+The assembled system is a list of cell blocks, one per group: each cell's
+saddle block restricted to its kept dofs (boundary traces dropped).  Each
+cell's interior flux couples only to its own traces and pressures, so
+`assemble_system` condenses it out of the group's blocks with one batched
+solve and scatters the Schur blocks, bordered by the pressure-mean
+functional, into the one sparse matrix the solve factorizes.  Products with
+the full operator and the flux norms are computed cell by cell from the
+blocks; the global A, B, B1 and A_delta are built from them only on request.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -306,9 +315,131 @@ def local_boundary_correction(cells: CellGroup) -> np.ndarray:
     return C * cells.boundary[..., None, None]
 
 
+class SingularSystemError(RuntimeError):
+    """System singular beyond the expected rank-1 pressure kernel."""
+
+
+def _to_csr(triplets, shape) -> sp.csr_matrix:
+    """CSR matrix from stacked dense blocks (G, r, c) with global rows (G, r) and columns (G, c).
+
+    `triplets` yields (rows, cols, blocks); negative indices (dropped dofs)
+    are skipped.
+    """
+    r, c, v = [], [], []
+    for rows, cols, blocks in triplets:
+        R, C = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
+        keep = (R >= 0) & (C >= 0)
+        r.append(R[keep])
+        c.append(C[keep])
+        v.append(blocks[keep])
+    if not v:
+        return sp.csr_matrix(shape)
+    return sp.coo_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                         shape=shape).tocsr()
+
+
+def _gather(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """v[idx], reading 0 where idx is -1 (a dropped slot)."""
+    return np.concatenate([[0.0], v])[idx + 1]
+
+
+def _scatter(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Length-n sums of `values` by index `idx`; entries at -1 (dropped slots) are skipped."""
+    return np.bincount(idx.ravel() + 1, values.ravel(), minlength=n + 1)[1:]
+
+
+@dataclass
+class CellBlocks:
+    """One cell group's saddle blocks on its cells' kept dofs, with their condensation.
+
+    Each cell's flux dofs are restricted to the kept ones (the interior flux,
+    then the traces of its edges that are not dropped boundary edges, in
+    local order), as many per cell as the group's widest cell keeps; a cell
+    that keeps fewer also holds dropped slots, whose index is -1.  `local`
+    holds each cell's saddle block [[A_K, B_K^T], [P_K, 0]] on its kept flux
+    dofs and its pressures, A_K being the flux-norm block in the scheme's
+    normal mode and P_K the scheme's pressure rows (B_K minus the boundary
+    corrections in the modified scheme).  `coupling` is A_00^{-1} [A_0y, B_0^T], the interior
+    block solved against the cell's trace and pressure columns.  `cdofs`
+    index the trace and pressure rows in the condensed system.  On the cells
+    `boundary` of the group, `delta` is the other normal mode's flux-norm
+    block minus A_K and `corr` the boundary-correction pairings on the
+    interior columns (modified scheme only).
+    """
+
+    ids: np.ndarray            # (G,) cells
+    vdofs: np.ndarray          # (G, K) global flux dofs, -1 = dropped
+    pdofs: np.ndarray          # (G, ns) global pressure dofs
+    cdofs: np.ndarray          # (G, K - n_int + ns) condensed dofs, -1 = dropped
+    local: np.ndarray          # (G, K + ns, K + ns)
+    coupling: np.ndarray       # (G, n_int, K - n_int + ns)
+    boundary: np.ndarray       # (Gb,) rows of the cells with a boundary edge
+    delta: np.ndarray          # (Gb, K, K)
+    corr: np.ndarray | None    # (Gb, ns, n_int)
+
+    @property
+    def A(self) -> np.ndarray:
+        k = self.vdofs.shape[1]
+        return self.local[:, :k, :k]
+
+    @property
+    def B(self) -> np.ndarray:
+        k = self.vdofs.shape[1]
+        return np.swapaxes(self.local[:, :k, k:], 1, 2)
+
+
+def _restrict(blocks: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Local blocks (G, n, n) with rows and columns taken in `order` (G, K)."""
+    rows = np.take_along_axis(blocks, order[:, :, None], axis=1)
+    return np.take_along_axis(rows, order[:, None, :], axis=2)
+
+
+def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: float):
+    """The group's `CellBlocks`, with its Schur blocks (G, r, r) on the condensed dofs."""
+    layout, ni, ns = group.layout, group.n_int, group.layout.dim_sigma
+    idx = layout.local_dofs(group.ids)
+    pdofs = layout.pressure_dofs(group.ids)
+    bd = np.flatnonzero(group.boundary.any(axis=1))
+
+    A = local_stabilization(group, mode=mode, rho=rho)
+    delta = local_stabilization(group, mode=other, rho=rho, rows=bd) - A[bd] if bd.size else A[:0]
+    A[:, :ni, :ni] += local_mass(group)
+    B = local_pressure_coupling(group)
+    corr = local_boundary_correction(group)[bd].sum(axis=1) if scheme == "modified" else None
+
+    kept = idx >= 0
+    k = int(kept.sum(axis=1).max())
+    if k < idx.shape[1]:
+        # kept slots first in local order; short rows end in dropped (-1) slots
+        order = np.argsort(~kept, axis=1, kind="stable")[:, :k]
+        idx = np.take_along_axis(idx, order, axis=1)
+        A, delta = _restrict(A, order), _restrict(delta, order[bd])
+        B = np.take_along_axis(B, order[:, None, :], axis=2)
+
+    G = group.ids.size
+    local = np.zeros((G, k + ns, k + ns))
+    local[:, :k, :k] = A
+    local[:, :k, k:] = np.swapaxes(B, 1, 2)
+    local[:, k:, :k] = B
+    if corr is not None:
+        local[bd, k:, :ni] -= corr
+    try:
+        coupling = np.linalg.solve(local[:, :ni, :ni], local[:, :ni, ni:])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"an interior flux block of A is singular ({exc})") from exc
+    schur = local[:, ni:, ni:] - local[:, ni:, :ni] @ coupling
+
+    traces = idx[:, ni:]
+    cdofs = np.concatenate([np.where(traces >= 0, traces - layout.n_interior, -1),
+                            pdofs + (layout.n_velocity - layout.n_interior)], axis=1)
+    blocks = CellBlocks(ids=group.ids, vdofs=idx, pdofs=pdofs, cdofs=cdofs, local=local,
+                        coupling=coupling, boundary=bd, delta=delta, corr=corr)
+    return blocks, schur
+
+
 @dataclass
 class SaddleSystem:
-    """Assembled saddle-point blocks for one scheme on one mesh.
+    """Assembled saddle-point system for one scheme on one mesh, held as cell blocks.
 
     The flux equation always couples pressures through B^T (the plain weak
     divergence); the mass-conservation rows are B for the original scheme and
@@ -318,21 +449,50 @@ class SaddleSystem:
     the other mode, A_delta being nonzero only on cells with a boundary edge.
     flux_mass and pressure_mass hold the diagonal blocks of the L2 mass
     matrices of the interior flux and of the pressure.
+
+    `blocks` holds each cell group's `CellBlocks`, and `condensed` the only
+    sparse matrix the solve needs: the Schur complement of the interior
+    fluxes on the trace and pressure unknowns, bordered by the pressure-mean
+    row and column (CSC).  The global A, B, B1 and A_delta are built from the
+    blocks on first access, for callers that want them as matrices.
     """
 
     layout: DofLayout
     scheme: str                  # "original" | "modified"
     normal_mode: str             # "straight" | "curved"
     rho: float
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    B1: sp.csr_matrix | None
+    blocks: list
+    condensed: sp.csc_matrix
     pressure_mean: np.ndarray    # entries (q_i, 1)_{Omega_h}
     area: float
-    A_delta: sp.csr_matrix
     flux_mass: np.ndarray        # (cells, dim P_alpha, dim P_alpha), per flux component
     pressure_mass: np.ndarray    # (cells, dim P_sigma, dim P_sigma)
     rhs: np.ndarray | None = None
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        nv = self.layout.n_velocity
+        return _to_csr(((b.vdofs, b.vdofs, b.A) for b in self.blocks), (nv, nv))
+
+    @cached_property
+    def A_delta(self) -> sp.csr_matrix:
+        nv = self.layout.n_velocity
+        return _to_csr(((b.vdofs[b.boundary], b.vdofs[b.boundary], b.delta)
+                        for b in self.blocks), (nv, nv))
+
+    @cached_property
+    def B(self) -> sp.csr_matrix:
+        shape = (self.layout.n_pressure, self.layout.n_velocity)
+        return _to_csr(((b.pdofs, b.vdofs, b.B) for b in self.blocks), shape)
+
+    @cached_property
+    def B1(self) -> sp.csr_matrix | None:
+        if self.scheme != "modified":
+            return None
+        ni = 2 * self.layout.dim_alpha
+        corr = _to_csr(((b.pdofs[b.boundary], b.vdofs[b.boundary, :ni], b.corr)
+                        for b in self.blocks), self.B.shape)
+        return (self.B - corr).tocsr()
 
     @property
     def pressure_rows(self) -> sp.csr_matrix:
@@ -354,32 +514,55 @@ class SaddleSystem:
         z[lay.n_velocity + lay.pressure_offsets] = 1.0
         return z
 
+    def flux_norm(self, v: np.ndarray, mode: str) -> float:
+        """sqrt(v . M v) for the flux-norm matrix M in normal mode `mode`, cell by cell."""
+        if mode not in ("straight", "curved"):
+            raise ValueError(f"unknown normal mode '{mode}'")
+        total = 0.0
+        for b in self.blocks:
+            x = _gather(v, b.vdofs)
+            total += float(np.sum(x * (b.A @ x[..., None])[..., 0]))
+            if mode != self.normal_mode and b.boundary.size:
+                xb = x[b.boundary]
+                total += float(np.sum(xb * (b.delta @ xb[..., None])[..., 0]))
+        return math.sqrt(max(total, 0.0))
 
-class _CooBuilder:
-    """Stacked dense local blocks (G, r, c) with their global rows (G, r) and columns (G, c).
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """full_matrix() @ x, cell by cell."""
+        nv, n = self.layout.n_velocity, self.layout.n_dofs
+        out = np.zeros(n)
+        for b in self.blocks:
+            idx = np.concatenate([b.vdofs, nv + b.pdofs], axis=1)
+            out += _scatter(idx, b.local @ _gather(x, idx)[..., None], n)
+        return out
 
-    The triplets are expanded only in `to_csr`, so the blocks are held once;
-    negative indices (dropped dofs) are skipped there.
-    """
+    def condense(self, f: np.ndarray) -> tuple[np.ndarray, list]:
+        """Condensed right-hand side of `f`, and each group's interior solves A_00^{-1} f_0.
 
-    def __init__(self):
-        self.blocks: list[tuple] = []
+        The condensed vector runs over the trace and pressure unknowns.
+        """
+        lay = self.layout
+        ni = 2 * lay.dim_alpha
+        f0 = f[:lay.n_interior].reshape(-1, ni)
+        g = f[lay.n_interior:].copy()
+        interiors = []
+        for b in self.blocks:
+            fb = f0[b.ids]
+            if fb.any():    # the study's first solve has no interior right-hand side
+                z = np.linalg.solve(b.local[:, :ni, :ni], fb[..., None])[..., 0]
+                g -= _scatter(b.cdofs, b.local[:, ni:, :ni] @ z[..., None], g.size)
+            else:
+                z = fb
+            interiors.append(z)
+        return g, interiors
 
-    def add(self, rows, cols, blocks):
-        self.blocks.append((rows, cols, blocks))
-
-    def to_csr(self, shape) -> sp.csr_matrix:
-        r, c, v = [], [], []
-        for rows, cols, blocks in self.blocks:
-            R, C = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
-            keep = (R >= 0) & (C >= 0)
-            r.append(R[keep])
-            c.append(C[keep])
-            v.append(blocks[keep])
-        if not v:
-            return sp.csr_matrix(shape)
-        return sp.coo_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                             shape=shape).tocsr()
+    def expand(self, interiors: list, y: np.ndarray) -> np.ndarray:
+        """The full solution vector from the condensed solution y and `condense`'s interiors."""
+        lay = self.layout
+        x0 = np.empty((lay.mesh.n_cells, 2 * lay.dim_alpha))
+        for b, z in zip(self.blocks, interiors):
+            x0[b.ids] = z - (b.coupling @ _gather(y, b.cdofs)[..., None])[..., 0]
+        return np.concatenate([x0.ravel(), y])
 
 
 def assemble_vh_matrix(mesh: PolygonalMesh, layout: DofLayout, mode: str = "straight",
@@ -392,7 +575,7 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
                     rho: float = 1.0, order: int | None = None,
                     include_boundary_traces: bool = False,
                     cells: list | None = None) -> SaddleSystem:
-    """Assemble the saddle-point system for one scheme.
+    """Assemble the saddle-point system for one scheme as condensed cell blocks.
 
     degrees is (alpha, beta, sigma) or an existing DofLayout; `cells` is the
     level's `level_cells` list, built here when not given.  The original
@@ -401,7 +584,10 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     subtracts the boundary-correction pairings from the mass-conservation
     rows only.  Cells with a boundary edge are stabilized in the other normal
     mode too; the difference is A_delta, so both flux-norm matrices come from
-    one pass and share every entry no boundary cell touches.
+    one pass and share every entry no boundary cell touches.  Each group's
+    blocks are restricted to its cells' kept dofs and condensed with one
+    batched solve against the interior blocks; the Schur blocks and the
+    pressure-mean border are scattered into `SaddleSystem.condensed`.
     """
     if scheme not in ("original", "modified"):
         raise ValueError(f"unknown scheme '{scheme}'")
@@ -417,40 +603,28 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     if cells is None:
         cells = level_cells(mesh, layout, order)
 
-    a_build, delta_build, b_build, corr_build = (_CooBuilder() for _ in range(4))
     ns = layout.dim_sigma
+    blocks, schur = [], []
     flux_mass = np.empty((mesh.n_cells, layout.dim_alpha, layout.dim_alpha))
     pressure_mass = np.empty((mesh.n_cells, ns, ns))
     pmean = np.zeros(layout.n_pressure)
     for group in cells:
-        idx = layout.local_dofs(group.ids)
-        pidx = layout.pressure_dofs(group.ids)
-        bd = group.boundary.any(axis=1)
-
-        A_loc = local_stabilization(group, mode=mode, rho=rho)
-        if bd.any():
-            S_other = local_stabilization(group, mode=other, rho=rho, rows=bd)
-            delta_build.add(idx[bd], idx[bd], S_other - A_loc[bd])
-        A_loc[:, :group.n_int, :group.n_int] += local_mass(group)
-        a_build.add(idx, idx, A_loc)
+        block, S = _cell_blocks(group, scheme, mode, other, rho)
+        blocks.append(block)
+        schur.append((block.cdofs, block.cdofs, S))
         flux_mass[group.ids] = group.mass
-
-        b_build.add(pidx, idx, local_pressure_coupling(group))
         pressure_mass[group.ids] = group.mass[:, :ns, :ns]
-        pmean[pidx] = np.einsum("gq,gqi->gi", group.rule.weights, group.Va[..., :ns])
-        if scheme == "modified" and bd.any():
-            corr_build.add(pidx[bd], idx[bd, :group.n_int],
-                           local_boundary_correction(group)[bd].sum(axis=1))
+        pmean[block.pdofs] = np.einsum("gq,gqi->gi", group.rule.weights, group.Va[..., :ns])
         group.release()
 
-    nv, npr = layout.n_velocity, layout.n_pressure
-    A = a_build.to_csr((nv, nv))
-    B = b_build.to_csr((npr, nv))
-    B1 = (B - corr_build.to_csr(B.shape)).tocsr() if scheme == "modified" else None
+    # the condensed unknowns: traces, pressures, then the multiplier of (p, 1) = 0
+    n = layout.n_dofs - layout.n_interior
+    pressures = np.arange(n - layout.n_pressure, n)[None, :]
+    last = np.array([[n]])
+    schur += [(pressures, last, pmean[None, :, None]), (last, pressures, pmean[None, None, :])]
     return SaddleSystem(layout=layout, scheme=scheme, normal_mode=mode, rho=rho,
-                        A=A, B=B, B1=B1, pressure_mean=pmean,
-                        area=float(mesh.cell_areas.sum()),
-                        A_delta=delta_build.to_csr((nv, nv)),
+                        blocks=blocks, condensed=_to_csr(schur, (n + 1, n + 1)).tocsc(),
+                        pressure_mean=pmean, area=float(mesh.cell_areas.sum()),
                         flux_mass=flux_mass, pressure_mass=pressure_mass)
 
 

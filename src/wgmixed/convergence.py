@@ -15,9 +15,11 @@ vertex count once, the assembly, the right-hand side and the exact
 projection read them a group at a time, and they are released before the
 solve.  The basis is tabulated on a group's projection rule once: the
 right-hand side and `project_exact` (flux and pressure) read the same
-values.  The four error norms are quadratic forms in matrices the assembly
-already returned: the flux-norm matrix of each normal mode and the diagonal
-blocks of the interior-flux and pressure mass matrices.  `run_level` records
+values.  The four error norms are quadratic forms in what the assembly
+already returned: the two flux norms are summed cell by cell over the
+system's cell blocks in each normal mode (`SaddleSystem.flux_norm`), the L2
+norms over the diagonal blocks of the interior-flux and pressure mass
+matrices; no global matrix is built.  `run_level` records
 the seconds of each stage in `StudyRow.stages` and the solve's diagnostics
 (condensed size, LU fill, residuals) in `StudyRow.diagnostics`.
 """
@@ -311,8 +313,8 @@ def run_level(config: StudyConfig, n: int):
     lap("solve")
 
     err = uex.coeffs - sol.u.coeffs
-    err_vh = quadratic_norm(system.vh_matrix("straight"), err)
-    err_vh1 = quadratic_norm(system.vh_matrix("curved"), err)
+    err_vh = system.flux_norm(err, "straight")
+    err_vh1 = system.flux_norm(err, "curved")
     err_p = block_norm(system.pressure_mass, pex - sol.p)
     err_l2 = block_norm(system.flux_mass, err[:layout.n_interior])
     lap("norms")

@@ -140,12 +140,13 @@ def polygon_rule(vertices, order: int, fan_point=None) -> QuadratureRule:
     v = np.asarray(vertices, dtype=float)
     if v.ndim not in (2, 3) or v.shape[-2] < 3 or v.shape[-1] != 2:
         raise MalformedCellError("polygon needs at least 3 planar vertices")
-    area = np.min(polygon_area(v))
+    areas, centroids, _ = polygon_moments(v)
+    area = np.min(areas)
     if not area > 0.0:
         raise MalformedCellError(f"polygon area {area:.3e} is not positive "
                                  "(CCW simple loop required)")
     if fan_point is None:
-        fan_point = polygon_moments(v)[1]
+        fan_point = centroids
     c = np.reshape(np.asarray(fan_point, dtype=float), v.shape[:-2] + (1, 1, 2))
     ref = triangle_rule(order)
     r0, r1 = ref.points[:, 0, None], ref.points[:, 1, None]

@@ -2,10 +2,12 @@
 
 Each cell's interior flux couples only to its own edge traces and pressure,
 and the interior block of A (mass plus stabilization) is symmetric positive
-definite and diagonal by cells.  The solve inverts those per-cell blocks at
-once, eliminates the interior fluxes, and factorizes by sparse LU only the
-Schur complement on the trace and pressure unknowns; the interiors are then
-recovered cell by cell.
+definite and diagonal by cells.  `assemble_system` eliminates the interior
+fluxes cell group by cell group and scatters the Schur complement on the
+trace and pressure unknowns into `SaddleSystem.condensed`; the solve
+factorizes only that matrix by sparse LU, condenses the right-hand side and
+recovers the interiors with the groups' blocks, and forms every residual as a
+cellwise product.  No global saddle matrix is built.
 
 The pressure space is assembled without the mean-zero constraint, so the
 operator has a one-dimensional kernel spanned by the constant pressure.  The
@@ -13,7 +15,7 @@ condensed system is bordered with a scalar Lagrange multiplier enforcing
 (p, 1)_{Omega_h} = 0: the pressure-mean functional is not orthogonal to the
 kernel on either side, so the bordered system is nonsingular and returns the
 mean-zero pressure directly.  One step of iterative refinement against the
-full matrix follows every solve.
+full operator follows every solve.
 """
 
 from __future__ import annotations
@@ -21,22 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import SaddleSystem, WgFunction
+from .assembly import SaddleSystem, SingularSystemError, WgFunction
 
 
 class SolverFailure(RuntimeError):
     """Factorization succeeded but the residual is above tolerance."""
-
-
-class SingularSystemError(RuntimeError):
-    """System singular beyond the expected rank-1 pressure kernel."""
-
-
-class InteriorCouplingError(ValueError):
-    """The flux matrix couples interior dofs of two cells, so they cannot be condensed."""
 
 
 @dataclass
@@ -50,33 +43,8 @@ class Solution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _interior_inverse(system: SaddleSystem) -> sp.csr_matrix:
-    """Block-diagonal inverse of A's interior-flux block, one inverse per cell."""
-    lay = system.layout
-    ni, bs = lay.n_interior, 2 * lay.dim_alpha
-    A00 = system.A[:ni, :ni].tocoo()
-    A00.sum_duplicates()
-    cell = A00.row // bs
-    off = np.flatnonzero(cell != A00.col // bs)
-    if off.size:
-        r, c = int(A00.row[off[0]]), int(A00.col[off[0]])
-        raise InteriorCouplingError(
-            f"A couples interior flux dof {r} of cell {r // bs} with dof {c} of cell "
-            f"{c // bs}; static condensation needs A's interior block diagonal by cells"
-        )
-    nc = lay.mesh.n_cells
-    blocks = np.zeros((nc, bs, bs))
-    blocks[cell, A00.row % bs, A00.col % bs] = A00.data
-    try:
-        inv = np.linalg.inv(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"an interior flux block of A is singular ({exc})") from exc
-    return sp.bsr_matrix((inv, np.arange(nc), np.arange(nc + 1)), shape=(ni, ni)).tocsr()
-
-
-def _factorize(schur: sp.csr_matrix, border: np.ndarray):
-    """Sparse LU of the Schur complement bordered with `border` (row and column)."""
-    matrix = sp.bmat([[schur, border[:, None]], [border[None, :], None]], format="csc")
+def _factorize(matrix):
+    """Sparse LU of the bordered condensed matrix (CSC)."""
     # COLAMD with small supernodes, measured on a 2-core machine: on the ring
     # j=1 n=384 condensed system (125,185 unknowns) SuperLU's default relax and
     # panel size took 17.6-22.4 s and these 4.0-5.2 s for the same fill; on the
@@ -95,8 +63,8 @@ def solve_saddle(system: SaddleSystem, rhs: np.ndarray | None = None,
                  tol: float = 1e-9) -> Solution:
     """Solve the saddle system, returning flux and mean-zero pressure.
 
-    The interior fluxes are condensed out, the bordered Schur complement is
-    factorized by sparse LU, and one refinement step against the full matrix
+    The bordered condensed matrix is factorized by sparse LU, and one
+    refinement step against the full operator, applied cell by cell,
     follows.  Identical inputs produce bitwise-identical solutions.
     """
     lay = system.layout
@@ -105,36 +73,31 @@ def solve_saddle(system: SaddleSystem, rhs: np.ndarray | None = None,
         raise ValueError("no right-hand side: pass rhs or set system.rhs")
     if b.shape != (lay.n_dofs,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({lay.n_dofs},)")
-    M = system.full_matrix()
-    ni = lay.n_interior
-    Ainv = _interior_inverse(system)
-    K0y, Ky0 = M[:ni, ni:], M[ni:, :ni]
-    border = np.zeros(lay.n_dofs)
-    border[lay.n_velocity:] = system.pressure_mean
-    lu = _factorize(M[ni:, ni:] - Ky0 @ (Ainv @ K0y), border[ni:])
+    lu = _factorize(system.condensed)
+    nv = lay.n_velocity
 
     def bordered_solve(f: np.ndarray, f_mean: float):
-        z = Ainv @ f[:ni]
-        ext = lu.solve(np.append(f[ni:] - Ky0 @ z, f_mean))
-        y = ext[:-1]
-        return np.concatenate([z - Ainv @ (K0y @ y), y]), float(ext[-1])
+        g, interiors = system.condense(f)
+        ext = lu.solve(np.append(g, f_mean))
+        return system.expand(interiors, ext[:-1]), float(ext[-1])
 
     bnorm = float(np.linalg.norm(b))
     x, lam = bordered_solve(b, 0.0)
-    r = b - M @ x
+    r = b - system.matvec(x)
     unrefined = float(np.linalg.norm(r))
-    dx, dlam = bordered_solve(r - lam * border, -float(border @ x))
+    r[nv:] -= lam * system.pressure_mean
+    dx, dlam = bordered_solve(r, -float(system.pressure_mean @ x[nv:]))
     x, lam = x + dx, lam + dlam
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite values")
 
-    rnorm = float(np.linalg.norm(M @ x - b))
+    rnorm = float(np.linalg.norm(system.matvec(x) - b))
     residual = rnorm / bnorm if bnorm > 0.0 else rnorm
     diagnostics = {
         "n_velocity": lay.n_velocity,
         "n_pressure": lay.n_pressure,
         "n_condensed": lu.shape[0],
-        "matrix_nnz": M.nnz,
+        "condensed_nnz": system.condensed.nnz,
         "lu_fill": lu.nnz,   # SuperLU's stored count; reading lu.L or lu.U would copy the factors
         "rhs_norm": bnorm,
         "absolute_residual": rnorm,

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wgmixed import basis, convergence
+from wgmixed import assembly, basis, convergence
 from wgmixed.assembly import (
     CellGroup,
     ConfigurationError,
     DofLayout,
+    SaddleSystem,
     WgFunction,
     assemble_rhs,
     assemble_system,
@@ -631,6 +632,82 @@ def test_run_level_tabulates_each_projection_rule_once(monkeypatch):
     for group in groups:
         on_rule = [x for x in points if np.shares_memory(x, group.proj_rule.points)]
         assert len(on_rule) == 1
+
+
+def test_run_level_builds_one_sparse_matrix_and_no_full_matrix(monkeypatch):
+    calls = []
+    build = assembly._to_csr
+
+    def counted(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    def refused(self):
+        raise AssertionError("run_level built the global saddle matrix")
+
+    monkeypatch.setattr(assembly, "_to_csr", counted)
+    monkeypatch.setattr(SaddleSystem, "full_matrix", refused)
+    run_level(StudyConfig("disk", "modified", 2, (16,), split_rule="modified"), 16)
+    assert len(calls) == 1    # the bordered condensed matrix
+
+
+def four_builder_matrices(mesh, layout, scheme, rho):
+    """A, A_delta, B and B1 scattered by one global builder each, block by unpruned block.
+
+    This is how the assembly built them before it kept cell blocks; the
+    lazily built matrices must equal these bit for bit.
+    """
+    mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")
+    parts = {"A": [], "A_delta": [], "B": [], "corr": []}
+    for group in level_cells(mesh, layout):
+        idx = layout.local_dofs(group.ids)
+        pidx = layout.pressure_dofs(group.ids)
+        bd = group.boundary.any(axis=1)
+        A_loc = local_stabilization(group, mode=mode, rho=rho)
+        if bd.any():
+            S_other = local_stabilization(group, mode=other, rho=rho, rows=bd)
+            parts["A_delta"].append((idx[bd], idx[bd], S_other - A_loc[bd]))
+        A_loc[:, :group.n_int, :group.n_int] += local_mass(group)
+        parts["A"].append((idx, idx, A_loc))
+        parts["B"].append((pidx, idx, local_pressure_coupling(group)))
+        if scheme == "modified" and bd.any():
+            parts["corr"].append((pidx[bd], idx[bd, :group.n_int],
+                                  local_boundary_correction(group)[bd].sum(axis=1)))
+
+    def to_csr(blocks, shape):
+        r, c, v = [], [], []
+        for rows, cols, vals in blocks:
+            R, C = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
+            keep = (R >= 0) & (C >= 0)
+            r.append(R[keep])
+            c.append(C[keep])
+            v.append(vals[keep])
+        if not v:
+            return sp.csr_matrix(shape)
+        return sp.coo_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                             shape=shape).tocsr()
+
+    nv, npr = layout.n_velocity, layout.n_pressure
+    out = {name: to_csr(parts[name], (nv, nv)) for name in ("A", "A_delta")}
+    out["B"] = to_csr(parts["B"], (npr, nv))
+    out["B1"] = (out["B"] - to_csr(parts["corr"], (npr, nv))).tocsr()
+    return out
+
+
+@pytest.mark.parametrize("scheme", ["original", "modified"])
+@pytest.mark.parametrize("mesh_name", list(SHARED_MESHES))
+def test_lazy_global_matrices_equal_the_four_builder_ones(mesh_name, scheme):
+    mesh = SHARED_MESHES[mesh_name]()
+    layout = DofLayout(mesh, 2, 2, 1)
+    system = assemble_system(mesh, layout, scheme=scheme, rho=2.5)
+    ref = four_builder_matrices(mesh, layout, scheme, 2.5)
+    names = ("A", "A_delta", "B", "B1") if scheme == "modified" else ("A", "A_delta", "B")
+    for name in names:
+        got, want = getattr(system, name), ref[name]
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+    if scheme == "original":
+        assert system.B1 is None
 
 
 @pytest.mark.parametrize("mesh_name", list(SHARED_MESHES))

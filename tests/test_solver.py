@@ -1,5 +1,6 @@
 """Saddle-point solves: kernel handling, residuals, determinism, energy identity,
-and the static condensation against a dense solve of the full bordered matrix."""
+and the static condensation against a dense solve of the full bordered matrix,
+a dense Schur complement and the global matrices' products."""
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from wgmixed.assembly import DofLayout, assemble_rhs, assemble_system
-from wgmixed.mesh import boundary_split_count, generate_disk_mesh, generate_square_tri
-from wgmixed.solutions import registry_lookup
-from wgmixed.solver import (
-    InteriorCouplingError,
-    SingularSystemError,
-    SolverFailure,
-    solve_saddle,
+from wgmixed.convergence import quadratic_norm
+from wgmixed.mesh import (
+    boundary_split_count,
+    build_mesh,
+    generate_disk_mesh,
+    generate_ring_mesh,
+    generate_square_tri,
 )
+from wgmixed.solutions import registry_lookup
+from wgmixed import assembly
+from wgmixed.solver import SingularSystemError, SolverFailure, solve_saddle
 
 
 def make_problem(mesh, degrees, scheme, domain):
@@ -89,13 +93,18 @@ def test_missing_rhs_raises():
         solve_saddle(system)
 
 
-def test_singular_beyond_rank_one_detected():
-    # duplicating a pressure row block makes the system rank-deficient by more
+def test_singular_beyond_rank_one_detected(monkeypatch):
+    # one cell's two pressure rows made equal: rank-deficient beyond the kernel
+    coupling = assembly.local_pressure_coupling
+
+    def duplicated_row(cells):
+        rows = coupling(cells)
+        rows[0, 1] = rows[0, 0]
+        return rows
+
+    monkeypatch.setattr(assembly, "local_pressure_coupling", duplicated_row)
     mesh = generate_square_tri(2)
-    system, rhs = make_problem(mesh, (1, 1, 0), "original", "square")
-    bad = system.B.tolil()
-    bad[1] = bad[0]
-    system.B = bad.tocsr()
+    system, rhs = make_problem(mesh, (2, 2, 1), "original", "square")
     with pytest.raises((SingularSystemError, SolverFailure)):
         solve_saddle(system, rhs)
 
@@ -104,12 +113,29 @@ def split_disk(n, j, law):
     return generate_disk_mesh(n, lambda h: boundary_split_count(h, j, law))
 
 
-@pytest.mark.parametrize("mesh_fn, degree, scheme, domain", [
+def quad_strip():
+    """Three unit squares in a row: the end cells keep one trace, the middle one two."""
+    vertices = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (2, 1), (1, 1), (0, 1)]
+    return build_mesh(vertices, [[0, 1, 6, 7], [1, 2, 5, 6], [2, 3, 4, 5]])
+
+
+# mesh, degree, scheme, domain (whose source term the right-hand side takes).
+# The cells of a group keep different numbers of traces on the ring (2 or 3
+# of 3) and the strip (1 or 2 of 4); the split disks' boundary cells all keep
+# two, so their blocks are restricted without dropped slots.
+CONDENSED_CASES = pytest.mark.parametrize("mesh_fn, degree, scheme, domain", [
     (lambda: generate_square_tri(4), 1, "original", "square"),
     (lambda: generate_square_tri(4), 2, "original", "square"),
     (lambda: generate_square_tri(4), 3, "original", "square"),
     (lambda: split_disk(8, 2, "modified"), 2, "modified", "disk"),
-], ids=["square-j1", "square-j2", "square-j3", "disk-modified-j2"])
+    (lambda: split_disk(16, 2, "modified"), 2, "modified", "disk"),
+    (lambda: generate_ring_mesh(16, 1), 1, "original", "ring"),
+    (quad_strip, 2, "modified", "disk"),
+], ids=["square-j1", "square-j2", "square-j3", "disk-modified-j2", "disk-modified-j2-n16",
+        "ring-original-j1", "strip-modified-j2"])
+
+
+@CONDENSED_CASES
 def test_condensed_solve_matches_dense_bordered_solve(mesh_fn, degree, scheme, domain):
     system, rhs = make_problem(mesh_fn(), (degree, degree, degree - 1), scheme, domain)
     lay = system.layout
@@ -125,20 +151,38 @@ def test_condensed_solve_matches_dense_bordered_solve(mesh_fn, degree, scheme, d
     assert abs(sol.multiplier - ref[-1]) <= 1e-10 * np.linalg.norm(ref[:-1])
 
 
-def test_interior_coupling_between_cells_is_rejected():
-    mesh = generate_square_tri(2)
-    system, rhs = make_problem(mesh, (1, 1, 0), "original", "square")
-    bs = 2 * system.layout.dim_alpha
-    coupled = system.A.tolil()
-    coupled[0, bs] = coupled[bs, 0] = 1e-3      # interior dofs of cells 0 and 1
-    system.A = coupled.tocsr()
-    with pytest.raises(InteriorCouplingError, match="cell 0 with dof .* of cell 1"):
-        solve_saddle(system, rhs)
+@CONDENSED_CASES
+def test_condensed_matrix_is_the_dense_bordered_schur_complement(mesh_fn, degree, scheme,
+                                                                 domain):
+    system, _ = make_problem(mesh_fn(), (degree, degree, degree - 1), scheme, domain)
+    lay = system.layout
+    ni = lay.n_interior
+    M = system.full_matrix().toarray()
+    schur = M[ni:, ni:] - M[ni:, :ni] @ np.linalg.solve(M[:ni, :ni], M[:ni, ni:])
+    border = np.concatenate([np.zeros(lay.n_velocity - ni), system.pressure_mean])
+    ref = np.block([[schur, border[:, None]], [border[None, :], np.zeros((1, 1))]])
+    got = system.condensed
+    assert got.format == "csc"
+    assert np.abs(got.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_refinement_step_reaches_round_off():
-    mesh = split_disk(64, 2, "modified")
-    system, rhs = make_problem(mesh, (2, 2, 1), "modified", "disk")
+@CONDENSED_CASES
+def test_block_products_match_the_global_matrices(mesh_fn, degree, scheme, domain):
+    system, _ = make_problem(mesh_fn(), (degree, degree, degree - 1), scheme, domain)
+    lay = system.layout
+    x = np.random.default_rng(5).standard_normal(lay.n_dofs)
+    want = system.full_matrix() @ x
+    assert np.linalg.norm(system.matvec(x) - want) <= 1e-13 * np.linalg.norm(want)
+    v = x[:lay.n_velocity]
+    for mode in ("straight", "curved"):
+        ref = quadratic_norm(system.vh_matrix(mode), v)
+        assert system.flux_norm(v, mode) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, j", [(64, 2), (24, 4)])
+def test_refinement_step_reaches_round_off(n, j):
+    mesh = split_disk(n, j, "modified")
+    system, rhs = make_problem(mesh, (j, j, j - 1), "modified", "disk")
     sol = solve_saddle(system, rhs)
     assert sol.residual <= 1e-12
 
@@ -150,7 +194,7 @@ def test_diagnostics_report_condensed_size_fill_and_unrefined_residual():
     d = solve_saddle(system, rhs).diagnostics
     n_traces = lay.n_velocity - lay.n_interior
     assert d["n_condensed"] == n_traces + lay.n_pressure + 1
-    assert d["matrix_nnz"] == system.full_matrix().nnz
+    assert d["condensed_nnz"] == system.condensed.nnz
     # the condensed factor holds well under half the entries of the full one
     border = np.zeros(lay.n_dofs)
     border[lay.n_velocity:] = system.pressure_mean
