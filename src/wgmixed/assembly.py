@@ -27,13 +27,17 @@ The projection rule and the basis values on it are built on first use and
 kept for the level's lifetime, so the right-hand side and both exact
 projections read one tabulation; the assembly rule, the edge rules and the
 basis values on them are built on first use and released once the group is
-assembled.  The `local_*` kernels compute every cell's block of a group at
-once with batched products and solves and return them stacked, group axis
-first.  A single cell is a group of one.  The two normal modes differ only in
-the boundary-edge terms, so `assemble_system` stabilizes the cells that have
-a boundary edge in both modes and keeps the second as a difference on those
-cells, together with the diagonal blocks of the L2 mass matrices of the
-interior flux and of the pressure.
+assembled.  The kernels `local_mass`, `local_stabilization`,
+`local_pressure_coupling` and `local_boundary_correction` compute every
+cell's block of a group at once with batched products and return them
+stacked, group axis first; a single cell is a group of one.  The pressure
+rows are the defining pairings -(div_w v, q)_K with the P_sigma basis, so no
+kernel solves against the mass matrix; `local_weak_divergence`, the P_beta
+coefficients of div_w v, is only a reference.  The two normal modes differ
+only in the boundary-edge terms, so `assemble_system` stabilizes the cells
+that have a boundary edge in both modes and keeps the second as a difference
+on those cells, together with the diagonal blocks of the L2 mass matrix of
+the interior flux (whose leading blocks are the pressure's).
 
 The assembled system is a list of cell blocks, one per group: each cell's
 saddle block restricted to its kept dofs (boundary traces dropped).  Each
@@ -48,7 +52,7 @@ blocks; the global A, B, B1 and A_delta are built from them only on request.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -254,21 +258,27 @@ def local_mass(cells: CellGroup) -> np.ndarray:
     return np.kron(np.eye(2), cells.mass)
 
 
+def _divergence_pairings(cells: CellGroup, degree: int) -> np.ndarray:
+    """(div_w v, q)_K of each local dof v and leading P_degree function q, (G, dim, n_loc)."""
+    dim = poly_dim(degree)   # only these functions' gradients are tabulated
+    basis = replace(cells.basis, degree=degree, exponents=cells.basis.exponents[:dim])
+    WG = cells.rule.weights[..., None, None] * basis.grad(cells.rule.points[..., 0],
+                                                          cells.rule.points[..., 1])
+    _, w, t = cells.edge_quad
+    # -(v_0, grad q)_K, then <v_b n_e . n_K, q>_e with n_e . n_K = +-1
+    traces = np.einsum("gkqi,gkq,qr->gikr", cells.Ve[..., :dim], cells.signs[..., None] * w,
+                       cells.edge_basis.eval(t))
+    return np.concatenate([-np.swapaxes(WG[..., 0], 1, 2) @ cells.Va,
+                           -np.swapaxes(WG[..., 1], 1, 2) @ cells.Va,
+                           traces.reshape(traces.shape[:2] + (-1,))], axis=2)
+
+
 def local_weak_divergence(cells: CellGroup) -> np.ndarray:
     """Matrices sending local (interior + trace) dofs to P_beta coefficients.
 
     beta = alpha, so the weak divergence lives in the span of the cell basis.
     """
-    WG = cells.rule.weights[..., None, None] * cells.basis.grad(cells.rule.points[..., 0],
-                                                                cells.rule.points[..., 1])
-    _, w, t = cells.edge_quad
-    # -(v_0, grad q)_K, then <v_b n_e . n_K, q>_e with n_e . n_K = +-1
-    traces = np.einsum("gkqi,gkq,qr->gikr", cells.Ve, cells.signs[..., None] * w,
-                       cells.edge_basis.eval(t))
-    N = np.concatenate([-np.swapaxes(WG[..., 0], 1, 2) @ cells.Va,
-                        -np.swapaxes(WG[..., 1], 1, 2) @ cells.Va,
-                        traces.reshape(traces.shape[:2] + (-1,))], axis=2)
-    return np.linalg.solve(cells.mass, N)
+    return np.linalg.solve(cells.mass, _divergence_pairings(cells, cells.layout.alpha))
 
 
 def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1.0,
@@ -297,7 +307,7 @@ def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1
 
 def local_pressure_coupling(cells: CellGroup) -> np.ndarray:
     """Rows of b_h on the cell: entries -(div_w v, q)_K for q in the P_sigma basis."""
-    return -cells.mass[:, :cells.layout.dim_sigma, :] @ local_weak_divergence(cells)
+    return -_divergence_pairings(cells, cells.layout.sigma)
 
 
 def local_boundary_correction(cells: CellGroup) -> np.ndarray:
@@ -447,8 +457,8 @@ class SaddleSystem:
     matrix non-symmetric exactly when a correction row is nonzero.  A is the
     flux-norm matrix in the scheme's normal mode; A + A_delta is the one in
     the other mode, A_delta being nonzero only on cells with a boundary edge.
-    flux_mass and pressure_mass hold the diagonal blocks of the L2 mass
-    matrices of the interior flux and of the pressure.
+    flux_mass holds the diagonal blocks of the L2 mass matrix of the interior
+    flux; their leading dim P_sigma blocks are the pressure's.
 
     `blocks` holds each cell group's `CellBlocks`, and `condensed` the only
     sparse matrix the solve needs: the Schur complement of the interior
@@ -464,10 +474,7 @@ class SaddleSystem:
     blocks: list
     condensed: sp.csc_matrix
     pressure_mean: np.ndarray    # entries (q_i, 1)_{Omega_h}
-    area: float
     flux_mass: np.ndarray        # (cells, dim P_alpha, dim P_alpha), per flux component
-    pressure_mass: np.ndarray    # (cells, dim P_sigma, dim P_sigma)
-    rhs: np.ndarray | None = None
 
     @cached_property
     def A(self) -> sp.csr_matrix:
@@ -573,7 +580,6 @@ def assemble_vh_matrix(mesh: PolygonalMesh, layout: DofLayout, mode: str = "stra
 
 def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
                     rho: float = 1.0, order: int | None = None,
-                    include_boundary_traces: bool = False,
                     cells: list | None = None) -> SaddleSystem:
     """Assemble the saddle-point system for one scheme as condensed cell blocks.
 
@@ -591,12 +597,7 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     """
     if scheme not in ("original", "modified"):
         raise ValueError(f"unknown scheme '{scheme}'")
-    if isinstance(degrees, DofLayout):
-        layout = degrees
-    else:
-        alpha, beta, sigma = degrees
-        layout = DofLayout(mesh, alpha, beta, sigma,
-                           include_boundary_traces=include_boundary_traces)
+    layout = degrees if isinstance(degrees, DofLayout) else DofLayout(mesh, *degrees)
     if rho <= 0.0:
         raise ValueError("stabilization parameter rho must be positive")
     mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")
@@ -606,14 +607,12 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     ns = layout.dim_sigma
     blocks, schur = [], []
     flux_mass = np.empty((mesh.n_cells, layout.dim_alpha, layout.dim_alpha))
-    pressure_mass = np.empty((mesh.n_cells, ns, ns))
     pmean = np.zeros(layout.n_pressure)
     for group in cells:
         block, S = _cell_blocks(group, scheme, mode, other, rho)
         blocks.append(block)
         schur.append((block.cdofs, block.cdofs, S))
         flux_mass[group.ids] = group.mass
-        pressure_mass[group.ids] = group.mass[:, :ns, :ns]
         pmean[block.pdofs] = np.einsum("gq,gqi->gi", group.rule.weights, group.Va[..., :ns])
         group.release()
 
@@ -624,8 +623,7 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     schur += [(pressures, last, pmean[None, :, None]), (last, pressures, pmean[None, None, :])]
     return SaddleSystem(layout=layout, scheme=scheme, normal_mode=mode, rho=rho,
                         blocks=blocks, condensed=_to_csr(schur, (n + 1, n + 1)).tocsc(),
-                        pressure_mean=pmean, area=float(mesh.cell_areas.sum()),
-                        flux_mass=flux_mass, pressure_mass=pressure_mass)
+                        pressure_mean=pmean, flux_mass=flux_mass)
 
 
 def assemble_rhs(mesh: PolygonalMesh, layout: DofLayout, g,

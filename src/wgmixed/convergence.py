@@ -127,9 +127,9 @@ def vh_norm(mesh: PolygonalMesh, w: WgFunction, mode: str = "straight",
 def _cell_mass_blocks(mesh: PolygonalMesh, layout: DofLayout, dim: int) -> np.ndarray:
     """(cells, dim, dim) Gram matrices of each cell's leading `dim` basis functions.
 
-    These are the `flux_mass` (dim P_alpha) or `pressure_mass` (dim P_sigma)
-    blocks `assemble_system` returns, bit for bit, read from the level's cell
-    groups without assembling the system.
+    These are the `flux_mass` blocks `assemble_system` returns (dim P_alpha),
+    or their leading dim P_sigma blocks, bit for bit, read from the level's
+    cell groups without assembling the system.
     """
     blocks = np.empty((mesh.n_cells, dim, dim))
     for group in level_cells(mesh, layout):
@@ -315,7 +315,8 @@ def run_level(config: StudyConfig, n: int):
     err = uex.coeffs - sol.u.coeffs
     err_vh = system.flux_norm(err, "straight")
     err_vh1 = system.flux_norm(err, "curved")
-    err_p = block_norm(system.pressure_mass, pex - sol.p)
+    ns = layout.dim_sigma
+    err_p = block_norm(system.flux_mass[:, :ns, :ns], pex - sol.p)
     err_l2 = block_norm(system.flux_mass, err[:layout.n_interior])
     lap("norms")
     row = StudyRow(n=n, split=split, h=mesh.h, s=mesh.s, dofs=layout.n_dofs,

@@ -59,18 +59,14 @@ def _factorize(matrix):
         ) from exc
 
 
-def solve_saddle(system: SaddleSystem, rhs: np.ndarray | None = None,
-                 tol: float = 1e-9) -> Solution:
+def solve_saddle(system: SaddleSystem, rhs: np.ndarray, tol: float = 1e-9) -> Solution:
     """Solve the saddle system, returning flux and mean-zero pressure.
 
     The bordered condensed matrix is factorized by sparse LU, and one
     refinement step against the full operator, applied cell by cell,
     follows.  Identical inputs produce bitwise-identical solutions.
     """
-    lay = system.layout
-    b = system.rhs if rhs is None else rhs
-    if b is None:
-        raise ValueError("no right-hand side: pass rhs or set system.rhs")
+    lay, b = system.layout, rhs
     if b.shape != (lay.n_dofs,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({lay.n_dofs},)")
     lu = _factorize(system.condensed)

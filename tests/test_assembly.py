@@ -160,6 +160,31 @@ def test_commutativity_with_divergence_projection():
     assert checked == 50
 
 
+PAIRING_MESHES = {
+    "square-j1": (lambda: generate_square_tri(4), 1),
+    "square-j3": (lambda: generate_square_tri(3), 3),
+    "disk-original-law-j2": (lambda: generate_disk_mesh(
+        16, lambda h: boundary_split_count(h, 2, "original")), 2),
+    "disk-modified-law-j4": (lambda: generate_disk_mesh(
+        24, lambda h: boundary_split_count(h, 4, "modified")), 4),
+    "ring-j1": (lambda: generate_ring_mesh(16, 3), 1),
+}
+
+
+@pytest.mark.parametrize("mesh_name", list(PAIRING_MESHES))
+def test_pressure_rows_are_the_mass_rows_times_the_weak_divergence(mesh_name):
+    # the pressure basis is the leading P_sigma part of the P_alpha basis, so
+    # M[:ns] M^{-1} = [I 0] and the pairings are -M[:ns] @ div_w
+    make, j = PAIRING_MESHES[mesh_name]
+    mesh = make()
+    layout = DofLayout(mesh, j, j, j - 1)
+    for group in level_cells(mesh, layout):
+        got = local_pressure_coupling(group)
+        want = -group.mass[:, :layout.dim_sigma] @ local_weak_divergence(group)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # stabilization and mass
 # ---------------------------------------------------------------------------
@@ -580,8 +605,10 @@ def test_grouped_assembly_matches_per_cell_loop(mesh_name, j, scheme):
         close(system.B1, ref["B"] - ref["corr"])
     else:
         assert system.B1 is None
-    for name in ("pressure_mean", "flux_mass", "pressure_mass"):
+    for name in ("pressure_mean", "flux_mass"):
         close(getattr(system, name), ref[name])
+    ns = layout.dim_sigma
+    close(system.flux_mass[:, :ns, :ns], ref["pressure_mass"])
     close(rhs, ref["rhs"])
     close(uex.coeffs, ref["uex"])
     close(pex, ref["pex"])
@@ -649,6 +676,15 @@ def test_run_level_builds_one_sparse_matrix_and_no_full_matrix(monkeypatch):
     monkeypatch.setattr(SaddleSystem, "full_matrix", refused)
     run_level(StudyConfig("disk", "modified", 2, (16,), split_rule="modified"), 16)
     assert len(calls) == 1    # the bordered condensed matrix
+
+
+def test_run_level_takes_no_weak_divergence(monkeypatch):
+    def refused(cells):
+        raise AssertionError("run_level solved for the weak divergence")
+
+    monkeypatch.setattr(assembly, "local_weak_divergence", refused)
+    row, _ = run_level(StudyConfig("disk", "modified", 2, (16,), split_rule="modified"), 16)
+    assert row.residual <= 1e-9
 
 
 def four_builder_matrices(mesh, layout, scheme, rho):
@@ -720,4 +756,6 @@ def test_l2_norms_read_the_assembled_mass_blocks(mesh_name):
     p, q = rng.standard_normal((2, layout.n_pressure))
     assert l2_flux_interior_error(mesh, w) == block_norm(system.flux_mass,
                                                          w.coeffs[:layout.n_interior])
-    assert l2_pressure_error(mesh, layout, p, q) == block_norm(system.pressure_mass, q - p)
+    ns = layout.dim_sigma
+    assert l2_pressure_error(mesh, layout, p, q) == block_norm(system.flux_mass[:, :ns, :ns],
+                                                              q - p)
