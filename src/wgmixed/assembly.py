@@ -27,9 +27,10 @@ The projection rule and the basis values on it are built on first use and
 kept for the level's lifetime, so the right-hand side and both exact
 projections read one tabulation; the assembly rule, the edge rules and the
 basis values on them are built on first use and released once the group is
-assembled.  The kernels `local_mass`, `local_stabilization`,
-`local_pressure_coupling` and `local_boundary_correction` compute every
-cell's block of a group at once with batched products and return them
+assembled.  The group also fixes its cells' kept flux dofs (`CellGroup.dofs`).
+The kernels `local_mass`, `local_stabilization`, `local_pressure_coupling`
+and `local_boundary_correction` compute every cell's block of a group at
+once with batched products, on the kept flux columns only, and return them
 stacked, group axis first; a single cell is a group of one.  The pressure
 rows are the defining pairings -(div_w v, q)_K with the P_sigma basis, so no
 kernel solves against the mass matrix; `local_weak_divergence`, the P_beta
@@ -40,13 +41,15 @@ on those cells, together with the diagonal blocks of the L2 mass matrix of
 the interior flux (whose leading blocks are the pressure's).
 
 The assembled system is a list of cell blocks, one per group: each cell's
-saddle block restricted to its kept dofs (boundary traces dropped).  Each
+saddle block on its group's kept dofs, with the scheme's pressure rows
+(boundary corrections subtracted in the modified scheme) stored in it.  Each
 cell's interior flux couples only to its own traces and pressures, so
 `assemble_system` condenses it out of the group's blocks with one batched
 solve and scatters the Schur blocks, bordered by the pressure-mean
 functional, into the one sparse matrix the solve factorizes.  Products with
 the full operator and the flux norms are computed cell by cell from the
-blocks; the global A, B, B1 and A_delta are built from them only on request.
+blocks; the global A, B, B1 and A_delta are scattered from them only on
+request, all on the blocks' pattern (stored zeros kept).
 """
 
 from __future__ import annotations
@@ -118,18 +121,6 @@ class DofLayout:
     def n_dofs(self) -> int:
         return self.n_velocity + self.n_pressure
 
-    def local_dofs(self, cells) -> np.ndarray:
-        """Global velocity indices in the local dof order of cell `cells` (-1 = dropped).
-
-        An array of cells with one vertex count gives one row per cell.
-        """
-        c = np.asarray(cells)
-        edges = self.mesh.cell_arrays(c)[1]
-        off = self.trace_offsets[edges][..., None]
-        traces = np.where(off >= 0, off + np.arange(self.trace_dim), -1)
-        inner = self.interior_offsets[c][..., None] + np.arange(2 * self.dim_alpha)
-        return np.concatenate([inner, traces.reshape(c.shape + (-1,))], axis=-1)
-
     def pressure_dofs(self, cells) -> np.ndarray:
         """Global pressure indices of cell `cells`, or one row per cell of an array."""
         return self.pressure_offsets[cells][..., None] + np.arange(self.dim_sigma)
@@ -150,14 +141,19 @@ class WgFunction:
 class CellGroup:
     """Cells of one vertex count with their stacked basis and rules, built once per level.
 
-    Arrays carry the group axis first.  `basis` is the cells' P_alpha basis in
-    the centroids and axes the mesh stores; the P_sigma pressure basis is its
-    leading `dim_sigma` functions, so pressure values are leading columns of
-    its values.  `proj_rule` is the `projection_order` rule for sources and
-    exact solutions, fanned from the stored centroids, and `proj_values` the
-    basis values on it; both are built on first use and kept for the level's
-    lifetime (the right-hand side and the exact projections of flux and
-    pressure all read them).  The assembly rule (exactness `order`), the edge
+    Arrays carry the group axis first.  The group decides which local flux
+    dofs its cells keep: `slots` lists each cell's kept edges (those that are
+    not dropped boundary edges) in local order, padded with its dropped edges
+    up to the group's widest cell.  A padding slot carries its edge's real
+    values in every kernel; its entries in `dofs` (each cell's `n_loc` global
+    flux dofs: the interior flux, then each slot's trace) are -1.  `basis` is
+    the cells' P_alpha basis in the centroids and axes the mesh stores; the
+    P_sigma pressure basis is its leading `dim_sigma` functions.  `proj_rule`
+    is the `projection_order` rule for sources and exact solutions, fanned
+    from the stored centroids, and `proj_values` the basis values on it;
+    both are built on first use and kept for the level's lifetime (the
+    right-hand side and the exact projections of flux and pressure all read
+    them).  The assembly rule (exactness `order`), the edge
     rules (along each edge's stored owner orientation, so t runs backwards on
     a cell's non-owned edges) and the basis values and mass matrices on them
     are built on first use and dropped by `release` once the group is
@@ -176,7 +172,13 @@ class CellGroup:
         self.basis = cell_basis(self.vertices, layout.alpha, self.center, mesh.cell_axes[self.ids])
         self.edge_basis = EdgeBasis(layout.beta)
         self.n_int = 2 * layout.dim_alpha
-        self.n_loc = self.n_int + layout.trace_dim * self.edges.shape[1]
+        kept = layout.trace_offsets[self.edges] >= 0
+        self.slots = np.argsort(~kept, axis=1, kind="stable")[:, :kept.sum(axis=1).max()]
+        off = layout.trace_offsets[np.take_along_axis(self.edges, self.slots, axis=1)][..., None]
+        traces = np.where(off >= 0, off + np.arange(layout.trace_dim), -1)
+        inner = layout.interior_offsets[self.ids][:, None] + np.arange(self.n_int)
+        self.dofs = np.concatenate([inner, traces.reshape(self.ids.size, -1)], axis=1)
+        self.n_loc = self.dofs.shape[1]
 
     @cached_property
     def proj_rule(self):
@@ -219,6 +221,7 @@ class CellGroup:
             self.__dict__.pop(name, None)
 
     def trace_block(self, k: int) -> slice:
+        """Local columns of slot k's trace."""
         off = self.n_int + k * self.layout.trace_dim
         return slice(off, off + self.layout.trace_dim)
 
@@ -265,9 +268,10 @@ def _divergence_pairings(cells: CellGroup, degree: int) -> np.ndarray:
     WG = cells.rule.weights[..., None, None] * basis.grad(cells.rule.points[..., 0],
                                                           cells.rule.points[..., 1])
     _, w, t = cells.edge_quad
-    # -(v_0, grad q)_K, then <v_b n_e . n_K, q>_e with n_e . n_K = +-1
-    traces = np.einsum("gkqi,gkq,qr->gikr", cells.Ve[..., :dim], cells.signs[..., None] * w,
-                       cells.edge_basis.eval(t))
+    g = np.arange(cells.ids.size)[:, None]
+    # -(v_0, grad q)_K, then <v_b n_e . n_K, q>_e with n_e . n_K = +-1 on each slot's edge
+    traces = np.einsum("gkqi,gkq,qr->gikr", cells.Ve[g, cells.slots, :, :dim],
+                       (cells.signs[..., None] * w)[g, cells.slots], cells.edge_basis.eval(t))
     return np.concatenate([-np.swapaxes(WG[..., 0], 1, 2) @ cells.Va,
                            -np.swapaxes(WG[..., 1], 1, 2) @ cells.Va,
                            traces.reshape(traces.shape[:2] + (-1,))], axis=2)
@@ -294,11 +298,12 @@ def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1
         raise ValueError(f"unknown normal mode '{mode}'")
     m_vec, ne_dot_m = cells.normals(mode, rows)
     _, w, t = cells.edge_quad
-    w, Ve = w[rows], cells.Ve[rows]
+    w, Ve, slots = w[rows], cells.Ve[rows], cells.slots[rows]
     G, m, q = w.shape
-    traces = np.zeros((G, m, q, m, cells.layout.trace_dim))
+    g, s = np.arange(G)[:, None], slots.shape[1]
+    traces = np.zeros((G, m, q, s, cells.layout.trace_dim))
     own = -cells.edge_basis.eval(t) * ne_dot_m[..., None]   # each edge's own trace block
-    traces[:, np.arange(m), :, np.arange(m)] = np.swapaxes(own, 0, 1)
+    traces[g, slots, :, np.arange(s)] = own[g, slots]        # in its slot's columns
     R = np.concatenate([Ve * m_vec[..., 0:1], Ve * m_vec[..., 1:2],
                         traces.reshape(G, m, q, -1)], axis=-1).reshape(G, m * q, -1)
     S = np.swapaxes(R, 1, 2) @ (w.reshape(G, -1, 1) * R)
@@ -362,19 +367,18 @@ def _scatter(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 class CellBlocks:
     """One cell group's saddle blocks on its cells' kept dofs, with their condensation.
 
-    Each cell's flux dofs are restricted to the kept ones (the interior flux,
-    then the traces of its edges that are not dropped boundary edges, in
-    local order), as many per cell as the group's widest cell keeps; a cell
-    that keeps fewer also holds dropped slots, whose index is -1.  `local`
-    holds each cell's saddle block [[A_K, B_K^T], [P_K, 0]] on its kept flux
-    dofs and its pressures, A_K being the flux-norm block in the scheme's
-    normal mode and P_K the scheme's pressure rows (B_K minus the boundary
-    corrections in the modified scheme).  `coupling` is A_00^{-1} [A_0y, B_0^T], the interior
-    block solved against the cell's trace and pressure columns.  `cdofs`
-    index the trace and pressure rows in the condensed system.  On the cells
-    `boundary` of the group, `delta` is the other normal mode's flux-norm
-    block minus A_K and `corr` the boundary-correction pairings on the
-    interior columns (modified scheme only).
+    The flux dofs are the group's (`CellGroup.dofs`): each cell's interior
+    flux, then its slots' traces, -1 marking a padding slot that names a
+    dropped edge.  `local` holds each cell's saddle block
+    [[A_K, B_K^T], [P_K, 0]] on these flux dofs and its pressures, A_K being
+    the flux-norm block in the scheme's normal mode and P_K the scheme's
+    pressure rows (B_K minus the boundary corrections in the modified
+    scheme).  A padding slot's rows and columns carry its dropped edge's real
+    values, so a caller that inverts a whole `local` must decouple them
+    first.  `coupling` is A_00^{-1} [A_0y, B_0^T], the interior block solved
+    against the cell's trace and pressure columns.  `cdofs` index the trace
+    and pressure rows in the condensed system.  On the cells `boundary` of
+    the group, `delta` is the other normal mode's flux-norm block minus A_K.
     """
 
     ids: np.ndarray            # (G,) cells
@@ -385,7 +389,6 @@ class CellBlocks:
     coupling: np.ndarray       # (G, n_int, K - n_int + ns)
     boundary: np.ndarray       # (Gb,) rows of the cells with a boundary edge
     delta: np.ndarray          # (Gb, K, K)
-    corr: np.ndarray | None    # (Gb, ns, n_int)
 
     @property
     def A(self) -> np.ndarray:
@@ -397,17 +400,15 @@ class CellBlocks:
         k = self.vdofs.shape[1]
         return np.swapaxes(self.local[:, :k, k:], 1, 2)
 
-
-def _restrict(blocks: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Local blocks (G, n, n) with rows and columns taken in `order` (G, K)."""
-    rows = np.take_along_axis(blocks, order[:, :, None], axis=1)
-    return np.take_along_axis(rows, order[:, None, :], axis=2)
+    @property
+    def P(self) -> np.ndarray:
+        k = self.vdofs.shape[1]
+        return self.local[:, k:, :k]
 
 
 def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: float):
     """The group's `CellBlocks`, with its Schur blocks (G, r, r) on the condensed dofs."""
-    layout, ni, ns = group.layout, group.n_int, group.layout.dim_sigma
-    idx = layout.local_dofs(group.ids)
+    layout, ni, ns, k = group.layout, group.n_int, group.layout.dim_sigma, group.n_loc
     pdofs = layout.pressure_dofs(group.ids)
     bd = np.flatnonzero(group.boundary.any(axis=1))
 
@@ -415,35 +416,24 @@ def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: floa
     delta = local_stabilization(group, mode=other, rho=rho, rows=bd) - A[bd] if bd.size else A[:0]
     A[:, :ni, :ni] += local_mass(group)
     B = local_pressure_coupling(group)
-    corr = local_boundary_correction(group)[bd].sum(axis=1) if scheme == "modified" else None
 
-    kept = idx >= 0
-    k = int(kept.sum(axis=1).max())
-    if k < idx.shape[1]:
-        # kept slots first in local order; short rows end in dropped (-1) slots
-        order = np.argsort(~kept, axis=1, kind="stable")[:, :k]
-        idx = np.take_along_axis(idx, order, axis=1)
-        A, delta = _restrict(A, order), _restrict(delta, order[bd])
-        B = np.take_along_axis(B, order[:, None, :], axis=2)
-
-    G = group.ids.size
-    local = np.zeros((G, k + ns, k + ns))
+    local = np.zeros((group.ids.size, k + ns, k + ns))
     local[:, :k, :k] = A
     local[:, :k, k:] = np.swapaxes(B, 1, 2)
     local[:, k:, :k] = B
-    if corr is not None:
-        local[bd, k:, :ni] -= corr
+    if scheme == "modified":
+        local[bd, k:, :ni] -= local_boundary_correction(group)[bd].sum(axis=1)
     try:
         coupling = np.linalg.solve(local[:, :ni, :ni], local[:, :ni, ni:])
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"an interior flux block of A is singular ({exc})") from exc
     schur = local[:, ni:, ni:] - local[:, ni:, :ni] @ coupling
 
-    traces = idx[:, ni:]
+    traces = group.dofs[:, ni:]
     cdofs = np.concatenate([np.where(traces >= 0, traces - layout.n_interior, -1),
                             pdofs + (layout.n_velocity - layout.n_interior)], axis=1)
-    blocks = CellBlocks(ids=group.ids, vdofs=idx, pdofs=pdofs, cdofs=cdofs, local=local,
-                        coupling=coupling, boundary=bd, delta=delta, corr=corr)
+    blocks = CellBlocks(ids=group.ids, vdofs=group.dofs, pdofs=pdofs, cdofs=cdofs, local=local,
+                        coupling=coupling, boundary=bd, delta=delta)
     return blocks, schur
 
 
@@ -464,7 +454,9 @@ class SaddleSystem:
     sparse matrix the solve needs: the Schur complement of the interior
     fluxes on the trace and pressure unknowns, bordered by the pressure-mean
     row and column (CSC).  The global A, B, B1 and A_delta are built from the
-    blocks on first access, for callers that want them as matrices.
+    blocks on first access, for callers that want them as matrices; B1 (the
+    modified scheme's `pressure_rows`) scatters the stored P_K, on the
+    pattern of B.
     """
 
     layout: DofLayout
@@ -492,18 +484,17 @@ class SaddleSystem:
         shape = (self.layout.n_pressure, self.layout.n_velocity)
         return _to_csr(((b.pdofs, b.vdofs, b.B) for b in self.blocks), shape)
 
-    @cached_property
-    def B1(self) -> sp.csr_matrix | None:
-        if self.scheme != "modified":
-            return None
-        ni = 2 * self.layout.dim_alpha
-        corr = _to_csr(((b.pdofs[b.boundary], b.vdofs[b.boundary, :ni], b.corr)
-                        for b in self.blocks), self.B.shape)
-        return (self.B - corr).tocsr()
-
     @property
+    def B1(self) -> sp.csr_matrix | None:
+        return self.pressure_rows if self.scheme == "modified" else None
+
+    @cached_property
     def pressure_rows(self) -> sp.csr_matrix:
-        return self.B1 if self.scheme == "modified" else self.B
+        """The mass-conservation rows: B, or the cells' P_K scattered on B's pattern."""
+        if self.scheme != "modified":
+            return self.B
+        shape = (self.layout.n_pressure, self.layout.n_velocity)
+        return _to_csr(((b.pdofs, b.vdofs, b.P) for b in self.blocks), shape)
 
     def vh_matrix(self, mode: str) -> sp.csr_matrix:
         """Flux-norm matrix (mass + stabilization) in normal mode `mode`."""
@@ -591,7 +582,7 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     rows only.  Cells with a boundary edge are stabilized in the other normal
     mode too; the difference is A_delta, so both flux-norm matrices come from
     one pass and share every entry no boundary cell touches.  Each group's
-    blocks are restricted to its cells' kept dofs and condensed with one
+    blocks are built on its cells' kept dofs and condensed with one
     batched solve against the interior blocks; the Schur blocks and the
     pressure-mean border are scattered into `SaddleSystem.condensed`.
     """

@@ -87,8 +87,7 @@ def project_exact(mesh: PolygonalMesh, u, p, layout: DofLayout,
     for group in cells:
         coef = project_cell(group.vertices, u, layout.alpha, rule=group.proj_rule,
                             values=group.proj_values)
-        w.coeffs[layout.local_dofs(group.ids)[:, :group.n_int]] = np.swapaxes(coef, 1, 2).reshape(
-            group.ids.size, -1)
+        w.coeffs[group.dofs[:, :group.n_int]] = np.swapaxes(coef, 1, 2).reshape(group.ids.size, -1)
         pex[layout.pressure_dofs(group.ids)] = project_cell(
             group.vertices, p, layout.sigma, rule=group.proj_rule, values=group.proj_values)
     inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)

@@ -140,19 +140,22 @@ def polygon_rule(vertices, order: int, fan_point=None) -> QuadratureRule:
     v = np.asarray(vertices, dtype=float)
     if v.ndim not in (2, 3) or v.shape[-2] < 3 or v.shape[-1] != 2:
         raise MalformedCellError("polygon needs at least 3 planar vertices")
-    areas, centroids, _ = polygon_moments(v)
-    area = np.min(areas)
-    if not area > 0.0:
-        raise MalformedCellError(f"polygon area {area:.3e} is not positive "
-                                 "(CCW simple loop required)")
     if fan_point is None:
-        fan_point = centroids
+        fan_point = polygon_moments(v)[1]
     c = np.reshape(np.asarray(fan_point, dtype=float), v.shape[:-2] + (1, 1, 2))
-    ref = triangle_rule(order)
-    r0, r1 = ref.points[:, 0, None], ref.points[:, 1, None]
     a = v[..., None, :] - c
     b = np.roll(v, -1, axis=-2)[..., None, :] - c
     det = a[..., 0, 0] * b[..., 0, 1] - a[..., 0, 1] * b[..., 0, 0]
+    # the fan's signed determinants sum to twice the area; zero to rounding
+    # (1e-14 of the bounding box squared, as in `polygon_moments`) reads 0
+    areas = 0.5 * det.sum(axis=-1)
+    scale = np.ptp(v, axis=-2).max(axis=-1)
+    area = np.min(np.where(np.abs(areas) > 1e-14 * scale * scale, areas, 0.0))
+    if not area > 0.0:
+        raise MalformedCellError(f"polygon area {area:.3e} is not positive "
+                                 "(CCW simple loop required)")
+    ref = triangle_rule(order)
+    r0, r1 = ref.points[:, 0, None], ref.points[:, 1, None]
     pts = c + r0 * a + r1 * b
     wts = det[..., None] * ref.weights
     return QuadratureRule(pts.reshape(v.shape[:-2] + (-1, 2)),

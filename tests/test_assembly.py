@@ -532,7 +532,7 @@ def per_cell_reference(mesh, layout, scheme, rho, case):
     moments, wconst, total, area = np.zeros(npr), np.zeros(npr), 0.0, 0.0
     for c in range(mesh.n_cells):
         ops = one_cell(mesh, c, layout)
-        idx = layout.local_dofs(c)
+        idx = ops.dofs[0]
         keep = idx >= 0
         pidx = layout.pressure_dofs(c)
         S = local_stabilization(ops, mode, rho)[0]
@@ -688,15 +688,15 @@ def test_run_level_takes_no_weak_divergence(monkeypatch):
 
 
 def four_builder_matrices(mesh, layout, scheme, rho):
-    """A, A_delta, B and B1 scattered by one global builder each, block by unpruned block.
+    """A, A_delta, B and B1 scattered by one global builder each, block by kernel block.
 
     This is how the assembly built them before it kept cell blocks; the
     lazily built matrices must equal these bit for bit.
     """
     mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")
-    parts = {"A": [], "A_delta": [], "B": [], "corr": []}
+    parts = {"A": [], "A_delta": [], "B": [], "B1": []}
     for group in level_cells(mesh, layout):
-        idx = layout.local_dofs(group.ids)
+        idx = group.dofs
         pidx = layout.pressure_dofs(group.ids)
         bd = group.boundary.any(axis=1)
         A_loc = local_stabilization(group, mode=mode, rho=rho)
@@ -705,10 +705,10 @@ def four_builder_matrices(mesh, layout, scheme, rho):
             parts["A_delta"].append((idx[bd], idx[bd], S_other - A_loc[bd]))
         A_loc[:, :group.n_int, :group.n_int] += local_mass(group)
         parts["A"].append((idx, idx, A_loc))
-        parts["B"].append((pidx, idx, local_pressure_coupling(group)))
-        if scheme == "modified" and bd.any():
-            parts["corr"].append((pidx[bd], idx[bd, :group.n_int],
-                                  local_boundary_correction(group)[bd].sum(axis=1)))
+        B_loc = local_pressure_coupling(group)
+        parts["B"].append((pidx, idx, B_loc.copy()))
+        B_loc[bd, :, :group.n_int] -= local_boundary_correction(group)[bd].sum(axis=1)
+        parts["B1"].append((pidx, idx, B_loc))
 
     def to_csr(blocks, shape):
         r, c, v = [], [], []
@@ -725,8 +725,7 @@ def four_builder_matrices(mesh, layout, scheme, rho):
 
     nv, npr = layout.n_velocity, layout.n_pressure
     out = {name: to_csr(parts[name], (nv, nv)) for name in ("A", "A_delta")}
-    out["B"] = to_csr(parts["B"], (npr, nv))
-    out["B1"] = (out["B"] - to_csr(parts["corr"], (npr, nv))).tocsr()
+    out.update({name: to_csr(parts[name], (npr, nv)) for name in ("B", "B1")})
     return out
 
 
@@ -744,6 +743,70 @@ def test_lazy_global_matrices_equal_the_four_builder_ones(mesh_name, scheme):
             assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
     if scheme == "original":
         assert system.B1 is None
+
+
+@pytest.mark.parametrize("mesh_name", list(SHARED_MESHES))
+def test_modified_pressure_rows_keep_the_pattern_of_b(mesh_name):
+    # the stored zeros of B (the constant pressure's interior entries) stay stored in B1
+    mesh = SHARED_MESHES[mesh_name]()
+    system = assemble_system(mesh, DofLayout(mesh, 2, 2, 1), scheme="modified")
+    assert np.any(system.B.data == 0.0)
+    for part in ("indptr", "indices"):
+        assert np.array_equal(getattr(system.pressure_rows, part), getattr(system.B, part))
+
+
+KEPT_MESHES = {
+    "disk-original-law-n16": lambda: generate_disk_mesh(
+        16, lambda h: boundary_split_count(h, 2, "original")),
+    "disk-original-law-n32": lambda: generate_disk_mesh(
+        32, lambda h: boundary_split_count(h, 2, "original")),
+    "ring-fixed3": lambda: generate_ring_mesh(16, 3),
+    "disk-unsplit": lambda: generate_disk_mesh(16, 1),   # padding slots in the triangles
+}
+
+
+@pytest.mark.parametrize("mesh_name", list(KEPT_MESHES))
+def test_kept_blocks_are_the_full_blocks_cropped_to_the_slots(mesh_name):
+    # a group over the same cells that keeps every trace gives the full blocks;
+    # cropping them to the kept group's slots must give the kept blocks
+    mesh = KEPT_MESHES[mesh_name]()
+    layout = DofLayout(mesh, 2, 2, 1)
+    wide = DofLayout(mesh, 2, 2, 1, include_boundary_traces=True)
+    td = layout.trace_dim
+    for group in level_cells(mesh, layout):
+        full = CellGroup(mesh, group.ids, wide)
+        assert full.n_loc == full.n_int + td * group.edges.shape[1]
+        G, ni = group.ids.size, group.n_int
+        cols = np.concatenate([np.tile(np.arange(ni), (G, 1)),
+                               ni + (td * group.slots[..., None] + np.arange(td)).reshape(G, -1)],
+                              axis=1)
+
+        def close(kept, whole, rows=slice(None), square=True):
+            c = cols[rows]
+            want = np.take_along_axis(whole, c[:, None, :], axis=2)
+            if square:
+                want = np.take_along_axis(want, c[:, :, None], axis=1)
+            assert kept.shape == want.shape and kept.shape[-1] == group.n_loc
+            assert np.abs(kept - want).max() <= 1e-13 * np.abs(want).max()
+
+        bd = np.flatnonzero(group.boundary.any(axis=1))
+        for mode in ("straight", "curved"):
+            close(local_stabilization(group, mode, 2.5), local_stabilization(full, mode, 2.5))
+            if bd.size:
+                close(local_stabilization(group, mode, 2.5, rows=bd),
+                      local_stabilization(full, mode, 2.5, rows=bd), rows=bd)
+        close(local_pressure_coupling(group), local_pressure_coupling(full), square=False)
+
+
+def test_boundary_nineteen_gons_keep_two_traces():
+    # j=2, n=64 under the original split law: 17 chords per side, so each
+    # boundary cell keeps its two radial edges' traces of its 19
+    mesh = generate_disk_mesh(64, lambda h: boundary_split_count(h, 2, "original"))
+    layout = DofLayout(mesh, 2, 2, 1)
+    polygons = [g for g in level_cells(mesh, layout) if g.vertices.shape[1] == 19]
+    assert len(polygons) == 1 and polygons[0].ids.size == 64
+    assert polygons[0].n_loc == 18
+    assert np.all(polygons[0].dofs >= 0)
 
 
 @pytest.mark.parametrize("mesh_name", list(SHARED_MESHES))

@@ -83,7 +83,7 @@ def test_project_exact_reproduces_polynomial_flux():
         ba = cell_basis(verts, 1)
         pts = mesh.cell_centroids[c][None, :] + 0.01
         V = ba.eval(pts[:, 0], pts[:, 1])
-        interior = w.coeffs[lay.local_dofs(c)[:2 * lay.dim_alpha]].reshape(2, lay.dim_alpha)
+        interior = w.coeffs[lay.interior_offsets[c] + np.arange(2 * lay.dim_alpha)].reshape(2, lay.dim_alpha)
         got = np.stack([V @ interior[0], V @ interior[1]], axis=-1)
         assert np.allclose(got, u(pts[:, 0], pts[:, 1]), atol=1e-12)
         assert pex[lay.pressure_dofs(c)][0] == pytest.approx(4.0, rel=1e-13)
