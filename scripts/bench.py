@@ -78,8 +78,10 @@ def run_case(name: str) -> dict:
     }
 
 
-# the solver diagnostics `--compare` shows side by side; condensed_nnz is the
-# factored (bordered condensed) matrix's nnz, absent from older records
+# the solver diagnostics `--compare` shows side by side; n_condensed and
+# condensed_nnz are the size and nnz of the factored matrix: the multiplier
+# system H, or in records before it the bordered trace-pressure system
+# (condensed_nnz is absent from older records still)
 SOLVER_DIAGNOSTICS = ("n_condensed", "condensed_nnz", "lu_fill", "residual_unrefined")
 
 

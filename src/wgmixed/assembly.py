@@ -42,14 +42,15 @@ the interior flux (whose leading blocks are the pressure's).
 
 The assembled system is a list of cell blocks, one per group: each cell's
 saddle block on its group's kept dofs, with the scheme's pressure rows
-(boundary corrections subtracted in the modified scheme) stored in it.  Each
-cell's interior flux couples only to its own traces and pressures, so
-`assemble_system` condenses it out of the group's blocks with one batched
-solve and scatters the Schur blocks, bordered by the pressure-mean
-functional, into the one sparse matrix the solve factorizes.  Products with
-the full operator and the flux norms are computed cell by cell from the
-blocks; the global A, B, B1 and A_delta are scattered from them only on
-request, all on the blocks' pattern (stored zeros kept).
+(boundary corrections subtracted in the modified scheme) stored in it, and
+the maps of the cell's copies of its traces to the multipliers of the
+hybridized solve.  `assemble_system` inverts and factorizes nothing.  On
+first access `SaddleSystem.inverses` inverts each group's blocks in one
+batched call, and `SaddleSystem.condensed` scatters the multiplier system
+from them, the one sparse matrix the solve factorizes.  Products with the
+full operator and the flux norms are computed cell by cell from the blocks;
+the global A, B, B1 and A_delta are scattered from them only on request,
+all on the blocks' pattern (stored zeros kept).
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class DofLayout:
     basis functions, then all y-component), followed by per-edge trace blocks.
     Boundary-edge traces are eliminated unless `include_boundary_traces` is
     set (which models the larger space used only in tests).  Pressure dofs are
-    indexed separately from zero.
+    indexed separately from zero, and so are the solver's multipliers: one
+    P_beta block per edge shared by two cells.
     """
 
     def __init__(self, mesh: PolygonalMesh, alpha: int, beta: int, sigma: int,
@@ -116,6 +118,9 @@ class DofLayout:
         self.n_velocity = self.n_interior + self.trace_dim * int(kept.sum())
         self.pressure_offsets = self.dim_sigma * np.arange(nc, dtype=np.int64)
         self.n_pressure = self.dim_sigma * nc
+        shared = mesh.edge_cells[:, 1] >= 0
+        self.multiplier_offsets = np.where(shared, self.trace_dim * (np.cumsum(shared) - 1), -1)
+        self.n_multipliers = self.trace_dim * int(shared.sum())
 
     @property
     def n_dofs(self) -> int:
@@ -315,19 +320,20 @@ def local_pressure_coupling(cells: CellGroup) -> np.ndarray:
     return -_divergence_pairings(cells, cells.layout.sigma)
 
 
-def local_boundary_correction(cells: CellGroup) -> np.ndarray:
+def local_boundary_correction(cells: CellGroup, rows=slice(None)) -> np.ndarray:
     """Pairings <phi.n - mean_e(phi.n), q>_e on each edge, (G, m, dim P_sigma, 2 dim P_alpha).
 
     Rows run over the cell's pressure basis, columns over its interior dofs;
-    the pairings of interior edges are zero.
+    the pairings of interior edges are zero.  `rows` (a mask or indices)
+    pairs only those cells of the group.
     """
-    _, w, _ = cells.edge_quad
-    n = cells.mesh.edge_normals[cells.edges][:, :, None, None, :]
-    F = np.concatenate([cells.Ve * n[..., 0], cells.Ve * n[..., 1]], axis=-1)   # phi . n
+    w, Ve = cells.edge_quad[1][rows], cells.Ve[rows]
+    n = cells.mesh.edge_normals[cells.edges[rows]][:, :, None, None, :]
+    F = np.concatenate([Ve * n[..., 0], Ve * n[..., 1]], axis=-1)   # phi . n
     mean = np.einsum("gkq,gkqi->gki", w, F) / w.sum(axis=-1)[..., None]
-    C = np.einsum("gkqs,gkq,gkqi->gksi", cells.Ve[..., :cells.layout.dim_sigma], w,
+    C = np.einsum("gkqs,gkq,gkqi->gksi", Ve[..., :cells.layout.dim_sigma], w,
                   F - mean[:, :, None, :])
-    return C * cells.boundary[..., None, None]
+    return C * cells.boundary[rows][..., None, None]
 
 
 class SingularSystemError(RuntimeError):
@@ -365,7 +371,7 @@ def _scatter(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class CellBlocks:
-    """One cell group's saddle blocks on its cells' kept dofs, with their condensation.
+    """One cell group's saddle blocks on its cells' kept dofs, with their multiplier maps.
 
     The flux dofs are the group's (`CellGroup.dofs`): each cell's interior
     flux, then its slots' traces, -1 marking a padding slot that names a
@@ -373,22 +379,31 @@ class CellBlocks:
     [[A_K, B_K^T], [P_K, 0]] on these flux dofs and its pressures, A_K being
     the flux-norm block in the scheme's normal mode and P_K the scheme's
     pressure rows (B_K minus the boundary corrections in the modified
-    scheme).  A padding slot's rows and columns carry its dropped edge's real
-    values, so a caller that inverts a whole `local` must decouple them
-    first.  `coupling` is A_00^{-1} [A_0y, B_0^T], the interior block solved
-    against the cell's trace and pressure columns.  `cdofs` index the trace
-    and pressure rows in the condensed system.  On the cells `boundary` of
-    the group, `delta` is the other normal mode's flux-norm block minus A_K.
+    scheme).  A padding slot's rows and columns are the identity's.  On the
+    cells `boundary` of the group, `delta` is the other normal mode's
+    flux-norm block minus A_K.
+
+    In the hybridized solve each cell keeps its own copy of its traces, and
+    the two copies on an edge shared by two cells are tied by the edge's
+    multiplier, with sign `sides` (+1 on the owner's copy, -1 on the other
+    one's, 0 on a trace that has no multiplier).  `hdofs` index the trace
+    dofs' multipliers in `SaddleSystem.condensed` (-1: no multiplier, or the
+    pinned multiplier 0), and `owned` each local unknown's global dof, -1 on
+    padding slots and on the non-owner copy of a shared trace.  The trace
+    columns of local_K^{-1} (`SaddleSystem.inverses`) times `sides` are
+    local_K^{-1} E_K^T, E_K the signed map of the cell's traces to its
+    multipliers.
     """
 
     ids: np.ndarray            # (G,) cells
     vdofs: np.ndarray          # (G, K) global flux dofs, -1 = dropped
     pdofs: np.ndarray          # (G, ns) global pressure dofs
-    cdofs: np.ndarray          # (G, K - n_int + ns) condensed dofs, -1 = dropped
     local: np.ndarray          # (G, K + ns, K + ns)
-    coupling: np.ndarray       # (G, n_int, K - n_int + ns)
     boundary: np.ndarray       # (Gb,) rows of the cells with a boundary edge
     delta: np.ndarray          # (Gb, K, K)
+    hdofs: np.ndarray          # (G, K - n_int) multiplier rows of the trace dofs, -1 = none
+    sides: np.ndarray          # (G, K - n_int) +1 owner, -1 other side, 0 no multiplier
+    owned: np.ndarray          # (G, K + ns) global dofs, -1 = padding or non-owner copy
 
     @property
     def A(self) -> np.ndarray:
@@ -406,8 +421,8 @@ class CellBlocks:
         return self.local[:, k:, :k]
 
 
-def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: float):
-    """The group's `CellBlocks`, with its Schur blocks (G, r, r) on the condensed dofs."""
+def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: float) -> CellBlocks:
+    """The group's `CellBlocks`: its kernels' blocks and index maps, no linear algebra."""
     layout, ni, ns, k = group.layout, group.n_int, group.layout.dim_sigma, group.n_loc
     pdofs = layout.pressure_dofs(group.ids)
     bd = np.flatnonzero(group.boundary.any(axis=1))
@@ -421,20 +436,24 @@ def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: floa
     local[:, :k, :k] = A
     local[:, :k, k:] = np.swapaxes(B, 1, 2)
     local[:, k:, :k] = B
-    if scheme == "modified":
-        local[bd, k:, :ni] -= local_boundary_correction(group)[bd].sum(axis=1)
-    try:
-        coupling = np.linalg.solve(local[:, :ni, :ni], local[:, :ni, ni:])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"an interior flux block of A is singular ({exc})") from exc
-    schur = local[:, ni:, ni:] - local[:, ni:, :ni] @ coupling
+    if scheme == "modified" and bd.size:
+        local[bd, k:, :ni] -= local_boundary_correction(group, rows=bd).sum(axis=1)
+    g, c = np.nonzero(group.dofs < 0)    # padding slots: decoupled
+    local[g, c, :] = 0.0
+    local[g, :, c] = 0.0
+    local[g, c, c] = 1.0
 
-    traces = group.dofs[:, ni:]
-    cdofs = np.concatenate([np.where(traces >= 0, traces - layout.n_interior, -1),
-                            pdofs + (layout.n_velocity - layout.n_interior)], axis=1)
-    blocks = CellBlocks(ids=group.ids, vdofs=group.dofs, pdofs=pdofs, cdofs=cdofs, local=local,
-                        coupling=coupling, boundary=bd, delta=delta)
-    return blocks, schur
+    td = layout.trace_dim
+    offsets = layout.multiplier_offsets[np.take_along_axis(group.edges, group.slots, axis=1)]
+    shared = np.repeat(offsets >= 0, td, axis=1)
+    owner = np.repeat(np.take_along_axis(group.signs, group.slots, axis=1) > 0, td, axis=1)
+    mult = (offsets[..., None] + np.arange(td)).reshape(shared.shape)
+    owned = np.concatenate([group.dofs, layout.n_velocity + pdofs], axis=1)
+    owned[:, ni:k][~owner] = -1
+    # H's rows are the multipliers less one: multiplier 0, pinned, gets -1
+    return CellBlocks(ids=group.ids, vdofs=group.dofs, pdofs=pdofs, local=local, boundary=bd,
+                      delta=delta, hdofs=np.where(shared, mult - 1, -1),
+                      sides=np.where(shared, np.where(owner, 1.0, -1.0), 0.0), owned=owned)
 
 
 @dataclass
@@ -450,13 +469,14 @@ class SaddleSystem:
     flux_mass holds the diagonal blocks of the L2 mass matrix of the interior
     flux; their leading dim P_sigma blocks are the pressure's.
 
-    `blocks` holds each cell group's `CellBlocks`, and `condensed` the only
-    sparse matrix the solve needs: the Schur complement of the interior
-    fluxes on the trace and pressure unknowns, bordered by the pressure-mean
-    row and column (CSC).  The global A, B, B1 and A_delta are built from the
-    blocks on first access, for callers that want them as matrices; B1 (the
-    modified scheme's `pressure_rows`) scatters the stored P_K, on the
-    pattern of B.
+    `blocks` holds each cell group's `CellBlocks`.  `inverses` (the blocks
+    inverted) and `condensed`, the only sparse matrix the solve needs, are
+    built from them on first access: the multiplier system
+    H = sum_K E_K local_K^{-1} E_K^T of the hybridized solve (see
+    `CellBlocks`), pinned at multiplier 0 (CSC).  The global A, B,
+    B1 and A_delta are built from the blocks on first access too, for callers
+    that want them as matrices; B1 (the modified scheme's `pressure_rows`)
+    scatters the stored P_K, on the pattern of B.
     """
 
     layout: DofLayout
@@ -464,7 +484,6 @@ class SaddleSystem:
     normal_mode: str             # "straight" | "curved"
     rho: float
     blocks: list
-    condensed: sp.csc_matrix
     pressure_mean: np.ndarray    # entries (q_i, 1)_{Omega_h}
     flux_mass: np.ndarray        # (cells, dim P_alpha, dim P_alpha), per flux component
 
@@ -534,33 +553,58 @@ class SaddleSystem:
             out += _scatter(idx, b.local @ _gather(x, idx)[..., None], n)
         return out
 
-    def condense(self, f: np.ndarray) -> tuple[np.ndarray, list]:
-        """Condensed right-hand side of `f`, and each group's interior solves A_00^{-1} f_0.
+    @cached_property
+    def inverses(self) -> list:
+        """Each group's cell blocks inverted, local_K^{-1} (G, K + ns, K + ns)."""
+        try:
+            return [np.linalg.inv(b.local) for b in self.blocks]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"a cell's saddle block is singular ({exc})") from exc
 
-        The condensed vector runs over the trace and pressure unknowns.
+    @cached_property
+    def condensed(self) -> sp.csc_matrix:
+        """H = sum_K E_K local_K^{-1} E_K^T without multiplier 0's row and column (CSC).
+
+        Its only kernel, the constant pressure's, is pinned so.  A mesh with
+        no multiplier (one cell) gets its full matrix bordered by the
+        pressure-mean row and column instead.
         """
         lay = self.layout
-        ni = 2 * lay.dim_alpha
-        f0 = f[:lay.n_interior].reshape(-1, ni)
-        g = f[lay.n_interior:].copy()
-        interiors = []
-        for b in self.blocks:
-            fb = f0[b.ids]
-            if fb.any():    # the study's first solve has no interior right-hand side
-                z = np.linalg.solve(b.local[:, :ni, :ni], fb[..., None])[..., 0]
-                g -= _scatter(b.cdofs, b.local[:, ni:, :ni] @ z[..., None], g.size)
-            else:
-                z = fb
-            interiors.append(z)
-        return g, interiors
+        if not lay.n_multipliers:
+            border = np.concatenate([np.zeros(lay.n_velocity), self.pressure_mean])[:, None]
+            return sp.bmat([[self.full_matrix(), border], [border.T, None]], format="csc")
+        parts = []
+        for b, inverse in zip(self.blocks, self.inverses):
+            traces = slice(2 * lay.dim_alpha, b.vdofs.shape[1])
+            H = b.sides[:, :, None] * inverse[:, traces, traces] * b.sides[:, None, :]
+            parts.append((b.hdofs, b.hdofs, H))
+        n = lay.n_multipliers - 1
+        return _to_csr(parts, (n, n)).tocsc()
 
-    def expand(self, interiors: list, y: np.ndarray) -> np.ndarray:
-        """The full solution vector from the condensed solution y and `condense`'s interiors."""
-        lay = self.layout
-        x0 = np.empty((lay.mesh.n_cells, 2 * lay.dim_alpha))
-        for b, z in zip(self.blocks, interiors):
-            x0[b.ids] = z - (b.coupling @ _gather(y, b.cdofs)[..., None])[..., 0]
-        return np.concatenate([x0.ravel(), y])
+    def condense(self, f: np.ndarray) -> tuple[np.ndarray, list]:
+        """H's right-hand side sum_K E_K local_K^{-1} f_K, and each group's local_K^{-1} f_K.
+
+        f_K is f on the cell's own dofs; a shared trace's entry goes to its
+        owner's copy only.
+        """
+        ni = 2 * self.layout.dim_alpha
+        g = np.zeros(self.layout.n_multipliers - 1)
+        solves = []
+        for b, inverse in zip(self.blocks, self.inverses):
+            z = (inverse @ _gather(f, b.owned)[..., None])[..., 0]
+            g += _scatter(b.hdofs, b.sides * z[:, ni:b.vdofs.shape[1]], g.size)
+            solves.append(z)
+        return g, solves
+
+    def expand(self, solves: list, y: np.ndarray) -> np.ndarray:
+        """The full solution vector from the multipliers y and `condense`'s solves."""
+        ni = 2 * self.layout.dim_alpha
+        x = np.zeros(self.layout.n_dofs)
+        for b, inverse, z in zip(self.blocks, self.inverses, solves):
+            ey = b.sides * _gather(y, b.hdofs)     # E_K^T y on the cell's traces
+            x += _scatter(b.owned, z - (inverse[:, :, ni:b.vdofs.shape[1]] @ ey[..., None])[..., 0],
+                          x.size)
+        return x
 
 
 def assemble_vh_matrix(mesh: PolygonalMesh, layout: DofLayout, mode: str = "straight",
@@ -572,7 +616,7 @@ def assemble_vh_matrix(mesh: PolygonalMesh, layout: DofLayout, mode: str = "stra
 def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
                     rho: float = 1.0, order: int | None = None,
                     cells: list | None = None) -> SaddleSystem:
-    """Assemble the saddle-point system for one scheme as condensed cell blocks.
+    """Assemble the saddle-point system for one scheme as cell blocks.
 
     degrees is (alpha, beta, sigma) or an existing DofLayout; `cells` is the
     level's `level_cells` list, built here when not given.  The original
@@ -582,9 +626,8 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     rows only.  Cells with a boundary edge are stabilized in the other normal
     mode too; the difference is A_delta, so both flux-norm matrices come from
     one pass and share every entry no boundary cell touches.  Each group's
-    blocks are built on its cells' kept dofs and condensed with one
-    batched solve against the interior blocks; the Schur blocks and the
-    pressure-mean border are scattered into `SaddleSystem.condensed`.
+    blocks are built on its cells' kept dofs; nothing is inverted or
+    factorized here (see `SaddleSystem.condensed`).
     """
     if scheme not in ("original", "modified"):
         raise ValueError(f"unknown scheme '{scheme}'")
@@ -596,24 +639,15 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
         cells = level_cells(mesh, layout, order)
 
     ns = layout.dim_sigma
-    blocks, schur = [], []
+    blocks = []
     flux_mass = np.empty((mesh.n_cells, layout.dim_alpha, layout.dim_alpha))
     pmean = np.zeros(layout.n_pressure)
     for group in cells:
-        block, S = _cell_blocks(group, scheme, mode, other, rho)
-        blocks.append(block)
-        schur.append((block.cdofs, block.cdofs, S))
+        blocks.append(_cell_blocks(group, scheme, mode, other, rho))
         flux_mass[group.ids] = group.mass
-        pmean[block.pdofs] = np.einsum("gq,gqi->gi", group.rule.weights, group.Va[..., :ns])
+        pmean[blocks[-1].pdofs] = np.einsum("gq,gqi->gi", group.rule.weights, group.Va[..., :ns])
         group.release()
-
-    # the condensed unknowns: traces, pressures, then the multiplier of (p, 1) = 0
-    n = layout.n_dofs - layout.n_interior
-    pressures = np.arange(n - layout.n_pressure, n)[None, :]
-    last = np.array([[n]])
-    schur += [(pressures, last, pmean[None, :, None]), (last, pressures, pmean[None, None, :])]
-    return SaddleSystem(layout=layout, scheme=scheme, normal_mode=mode, rho=rho,
-                        blocks=blocks, condensed=_to_csr(schur, (n + 1, n + 1)).tocsc(),
+    return SaddleSystem(layout=layout, scheme=scheme, normal_mode=mode, rho=rho, blocks=blocks,
                         pressure_mean=pmean, flux_mass=flux_mass)
 
 

@@ -1,21 +1,24 @@
-"""Direct solution of the assembled saddle-point systems by static condensation.
+"""Direct solution of the assembled saddle-point systems by hybridization.
 
-Each cell's interior flux couples only to its own edge traces and pressure,
-and the interior block of A (mass plus stabilization) is symmetric positive
-definite and diagonal by cells.  `assemble_system` eliminates the interior
-fluxes cell group by cell group and scatters the Schur complement on the
-trace and pressure unknowns into `SaddleSystem.condensed`; the solve
-factorizes only that matrix by sparse LU, condenses the right-hand side and
-recovers the interiors with the groups' blocks, and forms every residual as a
-cellwise product.  No global saddle matrix is built.
+Each cell keeps its own copy of its edge traces, and the two copies on an
+edge shared by two cells are tied by a P_beta multiplier on the edge.  A
+cell's saddle block on its own interior flux, traces and pressure is
+nonsingular, so every cell unknown is eliminated with its block's inverse,
+and the solve factorizes only the multiplier system
+H = sum_K E_K local_K^{-1} E_K^T (`SaddleSystem.condensed`) by sparse LU.  H
+couples only edges of one cell, so its pattern is symmetric; it is symmetric
+for the original scheme and nearly so for the boundary-corrected one.  The
+cells' unknowns are recovered from the multipliers with the same inverses,
+and every residual is formed as a cellwise product.  No global saddle matrix
+is built.
 
 The pressure space is assembled without the mean-zero constraint, so the
-operator has a one-dimensional kernel spanned by the constant pressure.  The
-condensed system is bordered with a scalar Lagrange multiplier enforcing
-(p, 1)_{Omega_h} = 0: the pressure-mean functional is not orthogonal to the
-kernel on either side, so the bordered system is nonsingular and returns the
-mean-zero pressure directly.  One step of iterative refinement against the
-full operator follows every solve.
+operator has a one-dimensional kernel spanned by the constant pressure; H
+inherits it, and it is pinned by dropping multiplier 0.  One step of
+iterative refinement against the full operator follows every solve, and the
+pressure mean is then taken out on each cell's constant coefficient.  A mesh
+with no multiplier (a single cell) is solved with its matrix bordered by the
+pressure-mean row and column instead.
 """
 
 from __future__ import annotations
@@ -39,70 +42,83 @@ class Solution:
     u: WgFunction
     p: np.ndarray
     residual: float
-    multiplier: float
     diagnostics: dict = field(default_factory=dict)
 
 
-def _factorize(matrix):
-    """Sparse LU of the bordered condensed matrix (CSC)."""
-    # COLAMD with small supernodes, measured on a 2-core machine: on the ring
-    # j=1 n=384 condensed system (125,185 unknowns) SuperLU's default relax and
-    # panel size took 17.6-22.4 s and these 4.0-5.2 s for the same fill; on the
-    # split disk j=2 n=128 one, MMD_AT_PLUS_A (symmetric ordering, upset by the
-    # dense border row) took 98 s with 40x the fill against 0.21 s.
-    try:
-        return splu(matrix, permc_spec="COLAMD", relax=2, panel_size=4)
-    except RuntimeError as exc:
-        raise SingularSystemError(
-            f"sparse factorization failed ({exc}); the system is singular beyond "
-            "the constant-pressure kernel (check the degree condition)"
-        ) from exc
+def _factorize(matrix, pivoting: bool):
+    """Sparse LU of H (CSC): pivot-free in a symmetric ordering, or with partial pivoting."""
+    # H's pattern is symmetric, and H is positive definite (its symmetric part
+    # in the boundary-corrected scheme), so the first attempt orders H + H^T
+    # by minimum degree and pivots on the diagonal: its fill depends on the
+    # pattern alone.  Measured on a 2-core machine, the ring j=1 n=384 H
+    # (93,695 unknowns) factors in 0.33 s with 7.6M entries, against 2.19 s
+    # and 23.7M for the former bordered trace-pressure system with COLAMD and
+    # partial pivoting.  COLAMD with partial pivoting gives 1.8-2.6x the fill
+    # on H; it is the fallback.
+    if pivoting:
+        return splu(matrix, permc_spec="COLAMD")
+    return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
 
 
 def solve_saddle(system: SaddleSystem, rhs: np.ndarray, tol: float = 1e-9) -> Solution:
     """Solve the saddle system, returning flux and mean-zero pressure.
 
-    The bordered condensed matrix is factorized by sparse LU, and one
-    refinement step against the full operator, applied cell by cell,
-    follows.  Identical inputs produce bitwise-identical solutions.
+    H is factorized without pivoting, and one refinement step against the
+    full operator, applied cell by cell, follows.  If that factorization
+    fails or the refined residual is above `tol`, H is factorized once more
+    with partial pivoting before the failure is raised.  Identical inputs
+    produce bitwise-identical solutions.
     """
     lay, b = system.layout, rhs
     if b.shape != (lay.n_dofs,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({lay.n_dofs},)")
-    lu = _factorize(system.condensed)
+    H = system.condensed
+    if lay.n_multipliers:
+        def solve(lu, f):
+            g, solves = system.condense(f)
+            return system.expand(solves, lu.solve(g))
+    else:   # one cell: H is its matrix bordered by the pressure-mean row and column
+        def solve(lu, f):
+            return lu.solve(np.append(f, 0.0))[:-1]
+
     nv = lay.n_velocity
-
-    def bordered_solve(f: np.ndarray, f_mean: float):
-        g, interiors = system.condense(f)
-        ext = lu.solve(np.append(g, f_mean))
-        return system.expand(interiors, ext[:-1]), float(ext[-1])
-
+    constants = nv + lay.pressure_offsets    # each cell's constant pressure
+    area = system.pressure_mean[lay.pressure_offsets].sum()
     bnorm = float(np.linalg.norm(b))
-    x, lam = bordered_solve(b, 0.0)
-    r = b - system.matvec(x)
-    unrefined = float(np.linalg.norm(r))
-    r[nv:] -= lam * system.pressure_mean
-    dx, dlam = bordered_solve(r, -float(system.pressure_mean @ x[nv:]))
-    x, lam = x + dx, lam + dlam
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("factorization produced non-finite values")
-
-    rnorm = float(np.linalg.norm(system.matvec(x) - b))
-    residual = rnorm / bnorm if bnorm > 0.0 else rnorm
-    diagnostics = {
-        "n_velocity": lay.n_velocity,
-        "n_pressure": lay.n_pressure,
-        "n_condensed": lu.shape[0],
-        "condensed_nnz": system.condensed.nnz,
-        "lu_fill": lu.nnz,   # SuperLU's stored count; reading lu.L or lu.U would copy the factors
-        "rhs_norm": bnorm,
-        "absolute_residual": rnorm,
-        "residual_unrefined": unrefined / bnorm if bnorm > 0.0 else unrefined,
-    }
-    if residual > tol:
-        raise SolverFailure(
+    for pivoting in (False, True):
+        try:
+            lu = _factorize(H, pivoting)
+        except RuntimeError as exc:
+            failure = SingularSystemError(
+                f"sparse factorization failed ({exc}); the system is singular beyond "
+                "the constant-pressure kernel (check the degree condition)")
+            continue
+        x = solve(lu, b)
+        r = b - system.matvec(x)
+        unrefined = float(np.linalg.norm(r))
+        x += solve(lu, r)
+        x[constants] -= (system.pressure_mean @ x[nv:]) / area
+        if not np.all(np.isfinite(x)):
+            failure = SingularSystemError("factorization produced non-finite values")
+            continue
+        rnorm = float(np.linalg.norm(system.matvec(x) - b))
+        residual = rnorm / bnorm if bnorm > 0.0 else rnorm
+        if residual <= tol:
+            diagnostics = {
+                "n_velocity": lay.n_velocity,
+                "n_pressure": lay.n_pressure,
+                "n_condensed": H.shape[0],
+                "condensed_nnz": H.nnz,
+                # SuperLU's stored count; reading lu.L or lu.U would copy the factors
+                "lu_fill": lu.nnz,
+                "rhs_norm": bnorm,
+                "absolute_residual": rnorm,
+                "residual_unrefined": unrefined / bnorm if bnorm > 0.0 else unrefined,
+            }
+            return Solution(u=WgFunction(lay, x[:nv].copy()), p=x[nv:].copy(),
+                            residual=residual, diagnostics=diagnostics)
+        failure = SolverFailure(
             f"relative residual {residual:.3e} above tolerance {tol:.1e} "
-            f"(scheme={system.scheme}, dofs={lay.n_dofs})"
-        )
-    return Solution(u=WgFunction(lay, x[:lay.n_velocity].copy()), p=x[lay.n_velocity:].copy(),
-                    residual=residual, multiplier=lam, diagnostics=diagnostics)
+            f"(scheme={system.scheme}, dofs={lay.n_dofs})")
+    raise failure

@@ -305,6 +305,27 @@ def test_boundary_correction_annihilates_constant_normal_component():
     assert np.abs(C @ dof).max() <= 1e-14
 
 
+def test_boundary_correction_rows_pair_only_the_cells_asked_for(monkeypatch):
+    mesh = generate_disk_mesh(16, lambda h: boundary_split_count(h, 2, "modified"))
+    layout = DofLayout(mesh, 2, 2, 1)
+    for group in level_cells(mesh, layout):
+        bd = np.flatnonzero(group.boundary.any(axis=1))
+        if bd.size:
+            assert np.array_equal(local_boundary_correction(group, rows=bd),
+                                  local_boundary_correction(group)[bd])
+    # the assembly pairs the boundary cells alone, and skips a group that has none
+    pairs, kernel = [], assembly.local_boundary_correction
+
+    def counted(cells, rows=slice(None)):
+        pairs.append(cells.ids[rows])
+        return kernel(cells, rows)
+
+    monkeypatch.setattr(assembly, "local_boundary_correction", counted)
+    assemble_system(mesh, layout, scheme="modified")
+    boundary = [c for c in range(mesh.n_cells) if mesh.edge_cells[mesh.cell_edges[c], 1].min() < 0]
+    assert len(pairs) == 1 and np.array_equal(np.sort(pairs[0]), boundary)
+
+
 # ---------------------------------------------------------------------------
 # global systems
 # ---------------------------------------------------------------------------
@@ -675,7 +696,7 @@ def test_run_level_builds_one_sparse_matrix_and_no_full_matrix(monkeypatch):
     monkeypatch.setattr(assembly, "_to_csr", counted)
     monkeypatch.setattr(SaddleSystem, "full_matrix", refused)
     run_level(StudyConfig("disk", "modified", 2, (16,), split_rule="modified"), 16)
-    assert len(calls) == 1    # the bordered condensed matrix
+    assert len(calls) == 1    # the multiplier system H
 
 
 def test_run_level_takes_no_weak_divergence(monkeypatch):

@@ -1,6 +1,7 @@
 """Saddle-point solves: kernel handling, residuals, determinism, energy identity,
-and the static condensation against a dense solve of the full bordered matrix,
-a dense Schur complement and the global matrices' products."""
+the pivoting fallback, and the hybridized solve against a dense solve of the
+full bordered matrix, a dense multiplier system and the global matrices'
+products."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from wgmixed.mesh import (
     generate_square_tri,
 )
 from wgmixed.solutions import registry_lookup
-from wgmixed import assembly
+from wgmixed import assembly, solver
 from wgmixed.solver import SingularSystemError, SolverFailure, solve_saddle
 
 
@@ -141,22 +142,47 @@ def test_condensed_solve_matches_dense_bordered_solve(mesh_fn, degree, scheme, d
     sol = solve_saddle(system, rhs)
     x = np.concatenate([sol.u.coeffs, sol.p])
     assert np.linalg.norm(x - ref[:-1]) <= 1e-10 * np.linalg.norm(ref[:-1])
-    assert abs(sol.multiplier - ref[-1]) <= 1e-10 * np.linalg.norm(ref[:-1])
+
+
+def dense_multiplier_system(system):
+    """H = sum_K E_K local_K^{-1} E_K^T of the hybridized system [[L, E^T], [E, 0]], dense.
+
+    L is block diagonal in the cells' `local` blocks; E ties each copy of a
+    trace on an edge of two cells to the edge's multipliers, +1 on the
+    owner's side (`edge_cells[:, 0]`) and -1 on the other.  Multiplier 0's
+    row and column are dropped.
+    """
+    lay = system.layout
+    mesh, ni, td = lay.mesh, 2 * lay.dim_alpha, lay.trace_dim
+    shared = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+    first = {e: td * i for i, e in enumerate(shared)}
+    edge_of = {lay.trace_offsets[e]: e for e in range(mesh.n_edges)}
+    H = np.zeros((td * shared.size, td * shared.size))
+    for b in system.blocks:
+        for g, cell in enumerate(b.ids):
+            E = np.zeros((H.shape[0], b.local.shape[1]))
+            for j in range(ni, b.vdofs.shape[1], td):
+                e = edge_of.get(b.vdofs[g, j])
+                if e in first:
+                    sign = 1.0 if mesh.edge_cells[e, 0] == cell else -1.0
+                    E[first[e]:first[e] + td, j:j + td] = sign * np.eye(td)
+            H += E @ np.linalg.solve(b.local[g], E.T)
+    return H[1:, 1:]
 
 
 @CONDENSED_CASES
 def test_condensed_matrix_is_the_dense_bordered_schur_complement(mesh_fn, degree, scheme,
                                                                  domain):
+    # H is minus the Schur complement of the cell blocks L in the system L
+    # bordered by the multiplier constraints E
     system, _ = make_problem(mesh_fn(), (degree, degree, degree - 1), scheme, domain)
-    lay = system.layout
-    ni = lay.n_interior
-    M = system.full_matrix().toarray()
-    schur = M[ni:, ni:] - M[ni:, :ni] @ np.linalg.solve(M[:ni, :ni], M[:ni, ni:])
-    border = np.concatenate([np.zeros(lay.n_velocity - ni), system.pressure_mean])
-    ref = np.block([[schur, border[:, None]], [border[None, :], np.zeros((1, 1))]])
+    ref = dense_multiplier_system(system)
     got = system.condensed
     assert got.format == "csc"
     assert np.abs(got.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+    if scheme == "original":
+        H = got.toarray()
+        assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max()
 
 
 @CONDENSED_CASES
@@ -186,7 +212,7 @@ def test_diagnostics_report_condensed_size_fill_and_unrefined_residual():
     lay = system.layout
     d = solve_saddle(system, rhs).diagnostics
     n_traces = lay.n_velocity - lay.n_interior
-    assert d["n_condensed"] == n_traces + lay.n_pressure + 1
+    assert d["n_condensed"] == n_traces - 1
     assert d["condensed_nnz"] == system.condensed.nnz
     # the condensed factor holds well under half the entries of the full one
     border = np.zeros(lay.n_dofs)
@@ -196,3 +222,88 @@ def test_diagnostics_report_condensed_size_fill_and_unrefined_residual():
     lu = splu(full)
     assert d["n_condensed"] <= d["lu_fill"] < (lu.L.nnz + lu.U.nnz) / 2
     assert 0.0 < d["residual_unrefined"] <= 1e-9
+
+
+@pytest.mark.parametrize("mesh_fn, degree, scheme, domain", [
+    (lambda: split_disk(16, 2, "modified"), 2, "modified", "disk"),
+    (lambda: generate_ring_mesh(16, 1), 1, "original", "ring"),
+], ids=["disk-modified-j2-split", "ring-original-j1"])
+def test_lu_fill_depends_on_the_pattern_alone(mesh_fn, degree, scheme, domain):
+    system, _ = make_problem(mesh_fn(), (degree, degree, degree - 1), scheme, domain)
+    H = system.condensed
+    fill = solver._factorize(H, pivoting=False).nnz
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        moved = H.copy()
+        step = rng.choice([-np.inf, np.inf], size=moved.nnz)
+        moved.data = np.nextafter(moved.data, step)
+        assert np.count_nonzero(moved.data != H.data) == H.nnz
+        assert solver._factorize(moved, pivoting=False).nnz == fill
+
+
+def refused_pivot_free(monkeypatch, calls, make_bad):
+    """Patch the solver's splu so that its pivot-free call goes wrong via `make_bad`."""
+    factor = solver.splu
+
+    def patched(matrix, **kwargs):
+        calls.append(kwargs.get("diag_pivot_thresh"))
+        if kwargs.get("diag_pivot_thresh") == 0.0:
+            return make_bad(factor, matrix, kwargs)
+        return factor(matrix, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", patched)
+
+
+def raises(factor, matrix, kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def factors_a_perturbed_matrix(factor, matrix, kwargs):
+    # a factorization a thousandth off H: the refined residual misses the gate
+    return factor(matrix * (1.0 + 1e-3), **kwargs)
+
+
+@pytest.mark.parametrize("make_bad", [raises, factors_a_perturbed_matrix])
+def test_pivoting_fallback_solves_when_the_pivot_free_lu_fails(monkeypatch, make_bad):
+    system, rhs = make_problem(split_disk(16, 2, "modified"), (2, 2, 1), "modified", "disk")
+    want = solve_saddle(system, rhs)
+    calls = []
+    refused_pivot_free(monkeypatch, calls, make_bad)
+    got = solve_saddle(system, rhs)
+    assert calls == [0.0, None]
+    assert got.residual <= 1e-9
+    x, ref = np.concatenate([got.u.coeffs, got.p]), np.concatenate([want.u.coeffs, want.p])
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_failed_fallback_raises_after_two_factorizations(monkeypatch):
+    system, rhs = make_problem(generate_square_tri(3), (1, 1, 0), "original", "square")
+    calls, factor = [], solver.splu
+
+    def perturbed(matrix, **kwargs):
+        calls.append(kwargs.get("diag_pivot_thresh"))
+        return factor(matrix * 1.01, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", perturbed)
+    with pytest.raises(SolverFailure):
+        solve_saddle(system, rhs)
+    assert calls == [0.0, None]
+
+
+def test_one_cell_solve_matches_dense_bordered_solve():
+    # no edge of two cells, so no multiplier: the cell's matrix is bordered instead
+    mesh = build_mesh([(0, 0), (1, 0), (1.2, 0.8), (0.4, 1.1), (-0.1, 0.6)], [[0, 1, 2, 3, 4]])
+    system, rhs = make_problem(mesh, (2, 2, 1), "original", "square")
+    lay = system.layout
+    assert lay.n_multipliers == 0
+    border = np.zeros(lay.n_dofs)
+    border[lay.n_velocity:] = system.pressure_mean
+    dense = np.zeros((lay.n_dofs + 1, lay.n_dofs + 1))
+    dense[:-1, :-1] = system.full_matrix().toarray()
+    dense[:-1, -1] = dense[-1, :-1] = border
+    ref = np.linalg.solve(dense, np.append(rhs, 0.0))
+    sol = solve_saddle(system, rhs)
+    x = np.concatenate([sol.u.coeffs, sol.p])
+    assert np.abs(sol.p).max() > 0.0
+    assert np.linalg.norm(x - ref[:-1]) <= 1e-10 * np.linalg.norm(ref[:-1])
+    assert sol.diagnostics["n_condensed"] == lay.n_dofs + 1
