@@ -8,7 +8,6 @@ from .assembly import (
     WgFunction,
     assemble_rhs,
     assemble_system,
-    assemble_vh_matrix,
 )
 from .convergence import (
     ConvergenceTable,
@@ -17,7 +16,6 @@ from .convergence import (
     l2_pressure_error,
     project_exact,
     run_convergence_study,
-    vh_norm,
 )
 from .mesh import (
     BoundaryCurves,
@@ -33,13 +31,7 @@ from .mesh import (
     validate_mesh,
     write_mesh,
 )
-from .quadrature import (
-    MalformedCellError,
-    MalformedEdgeError,
-    QuadratureRule,
-    integrate_cell,
-    integrate_edge,
-)
+from .quadrature import MalformedCellError, MalformedEdgeError, QuadratureRule
 from .basis import CellBasis, EdgeBasis, project_cell, project_edge
 from .solutions import ExactSolutionCase, registry_lookup
 from .solver import (

@@ -1,4 +1,4 @@
-"""Local and global assembly of the weak Galerkin mixed-form operators.
+"""Cell-block assembly of the weak Galerkin mixed-form operators.
 
 A discrete flux pairs an interior [P_alpha]^2 polynomial per cell with one
 scalar normal-trace polynomial of degree beta per edge (the trace represents
@@ -47,10 +47,11 @@ the maps of the cell's copies of its traces to the multipliers of the
 hybridized solve.  `assemble_system` inverts and factorizes nothing.  On
 first access `SaddleSystem.inverses` inverts each group's blocks in one
 batched call, and `SaddleSystem.condensed` scatters the multiplier system
-from them, the one sparse matrix the solve factorizes.  Products with the
-full operator and the flux norms are computed cell by cell from the blocks;
-the global A, B, B1 and A_delta are scattered from them only on request,
-all on the blocks' pattern (stored zeros kept).
+from them, the one sparse matrix the solve factorizes.  The cell blocks are
+the only operator: products with it and the flux norms in both normal
+modes are computed cell by cell from them.  The global A, B and pressure
+rows are scattered from them only on request, on the blocks' pattern
+(stored zeros kept); neither the solve nor the norms read them.
 """
 
 from __future__ import annotations
@@ -224,11 +225,6 @@ class CellGroup:
         """Drop the assembly and edge rules and the basis values and mass on them."""
         for name in ("rule", "edge_quad", "Va", "Ve", "mass"):
             self.__dict__.pop(name, None)
-
-    def trace_block(self, k: int) -> slice:
-        """Local columns of slot k's trace."""
-        off = self.n_int + k * self.layout.trace_dim
-        return slice(off, off + self.layout.trace_dim)
 
     def normals(self, mode: str, rows=slice(None)):
         """Stabilization normal m (G, m, q, 2) and n_e . m (G, m, q) on each edge point.
@@ -461,22 +457,22 @@ class SaddleSystem:
     """Assembled saddle-point system for one scheme on one mesh, held as cell blocks.
 
     The flux equation always couples pressures through B^T (the plain weak
-    divergence); the mass-conservation rows are B for the original scheme and
-    B1 = B - corrections for the boundary-corrected one, making the full
-    matrix non-symmetric exactly when a correction row is nonzero.  A is the
-    flux-norm matrix in the scheme's normal mode; A + A_delta is the one in
-    the other mode, A_delta being nonzero only on cells with a boundary edge.
-    flux_mass holds the diagonal blocks of the L2 mass matrix of the interior
-    flux; their leading dim P_sigma blocks are the pressure's.
+    divergence); the mass-conservation rows (`pressure_rows`) are B for the
+    original scheme and B minus the boundary corrections for the
+    boundary-corrected one, making the operator non-symmetric exactly when a
+    correction row is nonzero.  A is the flux-norm matrix in the scheme's
+    normal mode; the other mode's differs by the blocks' `delta` on cells
+    with a boundary edge.  flux_mass holds the diagonal blocks of the L2 mass
+    matrix of the interior flux; their leading dim P_sigma blocks are the
+    pressure's.
 
-    `blocks` holds each cell group's `CellBlocks`.  `inverses` (the blocks
-    inverted) and `condensed`, the only sparse matrix the solve needs, are
-    built from them on first access: the multiplier system
-    H = sum_K E_K local_K^{-1} E_K^T of the hybridized solve (see
-    `CellBlocks`), pinned at multiplier 0 (CSC).  The global A, B,
-    B1 and A_delta are built from the blocks on first access too, for callers
-    that want them as matrices; B1 (the modified scheme's `pressure_rows`)
-    scatters the stored P_K, on the pattern of B.
+    `blocks` holds each cell group's `CellBlocks`, the system's one
+    representation: norms and products are computed from them cell by cell.
+    `inverses` (the blocks inverted) and `condensed`, the only sparse matrix
+    the solve needs, are built from them on first access: the multiplier
+    system H = sum_K E_K local_K^{-1} E_K^T of the hybridized solve (see
+    `CellBlocks`), pinned at multiplier 0 (CSC).  A, B and `pressure_rows`
+    (on the pattern of B) are scattered from the blocks on request only.
     """
 
     layout: DofLayout
@@ -493,19 +489,9 @@ class SaddleSystem:
         return _to_csr(((b.vdofs, b.vdofs, b.A) for b in self.blocks), (nv, nv))
 
     @cached_property
-    def A_delta(self) -> sp.csr_matrix:
-        nv = self.layout.n_velocity
-        return _to_csr(((b.vdofs[b.boundary], b.vdofs[b.boundary], b.delta)
-                        for b in self.blocks), (nv, nv))
-
-    @cached_property
     def B(self) -> sp.csr_matrix:
         shape = (self.layout.n_pressure, self.layout.n_velocity)
         return _to_csr(((b.pdofs, b.vdofs, b.B) for b in self.blocks), shape)
-
-    @property
-    def B1(self) -> sp.csr_matrix | None:
-        return self.pressure_rows if self.scheme == "modified" else None
 
     @cached_property
     def pressure_rows(self) -> sp.csr_matrix:
@@ -514,22 +500,6 @@ class SaddleSystem:
             return self.B
         shape = (self.layout.n_pressure, self.layout.n_velocity)
         return _to_csr(((b.pdofs, b.vdofs, b.P) for b in self.blocks), shape)
-
-    def vh_matrix(self, mode: str) -> sp.csr_matrix:
-        """Flux-norm matrix (mass + stabilization) in normal mode `mode`."""
-        if mode not in ("straight", "curved"):
-            raise ValueError(f"unknown normal mode '{mode}'")
-        return self.A if mode == self.normal_mode else (self.A + self.A_delta).tocsr()
-
-    def full_matrix(self) -> sp.csr_matrix:
-        return sp.bmat([[self.A, self.B.T], [self.pressure_rows, None]], format="csr")
-
-    def constant_pressure_vector(self) -> np.ndarray:
-        """Coefficients of the function p = 1 (velocity block zero)."""
-        lay = self.layout
-        z = np.zeros(lay.n_velocity + lay.n_pressure)
-        z[lay.n_velocity + lay.pressure_offsets] = 1.0
-        return z
 
     def flux_norm(self, v: np.ndarray, mode: str) -> float:
         """sqrt(v . M v) for the flux-norm matrix M in normal mode `mode`, cell by cell."""
@@ -545,7 +515,7 @@ class SaddleSystem:
         return math.sqrt(max(total, 0.0))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """full_matrix() @ x, cell by cell."""
+        """[[A, B^T], [pressure_rows, 0]] @ x, cell by cell."""
         nv, n = self.layout.n_velocity, self.layout.n_dofs
         out = np.zeros(n)
         for b in self.blocks:
@@ -566,13 +536,15 @@ class SaddleSystem:
         """H = sum_K E_K local_K^{-1} E_K^T without multiplier 0's row and column (CSC).
 
         Its only kernel, the constant pressure's, is pinned so.  A mesh with
-        no multiplier (one cell) gets its full matrix bordered by the
-        pressure-mean row and column instead.
+        no multiplier (one cell) gets its cell blocks, scattered by `owned`,
+        bordered by the pressure-mean row and column instead.
         """
         lay = self.layout
         if not lay.n_multipliers:
             border = np.concatenate([np.zeros(lay.n_velocity), self.pressure_mean])[:, None]
-            return sp.bmat([[self.full_matrix(), border], [border.T, None]], format="csc")
+            cells = _to_csr(((b.owned, b.owned, b.local) for b in self.blocks),
+                            (lay.n_dofs, lay.n_dofs))
+            return sp.bmat([[cells, border], [border.T, None]], format="csc")
         parts = []
         for b, inverse in zip(self.blocks, self.inverses):
             traces = slice(2 * lay.dim_alpha, b.vdofs.shape[1])
@@ -609,8 +581,12 @@ class SaddleSystem:
 
 def assemble_vh_matrix(mesh: PolygonalMesh, layout: DofLayout, mode: str = "straight",
                        rho: float = 1.0, order: int | None = None) -> sp.csr_matrix:
-    """Mass + stabilization on the flux space (the a_h / a_{h,1} block)."""
-    return assemble_system(mesh, layout, rho=rho, order=order).vh_matrix(mode)
+    """Mass + stabilization on the flux space (the a_h / a_{h,1} block): the A
+    of the scheme whose normal mode is `mode` (straight: original, curved: modified)."""
+    scheme = {"straight": "original", "curved": "modified"}.get(mode)
+    if scheme is None:
+        raise ValueError(f"unknown normal mode '{mode}'")
+    return assemble_system(mesh, layout, scheme=scheme, rho=rho, order=order).A
 
 
 def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
@@ -624,10 +600,10 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     structure; the modified scheme stabilizes with curved normals and
     subtracts the boundary-correction pairings from the mass-conservation
     rows only.  Cells with a boundary edge are stabilized in the other normal
-    mode too; the difference is A_delta, so both flux-norm matrices come from
-    one pass and share every entry no boundary cell touches.  Each group's
-    blocks are built on its cells' kept dofs; nothing is inverted or
-    factorized here (see `SaddleSystem.condensed`).
+    mode too; the difference is kept as each such cell's `delta` block, so
+    both flux norms come from one pass.  Each group's blocks are built on
+    its cells' kept dofs; nothing is inverted or factorized here (see
+    `SaddleSystem.condensed`).
     """
     if scheme not in ("original", "modified"):
         raise ValueError(f"unknown scheme '{scheme}'")

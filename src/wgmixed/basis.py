@@ -91,11 +91,6 @@ def moment_axes(moments) -> np.ndarray:
                      np.stack([-rs * sin, rs * cos], axis=-1)], axis=-2)
 
 
-def principal_axes(vertices) -> np.ndarray:
-    """`moment_axes` of a polygon given as its vertex loop."""
-    return moment_axes(polygon_moments(vertices)[2])
-
-
 @dataclass(frozen=True)
 class CellBasis:
     """Shape-adapted monomial basis of P_degree on a cell, or on each cell of a group.
@@ -180,21 +175,9 @@ class EdgeBasis:
 
     degree: int
 
-    @property
-    def dim(self) -> int:
-        return self.degree + 1
-
     def eval(self, t) -> np.ndarray:
         tt = np.asarray(t, dtype=float) - 0.5
         return tt[:, None] ** np.arange(self.degree + 1)[None, :]
-
-
-def cell_mass_matrix(vertices, basis: CellBasis, order: int | None = None) -> np.ndarray:
-    """Gram matrix of a cell basis in L2(K)."""
-    order = 2 * basis.degree if order is None else max(order, 2 * basis.degree)
-    rule = polygon_rule(vertices, order)
-    V = basis.eval(rule.points[:, 0], rule.points[:, 1])
-    return V.T @ (rule.weights[:, None] * V)
 
 
 def project_cell(vertices, f, degree: int, order: int | None = None,

@@ -19,9 +19,11 @@ values.  The four error norms are quadratic forms in what the assembly
 already returned: the two flux norms are summed cell by cell over the
 system's cell blocks in each normal mode (`SaddleSystem.flux_norm`), the L2
 norms over the diagonal blocks of the interior-flux and pressure mass
-matrices; no global matrix is built.  `run_level` records
-the seconds of each stage in `StudyRow.stages` and the solve's diagnostics
-(condensed size, LU fill, residuals) in `StudyRow.diagnostics`.
+matrices; no global matrix is built.  The standalone `vh_norm`,
+`l2_flux_interior_error` and `l2_pressure_error` assemble the system and
+read the same blocks.  `run_level` records the seconds of each stage in
+`StudyRow.stages` and the solve's diagnostics (condensed size, LU fill,
+residuals) in `StudyRow.diagnostics`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .assembly import (
     WgFunction,
     assemble_rhs,
     assemble_system,
-    assemble_vh_matrix,
     level_cells,
     projection_order,
 )
@@ -99,11 +100,6 @@ def project_exact(mesh: PolygonalMesh, u, p, layout: DofLayout,
     return w, pex
 
 
-def quadratic_norm(matrix, x) -> float:
-    """sqrt(x . matrix x), clipped at zero against rounding."""
-    return math.sqrt(max(float(x @ (matrix @ x)), 0.0))
-
-
 def block_norm(blocks: np.ndarray, x) -> float:
     """Quadratic norm for a block-diagonal matrix given by its (cells, b, b) blocks.
 
@@ -116,24 +112,9 @@ def block_norm(blocks: np.ndarray, x) -> float:
 
 
 def vh_norm(mesh: PolygonalMesh, w: WgFunction, mode: str = "straight",
-            rho: float = 1.0, order: int | None = None, matrix=None) -> float:
+            rho: float = 1.0, order: int | None = None) -> float:
     """Flux norm sqrt(mass + stabilization) with the requested normal mode."""
-    if matrix is None:
-        matrix = assemble_vh_matrix(mesh, w.layout, mode=mode, rho=rho, order=order)
-    return quadratic_norm(matrix, w.coeffs)
-
-
-def _cell_mass_blocks(mesh: PolygonalMesh, layout: DofLayout, dim: int) -> np.ndarray:
-    """(cells, dim, dim) Gram matrices of each cell's leading `dim` basis functions.
-
-    These are the `flux_mass` blocks `assemble_system` returns (dim P_alpha),
-    or their leading dim P_sigma blocks, bit for bit, read from the level's
-    cell groups without assembling the system.
-    """
-    blocks = np.empty((mesh.n_cells, dim, dim))
-    for group in level_cells(mesh, layout):
-        blocks[group.ids] = group.mass[:, :dim, :dim]
-    return blocks
+    return assemble_system(mesh, w.layout, rho=rho, order=order).flux_norm(w.coeffs, mode)
 
 
 def l2_flux_interior_error(mesh: PolygonalMesh, w: WgFunction) -> float:
@@ -144,15 +125,15 @@ def l2_flux_interior_error(mesh: PolygonalMesh, w: WgFunction) -> float:
     recorded as a diagnostic alongside the flux-norm errors.
     """
     layout = w.layout
-    return block_norm(_cell_mass_blocks(mesh, layout, layout.dim_alpha),
-                      w.coeffs[:layout.n_interior])
+    return block_norm(assemble_system(mesh, layout).flux_mass, w.coeffs[:layout.n_interior])
 
 
 def l2_pressure_error(mesh: PolygonalMesh, layout: DofLayout, p_coeffs,
                       p_exact_coeffs) -> float:
     """Cellwise L2 norm of the pressure coefficient difference."""
     diff = np.asarray(p_exact_coeffs, dtype=float) - np.asarray(p_coeffs, dtype=float)
-    return block_norm(_cell_mass_blocks(mesh, layout, layout.dim_sigma), diff)
+    ns = layout.dim_sigma
+    return block_norm(assemble_system(mesh, layout).flux_mass[:, :ns, :ns], diff)
 
 
 @dataclass(frozen=True)

@@ -746,39 +746,60 @@ def mesh_to_text(mesh: PolygonalMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _index(v, n: int) -> bool:
+    """v is a JSON integer (not a bool, float or string) in 0..n-1."""
+    return type(v) is int and 0 <= v < n
+
+
+def _number(v) -> bool:
+    """v is a finite JSON number (an int or a float, not a bool) that a float holds."""
+    return type(v) in (int, float) and abs(v) <= np.finfo(float).max
+
+
 def mesh_from_text(text: str) -> PolygonalMesh:
     """Parse the documented JSON layout; malformed documents raise MeshError.
 
-    The vertex rows must number 0..nv-1 with distinct coordinates, and every
-    boundary edge needs exactly one curve entry, which names no other edge.
-    The curve entries are matched to the boundary edges in one batched lookup.
+    Indices must be JSON integers and coordinates finite numbers: nothing is
+    rounded.  The vertex rows must number 0..nv-1 with distinct coordinates,
+    and every boundary edge needs exactly one curve entry, which names no
+    other edge; the entries are matched to the edges in one batched lookup.
     """
-    data = json.loads(text)
-    if data.get("format") != "wgmixed-mesh":
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise MeshError(f"not a JSON document: {exc}") from exc
+    if not isinstance(data, dict) or data.get("format") != "wgmixed-mesh":
         raise MeshError("not a wgmixed mesh document")
-    nv = len(data["vertices"])
-    table = np.array(data["vertices"], dtype=float)
-    if table.shape != (nv, 3):
-        raise MeshError("vertex rows must be [index, x, y]")
-    ids = table[:, 0].astype(np.int64)
-    if not np.array_equal(np.sort(ids), np.arange(nv)):
+    if not all(isinstance(data.get(key), list) for key in ("vertices", "cells", "boundary")):
+        raise MeshError("the document needs lists of vertices, cells and boundary")
+    rows = data["vertices"]
+    nv = len(rows)
+    if not all(isinstance(row, list) and len(row) == 3 and all(map(_number, row[1:]))
+               for row in rows):
+        raise MeshError("vertex rows must be [index, x, y] with finite coordinates")
+    ids = [row[0] for row in rows]
+    if not (all(_index(i, nv) for i in ids) and sorted(ids) == list(range(nv))):
         raise MeshError(f"vertex rows must be numbered 0..{nv - 1}, each once")
+    for c, loop in enumerate(data["cells"]):
+        if not (isinstance(loop, list) and all(_index(v, nv) for v in loop)):
+            raise MeshError(f"cell {c}: vertex indices must be integers in 0..{nv - 1}")
     verts = np.empty((nv, 2))
-    verts[ids] = table[:, 1:]
+    verts[ids] = [row[1:] for row in rows]
     repeats = nv - np.unique(verts + 0.0, axis=0).shape[0]    # + 0.0 makes -0.0 equal 0.0
     if repeats:
         raise MeshError(f"{repeats} vertex rows repeat another row's coordinates")
 
     rows = data["boundary"]
+    if not all(isinstance(row, list) and len(row) >= 3 and all(_index(v, nv) for v in row[:2])
+               and (row[2:] == ["flat"] or (row[2:3] == ["circle"] and len(row) == 6
+                                            and all(map(_number, row[3:]))))
+               for row in rows):
+        raise MeshError('curve entries must be [a, b, "flat"] or [a, b, "circle", cx, cy, r] '
+                        f"with vertex indices in 0..{nv - 1} and finite numbers")
     pairs = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
-    if not all(row[2:] == ["flat"] or (row[2:3] == ["circle"] and len(row) == 6) for row in rows):
-        raise MeshError('curve entries must be [a, b, "flat"] or [a, b, "circle", cx, cy, r]')
     arc = np.array([row[2] == "circle" for row in rows], dtype=bool)
     circle = np.array([row[3:] if row[2] == "circle" else [0.0] * 3 for row in rows],
                       dtype=float).reshape(-1, 3)
-    if not np.all((pairs >= 0) & (pairs < nv)):
-        bad = pairs[np.flatnonzero(((pairs < 0) | (pairs >= nv)).any(axis=1))[0]]
-        raise MeshError(f"curve entries name no boundary edge: {bad[0]}-{bad[1]}")
     keys = pairs.min(axis=1) * nv + pairs.max(axis=1)
     known, first = np.unique(keys, return_index=True)
     if known.size < keys.size:

@@ -162,13 +162,6 @@ def polygon_rule(vertices, order: int, fan_point=None) -> QuadratureRule:
                           wts.reshape(v.shape[:-2] + (-1,)), ref.exactness)
 
 
-def integrate_cell(vertices, f, order: int) -> float:
-    """Integrate the scalar field f(x, y) over a simple polygon."""
-    rule = polygon_rule(vertices, order)
-    vals = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-    return float(rule.weights @ vals)
-
-
 def edge_rule(p0, p1, order: int):
     """Gauss points along the segment p0 -> p1, or along each of a stack of segments.
 
@@ -185,10 +178,3 @@ def edge_rule(p0, p1, order: int):
     base = segment_rule(order)
     pts = p0[..., None, :] + base.points[:, None] * d[..., None, :]
     return pts, base.weights * length[..., None], base.points
-
-
-def integrate_edge(p0, p1, f, order: int) -> float:
-    """Integrate the scalar field f(x, y) along the segment p0 -> p1."""
-    pts, w, _ = edge_rule(p0, p1, order)
-    vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    return float(w @ vals)

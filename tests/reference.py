@@ -1,0 +1,89 @@
+"""Test-side oracles and global views of the assembled operators.
+
+The program holds a system only as cell blocks (`SaddleSystem.blocks`) plus
+the scattered A, B and pressure rows.  The global matrices a test compares
+against, and the plain per-cell integrals and bases the quadrature and basis
+tests use as references, are built here, from those blocks and matrices or
+from the quadrature rules.  Nothing in `src` imports this module.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+
+from wgmixed.basis import moment_axes
+from wgmixed.quadrature import edge_rule, polygon_moments, polygon_rule
+
+
+def to_csr(triplets, shape) -> sp.csr_matrix:
+    """CSR matrix from stacked dense blocks (G, r, c) with global rows (G, r) and columns (G, c).
+
+    `triplets` yields (rows, cols, blocks); negative indices (dropped dofs)
+    are skipped.
+    """
+    r, c, v = [], [], []
+    for rows, cols, blocks in triplets:
+        R, C = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
+        keep = (R >= 0) & (C >= 0)
+        r.append(R[keep])
+        c.append(C[keep])
+        v.append(blocks[keep])
+    if not v:
+        return sp.csr_matrix(shape)
+    return sp.coo_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                         shape=shape).tocsr()
+
+
+def a_delta(system) -> sp.csr_matrix:
+    """The other normal mode's flux-norm matrix minus A, scattered from the blocks' `delta`."""
+    nv = system.layout.n_velocity
+    return to_csr(((b.vdofs[b.boundary], b.vdofs[b.boundary], b.delta)
+                   for b in system.blocks), (nv, nv))
+
+
+def vh_matrix(system, mode: str) -> sp.csr_matrix:
+    """Flux-norm matrix (mass + stabilization) in normal mode `mode`."""
+    return system.A if mode == system.normal_mode else (system.A + a_delta(system)).tocsr()
+
+
+def full_matrix(system) -> sp.csr_matrix:
+    """The saddle operator [[A, B^T], [pressure_rows, 0]]."""
+    return sp.bmat([[system.A, system.B.T], [system.pressure_rows, None]], format="csr")
+
+
+def constant_pressure_vector(layout) -> np.ndarray:
+    """Coefficients of the function p = 1 (velocity block zero); coefficient 0 is the constant."""
+    z = np.zeros(layout.n_dofs)
+    z[layout.n_velocity + layout.pressure_offsets] = 1.0
+    return z
+
+
+def quadratic_norm(matrix, x) -> float:
+    """sqrt(x . matrix x), clipped at zero against rounding."""
+    return math.sqrt(max(float(x @ (matrix @ x)), 0.0))
+
+
+def integrate_cell(vertices, f, order: int) -> float:
+    """Integrate the scalar field f(x, y) over a simple polygon."""
+    rule = polygon_rule(vertices, order)
+    return float(rule.weights @ np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float))
+
+
+def integrate_edge(p0, p1, f, order: int) -> float:
+    """Integrate the scalar field f(x, y) along the segment p0 -> p1."""
+    pts, w, _ = edge_rule(p0, p1, order)
+    return float(w @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))
+
+
+def cell_mass_matrix(vertices, basis, order: int | None = None) -> np.ndarray:
+    """Gram matrix of a cell basis in L2(K)."""
+    order = 2 * basis.degree if order is None else max(order, 2 * basis.degree)
+    rule = polygon_rule(vertices, order)
+    V = basis.eval(rule.points[:, 0], rule.points[:, 1])
+    return V.T @ (rule.weights[:, None] * V)
+
+
+def principal_axes(vertices) -> np.ndarray:
+    """`moment_axes` of a polygon given as its vertex loop."""
+    return moment_axes(polygon_moments(vertices)[2])

@@ -13,7 +13,6 @@ from wgmixed.assembly import (
     CellGroup,
     ConfigurationError,
     DofLayout,
-    SaddleSystem,
     WgFunction,
     assemble_rhs,
     assemble_system,
@@ -47,6 +46,8 @@ from wgmixed.mesh import (
 from wgmixed.quadrature import polygon_rule
 from wgmixed.solutions import registry_lookup
 
+from reference import a_delta, constant_pressure_vector, full_matrix, to_csr, vh_matrix
+
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
@@ -76,7 +77,7 @@ def consistent_trace_dofs(mesh, ops, u):
     for k, e in enumerate(mesh.cell_edges[c]):
         p0, p1 = mesh.edge_points(e)
         n_e = mesh.edge_normals[e]
-        dof[ops.trace_block(k)] = project_edge(
+        dof[ops.n_int + lay.trace_dim * k + np.arange(lay.trace_dim)] = project_edge(
             p0, p1, lambda x, y: u(x, y) @ n_e, lay.beta, order=2 * lay.beta + 4)
     return dof
 
@@ -365,16 +366,16 @@ def test_a_block_symmetric_spd():
 def test_full_matrix_symmetry_by_scheme():
     mesh = generate_disk_mesh(8, 1)
     orig = assemble_system(mesh, (1, 1, 0), scheme="original")
-    M = orig.full_matrix().toarray()
+    M = full_matrix(orig).toarray()
     assert np.abs(M - M.T).max() <= 1e-13 * np.abs(M).max()
     # with piecewise-constant pressures the mean-subtracted correction pairing
     # vanishes identically, so sigma >= 1 is needed for a non-symmetric system
     mod0 = assemble_system(mesh, (1, 1, 0), scheme="modified")
-    assert np.abs(mod0.B1 - mod0.B).max() <= 1e-14
+    assert np.abs(mod0.pressure_rows - mod0.B).max() <= 1e-14
     mod = assemble_system(mesh, (1, 1, 1), scheme="modified")
-    M1 = mod.full_matrix().toarray()
+    M1 = full_matrix(mod).toarray()
     assert np.abs(M1 - M1.T).max() > 1e-6 * np.abs(M1).max()
-    assert np.abs(mod.B1 - mod.B).max() > 1e-6
+    assert np.abs(mod.pressure_rows - mod.B).max() > 1e-6
 
 
 def test_modified_on_square_differs_only_in_correction_rows():
@@ -383,7 +384,7 @@ def test_modified_on_square_differs_only_in_correction_rows():
     mod = assemble_system(mesh, (1, 1, 1), scheme="modified")
     assert np.abs((orig.A - mod.A)).max() <= 1e-14 * np.abs(orig.A.toarray()).max()
     assert np.abs((orig.B - mod.B)).max() == 0.0
-    assert np.abs(mod.B1 - mod.B).max() > 1e-6  # corrections live on a flat mesh too
+    assert np.abs(mod.pressure_rows - mod.B).max() > 1e-6  # corrections live on a flat mesh too
 
 
 def test_bh_of_constant_pressure_vanishes():
@@ -403,15 +404,15 @@ def test_modified_correction_rows_annihilate_constants_too():
     mesh = generate_disk_mesh(8, 1)
     sys_ = assemble_system(mesh, (1, 1, 0), scheme="modified")
     const = np.ones(sys_.layout.n_pressure)
-    resid = np.abs(sys_.B1.T @ const).max()
-    assert resid <= 1e-12 * np.abs(sys_.B1.toarray()).max()
+    resid = np.abs(sys_.pressure_rows.T @ const).max()
+    assert resid <= 1e-12 * np.abs(sys_.pressure_rows.toarray()).max()
 
 
 def test_rank_one_deficiency_and_constant_pressure_kernel():
     # dense SVD oracle on a small disk system
     mesh = generate_disk_mesh(8, 1)
     sys_ = assemble_system(mesh, (1, 1, 0), scheme="original")
-    M = sys_.full_matrix().toarray()
+    M = full_matrix(sys_).toarray()
     assert M.shape[0] <= 2000
     sv = np.linalg.svd(M, compute_uv=False)
     assert sv[-1] <= 1e-12 * sv[0]
@@ -419,7 +420,7 @@ def test_rank_one_deficiency_and_constant_pressure_kernel():
     # kernel vector aligns with the constant-pressure direction
     _, _, Vt = np.linalg.svd(M)
     kern = Vt[-1]
-    cvec = sys_.constant_pressure_vector()
+    cvec = constant_pressure_vector(sys_.layout)
     cvec = cvec / np.linalg.norm(cvec)
     assert abs(abs(kern @ cvec) - 1.0) <= 1e-8
 
@@ -472,11 +473,15 @@ def test_other_mode_matrix_matches_other_scheme():
     orig = assemble_system(mesh, lay, scheme="original", rho=2.5)
     mod = assemble_system(mesh, lay, scheme="modified", rho=2.5)
     scale = np.abs(orig.A.toarray()).max()
-    assert np.abs((orig.vh_matrix("curved") - mod.A)).max() <= 1e-14 * scale
-    assert np.abs((mod.vh_matrix("straight") - orig.A)).max() <= 1e-14 * scale
-    assert np.abs((orig.vh_matrix("curved") - orig.A)).max() > 1e-6 * scale
+    assert np.abs((vh_matrix(orig, "curved") - mod.A)).max() <= 1e-14 * scale
+    assert np.abs((vh_matrix(mod, "straight") - orig.A)).max() <= 1e-14 * scale
+    assert np.abs((vh_matrix(orig, "curved") - orig.A)).max() > 1e-6 * scale
+    # the standalone builder is the A of the scheme that stabilizes in that mode
+    curved = assemble_vh_matrix(mesh, lay, "curved", rho=2.5)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(curved, part), getattr(mod.A, part))
     with pytest.raises(ValueError):
-        orig.vh_matrix("tilted")
+        assemble_vh_matrix(mesh, lay, "tilted")
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +529,7 @@ def test_rhs_compat_orthogonal_to_constant_pressure():
     case = registry_lookup("disk")
     rhs = assemble_rhs(mesh, lay, case.g)
     sys_ = assemble_system(mesh, lay, scheme="original")
-    cvec = sys_.constant_pressure_vector()
+    cvec = constant_pressure_vector(lay)
     assert abs(cvec @ rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -620,12 +625,12 @@ def test_grouped_assembly_matches_per_cell_loop(mesh_name, j, scheme):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     close(system.A, ref["A"])
-    close(system.A_delta, ref["A_delta"])
+    close(a_delta(system), ref["A_delta"])
     close(system.B, ref["B"])
     if scheme == "modified":
-        close(system.B1, ref["B"] - ref["corr"])
+        close(system.pressure_rows, ref["B"] - ref["corr"])
     else:
-        assert system.B1 is None
+        assert system.pressure_rows is system.B
     for name in ("pressure_mean", "flux_mass"):
         close(getattr(system, name), ref[name])
     ns = layout.dim_sigma
@@ -690,11 +695,7 @@ def test_run_level_builds_one_sparse_matrix_and_no_full_matrix(monkeypatch):
         calls.append(args[1])
         return build(*args)
 
-    def refused(self):
-        raise AssertionError("run_level built the global saddle matrix")
-
     monkeypatch.setattr(assembly, "_to_csr", counted)
-    monkeypatch.setattr(SaddleSystem, "full_matrix", refused)
     run_level(StudyConfig("disk", "modified", 2, (16,), split_rule="modified"), 16)
     assert len(calls) == 1    # the multiplier system H
 
@@ -731,19 +732,6 @@ def four_builder_matrices(mesh, layout, scheme, rho):
         B_loc[bd, :, :group.n_int] -= local_boundary_correction(group)[bd].sum(axis=1)
         parts["B1"].append((pidx, idx, B_loc))
 
-    def to_csr(blocks, shape):
-        r, c, v = [], [], []
-        for rows, cols, vals in blocks:
-            R, C = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
-            keep = (R >= 0) & (C >= 0)
-            r.append(R[keep])
-            c.append(C[keep])
-            v.append(vals[keep])
-        if not v:
-            return sp.csr_matrix(shape)
-        return sp.coo_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                             shape=shape).tocsr()
-
     nv, npr = layout.n_velocity, layout.n_pressure
     out = {name: to_csr(parts[name], (nv, nv)) for name in ("A", "A_delta")}
     out.update({name: to_csr(parts[name], (npr, nv)) for name in ("B", "B1")})
@@ -757,18 +745,20 @@ def test_lazy_global_matrices_equal_the_four_builder_ones(mesh_name, scheme):
     layout = DofLayout(mesh, 2, 2, 1)
     system = assemble_system(mesh, layout, scheme=scheme, rho=2.5)
     ref = four_builder_matrices(mesh, layout, scheme, 2.5)
+    lazy = {"A": system.A, "A_delta": a_delta(system), "B": system.B, "B1": system.pressure_rows}
     names = ("A", "A_delta", "B", "B1") if scheme == "modified" else ("A", "A_delta", "B")
     for name in names:
-        got, want = getattr(system, name), ref[name]
+        got, want = lazy[name], ref[name]
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
     if scheme == "original":
-        assert system.B1 is None
+        assert system.pressure_rows is system.B
 
 
 @pytest.mark.parametrize("mesh_name", list(SHARED_MESHES))
 def test_modified_pressure_rows_keep_the_pattern_of_b(mesh_name):
-    # the stored zeros of B (the constant pressure's interior entries) stay stored in B1
+    # the stored zeros of B (the constant pressure's interior entries) stay stored in the
+    # modified scheme's pressure rows
     mesh = SHARED_MESHES[mesh_name]()
     system = assemble_system(mesh, DofLayout(mesh, 2, 2, 1), scheme="modified")
     assert np.any(system.B.data == 0.0)

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from wgmixed.assembly import assemble_system
 from wgmixed.convergence import StudyConfig, run_convergence_study
+from wgmixed.mesh import boundary_split_count, generate_disk_mesh
 
 LAYERS_PATH = Path(__file__).resolve().parents[1] / "studybench" / "layers.py"
 
@@ -49,3 +51,8 @@ def test_traced_study_counts_and_uninstalls():
     assert tracer.counts["cells"] > 0 and tracer.counts["lu_fill"] > 0
     for mod, attr, orig in patched:
         assert getattr(mod, attr) is orig
+    # the nnz counter reads the system's global matrices: the same level, untraced
+    mesh = generate_disk_mesh(8, lambda h: boundary_split_count(h, 2, "original"))
+    system = assemble_system(mesh, (2, 2, 1), scheme="modified")
+    assert tracer.counts["matrix_nnz"] == (system.A.nnz + system.B.nnz
+                                           + system.pressure_rows.nnz)

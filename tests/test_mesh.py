@@ -110,6 +110,15 @@ def test_disk_rejects_small_n():
         generate_disk_mesh(2, 1)
 
 
+def test_disk_doubling_levels_stay_in_one_ring_family():
+    # the ring count is the divisor of n nearest n/6, so n / rings (the cells
+    # per ring sector) depends on n; every power of two keeps 8, so a doubling
+    # study compares meshes of one family, while n = 72 falls in another
+    for n in 2 ** np.arange(3, 12):
+        assert n // mesh_module._disk_layers(int(n)) == 8, n
+    assert 72 // mesh_module._disk_layers(72) == 6
+
+
 # ---------------------------------------------------------------------------
 # ring
 # ---------------------------------------------------------------------------
@@ -549,7 +558,8 @@ def test_mesh_text_roundtrip_bit_identical(mesh_fn, tmp_path):
     lambda: generate_ring_mesh(16, 3),
 ], ids=["disk_split", "ring_split"])
 def test_stored_geometry_equals_standalone_functions(mesh_fn, tmp_path):
-    from wgmixed.basis import cell_diameter, principal_axes
+    from wgmixed.basis import cell_diameter
+    from reference import principal_axes
     from wgmixed.quadrature import edge_rule, polygon_area, polygon_centroid
 
     m = mesh_fn()
@@ -594,19 +604,85 @@ def _repeat_vertex_index(doc):
     doc["vertices"][-1][0] = 0
 
 
+def _fractional_cell_index(doc):
+    doc["cells"][0][1] = doc["cells"][0][1] + 0.5     # was read as the index below it
+
+
+def _string_cell_index(doc):
+    doc["cells"][0][1] = str(doc["cells"][0][1])      # was read as the index it spells
+
+
+def _fractional_vertex_row_index(doc):
+    doc["vertices"][0][0] = 0.5                       # was read as row 0
+
+
+def _boolean_cell_index(doc):
+    doc["cells"][0][0] = doc["cells"][0][0] == 1      # True or False
+
+
+def _missing_vertices(doc):
+    del doc["vertices"]
+
+
+def _missing_cells(doc):
+    del doc["cells"]
+
+
+def _missing_boundary(doc):
+    del doc["boundary"]
+
+
+def _top_level_list(doc):
+    return json.dumps([doc])
+
+
+def _truncated_text(doc):
+    return json.dumps(doc)[:-2]
+
+
+def _short_boundary_row(doc):
+    doc["boundary"][0] = doc["boundary"][0][:1]
+
+
+def _string_radius(doc):
+    doc["boundary"][0] = doc["boundary"][0][:5] + ["x"]
+
+
+def _nan_coordinate(doc):
+    doc["vertices"][0][1] = float("nan")
+
+
+def _infinite_coordinate(doc):
+    doc["vertices"][0][2] = float("inf")
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_curve_entries,
     _curve_on_interior_edge,
     _duplicate_vertex_coordinates,
     _skip_vertex_index,
     _repeat_vertex_index,
-])
+    _fractional_cell_index,
+    _string_cell_index,
+    _fractional_vertex_row_index,
+    _boolean_cell_index,
+    _missing_vertices,
+    _missing_cells,
+    _missing_boundary,
+    _top_level_list,
+    _truncated_text,
+    _short_boundary_row,
+    _string_radius,
+    _nan_coordinate,
+    _infinite_coordinate,
+], ids=lambda f: f.__name__)
 def test_mesh_reader_rejects_malformed_documents(corrupt):
+    # a corruption edits the document in place, or returns the text to read instead
     doc = _disk_document()
     mesh_from_text(json.dumps(doc))  # the intact document reads
-    corrupt(doc)
+    text = corrupt(doc) or json.dumps(doc)
     with pytest.raises(MeshError):
-        mesh_from_text(json.dumps(doc))
+        mesh_from_text(text)
 
 
 @pytest.mark.parametrize("mesh_fn", [

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from wgmixed.assembly import DofLayout, assemble_rhs, assemble_system
-from wgmixed.convergence import quadratic_norm
 from wgmixed.mesh import (
     boundary_split_count,
     build_mesh,
@@ -20,6 +19,8 @@ from wgmixed.mesh import (
 from wgmixed.solutions import registry_lookup
 from wgmixed import assembly, solver
 from wgmixed.solver import SingularSystemError, SolverFailure, solve_saddle
+
+from reference import full_matrix, quadratic_norm, vh_matrix
 
 
 def make_problem(mesh, degrees, scheme, domain):
@@ -136,7 +137,7 @@ def test_condensed_solve_matches_dense_bordered_solve(mesh_fn, degree, scheme, d
     border = np.zeros(lay.n_dofs)
     border[lay.n_velocity:] = system.pressure_mean
     dense = np.zeros((lay.n_dofs + 1, lay.n_dofs + 1))
-    dense[:-1, :-1] = system.full_matrix().toarray()
+    dense[:-1, :-1] = full_matrix(system).toarray()
     dense[:-1, -1] = dense[-1, :-1] = border
     ref = np.linalg.solve(dense, np.append(rhs, 0.0))
     sol = solve_saddle(system, rhs)
@@ -190,11 +191,11 @@ def test_block_products_match_the_global_matrices(mesh_fn, degree, scheme, domai
     system, _ = make_problem(mesh_fn(), (degree, degree, degree - 1), scheme, domain)
     lay = system.layout
     x = np.random.default_rng(5).standard_normal(lay.n_dofs)
-    want = system.full_matrix() @ x
+    want = full_matrix(system) @ x
     assert np.linalg.norm(system.matvec(x) - want) <= 1e-13 * np.linalg.norm(want)
     v = x[:lay.n_velocity]
     for mode in ("straight", "curved"):
-        ref = quadratic_norm(system.vh_matrix(mode), v)
+        ref = quadratic_norm(vh_matrix(system, mode), v)
         assert system.flux_norm(v, mode) == pytest.approx(ref, rel=1e-13)
 
 
@@ -217,7 +218,7 @@ def test_diagnostics_report_condensed_size_fill_and_unrefined_residual():
     # the condensed factor holds well under half the entries of the full one
     border = np.zeros(lay.n_dofs)
     border[lay.n_velocity:] = system.pressure_mean
-    full = sp.bmat([[system.full_matrix(), border[:, None]], [border[None, :], None]],
+    full = sp.bmat([[full_matrix(system), border[:, None]], [border[None, :], None]],
                    format="csc")
     lu = splu(full)
     assert d["n_condensed"] <= d["lu_fill"] < (lu.L.nnz + lu.U.nnz) / 2
@@ -299,7 +300,7 @@ def test_one_cell_solve_matches_dense_bordered_solve():
     border = np.zeros(lay.n_dofs)
     border[lay.n_velocity:] = system.pressure_mean
     dense = np.zeros((lay.n_dofs + 1, lay.n_dofs + 1))
-    dense[:-1, :-1] = system.full_matrix().toarray()
+    dense[:-1, :-1] = full_matrix(system).toarray()
     dense[:-1, -1] = dense[-1, :-1] = border
     ref = np.linalg.solve(dense, np.append(rhs, 0.0))
     sol = solve_saddle(system, rhs)
