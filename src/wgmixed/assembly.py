@@ -48,15 +48,15 @@ hybridized solve.  `assemble_system` inverts and factorizes nothing.  On
 first access `SaddleSystem.inverses` inverts each group's blocks in one
 batched call, and `SaddleSystem.condensed` scatters the multiplier system
 from them, the one sparse matrix the solve factorizes.  The cell blocks are
-the only operator: products with it and the flux norms in both normal
-modes are computed cell by cell from them.  The global A, B and pressure
-rows are scattered from them only on request, on the blocks' pattern
-(stored zeros kept); neither the solve nor the norms read them.
+the only operator: products with it, and the flux norms in both normal
+modes (`convergence.vh_norm`), are computed cell by cell from them.  The
+global A, B and pressure rows are scattered from them only on request, on
+the blocks' pattern (stored zeros kept); neither the solve nor the norms
+read them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -467,18 +467,18 @@ class SaddleSystem:
     pressure's.
 
     `blocks` holds each cell group's `CellBlocks`, the system's one
-    representation: norms and products are computed from them cell by cell.
-    `inverses` (the blocks inverted) and `condensed`, the only sparse matrix
-    the solve needs, are built from them on first access: the multiplier
-    system H = sum_K E_K local_K^{-1} E_K^T of the hybridized solve (see
-    `CellBlocks`), pinned at multiplier 0 (CSC).  A, B and `pressure_rows`
-    (on the pattern of B) are scattered from the blocks on request only.
+    representation: products and the error norms are computed from them cell
+    by cell.  `inverses` (the blocks inverted) and `condensed`, the only
+    sparse matrix the solve needs, are built from them on first access: the
+    multiplier system H = sum_K E_K local_K^{-1} E_K^T of the hybridized
+    solve (see `CellBlocks`), pinned at multiplier 0 (CSC).  A, B and
+    `pressure_rows` (on the pattern of B) are scattered from the blocks on
+    request only.
     """
 
     layout: DofLayout
     scheme: str                  # "original" | "modified"
     normal_mode: str             # "straight" | "curved"
-    rho: float
     blocks: list
     pressure_mean: np.ndarray    # entries (q_i, 1)_{Omega_h}
     flux_mass: np.ndarray        # (cells, dim P_alpha, dim P_alpha), per flux component
@@ -500,19 +500,6 @@ class SaddleSystem:
             return self.B
         shape = (self.layout.n_pressure, self.layout.n_velocity)
         return _to_csr(((b.pdofs, b.vdofs, b.P) for b in self.blocks), shape)
-
-    def flux_norm(self, v: np.ndarray, mode: str) -> float:
-        """sqrt(v . M v) for the flux-norm matrix M in normal mode `mode`, cell by cell."""
-        if mode not in ("straight", "curved"):
-            raise ValueError(f"unknown normal mode '{mode}'")
-        total = 0.0
-        for b in self.blocks:
-            x = _gather(v, b.vdofs)
-            total += float(np.sum(x * (b.A @ x[..., None])[..., 0]))
-            if mode != self.normal_mode and b.boundary.size:
-                xb = x[b.boundary]
-                total += float(np.sum(xb * (b.delta @ xb[..., None])[..., 0]))
-        return math.sqrt(max(total, 0.0))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """[[A, B^T], [pressure_rows, 0]] @ x, cell by cell."""
@@ -623,7 +610,7 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
         flux_mass[group.ids] = group.mass
         pmean[blocks[-1].pdofs] = np.einsum("gq,gqi->gi", group.rule.weights, group.Va[..., :ns])
         group.release()
-    return SaddleSystem(layout=layout, scheme=scheme, normal_mode=mode, rho=rho, blocks=blocks,
+    return SaddleSystem(layout=layout, scheme=scheme, normal_mode=mode, blocks=blocks,
                         pressure_mean=pmean, flux_mass=flux_mass)
 
 

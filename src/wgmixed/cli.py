@@ -5,9 +5,9 @@ Example:
     wgmixed --domain disk --scheme modified --degree 2 \
             --levels 16,32,64,128 --split-rule modified --out disk_mod.csv
 
-Exit codes: 0 on success, 1 on solver failure, 2 on bad arguments (an
-output path whose directory is missing or not writable among them, caught
-before any level runs).
+Exit codes: 0 on success, 1 on solver failure or exhausted memory, 2 on bad
+arguments (an output path whose directory is missing or not writable among
+them, caught before any level runs).
 """
 
 from __future__ import annotations
@@ -102,6 +102,9 @@ def run_cli(argv=None) -> int:
         table = run_convergence_study(config)
     except (SolverFailure, SingularSystemError) as exc:
         print(f"wgmixed: solver failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"wgmixed: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 1
     except (ValueError, MeshError) as exc:
         print(f"wgmixed: {exc}", file=sys.stderr)

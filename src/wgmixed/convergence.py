@@ -16,12 +16,12 @@ projection read them a group at a time, and they are released before the
 solve.  The basis is tabulated on a group's projection rule once: the
 right-hand side and `project_exact` (flux and pressure) read the same
 values.  The four error norms are quadratic forms in what the assembly
-already returned: the two flux norms are summed cell by cell over the
-system's cell blocks in each normal mode (`SaddleSystem.flux_norm`), the L2
-norms over the diagonal blocks of the interior-flux and pressure mass
-matrices; no global matrix is built.  The standalone `vh_norm`,
-`l2_flux_interior_error` and `l2_pressure_error` assemble the system and
-read the same blocks.  `run_level` records the seconds of each stage in
+already returned, read by `vh_norm`, `l2_flux_interior_error` and
+`l2_pressure_error` from the level's `SaddleSystem`: the two flux norms are
+summed cell by cell over the system's cell blocks in each normal mode, the
+L2 norms over the diagonal blocks of the interior-flux and pressure mass
+matrices; none of them assembles anything, and no global matrix is built.
+`run_level` records the seconds of each stage in
 `StudyRow.stages` and the solve's diagnostics (condensed size, LU fill,
 residuals) in `StudyRow.diagnostics`.
 """
@@ -36,6 +36,7 @@ import numpy as np
 
 from .assembly import (
     DofLayout,
+    SaddleSystem,
     WgFunction,
     assemble_rhs,
     assemble_system,
@@ -111,29 +112,35 @@ def block_norm(blocks: np.ndarray, x) -> float:
     return math.sqrt(max(float(np.einsum("cki,cij,ckj->", xb, blocks, xb)), 0.0))
 
 
-def vh_norm(mesh: PolygonalMesh, w: WgFunction, mode: str = "straight",
-            rho: float = 1.0, order: int | None = None) -> float:
-    """Flux norm sqrt(mass + stabilization) with the requested normal mode."""
-    return assemble_system(mesh, w.layout, rho=rho, order=order).flux_norm(w.coeffs, mode)
+def vh_norm(system: SaddleSystem, w: WgFunction, mode: str = "straight") -> float:
+    """Flux norm sqrt(mass + stabilization) of w in normal mode `mode`, cell by cell."""
+    if mode not in ("straight", "curved"):
+        raise ValueError(f"unknown normal mode '{mode}'")
+    padded = np.concatenate([[0.0], w.coeffs])    # slot -1 (a dropped dof) reads 0
+    total = 0.0
+    for b in system.blocks:
+        x = padded[b.vdofs + 1]
+        total += float(np.sum(x * (b.A @ x[..., None])[..., 0]))
+        if mode != system.normal_mode and b.boundary.size:
+            xb = x[b.boundary]
+            total += float(np.sum(xb * (b.delta @ xb[..., None])[..., 0]))
+    return math.sqrt(max(total, 0.0))
 
 
-def l2_flux_interior_error(mesh: PolygonalMesh, w: WgFunction) -> float:
+def l2_flux_interior_error(system: SaddleSystem, w: WgFunction) -> float:
     """Interior L2 norm of a discrete flux (trace dofs ignored).
 
     This is the metric in which the discrete flux error superconverges one
     order past the stabilized flux norm on polygon-exact domains; it is
     recorded as a diagnostic alongside the flux-norm errors.
     """
-    layout = w.layout
-    return block_norm(assemble_system(mesh, layout).flux_mass, w.coeffs[:layout.n_interior])
+    return block_norm(system.flux_mass, w.coeffs[:system.layout.n_interior])
 
 
-def l2_pressure_error(mesh: PolygonalMesh, layout: DofLayout, p_coeffs,
-                      p_exact_coeffs) -> float:
-    """Cellwise L2 norm of the pressure coefficient difference."""
-    diff = np.asarray(p_exact_coeffs, dtype=float) - np.asarray(p_coeffs, dtype=float)
-    ns = layout.dim_sigma
-    return block_norm(assemble_system(mesh, layout).flux_mass[:, :ns, :ns], diff)
+def l2_pressure_error(system: SaddleSystem, p, p_exact) -> float:
+    """Cellwise L2 norm of the pressure coefficient difference p_exact - p."""
+    ns = system.layout.dim_sigma
+    return block_norm(system.flux_mass[:, :ns, :ns], p_exact - p)
 
 
 @dataclass(frozen=True)
@@ -292,12 +299,11 @@ def run_level(config: StudyConfig, n: int):
     sol = solve_saddle(system, rhs)
     lap("solve")
 
-    err = uex.coeffs - sol.u.coeffs
-    err_vh = system.flux_norm(err, "straight")
-    err_vh1 = system.flux_norm(err, "curved")
-    ns = layout.dim_sigma
-    err_p = block_norm(system.flux_mass[:, :ns, :ns], pex - sol.p)
-    err_l2 = block_norm(system.flux_mass, err[:layout.n_interior])
+    err = WgFunction(layout, uex.coeffs - sol.u.coeffs)
+    err_vh = vh_norm(system, err, "straight")
+    err_vh1 = vh_norm(system, err, "curved")
+    err_p = l2_pressure_error(system, sol.p, pex)
+    err_l2 = l2_flux_interior_error(system, err)
     lap("norms")
     row = StudyRow(n=n, split=split, h=mesh.h, s=mesh.s, dofs=layout.n_dofs,
                    err_u_vh=err_vh, err_u_vh1=err_vh1, err_p=err_p,

@@ -577,15 +577,13 @@ def boundary_split_count(h: float, j: int, rule: str) -> int:
 # quality validation (testable parts of the mesh regularity assumptions)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QualityThresholds:
-    min_star_ratio: float = 0.03        # inscribed-ball radius / h_K
-    min_edge_ratio: float = 0.10        # longest cell edge / h_K
-    max_quasi_uniformity: float = 10.0  # h / min h_K
-    max_boundary_uniformity: float = 5.0  # s / min boundary h_e
-    max_gap_ratio: float = 0.5          # gap / s^2
-    max_normal_deviation: float = 1.5   # |curve normal - chord normal| / s
-    samples_per_edge: int = 8
+MIN_STAR_RATIO = 0.03           # inscribed-ball radius / h_K
+MIN_EDGE_RATIO = 0.10           # longest cell edge / h_K
+MAX_QUASI_UNIFORMITY = 10.0     # h / min h_K
+MAX_BOUNDARY_UNIFORMITY = 5.0   # s / min boundary h_e
+MAX_GAP_RATIO = 0.5             # gap / s^2
+MAX_NORMAL_DEVIATION = 1.5      # |curve normal - chord normal| / s
+SAMPLES_PER_EDGE = 8            # interior sample points of each boundary chord
 
 
 @dataclass
@@ -607,14 +605,14 @@ class MeshQualityReport:
         return all(self.checks.values())
 
 
-def validate_mesh(mesh: PolygonalMesh,
-                  thresholds: QualityThresholds = QualityThresholds()) -> MeshQualityReport:
+def validate_mesh(mesh: PolygonalMesh) -> MeshQualityReport:
     """Measure the testable mesh-regularity quantities and flag violations.
 
-    Star-shapedness is checked with respect to the cell centroid (sufficient
-    for the generated mesh families); curve gaps and normals are sampled at
-    interior points of each boundary chord.  Cells are measured a group of
-    one vertex count at a time.
+    Each quantity is checked against its module bound (`MIN_STAR_RATIO` ..
+    `MAX_NORMAL_DEVIATION`).  Star-shapedness is checked with respect to the
+    cell centroid (sufficient for the generated mesh families); curve gaps
+    and normals are sampled at `SAMPLES_PER_EDGE` interior points of each
+    boundary chord.  Cells are measured a group of one vertex count at a time.
     """
     verts = mesh.vertices
     violations: list[str] = []
@@ -665,7 +663,7 @@ def validate_mesh(mesh: PolygonalMesh,
         if np.any(rows < 0):
             raise MeshError(f"boundary edge {bidx[np.argmin(rows)]} lacks a curved segment")
         L = mesh.edge_lengths[bidx][:, None]
-        msmp = thresholds.samples_per_edge
+        msmp = SAMPLES_PER_EDGE
         xh = np.hstack([L * (np.arange(msmp) + 0.5) / msmp, 0.0 * L, L])
         _, gamma, ntilde = segment_geometry(mesh.boundary_segments.take(rows), xh)
         dev = np.linalg.norm(ntilde[:, :msmp] - mesh.edge_normals[bidx][:, None, :],
@@ -681,12 +679,12 @@ def validate_mesh(mesh: PolygonalMesh,
                        for k in off]
 
     checks = {
-        "A1_star_shaped": min_star >= thresholds.min_star_ratio,
-        "A2_edge_ratio": min_edge >= thresholds.min_edge_ratio,
-        "A3_quasi_uniform": quasi <= thresholds.max_quasi_uniformity,
-        "A4_gap": max_gap <= thresholds.max_gap_ratio,
-        "A4_normal": max_dev <= thresholds.max_normal_deviation,
-        "A5_boundary_uniform": buni <= thresholds.max_boundary_uniformity,
+        "A1_star_shaped": min_star >= MIN_STAR_RATIO,
+        "A2_edge_ratio": min_edge >= MIN_EDGE_RATIO,
+        "A3_quasi_uniform": quasi <= MAX_QUASI_UNIFORMITY,
+        "A4_gap": max_gap <= MAX_GAP_RATIO,
+        "A4_normal": max_dev <= MAX_NORMAL_DEVIATION,
+        "A5_boundary_uniform": buni <= MAX_BOUNDARY_UNIFORMITY,
     }
     labels = {
         "A1_star_shaped": f"min star ratio {min_star:.4f}",

@@ -18,7 +18,8 @@ inherits it, and it is pinned by dropping multiplier 0.  One step of
 iterative refinement against the full operator follows every solve, and the
 pressure mean is then taken out on each cell's constant coefficient.  A mesh
 with no multiplier (a single cell) is solved with its matrix bordered by the
-pressure-mean row and column instead.
+pressure-mean row and column instead.  A factorization that SuperLU cannot
+allocate raises `MemoryError`: the pivoting fallback would need more still.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .assembly import SaddleSystem, SingularSystemError, WgFunction
+
+RESIDUAL_TOL = 1e-9    # relative residual every solve must reach
 
 
 class SolverFailure(RuntimeError):
@@ -61,14 +64,14 @@ def _factorize(matrix, pivoting: bool):
                 options={"SymmetricMode": True})
 
 
-def solve_saddle(system: SaddleSystem, rhs: np.ndarray, tol: float = 1e-9) -> Solution:
+def solve_saddle(system: SaddleSystem, rhs: np.ndarray) -> Solution:
     """Solve the saddle system, returning flux and mean-zero pressure.
 
     H is factorized without pivoting, and one refinement step against the
     full operator, applied cell by cell, follows.  If that factorization
-    fails or the refined residual is above `tol`, H is factorized once more
-    with partial pivoting before the failure is raised.  Identical inputs
-    produce bitwise-identical solutions.
+    fails, other than for memory, or the refined residual is above
+    `RESIDUAL_TOL`, H is factorized once more with partial pivoting before
+    the failure is raised.  Identical inputs give bitwise-identical solutions.
     """
     lay, b = system.layout, rhs
     if b.shape != (lay.n_dofs,):
@@ -90,6 +93,8 @@ def solve_saddle(system: SaddleSystem, rhs: np.ndarray, tol: float = 1e-9) -> So
         try:
             lu = _factorize(H, pivoting)
         except RuntimeError as exc:
+            if "MALLOC" in str(exc):    # SuperLU's "SUPERLU_MALLOC fails for ..."
+                raise MemoryError(f"sparse factorization ran out of memory ({exc})") from exc
             failure = SingularSystemError(
                 f"sparse factorization failed ({exc}); the system is singular beyond "
                 "the constant-pressure kernel (check the degree condition)")
@@ -104,7 +109,7 @@ def solve_saddle(system: SaddleSystem, rhs: np.ndarray, tol: float = 1e-9) -> So
             continue
         rnorm = float(np.linalg.norm(system.matvec(x) - b))
         residual = rnorm / bnorm if bnorm > 0.0 else rnorm
-        if residual <= tol:
+        if residual <= RESIDUAL_TOL:
             diagnostics = {
                 "n_velocity": lay.n_velocity,
                 "n_pressure": lay.n_pressure,
@@ -119,6 +124,6 @@ def solve_saddle(system: SaddleSystem, rhs: np.ndarray, tol: float = 1e-9) -> So
             return Solution(u=WgFunction(lay, x[:nv].copy()), p=x[nv:].copy(),
                             residual=residual, diagnostics=diagnostics)
         failure = SolverFailure(
-            f"relative residual {residual:.3e} above tolerance {tol:.1e} "
+            f"relative residual {residual:.3e} above tolerance {RESIDUAL_TOL:.1e} "
             f"(scheme={system.scheme}, dofs={lay.n_dofs})")
     raise failure

@@ -28,7 +28,7 @@ from wgmixed.assembly import (
     local_weak_divergence,
 )
 from wgmixed.basis import graded_lex_exponents, project_cell
-from wgmixed.convergence import StudyConfig, fit_rate, run_convergence_study
+from wgmixed.convergence import StudyConfig, fit_rate, run_convergence_study, vh_norm
 from wgmixed.mesh import (
     build_mesh,
     generate_disk_mesh,
@@ -322,7 +322,7 @@ def test_criterion8d_energy_form_equals_norm_squared():
     for _ in range(20):
         w = WgFunction(lay, rng.normal(size=lay.n_velocity))
         quad = float(w.coeffs @ (A @ w.coeffs))
-        nrm = system.flux_norm(w.coeffs, "straight")
+        nrm = vh_norm(system, w, "straight")
         worst = max(worst, abs(quad - nrm**2) / quad)
     ok = worst <= 1e-13
     report("8d", f"a(v,v) = |v|^2 relative mismatch {worst:.2e} (need <= 1e-13)", ok)

@@ -34,6 +34,7 @@ from wgmixed.convergence import (
     l2_pressure_error,
     project_exact,
     run_level,
+    vh_norm,
 )
 from wgmixed.mesh import (
     PolygonalMesh,
@@ -482,6 +483,8 @@ def test_other_mode_matrix_matches_other_scheme():
         assert np.array_equal(getattr(curved, part), getattr(mod.A, part))
     with pytest.raises(ValueError):
         assemble_vh_matrix(mesh, lay, "tilted")
+    with pytest.raises(ValueError):
+        vh_norm(orig, WgFunction.zeros(lay), "tilted")
 
 
 # ---------------------------------------------------------------------------
@@ -828,8 +831,7 @@ def test_l2_norms_read_the_assembled_mass_blocks(mesh_name):
     rng = np.random.default_rng(3)
     w = WgFunction(layout, rng.standard_normal(layout.n_velocity))
     p, q = rng.standard_normal((2, layout.n_pressure))
-    assert l2_flux_interior_error(mesh, w) == block_norm(system.flux_mass,
-                                                         w.coeffs[:layout.n_interior])
+    assert l2_flux_interior_error(system, w) == block_norm(system.flux_mass,
+                                                           w.coeffs[:layout.n_interior])
     ns = layout.dim_sigma
-    assert l2_pressure_error(mesh, layout, p, q) == block_norm(system.flux_mass[:, :ns, :ns],
-                                                              q - p)
+    assert l2_pressure_error(system, p, q) == block_norm(system.flux_mass[:, :ns, :ns], q - p)

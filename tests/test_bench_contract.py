@@ -45,6 +45,8 @@ def test_traced_study_counts_and_uninstalls():
         LAYERS.uninstall(patched)
     assert len(table.rows) == 1
     assert tracer.calls["convergence.level"] == 1
+    # two flux norms, the interior L2 norm and the pressure norm
+    assert tracer.calls["convergence.error_norms"] == 4
     for name in ("mesh.generate", "quadrature.polygon_rule", "basis.cell_basis",
                  "basis.project_cell", "assembly.system", "solver.factor"):
         assert tracer.calls[name] >= 1, name

@@ -2,7 +2,7 @@
 
 import pytest
 
-from wgmixed import convergence
+from wgmixed import convergence, solver
 from wgmixed.cli import run_cli
 from wgmixed.convergence import CSV_HEADER
 from wgmixed.mesh import read_mesh
@@ -126,3 +126,15 @@ def test_unwritable_output_rejected_before_any_level(flag, target, named, tmp_pa
     assert len(err) == 1 and flag in err[0] and named in err[0], err
     assert captured.out == ""
     assert ran == []
+
+
+def test_out_of_memory_exits_one(monkeypatch, capsys):
+    def malloc_fails(matrix, **kwargs):
+        raise RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()")
+
+    monkeypatch.setattr(solver, "splu", malloc_fails)
+    assert run_cli(["--domain", "square", "--levels", "2,4"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "out of memory" in err[0] and "MALLOC" in err[0], err
+    assert captured.out == ""

@@ -106,8 +106,9 @@ def test_error_of_projection_against_itself_is_zero():
     case = registry_lookup("disk")
     w, pex = project_exact(mesh, case.u, case.p, lay)
     zero = WgFunction(lay, w.coeffs - w.coeffs)
-    assert vh_norm(mesh, zero) == 0.0
-    assert l2_pressure_error(mesh, lay, pex, pex) == 0.0
+    system = assemble_system(mesh, lay)
+    assert vh_norm(system, zero) == 0.0
+    assert l2_pressure_error(system, pex, pex) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +120,10 @@ def test_vh_norm_single_cell_hand_value():
     lay = DofLayout(mesh, 1, 1, 0)
     w = WgFunction.zeros(lay)
     w.coeffs[0] = 1.0  # v_0 = (1, 0), traces zero
-    assert vh_norm(mesh, w, "straight", 1.0) == pytest.approx(
+    system = assemble_system(mesh, lay, rho=1.0)
+    assert vh_norm(system, w, "straight") == pytest.approx(
         math.sqrt(1.0 + math.sqrt(2.0)), rel=1e-13)
-    assert vh_norm(mesh, WgFunction.zeros(lay)) == 0.0
+    assert vh_norm(system, WgFunction.zeros(lay)) == 0.0
 
 
 def test_vh_norm_modes_agree_on_flat_mesh():
@@ -129,8 +131,9 @@ def test_vh_norm_modes_agree_on_flat_mesh():
     lay = DofLayout(mesh, 1, 1, 0)
     rng = np.random.default_rng(1)
     w = WgFunction(lay, rng.normal(size=lay.n_velocity))
-    a = vh_norm(mesh, w, "straight")
-    b = vh_norm(mesh, w, "curved")
+    system = assemble_system(mesh, lay)
+    a = vh_norm(system, w, "straight")
+    b = vh_norm(system, w, "curved")
     assert a == pytest.approx(b, rel=1e-14)
 
 
@@ -141,10 +144,9 @@ def test_vh_norm_modes_comparable_on_curved_mesh():
     rng = np.random.default_rng(2)
     for _ in range(25):
         w = WgFunction(lay, rng.normal(size=lay.n_velocity))
-        a = system.flux_norm(w.coeffs, "straight")
-        b = system.flux_norm(w.coeffs, "curved")
+        a = vh_norm(system, w, "straight")
+        b = vh_norm(system, w, "curved")
         assert 0.5 <= a / b <= 2.0
-    assert vh_norm(mesh, w, "curved") == b
 
 
 def test_vh_norm_definiteness():
@@ -160,7 +162,8 @@ def test_pressure_error_scaling_and_oracle():
     lay = DofLayout(mesh, 1, 1, 1)
     a = np.array([0.3, -0.7, 1.1])
     b = np.zeros(3)
-    err = l2_pressure_error(mesh, lay, b, a)
+    system = assemble_system(mesh, lay)
+    err = l2_pressure_error(system, b, a)
     # oracle: dense quadrature of the represented polynomial
     from wgmixed.basis import cell_basis
     from wgmixed.quadrature import polygon_rule
@@ -169,7 +172,7 @@ def test_pressure_error_scaling_and_oracle():
     vals = ba.eval(rule.points[:, 0], rule.points[:, 1]) @ a
     expect = math.sqrt(float(rule.weights @ vals**2))
     assert err == pytest.approx(expect, rel=1e-12)
-    assert l2_pressure_error(mesh, lay, b, 2 * a) == pytest.approx(2 * err, rel=1e-12)
+    assert l2_pressure_error(system, b, 2 * a) == pytest.approx(2 * err, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

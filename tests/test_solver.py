@@ -8,7 +8,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from wgmixed.assembly import DofLayout, assemble_rhs, assemble_system
+from wgmixed.assembly import DofLayout, WgFunction, assemble_rhs, assemble_system
+from wgmixed.convergence import vh_norm
 from wgmixed.mesh import (
     boundary_split_count,
     build_mesh,
@@ -196,7 +197,7 @@ def test_block_products_match_the_global_matrices(mesh_fn, degree, scheme, domai
     v = x[:lay.n_velocity]
     for mode in ("straight", "curved"):
         ref = quadratic_norm(vh_matrix(system, mode), v)
-        assert system.flux_norm(v, mode) == pytest.approx(ref, rel=1e-13)
+        assert vh_norm(system, WgFunction(lay, v), mode) == pytest.approx(ref, rel=1e-13)
 
 
 @pytest.mark.parametrize("n, j", [(64, 2), (24, 4)])
@@ -275,6 +276,21 @@ def test_pivoting_fallback_solves_when_the_pivot_free_lu_fails(monkeypatch, make
     assert got.residual <= 1e-9
     x, ref = np.concatenate([got.u.coeffs, got.p]), np.concatenate([want.u.coeffs, want.p])
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_out_of_memory_factorization_is_not_retried(monkeypatch):
+    system, rhs = make_problem(generate_square_tri(3), (1, 1, 0), "original", "square")
+    calls = []
+
+    def malloc_fails(matrix, **kwargs):
+        calls.append(kwargs.get("diag_pivot_thresh"))
+        raise RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()")
+
+    monkeypatch.setattr(solver, "splu", malloc_fails)
+    with pytest.raises(MemoryError) as info:
+        solve_saddle(system, rhs)
+    assert calls == [0.0]
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_failed_fallback_raises_after_two_factorizations(monkeypatch):
