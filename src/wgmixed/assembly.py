@@ -33,8 +33,7 @@ and `local_boundary_correction` compute every cell's block of a group at
 once with batched products, on the kept flux columns only, and return them
 stacked, group axis first; a single cell is a group of one.  The pressure
 rows are the defining pairings -(div_w v, q)_K with the P_sigma basis, so no
-kernel solves against the mass matrix; `local_weak_divergence`, the P_beta
-coefficients of div_w v, is only a reference.  The two normal modes differ
+kernel solves against the mass matrix.  The two normal modes differ
 only in the boundary-edge terms, so `assemble_system` stabilizes the cells
 that have a boundary edge in both modes and keeps the second as a difference
 on those cells, together with the diagonal blocks of the L2 mass matrix of
@@ -276,14 +275,6 @@ def _divergence_pairings(cells: CellGroup, degree: int) -> np.ndarray:
     return np.concatenate([-np.swapaxes(WG[..., 0], 1, 2) @ cells.Va,
                            -np.swapaxes(WG[..., 1], 1, 2) @ cells.Va,
                            traces.reshape(traces.shape[:2] + (-1,))], axis=2)
-
-
-def local_weak_divergence(cells: CellGroup) -> np.ndarray:
-    """Matrices sending local (interior + trace) dofs to P_beta coefficients.
-
-    beta = alpha, so the weak divergence lives in the span of the cell basis.
-    """
-    return np.linalg.solve(cells.mass, _divergence_pairings(cells, cells.layout.alpha))
 
 
 def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1.0,
@@ -567,18 +558,17 @@ class SaddleSystem:
 
 
 def assemble_vh_matrix(mesh: PolygonalMesh, layout: DofLayout, mode: str = "straight",
-                       rho: float = 1.0, order: int | None = None) -> sp.csr_matrix:
+                       rho: float = 1.0) -> sp.csr_matrix:
     """Mass + stabilization on the flux space (the a_h / a_{h,1} block): the A
     of the scheme whose normal mode is `mode` (straight: original, curved: modified)."""
     scheme = {"straight": "original", "curved": "modified"}.get(mode)
     if scheme is None:
         raise ValueError(f"unknown normal mode '{mode}'")
-    return assemble_system(mesh, layout, scheme=scheme, rho=rho, order=order).A
+    return assemble_system(mesh, layout, scheme=scheme, rho=rho).A
 
 
 def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
-                    rho: float = 1.0, order: int | None = None,
-                    cells: list | None = None) -> SaddleSystem:
+                    rho: float = 1.0, cells: list | None = None) -> SaddleSystem:
     """Assemble the saddle-point system for one scheme as cell blocks.
 
     degrees is (alpha, beta, sigma) or an existing DofLayout; `cells` is the
@@ -599,7 +589,7 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
         raise ValueError("stabilization parameter rho must be positive")
     mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")
     if cells is None:
-        cells = level_cells(mesh, layout, order)
+        cells = level_cells(mesh, layout)
 
     ns = layout.dim_sigma
     blocks = []

@@ -64,10 +64,16 @@ def graded_lex_exponents(degree: int) -> np.ndarray:
 
 
 def cell_diameter(vertices):
-    """Largest vertex distance of an (m, 2) loop, or of each loop in a (..., m, 2) stack."""
+    """Largest vertex distance of an (m, 2) loop, or of each loop in a (..., m, 2) stack.
+
+    Every vertex pair is (i, i - k) for one cyclic shift k <= m // 2, so a
+    running maximum over those shifts sees each pair in O(m) memory per loop.
+    """
     v = np.asarray(vertices, dtype=float)
-    d2 = ((v[..., :, None, :] - v[..., None, :, :]) ** 2).sum(axis=-1)
-    return np.sqrt(d2.max(axis=(-2, -1)))[()]
+    d2 = np.zeros(v.shape[:-2])
+    for k in range(1, v.shape[-2] // 2 + 1):
+        np.maximum(d2, ((v - np.roll(v, k, axis=-2)) ** 2).sum(axis=-1).max(axis=-1), out=d2)
+    return np.sqrt(d2)[()]
 
 
 def moment_axes(moments) -> np.ndarray:

@@ -288,8 +288,7 @@ def run_level(config: StudyConfig, n: int):
     case = registry_lookup(config.domain)
     cells = level_cells(mesh, layout, config.quadrature_order)
     lap("cells")
-    system = assemble_system(mesh, layout, scheme=config.scheme, rho=config.rho,
-                             order=config.quadrature_order, cells=cells)
+    system = assemble_system(mesh, layout, scheme=config.scheme, rho=config.rho, cells=cells)
     lap("assemble")
     rhs = assemble_rhs(mesh, layout, case.g, cells=cells)
     lap("rhs")

@@ -217,10 +217,6 @@ class PolygonalMesh:
         return _CellRows(self, "signs")
 
     @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
     def n_cells(self) -> int:
         return self.cell_slots.shape[0]
 
@@ -231,12 +227,6 @@ class PolygonalMesh:
     @property
     def boundary_edge_indices(self) -> np.ndarray:
         return np.where(self.edge_cells[:, 1] < 0)[0]
-
-    def is_boundary_edge(self, e: int) -> bool:
-        return self.edge_cells[e, 1] < 0
-
-    def edge_points(self, e: int):
-        return self.vertices[self.edges[e, 0]], self.vertices[self.edges[e, 1]]
 
     def cell_groups(self) -> list:
         """Cell ids grouped by vertex count, fewest vertices first."""
@@ -757,10 +747,12 @@ def _number(v) -> bool:
 def mesh_from_text(text: str) -> PolygonalMesh:
     """Parse the documented JSON layout; malformed documents raise MeshError.
 
-    Indices must be JSON integers and coordinates finite numbers: nothing is
-    rounded.  The vertex rows must number 0..nv-1 with distinct coordinates,
-    and every boundary edge needs exactly one curve entry, which names no
-    other edge; the entries are matched to the edges in one batched lookup.
+    The version must be the JSON integer 1 and the domain, when given, a
+    string.  Indices must be JSON integers and coordinates finite numbers:
+    nothing is rounded.  The vertex rows must number 0..nv-1 with distinct
+    coordinates, and every boundary edge needs exactly one curve entry,
+    which names no other edge; the entries are matched to the edges in one
+    batched lookup.
     """
     try:
         data = json.loads(text)
@@ -768,6 +760,10 @@ def mesh_from_text(text: str) -> PolygonalMesh:
         raise MeshError(f"not a JSON document: {exc}") from exc
     if not isinstance(data, dict) or data.get("format") != "wgmixed-mesh":
         raise MeshError("not a wgmixed mesh document")
+    if type(data.get("version")) is not int or data["version"] != 1:
+        raise MeshError(f"unsupported mesh format version {data.get('version')!r}; expected 1")
+    if not isinstance(data.get("domain", ""), str):
+        raise MeshError("the domain must be a string")
     if not all(isinstance(data.get(key), list) for key in ("vertices", "cells", "boundary")):
         raise MeshError("the document needs lists of vertices, cells and boundary")
     rows = data["vertices"]

@@ -1,8 +1,8 @@
 """Manufactured exact solutions with homogeneous Neumann data.
 
 Each case provides the flux u = -grad p, the potential p (mean-zero over its
-domain), and the source g = div u in closed Cartesian form, together with a
-boundary sampler for checking u . n = 0 on the analytic boundary.
+domain), and the source g = div u in closed Cartesian form; u . n = 0 on
+the analytic boundary.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class ExactSolutionCase:
     u: Callable    # u(x, y) -> (npoints, 2)
     p: Callable    # p(x, y) -> (npoints,)
     g: Callable    # g(x, y) -> (npoints,)
-    boundary_points: Callable  # m -> (points (m, 2), outward normals (m, 2))
     notes: str = ""
 
 
@@ -41,23 +40,8 @@ def _square_case() -> ExactSolutionCase:
     def g(x, y):
         return 2.0 * pi * pi * np.cos(pi * np.asarray(x, dtype=float)) * np.cos(pi * np.asarray(y, dtype=float))
 
-    def boundary(m):
-        per_side = max(1, m // 4)
-        t = (np.arange(per_side) + 0.5) / per_side
-        zeros = np.zeros(per_side)
-        ones = np.ones(per_side)
-        pts = np.concatenate([
-            np.column_stack([t, zeros]), np.column_stack([ones, t]),
-            np.column_stack([1 - t, ones]), np.column_stack([zeros, 1 - t]),
-        ])
-        nrm = np.concatenate([
-            np.column_stack([zeros, -ones]), np.column_stack([ones, zeros]),
-            np.column_stack([zeros, ones]), np.column_stack([-ones, zeros]),
-        ])
-        return pts, nrm
-
     return ExactSolutionCase(
-        name="square", u=u, p=p, g=g, boundary_points=boundary,
+        name="square", u=u, p=p, g=g,
         notes="smooth trigonometric pair on the unit square; flat boundary",
     )
 
@@ -76,13 +60,8 @@ def _disk_case() -> ExactSolutionCase:
     def g(x, y):
         return 8.0 * np.asarray(x, dtype=float)
 
-    def boundary(m):
-        ang = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        pts = np.column_stack([np.cos(ang), np.sin(ang)])
-        return pts, pts.copy()
-
     return ExactSolutionCase(
-        name="disk", u=u, p=p, g=g, boundary_points=boundary,
+        name="disk", u=u, p=p, g=g,
         notes="cubic potential on the unit disk; u . n vanishes on r = 1",
     )
 
@@ -111,17 +90,8 @@ def _ring_case() -> ExactSolutionCase:
         y = np.asarray(y, dtype=float)
         return 27.0 * y / _r(x, y) - 32.0 * y
 
-    def boundary(m):
-        half = max(1, m // 2)
-        ang = 2.0 * math.pi * (np.arange(half) + 0.5) / half
-        outer = np.column_stack([np.cos(ang), np.sin(ang)])
-        inner = 0.5 * outer
-        pts = np.vstack([outer, inner])
-        nrm = np.vstack([outer, -outer])  # inner outward normal points to the center
-        return pts, nrm
-
     return ExactSolutionCase(
-        name="ring", u=u, p=p, g=g, boundary_points=boundary,
+        name="ring", u=u, p=p, g=g,
         notes="polar solution on the annulus 1/2 < r < 1 in Cartesian closed form",
     )
 
@@ -140,10 +110,3 @@ def registry_lookup(case_id: str) -> ExactSolutionCase:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown exact-solution case '{case_id}' (known: {known})") from None
-
-
-def boundary_normal_residual(case: ExactSolutionCase, m: int = 1000) -> float:
-    """max |u . n| over m sampled analytic-boundary points."""
-    pts, nrm = case.boundary_points(m)
-    vals = case.u(pts[:, 0], pts[:, 1])
-    return float(np.abs(np.sum(vals * nrm, axis=1)).max())

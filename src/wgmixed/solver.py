@@ -18,8 +18,8 @@ inherits it, and it is pinned by dropping multiplier 0.  One step of
 iterative refinement against the full operator follows every solve, and the
 pressure mean is then taken out on each cell's constant coefficient.  A mesh
 with no multiplier (a single cell) is solved with its matrix bordered by the
-pressure-mean row and column instead.  A factorization that SuperLU cannot
-allocate raises `MemoryError`: the pivoting fallback would need more still.
+pressure-mean row and column instead.  H is factorized once, pivot-free;
+a failed or inaccurate factorization raises at once, with no retry.
 """
 
 from __future__ import annotations
@@ -48,18 +48,13 @@ class Solution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _factorize(matrix, pivoting: bool):
-    """Sparse LU of H (CSC): pivot-free in a symmetric ordering, or with partial pivoting."""
+def _factorize(matrix):
+    """Sparse LU of H (CSC), pivot-free in a minimum-degree ordering of H + H^T."""
     # H's pattern is symmetric, and H is positive definite (its symmetric part
-    # in the boundary-corrected scheme), so the first attempt orders H + H^T
-    # by minimum degree and pivots on the diagonal: its fill depends on the
-    # pattern alone.  Measured on a 2-core machine, the ring j=1 n=384 H
-    # (93,695 unknowns) factors in 0.33 s with 7.6M entries, against 2.19 s
-    # and 23.7M for the former bordered trace-pressure system with COLAMD and
-    # partial pivoting.  COLAMD with partial pivoting gives 1.8-2.6x the fill
-    # on H; it is the fallback.
-    if pivoting:
-        return splu(matrix, permc_spec="COLAMD")
+    # in the boundary-corrected scheme), so LU without pivoting exists and its
+    # fill depends on the pattern alone.  Measured on a 2-core machine, the
+    # ring j=1 n=384 H (93,695 unknowns) factors in 0.33 s with 7.6M entries;
+    # a column ordering with partial pivoting gives 1.8-2.6x that fill on H.
     return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
@@ -67,63 +62,60 @@ def _factorize(matrix, pivoting: bool):
 def solve_saddle(system: SaddleSystem, rhs: np.ndarray) -> Solution:
     """Solve the saddle system, returning flux and mean-zero pressure.
 
-    H is factorized without pivoting, and one refinement step against the
-    full operator, applied cell by cell, follows.  If that factorization
-    fails, other than for memory, or the refined residual is above
-    `RESIDUAL_TOL`, H is factorized once more with partial pivoting before
-    the failure is raised.  Identical inputs give bitwise-identical solutions.
+    H is factorized once, without pivoting, and one refinement step against
+    the full operator, applied cell by cell, follows.  A factorization that
+    fails or gives non-finite values raises `SingularSystemError` (or
+    `MemoryError` when SuperLU cannot allocate it), and a refined residual
+    above `RESIDUAL_TOL` raises `SolverFailure`.  Identical inputs give
+    bitwise-identical solutions.
     """
     lay, b = system.layout, rhs
     if b.shape != (lay.n_dofs,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({lay.n_dofs},)")
     H = system.condensed
+    try:
+        lu = _factorize(H)
+    except RuntimeError as exc:
+        if "MALLOC" in str(exc):    # SuperLU's "SUPERLU_MALLOC fails for ..."
+            raise MemoryError(f"sparse factorization ran out of memory ({exc})") from exc
+        raise SingularSystemError(
+            f"sparse factorization failed ({exc}); the system is singular beyond "
+            "the constant-pressure kernel (check the degree condition)") from exc
     if lay.n_multipliers:
-        def solve(lu, f):
+        def solve(f):
             g, solves = system.condense(f)
             return system.expand(solves, lu.solve(g))
     else:   # one cell: H is its matrix bordered by the pressure-mean row and column
-        def solve(lu, f):
+        def solve(f):
             return lu.solve(np.append(f, 0.0))[:-1]
 
     nv = lay.n_velocity
     constants = nv + lay.pressure_offsets    # each cell's constant pressure
     area = system.pressure_mean[lay.pressure_offsets].sum()
     bnorm = float(np.linalg.norm(b))
-    for pivoting in (False, True):
-        try:
-            lu = _factorize(H, pivoting)
-        except RuntimeError as exc:
-            if "MALLOC" in str(exc):    # SuperLU's "SUPERLU_MALLOC fails for ..."
-                raise MemoryError(f"sparse factorization ran out of memory ({exc})") from exc
-            failure = SingularSystemError(
-                f"sparse factorization failed ({exc}); the system is singular beyond "
-                "the constant-pressure kernel (check the degree condition)")
-            continue
-        x = solve(lu, b)
-        r = b - system.matvec(x)
-        unrefined = float(np.linalg.norm(r))
-        x += solve(lu, r)
-        x[constants] -= (system.pressure_mean @ x[nv:]) / area
-        if not np.all(np.isfinite(x)):
-            failure = SingularSystemError("factorization produced non-finite values")
-            continue
-        rnorm = float(np.linalg.norm(system.matvec(x) - b))
-        residual = rnorm / bnorm if bnorm > 0.0 else rnorm
-        if residual <= RESIDUAL_TOL:
-            diagnostics = {
-                "n_velocity": lay.n_velocity,
-                "n_pressure": lay.n_pressure,
-                "n_condensed": H.shape[0],
-                "condensed_nnz": H.nnz,
-                # SuperLU's stored count; reading lu.L or lu.U would copy the factors
-                "lu_fill": lu.nnz,
-                "rhs_norm": bnorm,
-                "absolute_residual": rnorm,
-                "residual_unrefined": unrefined / bnorm if bnorm > 0.0 else unrefined,
-            }
-            return Solution(u=WgFunction(lay, x[:nv].copy()), p=x[nv:].copy(),
-                            residual=residual, diagnostics=diagnostics)
-        failure = SolverFailure(
+    x = solve(b)
+    r = b - system.matvec(x)
+    unrefined = float(np.linalg.norm(r))
+    x += solve(r)
+    x[constants] -= (system.pressure_mean @ x[nv:]) / area
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError("factorization produced non-finite values")
+    rnorm = float(np.linalg.norm(system.matvec(x) - b))
+    residual = rnorm / bnorm if bnorm > 0.0 else rnorm
+    if residual > RESIDUAL_TOL:
+        raise SolverFailure(
             f"relative residual {residual:.3e} above tolerance {RESIDUAL_TOL:.1e} "
             f"(scheme={system.scheme}, dofs={lay.n_dofs})")
-    raise failure
+    diagnostics = {
+        "n_velocity": lay.n_velocity,
+        "n_pressure": lay.n_pressure,
+        "n_condensed": H.shape[0],
+        "condensed_nnz": H.nnz,
+        # SuperLU's stored count; reading lu.L or lu.U would copy the factors
+        "lu_fill": lu.nnz,
+        "rhs_norm": bnorm,
+        "absolute_residual": rnorm,
+        "residual_unrefined": unrefined / bnorm if bnorm > 0.0 else unrefined,
+    }
+    return Solution(u=WgFunction(lay, x[:nv].copy()), p=x[nv:].copy(),
+                    residual=residual, diagnostics=diagnostics)

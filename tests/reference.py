@@ -2,9 +2,10 @@
 
 The program holds a system only as cell blocks (`SaddleSystem.blocks`) plus
 the scattered A, B and pressure rows.  The global matrices a test compares
-against, and the plain per-cell integrals and bases the quadrature and basis
-tests use as references, are built here, from those blocks and matrices or
-from the quadrature rules.  Nothing in `src` imports this module.
+against, the weak divergence itself, and the plain per-cell integrals, bases
+and diameters the quadrature, basis and mesh tests use as references, are
+built here, from those blocks and matrices or from the quadrature rules.
+Nothing in `src` imports this module.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from wgmixed.assembly import _divergence_pairings
 from wgmixed.basis import moment_axes
 from wgmixed.quadrature import edge_rule, polygon_moments, polygon_rule
 
@@ -33,6 +35,21 @@ def to_csr(triplets, shape) -> sp.csr_matrix:
         return sp.csr_matrix(shape)
     return sp.coo_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
                          shape=shape).tocsr()
+
+
+def local_weak_divergence(cells) -> np.ndarray:
+    """Matrices sending a cell group's local (interior + trace) dofs to P_beta coefficients.
+
+    beta = alpha, so the weak divergence lives in the span of the cell basis.
+    """
+    return np.linalg.solve(cells.mass, _divergence_pairings(cells, cells.layout.alpha))
+
+
+def cell_diameter(vertices):
+    """Largest vertex distance of each loop in a (..., m, 2) stack, over all vertex pairs at once."""
+    v = np.asarray(vertices, dtype=float)
+    d2 = ((v[..., :, None, :] - v[..., None, :, :]) ** 2).sum(axis=-1)
+    return np.sqrt(d2.max(axis=(-2, -1)))[()]
 
 
 def a_delta(system) -> sp.csr_matrix:

@@ -25,7 +25,6 @@ from wgmixed.assembly import (
     WgFunction,
     assemble_system,
     assemble_vh_matrix,
-    local_weak_divergence,
 )
 from wgmixed.basis import graded_lex_exponents, project_cell
 from wgmixed.convergence import StudyConfig, fit_rate, run_convergence_study, vh_norm
@@ -39,7 +38,7 @@ from wgmixed.mesh import (
 )
 from wgmixed.quadrature import polygon_rule
 
-from reference import constant_pressure_vector, full_matrix
+from reference import constant_pressure_vector, full_matrix, local_weak_divergence
 from wgmixed.solver import solve_saddle
 
 pytestmark = pytest.mark.slow
@@ -262,7 +261,7 @@ def test_criterion8a_commutativity():
             verts, lambda x, y: u_comp(x, y, cu[1]), alpha, 2 * alpha + 4, basis=ops.basis[0])
         from wgmixed.basis import project_edge
         for k, e in enumerate(mesh.cell_edges[0]):
-            p0, p1 = mesh.edge_points(e)
+            p0, p1 = mesh.vertices[mesh.edges[e]]
             n_e = mesh.edge_normals[e]
             dof[ops.n_int + lay.trace_dim * k + np.arange(lay.trace_dim)] = project_edge(
                 p0, p1,

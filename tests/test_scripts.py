@@ -4,10 +4,12 @@ Each script is loaded from its file, as `test_bench_contract.py` loads the
 benchmark's `layers.py`, and its entry points are called in this process.
 """
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
+from wgmixed.convergence import StudyConfig
 from wgmixed.mesh import read_mesh
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -43,3 +45,26 @@ def test_bench_case_record_compares_with_itself(tmp_path, capsys):
     ratios = [line.split()[-1] for line in rows if line.split()[1] in record["stages"]]
     assert len(ratios) == len(record["stages"])
     assert all(r in ("1.000", "inf") for r in ratios), ratios
+
+
+def test_quick_studies_are_the_full_ones_without_their_finest_level():
+    studies = load_script("run_all_studies")
+    assert [name for name, _ in studies.QUICK] == [name for name, _ in studies.FULL]
+    for (_, quick), (_, full) in zip(studies.QUICK, studies.FULL):
+        assert quick == dataclasses.replace(full, levels=full.levels[:-1])
+
+
+def test_run_all_studies_writes_one_csv_per_study(tmp_path, monkeypatch, capsys):
+    studies = load_script("run_all_studies")
+    small = [("square_original_j1", StudyConfig("square", "original", 1, (4, 8)))]
+    monkeypatch.setattr(studies, "FULL", small)
+    monkeypatch.setattr(studies, "QUICK", small)
+    for argv in ([], ["--quick"]):
+        outdir = tmp_path / ("quick" if argv else "full")
+        assert studies.main(["--outdir", str(outdir), *argv]) == 0
+        lines = (outdir / "square_original_j1.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "n,h,s,dofs,err_u_Vh,err_u_Vh1,err_p_L2,seconds"
+        assert [line.split(",")[0] for line in lines[1:3]] == ["4", "8"]
+        assert lines[3].startswith("# slope_u=")
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2 and all(line.startswith("square_original_j1") for line in printed)

@@ -1,7 +1,7 @@
 """Saddle-point solves: kernel handling, residuals, determinism, energy identity,
-the pivoting fallback, and the hybridized solve against a dense solve of the
-full bordered matrix, a dense multiplier system and the global matrices'
-products."""
+the one pivot-free factorization and why it exists, and the hybridized solve
+against a dense solve of the full bordered matrix, a dense multiplier system
+and the global matrices' products."""
 
 import numpy as np
 import pytest
@@ -233,67 +233,33 @@ def test_diagnostics_report_condensed_size_fill_and_unrefined_residual():
 def test_lu_fill_depends_on_the_pattern_alone(mesh_fn, degree, scheme, domain):
     system, _ = make_problem(mesh_fn(), (degree, degree, degree - 1), scheme, domain)
     H = system.condensed
-    fill = solver._factorize(H, pivoting=False).nnz
+    fill = solver._factorize(H).nnz
     rng = np.random.default_rng(7)
     for _ in range(5):
         moved = H.copy()
         step = rng.choice([-np.inf, np.inf], size=moved.nnz)
         moved.data = np.nextafter(moved.data, step)
         assert np.count_nonzero(moved.data != H.data) == H.nnz
-        assert solver._factorize(moved, pivoting=False).nnz == fill
+        assert solver._factorize(moved).nnz == fill
 
 
-def refused_pivot_free(monkeypatch, calls, make_bad):
-    """Patch the solver's splu so that its pivot-free call goes wrong via `make_bad`."""
-    factor = solver.splu
-
-    def patched(matrix, **kwargs):
-        calls.append(kwargs.get("diag_pivot_thresh"))
-        if kwargs.get("diag_pivot_thresh") == 0.0:
-            return make_bad(factor, matrix, kwargs)
-        return factor(matrix, **kwargs)
-
-    monkeypatch.setattr(solver, "splu", patched)
-
-
-def raises(factor, matrix, kwargs):
-    raise RuntimeError("Factor is exactly singular")
-
-
-def factors_a_perturbed_matrix(factor, matrix, kwargs):
-    # a factorization a thousandth off H: the refined residual misses the gate
-    return factor(matrix * (1.0 + 1e-3), **kwargs)
+@pytest.mark.parametrize("mesh_fn, degree, domain", [
+    (lambda: split_disk(16, 2, "original"), 2, "disk"),
+    (lambda: split_disk(16, 2, "modified"), 2, "disk"),
+    (lambda: split_disk(16, 3, "original"), 3, "disk"),
+    (lambda: split_disk(16, 3, "modified"), 3, "disk"),
+    (lambda: generate_ring_mesh(16, 1), 1, "ring"),
+], ids=["disk-j2-original-law", "disk-j2-modified-law", "disk-j3-original-law",
+        "disk-j3-modified-law", "ring-j1"])
+def test_multiplier_system_has_a_positive_definite_symmetric_part(mesh_fn, degree, domain):
+    # the boundary corrections make H nonsymmetric at j >= 2; a positive
+    # definite symmetric part is what makes its LU without pivoting exist
+    system, _ = make_problem(mesh_fn(), (degree, degree, degree - 1), "modified", domain)
+    H = system.condensed.toarray()
+    assert np.linalg.eigvalsh(0.5 * (H + H.T))[0] > 0.0
 
 
-@pytest.mark.parametrize("make_bad", [raises, factors_a_perturbed_matrix])
-def test_pivoting_fallback_solves_when_the_pivot_free_lu_fails(monkeypatch, make_bad):
-    system, rhs = make_problem(split_disk(16, 2, "modified"), (2, 2, 1), "modified", "disk")
-    want = solve_saddle(system, rhs)
-    calls = []
-    refused_pivot_free(monkeypatch, calls, make_bad)
-    got = solve_saddle(system, rhs)
-    assert calls == [0.0, None]
-    assert got.residual <= 1e-9
-    x, ref = np.concatenate([got.u.coeffs, got.p]), np.concatenate([want.u.coeffs, want.p])
-    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-
-
-def test_out_of_memory_factorization_is_not_retried(monkeypatch):
-    system, rhs = make_problem(generate_square_tri(3), (1, 1, 0), "original", "square")
-    calls = []
-
-    def malloc_fails(matrix, **kwargs):
-        calls.append(kwargs.get("diag_pivot_thresh"))
-        raise RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()")
-
-    monkeypatch.setattr(solver, "splu", malloc_fails)
-    with pytest.raises(MemoryError) as info:
-        solve_saddle(system, rhs)
-    assert calls == [0.0]
-    assert isinstance(info.value.__cause__, RuntimeError)
-
-
-def test_failed_fallback_raises_after_two_factorizations(monkeypatch):
+def test_inaccurate_factorization_raises_after_one_factorization(monkeypatch):
     system, rhs = make_problem(generate_square_tri(3), (1, 1, 0), "original", "square")
     calls, factor = [], solver.splu
 
@@ -304,7 +270,26 @@ def test_failed_fallback_raises_after_two_factorizations(monkeypatch):
     monkeypatch.setattr(solver, "splu", perturbed)
     with pytest.raises(SolverFailure):
         solve_saddle(system, rhs)
-    assert calls == [0.0, None]
+    assert calls == [0.0]
+
+
+@pytest.mark.parametrize("message, error", [
+    ("SUPERLU_MALLOC fails for buf in intMalloc()", MemoryError),
+    ("Factor is exactly singular", SingularSystemError),
+], ids=["malloc", "singular"])
+def test_failed_factorization_is_not_retried(monkeypatch, message, error):
+    system, rhs = make_problem(generate_square_tri(3), (1, 1, 0), "original", "square")
+    calls = []
+
+    def fails(matrix, **kwargs):
+        calls.append(kwargs.get("diag_pivot_thresh"))
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(solver, "splu", fails)
+    with pytest.raises(error) as info:
+        solve_saddle(system, rhs)
+    assert calls == [0.0]
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_one_cell_solve_matches_dense_bordered_solve():
