@@ -85,7 +85,8 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        levels = _parse_levels(args.levels) if args.levels else DEFAULT_LEVELS[args.domain]
+        levels = (DEFAULT_LEVELS[args.domain] if args.levels is None
+                  else _parse_levels(args.levels))
         config = StudyConfig(
             domain=args.domain,
             scheme=args.scheme,

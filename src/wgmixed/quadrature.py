@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 
 class MalformedCellError(ValueError):
@@ -52,6 +51,22 @@ def segment_rule(order: int) -> QuadratureRule:
     return QuadratureRule((x + 1.0) / 2.0, w / 2.0, 2 * n - 1)
 
 
+def gauss_jacobi(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi nodes (ascending) and weights on [-1, 1] for the weight (1-x).
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the monic Jacobi(1, 0) recurrence, and each weight is
+    the weight function's total mass, 2, times the squared first component
+    of its unit eigenvector.  Exact for (1-x) p(x) with deg p <= 2n - 1.
+    """
+    k = np.arange(n)
+    diagonal = -1.0 / ((2 * k + 1) * (2 * k + 3))
+    k = k[1:]
+    off = np.sqrt(k * (k + 1.0)) / (2 * k + 1)
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 @lru_cache(maxsize=64)
 def triangle_rule(order: int) -> QuadratureRule:
     """Conical-product Gauss rule on the reference triangle (0,0),(1,0),(0,1).
@@ -62,7 +77,7 @@ def triangle_rule(order: int) -> QuadratureRule:
     if order < 0:
         raise ValueError(f"quadrature order must be nonnegative, got {order}")
     n = max(1, math.ceil((order + 1) / 2))
-    xj, wj = roots_jacobi(n, 1, 0)
+    xj, wj = gauss_jacobi(n)
     xi = (xj + 1.0) / 2.0
     wi = wj / 4.0
     xe, we = leggauss(n)

@@ -84,6 +84,7 @@ def test_ring_runs_through_same_pipeline(tmp_path):
 
 
 @pytest.mark.parametrize("args, named", [
+    (["--domain", "disk", "--levels", ""], "--levels is empty"),
     (["--domain", "square", "--levels", "4,4"], "4,4"),
     (["--domain", "square", "--levels", "8,4"], "8,4"),
     (["--domain", "square", "--levels", "0,4"], "0,4"),

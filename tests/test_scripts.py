@@ -1,12 +1,17 @@
 """The scripts under `scripts/` run against the current package.
 
 Each script is loaded from its file, as `test_bench_contract.py` loads the
-benchmark's `layers.py`, and its entry points are called in this process.
+benchmark's `layers.py`, and its entry points are called in this process;
+what a bench case has imported when its clock starts is checked in a fresh
+interpreter.
 """
 
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from wgmixed.convergence import StudyConfig
@@ -45,6 +50,45 @@ def test_bench_case_record_compares_with_itself(tmp_path, capsys):
     ratios = [line.split()[-1] for line in rows if line.split()[1] in record["stages"]]
     assert len(ratios) == len(record["stages"])
     assert all(r in ("1.000", "inf") for r in ratios), ratios
+
+
+BENCH_CASE_GUARD = """
+import json, sys
+from wgmixed import convergence
+sys.path.insert(0, "scripts")
+import bench
+seen, run_level = [], convergence.run_level
+def spy(config, n):
+    seen.append("scipy.sparse.linalg" in sys.modules)
+    return run_level(config, n)
+convergence.run_level = spy
+bench.run_case("square-original-j2-n32")
+print(json.dumps(seen))
+"""
+
+
+def test_bench_case_loads_the_sparse_solver_before_its_clock_starts():
+    root = SCRIPTS.parent
+    proc = subprocess.run([sys.executable, "-c", BENCH_CASE_GUARD], cwd=root, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          stdout=subprocess.PIPE, text=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [True]
+
+
+def test_bench_import_time_is_recorded_and_compared(tmp_path, monkeypatch, capsys):
+    bench = load_script("bench")
+    monkeypatch.setattr(bench, "IMPORT_RUNS", 1)
+    seconds = bench.measure_import()
+    assert 0.0 < seconds < 60.0
+    old, new = tmp_path / "BENCH_old.json", tmp_path / "BENCH_new.json"
+    old.write_text(json.dumps({"cases": []}), encoding="utf-8")
+    new.write_text(json.dumps({"import_s": seconds, "cases": []}), encoding="utf-8")
+    bench.compare(old, new)
+    bench.compare(new, new)
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()
+             if "import_s" in line]
+    assert lines[0][-3:] == ["-", f"{seconds:.3g}", "-"]
+    assert lines[1][-3:] == [f"{seconds:.3g}", f"{seconds:.3g}", "1.000"]
 
 
 def test_quick_studies_are_the_full_ones_without_their_finest_level():
