@@ -84,7 +84,6 @@ def test_ring_runs_through_same_pipeline(tmp_path):
 
 
 @pytest.mark.parametrize("args, named", [
-    (["--domain", "disk", "--levels", ""], "--levels is empty"),
     (["--domain", "square", "--levels", "4,4"], "4,4"),
     (["--domain", "square", "--levels", "8,4"], "8,4"),
     (["--domain", "square", "--levels", "0,4"], "0,4"),
@@ -95,6 +94,7 @@ def test_ring_runs_through_same_pipeline(tmp_path):
     (["--domain", "square", "--degree", "2", "--quadrature-order", "3"], "3"),
     (["--domain", "disk", "--split-rule", "fixed:0"], "fixed:0"),
     (["--domain", "disk", "--split-rule", "fixed:"], "fixed:"),
+    (["--domain", "disk", "--levels", ""], "--levels is empty"),
 ])
 def test_bad_study_rejected_before_any_level(args, named, monkeypatch, capsys):
     ran = []
