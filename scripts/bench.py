@@ -6,10 +6,9 @@ interpreter, so the peak resident memory it reports (`ru_maxrss`) is that
 level's own.  The record of a case holds the level's stage seconds
 (`StudyRow.stages`), its unknowns, residual and solver diagnostics, the peak
 memory and the git revision of the wgmixed checkout that was imported.  The
-sparse solver's modules are imported before a case's clock starts, as
-`run_convergence_study` imports them before its first level.  The record's
-top-level `import_s` is the median wall time of five fresh interpreters
-running `import wgmixed`, start to exit.
+record's top-level `import_s` is the median wall time of five fresh
+interpreters running `import wgmixed`, start to exit: the number that
+`studybench/run.py` reports as `setup_s`, measured the same way.
 
     PYTHONPATH=src python scripts/bench.py --label after
     PYTHONPATH=<other checkout>/src python scripts/bench.py --label before
@@ -63,7 +62,10 @@ def git_revision(path: Path) -> str | None:
 
 
 def measure_import() -> float:
-    """Median wall time of IMPORT_RUNS fresh interpreters running `import wgmixed`."""
+    """Median wall time of IMPORT_RUNS fresh interpreters running `import wgmixed`.
+
+    Mirrors `measure_setup` in `studybench/run.py`; keep the two alike.
+    """
     times = []
     for _ in range(IMPORT_RUNS):
         t0 = time.perf_counter()
@@ -73,7 +75,6 @@ def measure_import() -> float:
 
 
 def run_case(name: str) -> dict:
-    import scipy.sparse.linalg  # noqa: F401
     import wgmixed
     from wgmixed.convergence import StudyConfig, run_level
 

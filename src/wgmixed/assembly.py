@@ -51,24 +51,20 @@ the only operator: products with it, and the flux norms in both normal
 modes (`convergence.vh_norm`), are computed cell by cell from them.  The
 global A, B and pressure rows are scattered from them only on request, on
 the blocks' pattern (stored zeros kept); neither the solve nor the norms
-read them.  `scipy.sparse` is imported where a sparse matrix is built, not
-with this module.
+read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import EdgeBasis, cell_basis, poly_dim
 from .mesh import PolygonalMesh, segment_geometry
 from .quadrature import edge_rule, polygon_rule
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class ConfigurationError(RuntimeError):
@@ -337,8 +333,6 @@ def _to_csr(triplets, shape) -> sp.csr_matrix:
     `triplets` yields (rows, cols, blocks); negative indices (dropped dofs)
     are skipped.
     """
-    import scipy.sparse as sp
-
     r, c, v = [], [], []
     for rows, cols, blocks in triplets:
         R, C = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
@@ -525,8 +519,6 @@ class SaddleSystem:
         """
         lay = self.layout
         if not lay.n_multipliers:
-            import scipy.sparse as sp
-
             border = np.concatenate([np.zeros(lay.n_velocity), self.pressure_mean])[:, None]
             cells = _to_csr(((b.owned, b.owned, b.local) for b in self.blocks),
                             (lay.n_dofs, lay.n_dofs))

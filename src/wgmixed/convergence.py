@@ -315,11 +315,7 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceTable:
     """Run the refinement levels of a study in order and fit convergence slopes.
 
     The table rows and quality reports follow the order of `config.levels`.
-    The sparse solver's modules are imported first, so that no level's
-    `seconds` includes their import.
     """
-    import scipy.sparse.linalg  # noqa: F401
-
     results = [run_level(config, n) for n in config.levels]
 
     rows = [r for r, _ in results]

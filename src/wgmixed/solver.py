@@ -20,8 +20,6 @@ pressure mean is then taken out on each cell's constant coefficient.  A mesh
 with no multiplier (a single cell) is solved with its matrix bordered by the
 pressure-mean row and column instead.  H is factorized once, pivot-free;
 a failed or inaccurate factorization raises at once, with no retry.
-`scipy.sparse.linalg` is imported by the first factorization, not with this
-module.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .assembly import SaddleSystem, SingularSystemError, WgFunction
 
@@ -47,13 +46,6 @@ class Solution:
     p: np.ndarray
     residual: float
     diagnostics: dict = field(default_factory=dict)
-
-
-def splu(matrix, **options):
-    """scipy's sparse LU, `scipy.sparse.linalg.splu`, imported at the first call."""
-    from scipy.sparse.linalg import splu as sparse_lu
-
-    return sparse_lu(matrix, **options)
 
 
 def _factorize(matrix):
