@@ -5,10 +5,7 @@ Each case runs one refinement level through `run_level` in a fresh
 interpreter, so the peak resident memory it reports (`ru_maxrss`) is that
 level's own.  The record of a case holds the level's stage seconds
 (`StudyRow.stages`), its unknowns, residual and solver diagnostics, the peak
-memory and the git revision of the wgmixed checkout that was imported.  The
-record's top-level `import_s` is the median wall time of five fresh
-interpreters running `import wgmixed`, start to exit: the number that
-`studybench/run.py` reports as `setup_s`, measured the same way.
+memory and the git revision of the wgmixed checkout that was imported.
 
     PYTHONPATH=src python scripts/bench.py --label after
     PYTHONPATH=<other checkout>/src python scripts/bench.py --label before
@@ -18,9 +15,8 @@ interpreters running `import wgmixed`, start to exit: the number that
 
 `--case` runs one case in this process and prints its record.  A checkout
 whose `StudyRow` has no `diagnostics` gives an empty `diagnostics` record.
-`--compare` reads two records and prints their `import_s` (`-` where an
-older record has none), then, for each case in both, every stage's seconds
-before and after and their ratio, then the solver diagnostics
+`--compare` reads two records and prints, for each case in both, every
+stage's seconds before and after and their ratio, then the solver diagnostics
 `n_condensed`, `condensed_nnz` (the factored matrix's nnz), `lu_fill` and
 `residual_unrefined` before and after; it writes nothing.
 """
@@ -32,7 +28,6 @@ import json
 import os
 import platform
 import resource
-import statistics
 import subprocess
 import sys
 import time
@@ -42,7 +37,6 @@ import numpy
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
-IMPORT_RUNS = 5
 
 # name -> (domain, scheme, degree, n, split rule)
 CASES = {
@@ -59,19 +53,6 @@ def git_revision(path: Path) -> str | None:
     proc = subprocess.run(["git", "-C", str(path), "describe", "--always", "--dirty"],
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     return proc.stdout.strip() or None
-
-
-def measure_import() -> float:
-    """Median wall time of IMPORT_RUNS fresh interpreters running `import wgmixed`.
-
-    Mirrors `measure_setup` in `studybench/run.py`; keep the two alike.
-    """
-    times = []
-    for _ in range(IMPORT_RUNS):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import wgmixed"], check=True)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def run_case(name: str) -> dict:
@@ -117,10 +98,6 @@ def compare(before_path, after_path) -> None:
                      for p in (before_path, after_path))
     old = {record["case"]: record for record in before["cases"]}
     print(f"{'case':30s} {'stage':10s} {'before s':>10s} {'after s':>10s} {'ratio':>7s}")
-    t0, t1 = before.get("import_s"), after.get("import_s")
-    ratio = f"{t1 / t0:7.3f}" if t0 and t1 else f"{'-':>7s}"
-    print(f"{'import wgmixed':30s} {'import_s':10s} {_diagnostic(t0):>10s} "
-          f"{_diagnostic(t1):>10s} {ratio}")
     for record in after["cases"]:
         prev = old.get(record["case"])
         if prev is None:
@@ -160,14 +137,12 @@ def main(argv=None) -> int:
         print(f"{name:30s} dofs={record['dofs']:>8d} level={record['level_s']:7.2f} s "
               f"solve={record['stages']['solve']:7.2f} s rss={record['peak_rss_mb']:7.1f} MB")
         records.append(record)
-    import_s = measure_import()
-    print(f"import wgmixed: {import_s:.3f} s")
     out = ROOT / "bench" / f"BENCH_{args.label}.json"
     out.parent.mkdir(exist_ok=True)
     bench = {"label": args.label, "python": platform.python_version(),
              "numpy": numpy.__version__, "scipy": scipy.__version__,
              "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
-             "import_s": import_s, "cases": records}
+             "cases": records}
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"-> {out}")
     return 0

@@ -5,7 +5,6 @@ from .assembly import (
     ConfigurationError,
     DofLayout,
     SaddleSystem,
-    WgFunction,
     assemble_rhs,
     assemble_system,
 )

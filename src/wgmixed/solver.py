@@ -16,10 +16,11 @@ The pressure space is assembled without the mean-zero constraint, so the
 operator has a one-dimensional kernel spanned by the constant pressure; H
 inherits it, and it is pinned by dropping multiplier 0.  One step of
 iterative refinement against the full operator follows every solve, and the
-pressure mean is then taken out on each cell's constant coefficient.  A mesh
-with no multiplier (a single cell) is solved with its matrix bordered by the
-pressure-mean row and column instead.  H is factorized once, pivot-free;
-a failed or inaccurate factorization raises at once, with no retry.
+pressure mean is then taken out on each cell's constant coefficient.  H is
+factorized once, pivot-free; a failed or inaccurate factorization raises at
+once, with no retry.  A mesh of one cell has no multiplier, and its block is
+singular (no trace pairs with the constant pressure): `SaddleSystem.inverses`
+raises before anything is factorized.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .assembly import SaddleSystem, SingularSystemError, WgFunction
+from .assembly import SaddleSystem, SingularSystemError
 
 RESIDUAL_TOL = 1e-9    # relative residual every solve must reach
 
@@ -40,9 +41,9 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class Solution:
-    """Discrete flux and mean-zero pressure with solver diagnostics."""
+    """Discrete flux and mean-zero pressure coefficients with solver diagnostics."""
 
-    u: WgFunction
+    u: np.ndarray    # (n_velocity,) interior flux, then edge traces
     p: np.ndarray
     residual: float
     diagnostics: dict = field(default_factory=dict)
@@ -81,13 +82,10 @@ def solve_saddle(system: SaddleSystem, rhs: np.ndarray) -> Solution:
         raise SingularSystemError(
             f"sparse factorization failed ({exc}); the system is singular beyond "
             "the constant-pressure kernel (check the degree condition)") from exc
-    if lay.n_multipliers:
-        def solve(f):
-            g, solves = system.condense(f)
-            return system.expand(solves, lu.solve(g))
-    else:   # one cell: H is its matrix bordered by the pressure-mean row and column
-        def solve(f):
-            return lu.solve(np.append(f, 0.0))[:-1]
+
+    def solve(f):
+        g, solves = system.condense(f)
+        return system.expand(solves, lu.solve(g))
 
     nv = lay.n_velocity
     constants = nv + lay.pressure_offsets    # each cell's constant pressure
@@ -117,5 +115,5 @@ def solve_saddle(system: SaddleSystem, rhs: np.ndarray) -> Solution:
         "absolute_residual": rnorm,
         "residual_unrefined": unrefined / bnorm if bnorm > 0.0 else unrefined,
     }
-    return Solution(u=WgFunction(lay, x[:nv].copy()), p=x[nv:].copy(),
+    return Solution(u=x[:nv].copy(), p=x[nv:].copy(),
                     residual=residual, diagnostics=diagnostics)

@@ -13,28 +13,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from wgmixed.assembly import _divergence_pairings
+from wgmixed.assembly import _divergence_pairings, _to_csr
 from wgmixed.basis import moment_axes
 from wgmixed.quadrature import edge_rule, polygon_moments, polygon_rule
-
-
-def to_csr(triplets, shape) -> sp.csr_matrix:
-    """CSR matrix from stacked dense blocks (G, r, c) with global rows (G, r) and columns (G, c).
-
-    `triplets` yields (rows, cols, blocks); negative indices (dropped dofs)
-    are skipped.
-    """
-    r, c, v = [], [], []
-    for rows, cols, blocks in triplets:
-        R, C = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
-        keep = (R >= 0) & (C >= 0)
-        r.append(R[keep])
-        c.append(C[keep])
-        v.append(blocks[keep])
-    if not v:
-        return sp.csr_matrix(shape)
-    return sp.coo_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                         shape=shape).tocsr()
 
 
 def local_weak_divergence(cells) -> np.ndarray:
@@ -55,8 +36,8 @@ def cell_diameter(vertices):
 def a_delta(system) -> sp.csr_matrix:
     """The other normal mode's flux-norm matrix minus A, scattered from the blocks' `delta`."""
     nv = system.layout.n_velocity
-    return to_csr(((b.vdofs[b.boundary], b.vdofs[b.boundary], b.delta)
-                   for b in system.blocks), (nv, nv))
+    return _to_csr(((b.vdofs[b.boundary], b.vdofs[b.boundary], b.delta)
+                    for b in system.blocks), (nv, nv))
 
 
 def vh_matrix(system, mode: str) -> sp.csr_matrix:

@@ -105,6 +105,28 @@ def test_bad_study_rejected_before_any_level(args, named, monkeypatch, capsys):
     assert ran == []
 
 
+def test_levels_that_do_not_refine_stop_the_study(monkeypatch, capsys):
+    # disk n=17 is prime: one ring, h = 1.0 against 0.571 at n=16
+    ran, level = [], convergence.run_level
+
+    def recorded(config, n):
+        ran.append(n)
+        return level(config, n)
+
+    monkeypatch.setattr(convergence, "run_level", recorded)
+    assert run_cli(["--domain", "disk", "--levels", "16,17,32"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "n=17" in err[0], err
+    assert ran == [16, 17]
+
+
+def test_square_single_level_with_no_discrete_source_solves(capsys):
+    # one cell pair whose source moments cancel: the right-hand side is zero
+    assert run_cli(["--domain", "square", "--levels", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == CSV_HEADER and lines[1].startswith("1,")
+
+
 def test_quadrature_order_2j_accepted(tmp_path):
     out = tmp_path / "q.csv"
     assert run_cli(["--domain", "square", "--degree", "2", "--levels", "2,4",

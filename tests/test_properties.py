@@ -74,10 +74,10 @@ def wg_interpolant(mesh, layout, u):
     bidx = mesh.boundary_edge_indices
     n_e = mesh.edge_normals[bidx]
     ends = mesh.vertices[mesh.edges[bidx]]
-    w.coeffs[layout.trace_offsets[bidx][:, None] + np.arange(layout.trace_dim)] = project_edge(
+    w[layout.trace_offsets[bidx][:, None] + np.arange(layout.trace_dim)] = project_edge(
         ends[:, 0], ends[:, 1], lambda x, y: np.einsum("eqc,ec->eq", u(x, y), n_e),
         layout.beta, projection_order(layout.alpha))
-    return w.coeffs
+    return w
 
 
 @settings(max_examples=20, deadline=None)

@@ -47,24 +47,6 @@ def test_bench_case_record_compares_with_itself(tmp_path, capsys):
     assert all(r in ("1.000", "inf") for r in ratios), ratios
 
 
-def test_bench_import_time_is_recorded_and_compared(tmp_path, monkeypatch, capsys):
-    bench = load_script("bench")
-    # the child interpreter does not read pytest's `pythonpath` setting
-    monkeypatch.setenv("PYTHONPATH", str(SCRIPTS.parent / "src"))
-    monkeypatch.setattr(bench, "IMPORT_RUNS", 1)
-    seconds = bench.measure_import()
-    assert 0.0 < seconds < 60.0
-    old, new = tmp_path / "BENCH_old.json", tmp_path / "BENCH_new.json"
-    old.write_text(json.dumps({"cases": []}), encoding="utf-8")
-    new.write_text(json.dumps({"import_s": seconds, "cases": []}), encoding="utf-8")
-    bench.compare(old, new)
-    bench.compare(new, new)
-    lines = [line.split() for line in capsys.readouterr().out.splitlines()
-             if "import_s" in line]
-    assert lines[0][-3:] == ["-", f"{seconds:.3g}", "-"]
-    assert lines[1][-3:] == [f"{seconds:.3g}", f"{seconds:.3g}", "1.000"]
-
-
 def test_quick_studies_are_the_full_ones_without_their_finest_level():
     studies = load_script("run_all_studies")
     assert [name for name, _ in studies.QUICK] == [name for name, _ in studies.FULL]

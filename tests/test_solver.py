@@ -1,14 +1,14 @@
 """Saddle-point solves: kernel handling, residuals, determinism, energy identity,
-the one pivot-free factorization and why it exists, and the hybridized solve
+the one pivot-free factorization and why it exists, the hybridized solve
 against a dense solve of the full bordered matrix, a dense multiplier system
-and the global matrices' products."""
+and the global matrices' products, and the singular one-cell mesh."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from wgmixed.assembly import DofLayout, WgFunction, assemble_rhs, assemble_system
+from wgmixed.assembly import DofLayout, assemble_rhs, assemble_system
 from wgmixed.convergence import vh_norm
 from wgmixed.mesh import (
     boundary_split_count,
@@ -38,7 +38,7 @@ def test_zero_source_gives_zero_solution():
     system = assemble_system(mesh, lay, scheme="original")
     rhs = np.zeros(lay.n_dofs)
     sol = solve_saddle(system, rhs)
-    assert np.abs(sol.u.coeffs).max() <= 1e-12
+    assert np.abs(sol.u).max() <= 1e-12
     assert np.abs(sol.p).max() <= 1e-12
 
 
@@ -70,7 +70,7 @@ def test_bitwise_deterministic():
     system, rhs = make_problem(mesh, (1, 1, 0), "original", "square")
     a = solve_saddle(system, rhs)
     b = solve_saddle(system, rhs)
-    assert np.array_equal(a.u.coeffs, b.u.coeffs)
+    assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.p, b.p)
 
 
@@ -82,8 +82,8 @@ def test_energy_identity():
     system = assemble_system(mesh, lay, scheme="original")
     rhs = assemble_rhs(mesh, lay, case.g)
     sol = solve_saddle(system, rhs)
-    a_uu = float(sol.u.coeffs @ (system.A @ sol.u.coeffs))
-    b_up = float(sol.p @ (system.B @ sol.u.coeffs))
+    a_uu = float(sol.u @ (system.A @ sol.u))
+    b_up = float(sol.p @ (system.B @ sol.u))
     g_p = float(-rhs[lay.n_velocity:] @ sol.p)
     assert a_uu == pytest.approx(-b_up, rel=1e-9)
     assert a_uu == pytest.approx(g_p, rel=1e-9)
@@ -142,7 +142,7 @@ def test_condensed_solve_matches_dense_bordered_solve(mesh_fn, degree, scheme, d
     dense[:-1, -1] = dense[-1, :-1] = border
     ref = np.linalg.solve(dense, np.append(rhs, 0.0))
     sol = solve_saddle(system, rhs)
-    x = np.concatenate([sol.u.coeffs, sol.p])
+    x = np.concatenate([sol.u, sol.p])
     assert np.linalg.norm(x - ref[:-1]) <= 1e-10 * np.linalg.norm(ref[:-1])
 
 
@@ -197,7 +197,7 @@ def test_block_products_match_the_global_matrices(mesh_fn, degree, scheme, domai
     v = x[:lay.n_velocity]
     for mode in ("straight", "curved"):
         ref = quadratic_norm(vh_matrix(system, mode), v)
-        assert vh_norm(system, WgFunction(lay, v), mode) == pytest.approx(ref, rel=1e-13)
+        assert vh_norm(system, v, mode) == pytest.approx(ref, rel=1e-13)
 
 
 @pytest.mark.parametrize("n, j", [(64, 2), (24, 4)])
@@ -292,20 +292,14 @@ def test_failed_factorization_is_not_retried(monkeypatch, message, error):
     assert isinstance(info.value.__cause__, RuntimeError)
 
 
-def test_one_cell_solve_matches_dense_bordered_solve():
-    # no edge of two cells, so no multiplier: the cell's matrix is bordered instead
+def test_one_cell_mesh_is_singular_before_any_factorization(monkeypatch):
+    # no edge of two cells, so no trace: the constant pressure's column of the
+    # cell's block is zero, and the block inverse fails before splu is called
     mesh = build_mesh([(0, 0), (1, 0), (1.2, 0.8), (0.4, 1.1), (-0.1, 0.6)], [[0, 1, 2, 3, 4]])
     system, rhs = make_problem(mesh, (2, 2, 1), "original", "square")
-    lay = system.layout
-    assert lay.n_multipliers == 0
-    border = np.zeros(lay.n_dofs)
-    border[lay.n_velocity:] = system.pressure_mean
-    dense = np.zeros((lay.n_dofs + 1, lay.n_dofs + 1))
-    dense[:-1, :-1] = full_matrix(system).toarray()
-    dense[:-1, -1] = dense[-1, :-1] = border
-    ref = np.linalg.solve(dense, np.append(rhs, 0.0))
-    sol = solve_saddle(system, rhs)
-    x = np.concatenate([sol.u.coeffs, sol.p])
-    assert np.abs(sol.p).max() > 0.0
-    assert np.linalg.norm(x - ref[:-1]) <= 1e-10 * np.linalg.norm(ref[:-1])
-    assert sol.diagnostics["n_condensed"] == lay.n_dofs + 1
+    assert system.layout.n_multipliers == 0
+    calls = []
+    monkeypatch.setattr(solver, "splu", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SingularSystemError, match="singular"):
+        solve_saddle(system, rhs)
+    assert calls == []
