@@ -46,6 +46,7 @@ CASES = {
     "square-original-j2-n32": ("square", "original", 2, 32, "none"),
     "disk-modified-j4-n72-split": ("disk", "modified", 4, 72, "modified"),
     "disk-original-j2-n64-split": ("disk", "original", 2, 64, "original"),
+    "disk-original-j3-n128-split": ("disk", "original", 3, 128, "original"),
 }
 
 

@@ -216,10 +216,6 @@ class ConvergenceTable:
         if any(b >= a for a, b in zip(hs, hs[1:])):
             raise ValueError("mesh sizes must be strictly decreasing down the rows")
 
-    @property
-    def quality_ok(self) -> bool:
-        return all(rep.passed for rep in self.quality)
-
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for r in self.rows:
@@ -257,12 +253,13 @@ def parse_split_rule(rule: str):
     return int(count)
 
 
-def run_level(config: StudyConfig, n: int):
+def run_level(config: StudyConfig, n: int, coarser_h: float | None = None):
     """Build, assemble, solve, and measure one refinement level.
 
-    The row's `stages` holds the seconds of each step: mesh, validate, cells,
-    assemble, rhs, project, solve and norms; its `diagnostics` are the
-    solve's `Solution.diagnostics`.
+    A mesh whose size is not below `coarser_h` (the previous level's) raises
+    `ValueError` before anything is assembled.  The row's `stages` holds the
+    seconds of each step: mesh, validate, cells, assemble, rhs, project, solve
+    and norms; its `diagnostics` are the solve's `Solution.diagnostics`.
     """
     marks = [time.perf_counter()]
     stages = {}
@@ -280,6 +277,8 @@ def run_level(config: StudyConfig, n: int):
         return split
 
     mesh = generate_domain_mesh(config.domain, n, split_law if isinstance(split, str) else split)
+    if coarser_h is not None and mesh.h >= coarser_h:
+        raise ValueError(f"level n={n} does not refine: h={mesh.h:.4g} >= {coarser_h:.4g}")
     lap("mesh")
     report = validate_mesh(mesh)
     lap("validate")
@@ -314,13 +313,12 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceTable:
     """Run the refinement levels of a study in order and fit convergence slopes.
 
     The table rows and quality reports follow the order of `config.levels`.
-    A level that does not refine the previous level's mesh size raises `ValueError` at once.
+    A level whose mesh does not refine the previous level's mesh size raises
+    `ValueError` before it is assembled.
     """
     rows, quality = [], []
     for n in config.levels:
-        row, report = run_level(config, n)
-        if rows and row.h >= rows[-1].h:
-            raise ValueError(f"level n={n} does not refine: h={row.h:.4g} >= {rows[-1].h:.4g}")
+        row, report = run_level(config, n, rows[-1].h if rows else None)
         rows.append(row)
         quality.append(report)
     slope_u = fit_rate([(r.h, r.err_u_vh) for r in rows]) if len(rows) > 1 else float("nan")

@@ -1,19 +1,23 @@
 """Acceptance suite: convergence-rate criteria for both schemes on all three
 domains, plus the algebraic property suite and the geometry suite.
 
-Each criterion prints one `ACCEPTANCE ...` line (visible with `pytest -s`)
-before asserting its slope band.  Studies use four halving refinement levels
-and are shared between criteria through lazy module-level caching.
+The studies, the rates the paper claims for them, the bands and the pinned
+split counts are the table `CLAIMS` of `scripts/run_all_studies.py`, loaded
+from that file: `test_claimed_rate` gives each row that has a band the
+script's own verdict.  Each check prints one `ACCEPTANCE ...` line (visible
+with `pytest -s`) before asserting.  Each study runs once, cached by its
+`StudyConfig`, and is shared between the checks.
 
-Criterion 1 checks the flux error at order j in the stabilized flux norm,
-which is what the stabilization consistency term allows, and the
-superconvergent order j+1 in the interior L2 flux metric and for the
-pressure.  Criterion 2 at degree 1 checks that the h^(1/2) geometric-error
-term is present in the plain scheme's error, not that it already dominates:
-the order-1 approximation term outweighs it until h ~ 0.021 (n ~ 512), so
-the fitted slope over the study's levels is still near 0.8.
+Criterion 1's rows claim order j in the stabilized flux norm, which is what
+the stabilization consistency term allows; its tests add the superconvergent
+order j+1 in the interior L2 flux metric and for the pressure.  Criterion 2
+at degree 1 checks that the h^(1/2) geometric-error term is present in the
+plain scheme's error, not that it already dominates: the order-1
+approximation term outweighs it until h ~ 0.021 (n ~ 512), so the fitted
+slope over the study's levels is still near 0.8.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -26,7 +30,7 @@ from wgmixed.assembly import (
     assemble_vh_matrix,
 )
 from wgmixed.basis import graded_lex_exponents, project_cell
-from wgmixed.convergence import StudyConfig, fit_rate, run_convergence_study, vh_norm
+from wgmixed.convergence import fit_rate, run_convergence_study, vh_norm
 from wgmixed.mesh import (
     build_mesh,
     generate_disk_mesh,
@@ -38,38 +42,22 @@ from wgmixed.mesh import (
 from wgmixed.quadrature import polygon_rule
 
 from reference import constant_pressure_vector, full_matrix, local_weak_divergence
+from test_scripts import load_script
 from wgmixed.solver import solve_saddle
 
 pytestmark = pytest.mark.slow
 
-_cache = {}
-
-ALL_STUDIES = (
-    ("square", "original", 1, (4, 8, 16, 32), "none"),
-    ("square", "original", 2, (4, 8, 16, 32), "none"),
-    ("disk", "original", 1, (32, 64, 128, 256), "none"),
-    ("disk", "original", 2, (16, 32, 64, 128), "none"),
-    ("disk", "modified", 1, (16, 32, 64, 128), "none"),
-    ("disk", "modified", 2, (16, 32, 64, 128), "none"),
-    ("disk", "original", 2, (16, 32, 64, 128), "original"),
-    ("disk", "modified", 2, (16, 32, 64, 128), "modified"),
-    ("ring", "original", 1, (48, 96, 192, 384), "none"),
-    ("ring", "original", 2, (16, 32, 64, 128), "none"),
-    ("ring", "modified", 1, (16, 32, 64, 128), "none"),
-)
+studies = load_script("run_all_studies")
+CLAIMS = {claim.name: claim for claim in studies.CLAIMS}
 
 
-def study(domain, scheme, degree, levels, split_rule="none"):
-    key = (domain, scheme, degree, levels, split_rule)
-    if key not in _cache:
-        cfg = StudyConfig(domain=domain, scheme=scheme, degree=degree,
-                          levels=levels, split_rule=split_rule)
-        _cache[key] = run_convergence_study(cfg)
-    return _cache[key]
+@functools.cache
+def study(config):
+    return run_convergence_study(config)
 
 
 def all_tables():
-    return [study(*spec) for spec in ALL_STUDIES]
+    return [study(claim.config) for claim in studies.CLAIMS]
 
 
 def shape_regular_random_polygon(rng):
@@ -84,17 +72,26 @@ def report(criterion, text, ok):
     print(f"ACCEPTANCE criterion {criterion}: {text} -> {'PASS' if ok else 'FAIL'}")
 
 
-def in_band(value, center, width):
-    return abs(value - center) <= width
+# ---------------------------------------------------------------------------
+# 1-7. every banded claim of the table: the fitted err_u_Vh slope and the split pins
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", [c.name for c in studies.CLAIMS if c.band is not None])
+def test_claimed_rate(name):
+    claim = CLAIMS[name]
+    table = study(claim.config)
+    line = studies.claim_line(claim, table)
+    print(f"ACCEPTANCE {line}")
+    assert studies.verdict(claim, table) == "PASS", line
 
 
 # ---------------------------------------------------------------------------
-# 1. square, plain scheme: slopes of the flux-norm and pressure errors
+# 1. square, plain scheme: superconvergence of the interior flux and pressure
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("j", [1, 2])
 def test_criterion1_square_pressure_slopes(j):
-    table = study("square", "original", j, (4, 8, 16, 32))
+    table = study(CLAIMS[f"square_original_j{j}"].config)
     ok = table.slope_p >= j + 0.8
     report("1", f"square original j={j}: slope_p={table.slope_p:.3f} (need >= {j + 0.8})", ok)
     assert ok
@@ -104,28 +101,19 @@ def test_criterion1_square_pressure_slopes(j):
 def test_criterion1_square_flux_slopes(j):
     # The stabilized flux norm is bounded by the consistency term
     # rho^(1/2) h_K^(-1/2) |(u - Q_0 u).n|_{boundary of K}, which is O(h^j), so
-    # order j is what the norm can show; the superconvergent order j+1 is a
-    # claim about the interior L2 flux error.
-    table = study("square", "original", j, (4, 8, 16, 32))
+    # order j is what the norm can show (the table's band); the superconvergent
+    # order j+1 is a claim about the interior L2 flux error.
+    table = study(CLAIMS[f"square_original_j{j}"].config)
     slope_l2 = fit_rate([(r.h, r.err_u_l2) for r in table.rows])
-    ok_norm = in_band(table.slope_u, j, 0.2)
-    ok_l2 = slope_l2 >= j + 0.8
-    report("1", f"square original j={j}: slope_u={table.slope_u:.3f} ({j} +/- 0.2), "
-                f"interior-L2 slope={slope_l2:.3f} (need >= {j + 0.8})", ok_norm and ok_l2)
-    assert ok_norm, f"flux-norm slope {table.slope_u:.3f} outside {j} +/- 0.2"
-    assert ok_l2, f"interior-L2 flux slope {slope_l2:.3f} < {j + 0.8}"
+    ok = slope_l2 >= j + 0.8
+    report("1", f"square original j={j}: interior-L2 slope={slope_l2:.3f} "
+                f"(need >= {j + 0.8})", ok)
+    assert ok, f"interior-L2 flux slope {slope_l2:.3f} < {j + 0.8}"
 
 
 # ---------------------------------------------------------------------------
-# 2. disk, plain scheme, unsplit boundary: the h^(1/2) geometric-error rate
+# 2. disk, plain scheme, unsplit boundary, degree 1: the h^(1/2) term is present
 # ---------------------------------------------------------------------------
-
-def test_criterion2_disk_original_j2():
-    table = study("disk", "original", 2, (16, 32, 64, 128))
-    ok = in_band(table.slope_u, 0.5, 0.2)
-    report("2", f"disk original j=2 split=1: slope_u={table.slope_u:.3f} (0.5 +/- 0.2)", ok)
-    assert ok
-
 
 def two_term_fit(hs, errs):
     """Least-squares coefficients (a, b) of err = a h + b h^(1/2)."""
@@ -141,7 +129,7 @@ def test_criterion2_disk_original_j1():
     # cannot yet sit at 1/2.  What the levels do show is the h^(1/2) term
     # itself: a two-term law fits them, that term carries a sizeable share of
     # the finest-level error, and the pairwise slopes fall toward 1/2.
-    table = study("disk", "original", 1, (32, 64, 128, 256))
+    table = study(CLAIMS["disk_original_j1"].config)
     hs = np.array([r.h for r in table.rows])
     errs = np.array([r.err_u_vh for r in table.rows])
     a, b = two_term_fit(hs, errs)
@@ -158,71 +146,6 @@ def test_criterion2_disk_original_j1():
     assert misfit <= 0.05, f"two-term law misses a level by {misfit:.1%}"
     assert share >= 0.25, f"h^(1/2) term carries only {share:.1%} of the finest error"
     assert falling, f"pairwise slopes {pairwise} do not strictly decrease"
-
-
-# ---------------------------------------------------------------------------
-# 3/4. disk, boundary-corrected scheme, unsplit boundary
-# ---------------------------------------------------------------------------
-
-def test_criterion3_disk_modified_j1():
-    table = study("disk", "modified", 1, (16, 32, 64, 128))
-    ok = in_band(table.slope_u, 1.0, 0.2)
-    report("3", f"disk modified j=1 split=1: slope_u={table.slope_u:.3f} (1.0 +/- 0.2)", ok)
-    assert ok
-
-
-def test_criterion4_disk_modified_j2():
-    table = study("disk", "modified", 2, (16, 32, 64, 128))
-    ok = in_band(table.slope_u, 1.5, 0.25)
-    report("4", f"disk modified j=2 split=1: slope_u={table.slope_u:.3f} (1.5 +/- 0.25)", ok)
-    assert ok
-
-
-# ---------------------------------------------------------------------------
-# 5/6. disk with the boundary-subdivision laws: optimal order restored
-# ---------------------------------------------------------------------------
-
-def test_criterion5_disk_original_j2_split_law():
-    table = study("disk", "original", 2, (16, 32, 64, 128), split_rule="original")
-    assert [r.split for r in table.rows] == [3, 7, 17, 46]
-    ok = in_band(table.slope_u, 2.0, 0.25)
-    report("5", f"disk original j=2 split-law ceil(h^(1/2-j)): slope_u={table.slope_u:.3f} "
-                f"(2.0 +/- 0.25)", ok)
-    assert ok
-
-
-def test_criterion6_disk_modified_j2_split_law():
-    table = study("disk", "modified", 2, (16, 32, 64, 128), split_rule="modified")
-    assert all(r.split >= 2 for r in table.rows)
-    ok = in_band(table.slope_u, 2.0, 0.25)
-    report("6", f"disk modified j=2 split-law ceil(h^((3-2j)/4)): slope_u={table.slope_u:.3f} "
-                f"(2.0 +/- 0.25)", ok)
-    assert ok
-
-
-# ---------------------------------------------------------------------------
-# 7. ring (non-convex): same behavior as the convex cases
-# ---------------------------------------------------------------------------
-
-def test_criterion7_ring_original_j1():
-    table = study("ring", "original", 1, (48, 96, 192, 384))
-    ok = in_band(table.slope_u, 0.5, 0.2)
-    report("7", f"ring original j=1 split=1: slope_u={table.slope_u:.3f} (0.5 +/- 0.2)", ok)
-    assert ok
-
-
-def test_criterion7_ring_original_j2():
-    table = study("ring", "original", 2, (16, 32, 64, 128))
-    ok = in_band(table.slope_u, 0.5, 0.2)
-    report("7", f"ring original j=2 split=1: slope_u={table.slope_u:.3f} (0.5 +/- 0.2)", ok)
-    assert ok
-
-
-def test_criterion7_ring_modified_j1():
-    table = study("ring", "modified", 1, (16, 32, 64, 128))
-    ok = in_band(table.slope_u, 1.0, 0.2)
-    report("7", f"ring modified j=1 split=1: slope_u={table.slope_u:.3f} (1.0 +/- 0.2)", ok)
-    assert ok
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,9 @@ def test_levels_that_do_not_refine_stop_the_study(monkeypatch, capsys):
     # disk n=17 is prime: one ring, h = 1.0 against 0.571 at n=16
     ran, level = [], convergence.run_level
 
-    def recorded(config, n):
+    def recorded(config, n, coarser_h=None):
         ran.append(n)
-        return level(config, n)
+        return level(config, n, coarser_h)
 
     monkeypatch.setattr(convergence, "run_level", recorded)
     assert run_cli(["--domain", "disk", "--levels", "16,17,32"]) == 2

@@ -183,7 +183,7 @@ def test_small_square_study_pipeline():
     cfg = StudyConfig(domain="square", scheme="original", degree=1, levels=(2, 4, 8))
     table = run_convergence_study(cfg)
     assert [r.n for r in table.rows] == [2, 4, 8]
-    assert table.quality_ok
+    assert all(r.passed for r in table.quality)
     assert all(r.residual <= 1e-9 for r in table.rows)
     assert 0.8 <= table.slope_u <= 1.2
     assert table.slope_p > 1.3  # coarse-level smoke value; acceptance pins the real bands
@@ -260,6 +260,18 @@ def test_split_law_level_builds_one_mesh(monkeypatch, domain):
     unsplit = generate_domain_mesh(domain, 16)
     assert row.split == boundary_split_count(unsplit.h, 1, "original") > 1
     assert row.h == generate_domain_mesh(domain, 16, row.split).h
+
+
+def test_level_that_does_not_refine_stops_before_its_assembly(monkeypatch):
+    # disk n=17 is prime: one ring, h = 1.0 against 0.571 at n=16
+    assembled, assemble = [], convergence.assemble_system
+    monkeypatch.setattr(convergence, "assemble_system",
+                        lambda mesh, *a, **kw: assembled.append(mesh.h) or
+                        assemble(mesh, *a, **kw))
+    cfg = StudyConfig(domain="disk", scheme="original", degree=1, levels=(16, 17, 32))
+    with pytest.raises(ValueError, match="level n=17 does not refine"):
+        run_convergence_study(cfg)
+    assert assembled == [generate_disk_mesh(16).h]
 
 
 def test_table_requires_decreasing_h():

@@ -24,9 +24,9 @@ after_cli = "scipy.special" in sys.modules
 
 first_level = []
 run_level = convergence.run_level
-def spy(config, n):
+def spy(config, n, coarser_h=None):
     first_level.append("scipy.sparse.linalg" in sys.modules)
-    return run_level(config, n)
+    return run_level(config, n, coarser_h)
 convergence.run_level = spy
 convergence.run_convergence_study(convergence.StudyConfig("square", "original", 1, (2, 4)))
 print(json.dumps({"after_cli": after_cli, "after_study": "scipy.special" in sys.modules,

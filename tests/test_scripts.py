@@ -8,9 +8,12 @@ import dataclasses
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 from wgmixed.convergence import StudyConfig
-from wgmixed.mesh import read_mesh
+from wgmixed.mesh import _disk_layers, read_mesh
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -49,15 +52,53 @@ def test_bench_case_record_compares_with_itself(tmp_path, capsys):
 
 def test_quick_studies_are_the_full_ones_without_their_finest_level():
     studies = load_script("run_all_studies")
-    assert [name for name, _ in studies.QUICK] == [name for name, _ in studies.FULL]
-    for (_, quick), (_, full) in zip(studies.QUICK, studies.FULL):
-        assert quick == dataclasses.replace(full, levels=full.levels[:-1])
+    assert [claim.name for claim in studies.QUICK] == [claim.name for claim in studies.CLAIMS]
+    for quick, full in zip(studies.QUICK, studies.CLAIMS):
+        levels = full.config.levels[:-1]
+        assert quick == full._replace(config=dataclasses.replace(full.config, levels=levels))
+    # one row per study, named by its CSV stem (studybench/README.md cites three)
+    names = [claim.name for claim in studies.CLAIMS]
+    assert len(set(names)) == len(names)
+    assert {"square_original_j1", "square_original_j2", "disk_original_j1",
+            "disk_original_j2", "disk_modified_j1", "disk_modified_j2",
+            "disk_original_j2_split", "disk_modified_j2_split", "ring_original_j1",
+            "ring_original_j2", "ring_modified_j1"} <= set(names)
+    # only the degree-1 disk claim goes without a band (the two-term law checks it)
+    assert [c.name for c in studies.CLAIMS if c.band is None] == ["disk_original_j1"]
+    for claim in studies.CLAIMS:
+        if isinstance(claim.splits, tuple):
+            assert len(claim.splits) == len(claim.config.levels), claim.name
+
+
+def test_disk_studies_stay_in_one_ring_family():
+    # q = n // layers is 8 at every power of two but 6 at n = 48, 72 and 96;
+    # a study that crosses the two families distorts its pairwise slopes
+    studies = load_script("run_all_studies")
+    for claim in studies.CLAIMS:
+        if claim.config.domain == "disk":
+            assert {n // _disk_layers(n) for n in claim.config.levels} == {8}, claim.name
+
+
+@pytest.mark.parametrize("slope, splits, pins, band, expect", [
+    (2.1, [3, 7], (3, 7, 17, 46), 0.25, "PASS"),   # fewer levels: a prefix of the pins
+    (2.1, [3, 8], (3, 7, 17, 46), 0.25, "FAIL"),
+    (2.3, [3, 7], (3, 7, 17, 46), 0.25, "FAIL"),
+    (1.9, [2, 2], 2, 0.25, "PASS"),
+    (1.9, [2, 1], 2, 0.25, "FAIL"),
+    (0.8, [1, 1], None, None, "-"),
+])
+def test_verdict_reads_the_band_and_the_split_pins(slope, splits, pins, band, expect):
+    studies = load_script("run_all_studies")
+    claim = studies.Claim("c", StudyConfig("disk", "original", 2, (16, 32)), 2.0, band, pins)
+    table = SimpleNamespace(slope_u=slope, rows=[SimpleNamespace(split=s) for s in splits])
+    assert studies.verdict(claim, table) == expect
 
 
 def test_run_all_studies_writes_one_csv_per_study(tmp_path, monkeypatch, capsys):
     studies = load_script("run_all_studies")
-    small = [("square_original_j1", StudyConfig("square", "original", 1, (4, 8)))]
-    monkeypatch.setattr(studies, "FULL", small)
+    small = (studies.Claim("square_original_j1",
+                           StudyConfig("square", "original", 1, (4, 8)), 1.0, 0.2),)
+    monkeypatch.setattr(studies, "CLAIMS", small)
     monkeypatch.setattr(studies, "QUICK", small)
     for argv in ([], ["--quick"]):
         outdir = tmp_path / ("quick" if argv else "full")
@@ -68,3 +109,15 @@ def test_run_all_studies_writes_one_csv_per_study(tmp_path, monkeypatch, capsys)
         assert lines[3].startswith("# slope_u=")
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2 and all(line.startswith("square_original_j1") for line in printed)
+
+
+def test_run_all_studies_writes_the_claims_lines_it_prints(tmp_path, monkeypatch, capsys):
+    studies = load_script("run_all_studies")
+    claim = studies.Claim("square_original_j1",
+                          StudyConfig("square", "original", 1, (4, 8)), 1.0, 0.2)
+    monkeypatch.setattr(studies, "CLAIMS", (claim,))
+    assert studies.main(["--outdir", str(tmp_path)]) == 0
+    lines = (tmp_path / "claims.txt").read_text(encoding="utf-8").splitlines()
+    assert lines == capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("square_original_j1 ")
+    assert " rate=1 band=0.2 pairwise=0.926 splits=1,1 -> PASS" in lines[0], lines[0]
