@@ -5,7 +5,10 @@ Each case runs one refinement level through `run_level` in a fresh
 interpreter, so the peak resident memory it reports (`ru_maxrss`) is that
 level's own.  The record of a case holds the level's stage seconds
 (`StudyRow.stages`), its unknowns, residual and solver diagnostics, the peak
-memory and the git revision of the wgmixed checkout that was imported.
+memory, the peak memory at the end of each stage (`stage_rss_mb`) and the
+git revision of the wgmixed checkout that was imported.  The stage peaks
+are read from outside the package: a trace function sees each return of the
+`lap(stage)` closure by which `run_level` ends a stage.
 
     PYTHONPATH=src python scripts/bench.py --label after
     PYTHONPATH=<other checkout>/src python scripts/bench.py --label before
@@ -16,9 +19,12 @@ memory and the git revision of the wgmixed checkout that was imported.
 `--case` runs one case in this process and prints its record.  A checkout
 whose `StudyRow` has no `diagnostics` gives an empty `diagnostics` record.
 `--compare` reads two records and prints, for each case in both, every
-stage's seconds before and after and their ratio, then the solver diagnostics
-`n_condensed`, `condensed_nnz` (the factored matrix's nnz), `lu_fill` and
-`residual_unrefined` before and after; it writes nothing.
+stage's seconds before and after and their ratio (an older record's `rhs`
+stage counted into its `project`), then the peak memory at
+the end of each stage (rows `rss@<stage>`, in MB; `-` where a record has
+none), then the solver diagnostics `n_condensed`, `condensed_nnz` (the
+factored matrix's nnz), `lu_fill` and `residual_unrefined` before and after;
+it writes nothing.
 """
 
 from __future__ import annotations
@@ -56,15 +62,40 @@ def git_revision(path: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def stage_tracer(run_level, peaks: dict):
+    """A `sys.settrace` function that puts the peak memory into `peaks[stage]` as
+    each `lap(stage)` call of `run_level` returns; None if `run_level` has no `lap`."""
+    lap = next((c for c in run_level.__code__.co_consts
+                if getattr(c, "co_name", None) == "lap"), None)
+    if lap is None:
+        return None
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            peaks[frame.f_locals["stage"]] = peak_rss_mb()
+        return on_return
+
+    return lambda frame, event, arg: on_return if frame.f_code is lap else None
+
+
 def run_case(name: str) -> dict:
     import wgmixed
     from wgmixed.convergence import StudyConfig, run_level
 
     domain, scheme, degree, n, split_rule = CASES[name]
     config = StudyConfig(domain, scheme, degree, (n,), split_rule=split_rule)
+    peaks, previous = {}, sys.gettrace()
+    sys.settrace(stage_tracer(run_level, peaks))
     t0 = time.perf_counter()
-    row, _ = run_level(config, n)
-    wall = time.perf_counter() - t0
+    try:
+        row, _ = run_level(config, n)
+    finally:
+        wall = time.perf_counter() - t0
+        sys.settrace(previous)
     return {
         "case": name,
         "domain": domain, "scheme": scheme, "degree": degree, "n": n,
@@ -74,7 +105,8 @@ def run_case(name: str) -> dict:
         "level_s": wall,
         "stages": row.stages,
         "diagnostics": getattr(row, "diagnostics", {}),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb(),
+        "stage_rss_mb": peaks,
         "revision": git_revision(Path(wgmixed.__file__).resolve().parent),
     }
 
@@ -92,9 +124,23 @@ def _diagnostic(value) -> str:
     return f"{value:d}" if isinstance(value, int) else f"{value:.3g}"
 
 
+def stage_seconds(record) -> dict:
+    """The record's stage seconds and its level time (`level`).
+
+    Records from before the right-hand side and the exact projections shared
+    one pass time the right-hand side as a stage of its own, `rhs`, which
+    ran just before `project`; it is added to `project` here.
+    """
+    stages = dict(record["stages"], level=record["level_s"])
+    if "rhs" in stages:
+        stages["project"] = stages.pop("rhs") + stages.get("project", 0.0)
+    return stages
+
+
 def compare(before_path, after_path) -> None:
     """Print each case's stage seconds in two bench records, with after/before ratios,
-    then its solver diagnostics before and after."""
+    then its peak memory at the end of each stage and its solver diagnostics,
+    before and after."""
     before, after = (json.loads(Path(p).read_text(encoding="utf-8"))
                      for p in (before_path, after_path))
     old = {record["case"]: record for record in before["cases"]}
@@ -104,14 +150,17 @@ def compare(before_path, after_path) -> None:
         if prev is None:
             print(f"{record['case']:30s} (not in {before_path})")
             continue
-        seconds_before = dict(prev["stages"], level=prev["level_s"])
-        seconds_after = dict(record["stages"], level=record["level_s"])
+        seconds_before, seconds_after = stage_seconds(prev), stage_seconds(record)
         for stage, t1 in seconds_after.items():
             if stage not in seconds_before:
                 continue
             t0 = seconds_before[stage]
             ratio = f"{t1 / t0:7.3f}" if t0 > 0 else "    inf"
             print(f"{record['case']:30s} {stage:10s} {t0:10.4f} {t1:10.4f} {ratio}")
+        rss_before, rss_after = (r.get("stage_rss_mb", {}) for r in (prev, record))
+        for stage in record["stages"]:
+            m0, m1 = (f"{m[stage]:.1f}" if stage in m else "-" for m in (rss_before, rss_after))
+            print(f"{record['case']:30s} {'rss@' + stage:10s} {m0:>10s} {m1:>10s}")
         for key in SOLVER_DIAGNOSTICS:
             d0, d1 = (r.get("diagnostics", {}).get(key) for r in (prev, record))
             print(f"{record['case']:30s} {key:18s} {_diagnostic(d0):>10s} {_diagnostic(d1):>10s}")

@@ -9,9 +9,11 @@ law restores the optimal order j.
 
 `CLAIMS` is the one table of these claims; the acceptance suite reads it too.
 Each study prints one line, and `<outdir>/claims.txt` holds the same lines:
-the fitted slopes, the claimed rate and band of the fitted `err_u_Vh` slope,
-the pairwise slopes, the split counts and the verdict (PASS, FAIL, or - for
-the claim that has no band).
+the levels the study ran, the fitted slopes, the claimed rate and band of
+the fitted `err_u_Vh` slope, the pairwise slopes, the split counts and the
+verdict (PASS, FAIL, or - for the claim that has no band).  With `--quick`
+the levels are all but the claim's finest, so a FAIL there is a verdict on
+those levels, not on the claim.
 
 Usage:
     python scripts/run_all_studies.py [--outdir results] [--quick]
@@ -80,11 +82,13 @@ def verdict(claim: Claim, table) -> str:
 
 
 def claim_line(claim: Claim, table) -> str:
-    """The study's line of `claims.txt`, its verdict last."""
+    """The study's line of `claims.txt`: the levels it was judged on first, its verdict last."""
     band = "-" if claim.band is None else f"{claim.band:g}"
+    levels = ",".join(str(row.n) for row in table.rows)
     pairwise = ",".join(f"{s:.3f}" for s in table.pairwise_u)
     splits = ",".join(str(row.split) for row in table.rows)
-    return (f"{claim.name:24s} slope_u={table.slope_u:6.3f} slope_p={table.slope_p:6.3f} "
+    return (f"{claim.name:24s} levels={levels} "
+            f"slope_u={table.slope_u:6.3f} slope_p={table.slope_p:6.3f} "
             f"rate={claim.rate:g} band={band} pairwise={pairwise} splits={splits} "
             f"-> {verdict(claim, table)}")
 

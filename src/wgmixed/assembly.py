@@ -23,11 +23,18 @@ mesh holds triangles and, with split boundary chords, one kind of boundary
 polygon).  `level_cells` builds each group once: its cells' P_alpha basis
 (the P_sigma pressure basis is its leading functions) in the centroids and
 principal axes the mesh stores, as stacked arrays with the group axis first.
-The projection rule and the basis values on it are built on first use and
-kept for the level's lifetime, so the right-hand side and both exact
-projections read one tabulation; the assembly rule, the edge rules and the
-basis values on them are built on first use and released once the group is
-assembled.  The group also fixes its cells' kept flux dofs (`CellGroup.dofs`).
+Each tabulation is sized to its use.  The assembly's cell rule has exactness
+2 alpha, the degree of its integrands (mass, weak-divergence pairings and
+pressure means), on the fan from each cell's first vertex; its edge rules
+have exactness `default_order`, or the study's quadrature order.  The
+projection rule (exactness `projection_order`, fanned from the stored
+centroids) serves the source and the exact solutions, which are not
+polynomials.  Each is built on first use and dropped by `CellGroup.release`:
+`assemble_system` releases a group once it is assembled, and
+`project_level` computes the right-hand side moments and both exact cell
+projections in one pass per group and releases the group before the next
+one starts.  The group also fixes its cells' kept flux dofs
+(`CellGroup.dofs`).
 The kernels `local_mass`, `local_stabilization`, `local_pressure_coupling`
 and `local_boundary_correction` compute every cell's block of a group at
 once with batched products, on the kept flux columns only, and return them
@@ -62,7 +69,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import EdgeBasis, cell_basis, poly_dim
+from .basis import EdgeBasis, cell_basis, poly_dim, project_cell, project_edge
 from .mesh import PolygonalMesh, segment_geometry
 from .quadrature import edge_rule, polygon_rule
 
@@ -72,8 +79,13 @@ class ConfigurationError(RuntimeError):
 
 
 def default_order(alpha: int, beta: int) -> int:
-    """Quadrature exactness used for all bilinear forms."""
+    """Edge-rule exactness of the bilinear forms (the curved normals are not polynomials)."""
     return 2 * max(alpha, beta) + 2
+
+
+def cell_order(alpha: int) -> int:
+    """Cell-rule exactness of the assembly: its integrands have degree at most 2 alpha."""
+    return 2 * alpha
 
 
 def projection_order(alpha: int) -> int:
@@ -141,23 +153,26 @@ class CellGroup:
     values in every kernel; its entries in `dofs` (each cell's `n_loc` global
     flux dofs: the interior flux, then each slot's trace) are -1.  `basis` is
     the cells' P_alpha basis in the centroids and axes the mesh stores; the
-    P_sigma pressure basis is its leading `dim_sigma` functions.  `proj_rule`
-    is the `projection_order` rule for sources and exact solutions, fanned
-    from the stored centroids, and `proj_values` the basis values on it;
-    both are built on first use and kept for the level's lifetime (the
-    right-hand side and the exact projections of flux and pressure all read
-    them).  The assembly rule (exactness `order`), the edge
-    rules (along each edge's stored owner orientation, so t runs backwards on
-    a cell's non-owned edges) and the basis values and mass matrices on them
-    are built on first use and dropped by `release` once the group is
-    assembled.
+    P_sigma pressure basis is its leading `dim_sigma` functions.
+
+    Every rule and the basis values on it are built on first use and dropped
+    by `release`.  `rule` is the assembly's cell rule, of exactness
+    `cell_order` on the fan from each cell's first vertex, and `Va` and
+    `mass` the basis values and Gram matrices on it; `edge_quad` holds the
+    edge rules of exactness `edge_order` (along each edge's stored owner
+    orientation, so t runs backwards on a cell's non-owned edges) and `Ve`
+    the basis values on them.  `proj_rule` is the `projection_order` rule
+    for sources and exact solutions, fanned from the stored centroids, and
+    `proj_values` the basis values on it.
     """
 
-    def __init__(self, mesh: PolygonalMesh, ids, layout: DofLayout, order: int | None = None):
+    def __init__(self, mesh: PolygonalMesh, ids, layout: DofLayout,
+                 edge_order: int | None = None):
         self.mesh = mesh
         self.layout = layout
         self.ids = np.asarray(ids, dtype=np.int64)
-        self.order = default_order(layout.alpha, layout.beta) if order is None else order
+        self.edge_order = (default_order(layout.alpha, layout.beta) if edge_order is None
+                           else edge_order)
         loops, self.edges, self.signs = mesh.cell_arrays(self.ids)
         self.vertices = mesh.vertices[loops]
         self.boundary = mesh.edge_cells[self.edges, 1] < 0
@@ -184,13 +199,13 @@ class CellGroup:
 
     @cached_property
     def rule(self):
-        return polygon_rule(self.vertices, self.order, self.center)
+        return polygon_rule(self.vertices, cell_order(self.layout.alpha))
 
     @cached_property
     def edge_quad(self):
         """Points (G, m, q, 2), weights (G, m, q) and parameters t (q,) on each cell's edges."""
         ends = self.mesh.vertices[self.mesh.edges[self.edges]]
-        return edge_rule(ends[..., 0, :], ends[..., 1, :], self.order)
+        return edge_rule(ends[..., 0, :], ends[..., 1, :], self.edge_order)
 
     @cached_property
     def Va(self) -> np.ndarray:
@@ -209,8 +224,8 @@ class CellGroup:
         return np.swapaxes(self.Va, 1, 2) @ (self.rule.weights[..., None] * self.Va)
 
     def release(self) -> None:
-        """Drop the assembly and edge rules and the basis values and mass on them."""
-        for name in ("rule", "edge_quad", "Va", "Ve", "mass"):
+        """Drop every rule the group has built and the basis values and mass on them."""
+        for name in ("rule", "edge_quad", "Va", "Ve", "mass", "proj_rule", "proj_values"):
             self.__dict__.pop(name, None)
 
     def normals(self, mode: str, rows=slice(None)):
@@ -239,9 +254,9 @@ class CellGroup:
         return m_vec, ne_dot_m
 
 
-def level_cells(mesh: PolygonalMesh, layout: DofLayout, order: int | None = None) -> list:
-    """The level's cell groups, one per vertex count, for the assembly at exactness `order`."""
-    return [CellGroup(mesh, ids, layout, order) for ids in mesh.cell_groups()]
+def level_cells(mesh: PolygonalMesh, layout: DofLayout, edge_order: int | None = None) -> list:
+    """The level's cell groups, one per vertex count, with edge rules of exactness `edge_order`."""
+    return [CellGroup(mesh, ids, layout, edge_order) for ids in mesh.cell_groups()]
 
 
 def local_mass(cells: CellGroup) -> np.ndarray:
@@ -583,36 +598,76 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
                         pressure_mean=pmean, flux_mass=flux_mass)
 
 
-def assemble_rhs(mesh: PolygonalMesh, layout: DofLayout, g,
-                 cells: list | None = None) -> np.ndarray:
-    """Right-hand side: zero flux block, pressure entries -(g, q)_{Omega_h}.
+def project_level(mesh: PolygonalMesh, layout: DofLayout, cells: list | None = None,
+                  g=None, u=None, p=None) -> tuple:
+    """The right-hand side of source g and the projections of an exact flux u and pressure p.
 
-    The source is integrated with each cell's projection rule and the basis
-    values on it (`cells`, the level's `level_cells` list, is built here when
-    not given).  The source is replaced by its mean-free part on the
-    computational domain, which makes the vector orthogonal to the constant
-    pressure direction (the kernel of the transposed operator).  Moments all
-    within 64 eps of the largest sum of |w g q| behind them are rounding: they
-    are zeroed, so the solve returns zero.
+    Returns (rhs, w, pex), None in place of what was not asked for.  One
+    pass over the level's cell groups (`cells`, the `level_cells` list,
+    built here when not given): each group's projection rule and the basis
+    values on it serve the source moments and both cell projections, and
+    the group is released before the next one starts.
+
+    The source is replaced by its mean-free part on the computational
+    domain, which makes the right-hand side orthogonal to the constant
+    pressure direction (the kernel of the transposed operator); its flux
+    block is zero and its pressure entries are -(g, q)_{Omega_h}.  Moments
+    all within 64 eps of the largest sum of |w g q| behind them are
+    rounding: they are zeroed, so the solve returns zero.
+
+    Interior flux coefficients are cellwise L2 projections of each component
+    of u and pressures cellwise L2 projections of p; interior-edge traces
+    are L2 projections of u . n_e, all in one call; boundary-edge traces are
+    zero by definition of the constrained flux space.
     """
     if cells is None:
         cells = level_cells(mesh, layout)
-    rhs = np.zeros(layout.n_velocity + layout.n_pressure)
+    ns = layout.dim_sigma
     moments = np.zeros(layout.n_pressure)
     wconst = np.zeros(layout.n_pressure)
     total = area = scale = 0.0
+    w = None if u is None else np.zeros(layout.n_velocity)
+    pex = None if p is None else np.zeros(layout.n_pressure)
     for group in cells:
-        rule = group.proj_rule
-        x, y = rule.points[..., 0], rule.points[..., 1]
-        WVs = rule.weights[..., None] * group.proj_values[..., :layout.dim_sigma]
-        gv = np.asarray(g(x, y), dtype=float)
+        rule, values = group.proj_rule, group.proj_values
         pidx = layout.pressure_dofs(group.ids)
-        moments[pidx] = np.einsum("gqi,gq->gi", WVs, gv)
-        scale = max(scale, float(np.einsum("gqi,gq->gi", np.abs(WVs), np.abs(gv)).max()))
-        wconst[pidx] = WVs.sum(axis=1)
-        total += float(np.sum(rule.weights * gv))
-        area += float(rule.weights.sum())
-    moments -= (total / area) * wconst
-    if np.abs(moments).max() > 64 * np.finfo(float).eps * scale:
-        rhs[layout.n_velocity:] = -moments
-    return rhs
+        if g is not None:
+            WVs = rule.weights[..., None] * values[..., :ns]
+            gv = np.asarray(g(rule.points[..., 0], rule.points[..., 1]), dtype=float)
+            moments[pidx] = np.einsum("gqi,gq->gi", WVs, gv)
+            scale = max(scale, float(np.einsum("gqi,gq->gi", np.abs(WVs), np.abs(gv)).max()))
+            wconst[pidx] = WVs.sum(axis=1)
+            total += float(np.sum(rule.weights * gv))
+            area += float(rule.weights.sum())
+            del WVs, gv   # before the projections tabulate their own products
+        if u is not None:
+            coef = project_cell(group.vertices, u, layout.alpha, rule=rule, values=values)
+            w[group.dofs[:, :group.n_int]] = np.swapaxes(coef, 1, 2).reshape(group.ids.size, -1)
+        if p is not None:
+            pex[pidx] = project_cell(group.vertices, p, layout.sigma, rule=rule, values=values)
+        del rule, values
+        group.release()
+
+    rhs = None
+    if g is not None:
+        rhs = np.zeros(layout.n_dofs)
+        moments -= (total / area) * wconst
+        if np.abs(moments).max() > 64 * np.finfo(float).eps * scale:
+            rhs[layout.n_velocity:] = -moments
+    if u is not None:
+        inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+        n_e = mesh.edge_normals[inner]
+        ends = mesh.vertices[mesh.edges[inner]]
+        w[layout.trace_offsets[inner][:, None] + np.arange(layout.trace_dim)] = project_edge(
+            ends[:, 0], ends[:, 1], lambda x, y: np.einsum("eqc,ec->eq", u(x, y), n_e),
+            layout.beta, projection_order(layout.alpha))
+    return rhs, w, pex
+
+
+def assemble_rhs(mesh: PolygonalMesh, layout: DofLayout, g,
+                 cells: list | None = None) -> np.ndarray:
+    """Right-hand side of source g: zero flux block, pressure entries -(g - mean g, q)_{Omega_h}.
+
+    `project_level` with the source alone (see there).
+    """
+    return project_level(mesh, layout, cells, g=g)[0]

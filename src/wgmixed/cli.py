@@ -48,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mesh-out", dest="mesh_out", default=None, metavar="BASE",
                         help="write each level's mesh to BASE.n<N>.json")
     parser.add_argument("--quadrature-order", dest="quadrature_order", type=int,
-                        default=None, help="override the assembly quadrature exactness")
+                        default=None,
+                        help="override the exactness of the assembly's edge rules "
+                             "(default 2j+2; the cell rules are fixed)")
     return parser
 
 

@@ -10,12 +10,13 @@ piecewise-polynomial projection of the exact pressure.
 A level builds one mesh (its generator applies a split law to the mesh
 size of its corner loops; a `none` or `fixed:<k>` study passes the count),
 then works on the level's cell groups, then solves, then measures:
-`level_cells` stacks the basis and rules of each group of cells with one
-vertex count once, the assembly, the right-hand side and the exact
-projection read them a group at a time, and they are released before the
-solve.  The basis is tabulated on a group's projection rule once: the
-right-hand side and `project_exact` (flux and pressure) read the same
-values.  The four error norms are quadratic forms in what the assembly
+`level_cells` stacks the basis of each group of cells with one vertex count
+once; the assembly tabulates it on the group's assembly rules and releases
+them, and then `project_level` tabulates it on the group's projection rule
+once, for the right-hand side and both exact projections (flux and
+pressure) in one pass, and releases that rule before the next group.  No
+rule is kept past its group, and the cell groups go before the solve.  The
+four error norms are quadratic forms in what the assembly
 already returned, read by `vh_norm`, `l2_flux_interior_error` and
 `l2_pressure_error` from the level's `SaddleSystem`: the two flux norms are
 summed cell by cell over the system's cell blocks in each normal mode, the
@@ -38,12 +39,10 @@ from .assembly import (
     DofLayout,
     SaddleSystem,
     _gather,
-    assemble_rhs,
     assemble_system,
     level_cells,
-    projection_order,
+    project_level,
 )
-from .basis import project_cell, project_edge
 from .mesh import (
     PolygonalMesh,
     boundary_split_count,
@@ -74,31 +73,13 @@ def project_exact(mesh: PolygonalMesh, u, p, layout: DofLayout,
                   cells: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Flux and pressure coefficients of the projection of an exact pair.
 
-    Interior flux coefficients are cellwise L2 projections of each component
-    and pressures cellwise L2 projections, both with each cell's projection
-    rule and the basis values the group keeps on it, which the right-hand
-    side reads too (`cells`, the level's `level_cells` list, is built here
-    when not given); interior-edge traces are L2 projections of u . n_e;
-    boundary-edge traces are zero by definition of the constrained flux
-    space.
+    `project_level` with u and p alone: interior flux coefficients and
+    pressures are cellwise L2 projections on each group's projection rule
+    (`cells`, the level's `level_cells` list, is built here when not
+    given); interior-edge traces are L2 projections of u . n_e; boundary-edge
+    traces are zero by definition of the constrained flux space.
     """
-    if cells is None:
-        cells = level_cells(mesh, layout)
-    w = np.zeros(layout.n_velocity)
-    pex = np.zeros(layout.n_pressure)
-    for group in cells:
-        coef = project_cell(group.vertices, u, layout.alpha, rule=group.proj_rule,
-                            values=group.proj_values)
-        w[group.dofs[:, :group.n_int]] = np.swapaxes(coef, 1, 2).reshape(group.ids.size, -1)
-        pex[layout.pressure_dofs(group.ids)] = project_cell(
-            group.vertices, p, layout.sigma, rule=group.proj_rule, values=group.proj_values)
-    inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
-    n_e = mesh.edge_normals[inner]
-    ends = mesh.vertices[mesh.edges[inner]]
-    w[layout.trace_offsets[inner][:, None] + np.arange(layout.trace_dim)] = project_edge(
-        ends[:, 0], ends[:, 1], lambda x, y: np.einsum("eqc,ec->eq", u(x, y), n_e),
-        layout.beta, projection_order(layout.alpha))
-    return w, pex
+    return project_level(mesh, layout, cells, u=u, p=p)[1:]
 
 
 def block_norm(blocks: np.ndarray, x) -> float:
@@ -178,7 +159,7 @@ class StudyConfig:
         q = self.quadrature_order
         if q is not None and q < 2 * self.degree:
             raise ValueError(f"quadrature order {q} is below 2j = {2 * self.degree}, "
-                             "the exactness the mass matrices need")
+                             "the exactness the edge integrals need")
         parse_split_rule(self.split_rule)
 
 
@@ -258,8 +239,9 @@ def run_level(config: StudyConfig, n: int, coarser_h: float | None = None):
 
     A mesh whose size is not below `coarser_h` (the previous level's) raises
     `ValueError` before anything is assembled.  The row's `stages` holds the
-    seconds of each step: mesh, validate, cells, assemble, rhs, project, solve
-    and norms; its `diagnostics` are the solve's `Solution.diagnostics`.
+    seconds of each step: mesh, validate, cells, assemble, project (the
+    right-hand side and the exact projections, one pass), solve and norms;
+    its `diagnostics` are the solve's `Solution.diagnostics`.
     """
     marks = [time.perf_counter()]
     stages = {}
@@ -288,9 +270,7 @@ def run_level(config: StudyConfig, n: int, coarser_h: float | None = None):
     lap("cells")
     system = assemble_system(mesh, layout, scheme=config.scheme, rho=config.rho, cells=cells)
     lap("assemble")
-    rhs = assemble_rhs(mesh, layout, case.g, cells=cells)
-    lap("rhs")
-    uex, pex = project_exact(mesh, case.u, case.p, layout, cells=cells)
+    rhs, uex, pex = project_level(mesh, layout, cells, g=case.g, u=case.u, p=case.p)
     del cells  # the solve and the norms need no per-cell data
     lap("project")
     sol = solve_saddle(system, rhs)

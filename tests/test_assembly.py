@@ -684,6 +684,47 @@ def test_grouped_assembly_matches_per_cell_loop(mesh_name, j, scheme):
 
 
 # ---------------------------------------------------------------------------
+# the assembly's cell rule: exactness 2 alpha on the first-vertex fan
+# ---------------------------------------------------------------------------
+
+RULE_GROUPS = {
+    "square-triangles": lambda j: generate_square_tri(4),
+    "disk-original-law-polygons": lambda j: generate_disk_mesh(
+        16, lambda h: boundary_split_count(h, j, "original")),
+}
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+@pytest.mark.parametrize("mesh_name", list(RULE_GROUPS))
+def test_assembly_cell_rule_gives_the_former_rules_kernels(mesh_name, j):
+    # every cell integrand of the assembly has degree <= 2j, so the 2j rule on
+    # the first-vertex fan and the former (2j+2)-exact centroid fan agree
+    mesh = RULE_GROUPS[mesh_name](j)
+    layout = DofLayout(mesh, j, j, j - 1)
+    group = level_cells(mesh, layout)[-1]
+    m = group.vertices.shape[1]
+    assert (m == 3) == (mesh_name == "square-triangles")
+    former = CellGroup(mesh, group.ids, layout)
+    former.rule = polygon_rule(former.vertices, default_order(j, j), former.center)
+    assert group.rule.weights.shape[1] == (m - 2) * (j + 1) ** 2
+    assert former.rule.weights.shape[1] == m * (j + 2) ** 2
+
+    def pressure_mean(cells):
+        return np.einsum("gq,gqi->gi", cells.rule.weights, cells.Va[..., :layout.dim_sigma])
+
+    kernels = {
+        "mass": local_mass,
+        "pairings": lambda cells: assembly._divergence_pairings(cells, j),
+        "coupling": local_pressure_coupling,
+        "pressure_mean": pressure_mean,
+    }
+    for name, kernel in kernels.items():
+        got, want = kernel(group), kernel(former)
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+# ---------------------------------------------------------------------------
 # projection-rule values shared by the right-hand side and the projections
 # ---------------------------------------------------------------------------
 
@@ -710,8 +751,9 @@ def test_shared_cells_give_the_same_bits_as_fresh_ones(mesh_name):
 
 
 def test_run_level_tabulates_each_projection_rule_once(monkeypatch):
-    groups, points = [], []
+    groups, points, proj_rules = [], [], []
     build, tabulate = convergence.level_cells, basis.CellBasis.eval
+    make_rule = assembly.polygon_rule
 
     def kept_cells(*args):
         groups.extend(build(*args))
@@ -721,13 +763,24 @@ def test_run_level_tabulates_each_projection_rule_once(monkeypatch):
         points.append(x)
         return tabulate(self, x, y)
 
+    def recorded_rule(vertices, order, *args):
+        rule = make_rule(vertices, order, *args)
+        if order == projection_order(2):
+            proj_rules.append((vertices, rule))
+        return rule
+
     monkeypatch.setattr(convergence, "level_cells", kept_cells)
     monkeypatch.setattr(basis.CellBasis, "eval", counted_eval)
+    monkeypatch.setattr(assembly, "polygon_rule", recorded_rule)
     run_level(StudyConfig("disk", "modified", 2, (16,), split_rule="original"), 16)
-    assert len(groups) == 2
+    assert len(groups) == 2 and len(proj_rules) == 2
     for group in groups:
-        on_rule = [x for x in points if np.shares_memory(x, group.proj_rule.points)]
+        rules = [rule for vertices, rule in proj_rules if vertices is group.vertices]
+        assert len(rules) == 1
+        on_rule = [x for x in points if np.shares_memory(x, rules[0].points)]
         assert len(on_rule) == 1
+        # the pass drops each group's projection tabulation once the group is done
+        assert "proj_rule" not in vars(group) and "proj_values" not in vars(group)
 
 
 def test_run_level_builds_one_sparse_matrix_and_no_full_matrix(monkeypatch):

@@ -112,7 +112,7 @@ def test_polygon_rule_exact_for_monomials(a, b, m, seed):
     verts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]) + rng.uniform(-1, 1, 2)
     rule = polygon_rule(verts, a + b)
     got = float(rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b))
-    # oracle: fan from first vertex (different fan point than the rule's centroid)
+    # oracle: analytic monomial integrals over the fan triangles from the first vertex
     def cross2(u, v):
         return u[0] * v[1] - u[1] * v[0]
 
@@ -160,6 +160,31 @@ def test_polygon_rule_rejects_degenerate_and_bowtie():
         polygon_rule([(0, 0), (1, 1), (1, 0), (0, 1)], 2)  # self-intersecting
     with pytest.raises(MalformedCellError):
         polygon_rule([(0, 0), (0, 1), (1, 1), (1, 0)], 2)  # clockwise
+
+
+@pytest.mark.parametrize("order", [0, 2, 4, 7])
+def test_default_fan_integrates_a_triangle_on_itself(order, monkeypatch):
+    # the default fan is rooted at the first vertex and needs no centroid
+    import wgmixed.quadrature as quadrature
+
+    def no_moments(*args):
+        raise AssertionError("the default fan computes no moments")
+
+    monkeypatch.setattr(quadrature, "polygon_moments", no_moments)
+    ref = triangle_rule(order)
+    tri = np.array([(0.2, 0.1), (1.3, 0.4), (0.5, 1.1)])
+    rule = polygon_rule(tri, order)
+    assert rule.points.shape == (len(ref.weights), 2)
+    assert rule.weights.shape == (len(ref.weights),)
+    assert rule.weights.sum() == pytest.approx(0.505, rel=1e-14)
+    # an m-gon gets m - 2 fan triangles, alone or in a stack
+    hexagon = regular_polygon(6)
+    stack = np.stack([hexagon, 2.0 * hexagon + 1.0])
+    rule = polygon_rule(stack, order)
+    assert rule.weights.shape == (2, 4 * len(ref.weights))
+    one = polygon_rule(stack[1], order)
+    assert np.array_equal(rule.points[1], one.points)
+    assert np.array_equal(rule.weights[1], one.weights)
 
 
 def test_polygon_centroid_square():

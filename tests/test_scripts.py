@@ -48,6 +48,11 @@ def test_bench_case_record_compares_with_itself(tmp_path, capsys):
     ratios = [line.split()[-1] for line in rows if line.split()[1] in record["stages"]]
     assert len(ratios) == len(record["stages"])
     assert all(r in ("1.000", "inf") for r in ratios), ratios
+    # the peak memory at the end of each stage, never falling, the level's peak last
+    peaks = [record["stage_rss_mb"][stage] for stage in record["stages"]]
+    assert peaks == sorted(peaks) and peaks[-1] <= record["peak_rss_mb"]
+    rss = [line.split()[2:] for line in rows if line.split()[1].startswith("rss@")]
+    assert rss == [[f"{m:.1f}"] * 2 for m in peaks]
 
 
 def test_quick_studies_are_the_full_ones_without_their_finest_level():
@@ -120,4 +125,5 @@ def test_run_all_studies_writes_the_claims_lines_it_prints(tmp_path, monkeypatch
     lines = (tmp_path / "claims.txt").read_text(encoding="utf-8").splitlines()
     assert lines == capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("square_original_j1 ")
+    assert " levels=4,8 slope_u=" in lines[0], lines[0]
     assert " rate=1 band=0.2 pairwise=0.926 splits=1,1 -> PASS" in lines[0], lines[0]
