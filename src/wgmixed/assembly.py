@@ -23,18 +23,18 @@ mesh holds triangles and, with split boundary chords, one kind of boundary
 polygon).  `level_cells` builds each group once: its cells' P_alpha basis
 (the P_sigma pressure basis is its leading functions) in the centroids and
 principal axes the mesh stores, as stacked arrays with the group axis first.
-Each tabulation is sized to its use.  The assembly's cell rule has exactness
-2 alpha, the degree of its integrands (mass, weak-divergence pairings and
-pressure means), on the fan from each cell's first vertex; its edge rules
-have exactness `default_order`, or the study's quadrature order.  The
-projection rule (exactness `projection_order`, fanned from the stored
+The assembly has no cell rule.  Its edge rules (exactness `default_order`,
+or the study's quadrature order, at least 2 alpha) serve the stabilization
+and the mass matrix, summed on the edges (`CellGroup.mass`); the interior
+weak-divergence pairings and the pressure means are read from the mass.
+The projection rule (exactness `projection_order`, fanned from the stored
 centroids) serves the source and the exact solutions, which are not
-polynomials.  Each is built on first use and dropped by `CellGroup.release`:
-`assemble_system` releases a group once it is assembled, and
-`project_level` computes the right-hand side moments and both exact cell
-projections in one pass per group and releases the group before the next
-one starts.  The group also fixes its cells' kept flux dofs
-(`CellGroup.dofs`).
+polynomials.  Each rule is built on first use and dropped by
+`CellGroup.release`, which keeps the mass: `assemble_system` releases a
+group once it is assembled, and `project_level` computes the right-hand
+side moments and both exact cell projections in one pass per group and
+releases the group before the next one starts.  The group also fixes its
+cells' kept flux dofs (`CellGroup.dofs`).
 The kernels `local_mass`, `local_stabilization`, `local_pressure_coupling`
 and `local_boundary_correction` compute every cell's block of a group at
 once with batched products, on the kept flux columns only, and return them
@@ -63,7 +63,7 @@ read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -81,11 +81,6 @@ class ConfigurationError(RuntimeError):
 def default_order(alpha: int, beta: int) -> int:
     """Edge-rule exactness of the bilinear forms (the curved normals are not polynomials)."""
     return 2 * max(alpha, beta) + 2
-
-
-def cell_order(alpha: int) -> int:
-    """Cell-rule exactness of the assembly: its integrands have degree at most 2 alpha."""
-    return 2 * alpha
 
 
 def projection_order(alpha: int) -> int:
@@ -144,7 +139,7 @@ class DofLayout:
 
 
 class CellGroup:
-    """Cells of one vertex count with their stacked basis and rules, built once per level.
+    """Cells of one vertex count with their stacked basis, rules and mass, built once per level.
 
     Arrays carry the group axis first.  The group decides which local flux
     dofs its cells keep: `slots` lists each cell's kept edges (those that are
@@ -156,14 +151,13 @@ class CellGroup:
     P_sigma pressure basis is its leading `dim_sigma` functions.
 
     Every rule and the basis values on it are built on first use and dropped
-    by `release`.  `rule` is the assembly's cell rule, of exactness
-    `cell_order` on the fan from each cell's first vertex, and `Va` and
-    `mass` the basis values and Gram matrices on it; `edge_quad` holds the
-    edge rules of exactness `edge_order` (along each edge's stored owner
-    orientation, so t runs backwards on a cell's non-owned edges) and `Ve`
-    the basis values on them.  `proj_rule` is the `projection_order` rule
-    for sources and exact solutions, fanned from the stored centroids, and
-    `proj_values` the basis values on it.
+    by `release`.  `edge_quad` holds the edge rules of exactness
+    `edge_order`, at least 2 alpha (along each edge's stored owner
+    orientation, so t runs backwards on a cell's non-owned edges), and `Ve`
+    the basis values on them; `mass`, the Gram matrices summed on them, is
+    kept.  `proj_rule` is the `projection_order` rule for sources and exact
+    solutions, fanned from the stored centroids, and `proj_values` the basis
+    values on it.
     """
 
     def __init__(self, mesh: PolygonalMesh, ids, layout: DofLayout,
@@ -198,18 +192,10 @@ class CellGroup:
         return self.basis.eval(self.proj_rule.points[..., 0], self.proj_rule.points[..., 1])
 
     @cached_property
-    def rule(self):
-        return polygon_rule(self.vertices, cell_order(self.layout.alpha))
-
-    @cached_property
     def edge_quad(self):
         """Points (G, m, q, 2), weights (G, m, q) and parameters t (q,) on each cell's edges."""
         ends = self.mesh.vertices[self.mesh.edges[self.edges]]
         return edge_rule(ends[..., 0, :], ends[..., 1, :], self.edge_order)
-
-    @cached_property
-    def Va(self) -> np.ndarray:
-        return self.basis.eval(self.rule.points[..., 0], self.rule.points[..., 1])
 
     @cached_property
     def Ve(self) -> np.ndarray:
@@ -220,12 +206,24 @@ class CellGroup:
 
     @cached_property
     def mass(self) -> np.ndarray:
-        """Gram matrices of `basis`; the leading dim_sigma block is the pressure's."""
-        return np.swapaxes(self.Va, 1, 2) @ (self.rule.weights[..., None] * self.Va)
+        """Gram matrices of `basis`; the leading dim_sigma block is the pressure's.
+
+        phi_i phi_j is homogeneous of degree d_i + d_j in x - c_K, so by the
+        divergence theorem and Euler's identity its integral over K is
+        sum_e ((v_e - c_K) . n_K,e) int_e phi_i phi_j ds / (d_i + d_j + 2),
+        v_e any point of e (Chin, Lasserre & Sukumar, Comput. Mech. 56, 2015).
+        """
+        _, w, _ = self.edge_quad
+        v_e = self.mesh.vertices[self.mesh.edges[self.edges, 0]] - self.center[:, None, :]
+        reach = self.signs * np.einsum("gkc,gkc->gk", v_e, self.mesh.edge_normals[self.edges])
+        R = self.Ve.reshape(w.shape[0], -1, self.Ve.shape[-1])
+        S = np.swapaxes(R, 1, 2) @ ((reach[..., None] * w).reshape(w.shape[0], -1, 1) * R)
+        d = self.basis.exponents.sum(axis=1)
+        return S / (d[:, None] + d[None, :] + 2)
 
     def release(self) -> None:
-        """Drop every rule the group has built and the basis values and mass on them."""
-        for name in ("rule", "edge_quad", "Va", "Ve", "mass", "proj_rule", "proj_values"):
+        """Drop every rule the group has built and the basis values on them; keep `mass`."""
+        for name in ("edge_quad", "Ve", "proj_rule", "proj_values"):
             self.__dict__.pop(name, None)
 
     def normals(self, mode: str, rows=slice(None)):
@@ -266,17 +264,14 @@ def local_mass(cells: CellGroup) -> np.ndarray:
 
 def _divergence_pairings(cells: CellGroup, degree: int) -> np.ndarray:
     """(div_w v, q)_K of each local dof v and leading P_degree function q, (G, dim, n_loc)."""
-    dim = poly_dim(degree)   # only these functions' gradients are tabulated
-    basis = replace(cells.basis, degree=degree, exponents=cells.basis.exponents[:dim])
-    WG = cells.rule.weights[..., None, None] * basis.grad(cells.rule.points[..., 0],
-                                                          cells.rule.points[..., 1])
+    dim = poly_dim(degree)
+    D = cells.basis.derivatives()[..., :dim, :]   # grad q in the P_alpha basis
     _, w, t = cells.edge_quad
     g = np.arange(cells.ids.size)[:, None]
     # -(v_0, grad q)_K, then <v_b n_e . n_K, q>_e with n_e . n_K = +-1 on each slot's edge
     traces = np.einsum("gkqi,gkq,qr->gikr", cells.Ve[g, cells.slots, :, :dim],
                        (cells.signs[..., None] * w)[g, cells.slots], cells.edge_basis.eval(t))
-    return np.concatenate([-np.swapaxes(WG[..., 0], 1, 2) @ cells.Va,
-                           -np.swapaxes(WG[..., 1], 1, 2) @ cells.Va,
+    return np.concatenate([-D[:, 0] @ cells.mass, -D[:, 1] @ cells.mass,
                            traces.reshape(traces.shape[:2] + (-1,))], axis=2)
 
 
@@ -592,7 +587,7 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     for group in cells:
         blocks.append(_cell_blocks(group, scheme, mode, other, rho))
         flux_mass[group.ids] = group.mass
-        pmean[blocks[-1].pdofs] = np.einsum("gq,gqi->gi", group.rule.weights, group.Va[..., :ns])
+        pmean[blocks[-1].pdofs] = group.mass[:, 0, :ns]   # phi_0 = 1
         group.release()
     return SaddleSystem(layout=layout, scheme=scheme, normal_mode=mode, blocks=blocks,
                         pressure_mean=pmean, flux_mass=flux_mass)
@@ -635,16 +630,19 @@ def project_level(mesh: PolygonalMesh, layout: DofLayout, cells: list | None = N
             WVs = rule.weights[..., None] * values[..., :ns]
             gv = np.asarray(g(rule.points[..., 0], rule.points[..., 1]), dtype=float)
             moments[pidx] = np.einsum("gqi,gq->gi", WVs, gv)
-            scale = max(scale, float(np.einsum("gqi,gq->gi", np.abs(WVs), np.abs(gv)).max()))
             wconst[pidx] = WVs.sum(axis=1)
+            np.abs(WVs, out=WVs)   # in place: a second copy would set the level's peak
+            scale = max(scale, float(np.einsum("gqi,gq->gi", WVs, np.abs(gv)).max()))
             total += float(np.sum(rule.weights * gv))
             area += float(rule.weights.sum())
-            del WVs, gv   # before the projections tabulate their own products
+            del WVs, gv
         if u is not None:
-            coef = project_cell(group.vertices, u, layout.alpha, rule=rule, values=values)
+            coef = project_cell(group.vertices, u, layout.alpha, rule=rule, values=values,
+                                mass=group.mass)
             w[group.dofs[:, :group.n_int]] = np.swapaxes(coef, 1, 2).reshape(group.ids.size, -1)
         if p is not None:
-            pex[pidx] = project_cell(group.vertices, p, layout.sigma, rule=rule, values=values)
+            pex[pidx] = project_cell(group.vertices, p, layout.sigma, rule=rule, values=values,
+                                     mass=group.mass)
         del rule, values
         group.release()
 

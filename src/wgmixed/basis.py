@@ -30,12 +30,14 @@ monomials are products of entries of one power table per point set, filled
 by plain multiplication: plane 0 is 1, plane 1 is xi (or eta), and plane k
 is plane k-1 times xi (or eta), so xi^k is the product of k factors taken
 left to right, the same bits as a running product.  Each plane is
-contiguous, and `eval` and `grad` write one basis function at a time, from
-the planes it needs, into its own contiguous plane of a preallocated result
-(the function axis is last in shape, first in memory; the batched products
-downstream sum in an order that follows this layout).  `project_cell` accepts
-basis values already tabulated on its rule, so a group's values on one rule
-are computed once and shared.
+contiguous, and `eval` writes one basis function at a time, from the planes
+it needs, into its own contiguous plane of a preallocated result (the
+function axis is last in shape, first in memory; the batched products
+downstream sum in an order that follows this layout).  Derivatives are not
+tabulated: `CellBasis.derivatives` maps each function to the coefficients
+of its x- and y-derivatives in the basis.  `project_cell` accepts basis
+values already tabulated on its rule, and the Gram matrices, so a group's
+values on one rule are computed once and shared.
 
 Edge bases are (t-1/2)^k in the arclength fraction t of the (globally
 oriented) edge.
@@ -143,17 +145,17 @@ class CellBasis:
             np.multiply(px[a], py[b], out=out[i])
         return np.moveaxis(out, 0, -1)
 
-    def grad(self, x, y) -> np.ndarray:
-        """Basis gradients at points; shape (..., npoints, dim, 2), laid out as `eval`'s."""
-        px, py = self._powers(x, y)
-        out = np.empty((self.dim,) + px.shape[1:] + (2,))
-        T = self.axes[..., None]
-        for i, (a, b) in enumerate(self.exponents):
-            dxi = a * px[max(a - 1, 0)] * py[b]      # d/dxi
-            deta = b * px[a] * py[max(b - 1, 0)]     # d/deta
-            out[i, ..., 0] = T[..., 0, 0, :] * dxi + T[..., 1, 0, :] * deta
-            out[i, ..., 1] = T[..., 0, 1, :] * dxi + T[..., 1, 1, :] * deta
-        return np.moveaxis(out, 0, -2)
+    def derivatives(self) -> np.ndarray:
+        """x- and y-derivatives of the functions in the basis: row i of plane c is
+        d(function i)/dx_c, shape (..., 2, dim, dim).  d/dxi of xi^a eta^b is
+        a xi^(a-1) eta^b, and the chain rule weights d/dxi and d/deta by `axes`.
+        """
+        index = {(a, b): k for k, (a, b) in enumerate(self.exponents.tolist())}
+        shift = np.zeros((2, self.dim, self.dim))
+        for i, (a, b) in enumerate(self.exponents.tolist()):   # a zero factor adds nothing
+            shift[0, i, index.get((a - 1, b), 0)] += a
+            shift[1, i, index.get((a, b - 1), 0)] += b
+        return np.einsum("...rc,rik->...cik", self.axes, shift)
 
 
 def cell_basis(vertices, degree: int, center=None, axes=None) -> CellBasis:
@@ -187,19 +189,21 @@ class EdgeBasis:
 
 
 def project_cell(vertices, f, degree: int, order: int | None = None,
-                 basis: CellBasis | None = None, rule=None, values=None) -> np.ndarray:
+                 basis: CellBasis | None = None, rule=None, values=None,
+                 mass=None) -> np.ndarray:
     """Coefficients of the L2(K)-orthogonal projection of f onto P_degree.
 
-    `vertices` is one cell's loop, or a (G, m, 2) group with a group `basis`
-    and `rule`; f is then called once, on (G, npoints) coordinates.  f(x, y)
-    returns one value per point, or k values per point along a last axis; the
-    result has shape (..., dim) or (..., dim, k).  The default quadrature
-    order (2*degree) is exact when f is itself a polynomial of degree <=
-    degree; pass a higher order for general fields, or a prebuilt cell `rule`.
-    A prebuilt `basis` may have a higher degree: graded-lex P_degree is the
-    span of its leading poly_dim(degree) functions.  `values`, the basis
-    already evaluated on the points of `rule` (shape (..., npoints, dim) with
-    dim >= poly_dim(degree)), stands in for `basis`.
+    `vertices` is one cell's loop, or a (G, m, 2) group with a group `basis` and
+    `rule`; f is then called once, on (G, npoints) coordinates.  f(x, y) returns
+    one value per point, or k values per point along a last axis; the result has
+    shape (..., dim) or (..., dim, k).  The default rule (order 2*degree, fanned
+    from each loop's centroid) is exact when f is itself a polynomial of degree
+    <= degree; pass a higher order for general fields, or a prebuilt cell
+    `rule`.  A prebuilt `basis` may have a higher degree: graded-lex P_degree is
+    the span of its leading poly_dim(degree) functions.  `values`, the basis
+    already evaluated on the points of `rule` (shape (..., npoints, dim), dim >=
+    poly_dim(degree)), stands in for `basis`, and `mass`, its Gram matrices
+    (..., dim, dim), for those on the rule.
     """
     if rule is None:
         if values is not None:
@@ -210,12 +214,14 @@ def project_cell(vertices, f, degree: int, order: int | None = None,
     if values is None:
         basis = cell_basis(vertices, degree) if basis is None else basis
         values = basis.eval(x, y)
-    V = values[..., :poly_dim(degree)]
-    WV = rule.weights[..., None] * V
+    d = poly_dim(degree)
+    V = values[..., :d]
+    Vt = np.swapaxes(V, -1, -2)
     fv = np.asarray(f(x, y), dtype=float)
-    rhs = np.swapaxes(WV, -1, -2) @ fv.reshape(x.shape + (-1,))
+    rhs = Vt @ (rule.weights[..., None] * fv.reshape(x.shape + (-1,)))
+    mass = Vt @ (rule.weights[..., None] * V) if mass is None else mass[..., :d, :d]
     try:
-        coef = np.linalg.solve(np.swapaxes(WV, -1, -2) @ V, rhs)
+        coef = np.linalg.solve(mass, rhs)
     except np.linalg.LinAlgError as exc:
         raise MalformedCellError(f"singular cell mass matrix: {exc}") from exc
     return coef if fv.ndim > x.ndim else coef[..., 0]

@@ -7,24 +7,24 @@ normal component on interior edges, zero on boundary edges), measured in the
 flux norm; the pressure error is measured cellwise in L2 against the
 piecewise-polynomial projection of the exact pressure.
 
-A level builds one mesh (its generator applies a split law to the mesh
-size of its corner loops; a `none` or `fixed:<k>` study passes the count),
-then works on the level's cell groups, then solves, then measures:
-`level_cells` stacks the basis of each group of cells with one vertex count
-once; the assembly tabulates it on the group's assembly rules and releases
-them, and then `project_level` tabulates it on the group's projection rule
-once, for the right-hand side and both exact projections (flux and
-pressure) in one pass, and releases that rule before the next group.  No
-rule is kept past its group, and the cell groups go before the solve.  The
-four error norms are quadratic forms in what the assembly
-already returned, read by `vh_norm`, `l2_flux_interior_error` and
-`l2_pressure_error` from the level's `SaddleSystem`: the two flux norms are
-summed cell by cell over the system's cell blocks in each normal mode, the
-L2 norms over the diagonal blocks of the interior-flux and pressure mass
-matrices; none of them assembles anything, and no global matrix is built.
-`run_level` records the seconds of each stage in
-`StudyRow.stages` and the solve's diagnostics (condensed size, LU fill,
-residuals) in `StudyRow.diagnostics`.
+A level builds one mesh (its generator applies a split law to the mesh size
+of its corner loops; a `none` or `fixed:<k>` study passes the count), then
+works on the level's cell groups, then solves, then measures: `level_cells`
+stacks the basis of each group of cells with one vertex count once; the
+assembly tabulates it on the group's edge rules, sums each cell's mass
+matrix there and releases the rules, and then `project_level` tabulates it
+on the group's projection rule once, for the right-hand side and both exact
+projections (flux and pressure, solved with that mass) in one pass, and
+releases that rule before the next group.  No rule is kept past its group,
+and the cell groups go before the solve.  The four error norms are quadratic
+forms in what the assembly already returned, read by `vh_norm`,
+`l2_flux_interior_error` and `l2_pressure_error` from the level's
+`SaddleSystem`: the two flux norms are summed cell by cell over the system's
+cell blocks in each normal mode, the L2 norms over the diagonal blocks of
+the interior-flux and pressure mass matrices; none of them assembles
+anything, and no global matrix is built.  `run_level` records the seconds of
+each stage in `StudyRow.stages` and the solve's diagnostics (condensed size,
+LU fill, residuals) in `StudyRow.diagnostics`.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 Polygons are integrated by a signed fan split: the fan triangles carry
 signed Jacobians, so the rule is exact for polynomials on any simple
-polygon, not just convex ones.  The default fan is rooted at the first
-vertex (m - 2 triangles, a triangle integrated on itself); a fan from a
-given point, such as the stored centroid, has one triangle per edge.
+polygon, not just convex ones.  The fan has one triangle per edge, rooted
+at each loop's centroid or at a given point such as the stored centroid.
 
 `polygon_rule`, `polygon_area` and `edge_rule` take one polygon or edge, or
 a stack of them with the stack axes first (a group of cells with one vertex
@@ -150,24 +149,20 @@ def polygon_rule(vertices, order: int, fan_point=None) -> QuadratureRule:
 
     `vertices` is one (m, 2) loop or a (G, m, 2) group of loops; the points
     and weights then have shapes (q, 2) and (q,), or (G, q, 2) and (G, q).
-    Without `fan_point` the fan is rooted at each loop's first vertex: m - 2
-    triangles (v_0, v_i, v_i+1), so a triangle is integrated on itself.
-    With `fan_point` (one per loop, e.g. the stored centroids) the fan has
-    one triangle (c, v_i, v_i+1) per edge.  A nonpositive total signed area
-    of any loop (wrong orientation, or a self-intersecting loop whose lobes
-    cancel) raises MalformedCellError.
+    The fan has one triangle (c, v_i, v_i+1) per edge, rooted at
+    `fan_point` (one per loop, e.g. the stored centroids) or, by default, at
+    each loop's centroid.  A nonpositive total signed area of any loop
+    (wrong orientation, or a self-intersecting loop whose lobes cancel)
+    raises MalformedCellError.
     """
     v = np.asarray(vertices, dtype=float)
     if v.ndim not in (2, 3) or v.shape[-2] < 3 or v.shape[-1] != 2:
         raise MalformedCellError("polygon needs at least 3 planar vertices")
     if fan_point is None:
-        c = v[..., :1, None, :]
-        a = v[..., 1:-1, None, :] - c
-        b = v[..., 2:, None, :] - c
-    else:
-        c = np.reshape(np.asarray(fan_point, dtype=float), v.shape[:-2] + (1, 1, 2))
-        a = v[..., None, :] - c
-        b = np.roll(v, -1, axis=-2)[..., None, :] - c
+        fan_point = polygon_moments(v)[1]
+    c = np.reshape(np.asarray(fan_point, dtype=float), v.shape[:-2] + (1, 1, 2))
+    a = v[..., None, :] - c
+    b = np.roll(v, -1, axis=-2)[..., None, :] - c
     det = a[..., 0, 0] * b[..., 0, 1] - a[..., 0, 1] * b[..., 0, 0]
     # the fan's signed determinants sum to twice the area; zero to rounding
     # (1e-14 of the bounding box squared, as in `polygon_moments`) reads 0

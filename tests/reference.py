@@ -2,10 +2,11 @@
 
 The program holds a system only as cell blocks (`SaddleSystem.blocks`) plus
 the scattered A, B and pressure rows.  The global matrices a test compares
-against, the weak divergence itself, and the plain per-cell integrals, bases
-and diameters the quadrature, basis and mesh tests use as references, are
-built here, from those blocks and matrices or from the quadrature rules.
-Nothing in `src` imports this module.
+against, the weak divergence itself, the plain per-cell integrals, bases,
+gradients and diameters the quadrature, basis and mesh tests use as
+references, and the cell kernels on a cell rule, are built here, from those
+blocks and matrices or from the quadrature rules.  Nothing in `src` imports
+this module.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from wgmixed.assembly import _divergence_pairings, _to_csr
-from wgmixed.basis import moment_axes
+from wgmixed.basis import moment_axes, poly_dim
 from wgmixed.quadrature import edge_rule, polygon_moments, polygon_rule
 
 
@@ -85,3 +86,44 @@ def cell_mass_matrix(vertices, basis, order: int | None = None) -> np.ndarray:
 def principal_axes(vertices) -> np.ndarray:
     """`moment_axes` of a polygon given as its vertex loop."""
     return moment_axes(polygon_moments(vertices)[2])
+
+
+def basis_gradients(basis, x, y) -> np.ndarray:
+    """Gradients of a cell basis at points, (..., npoints, dim, 2), by the chain rule.
+
+    d/dxi of xi^a eta^b is a xi^(a-1) eta^b, and d(xi, eta)/d(x, y) is the
+    basis's axes.
+    """
+    d = np.stack([x - basis.center[..., 0, None], y - basis.center[..., 1, None]], axis=-1)
+    xi, eta = np.moveaxis(np.einsum("...ij,...qj->...qi", basis.axes, d), -1, 0)
+    a, b = basis.exponents[:, 0], basis.exponents[:, 1]
+    X, Y = xi[..., None], eta[..., None]
+    dxi = a * X ** np.maximum(a - 1, 0) * Y ** b
+    deta = b * X ** a * Y ** np.maximum(b - 1, 0)
+    T = basis.axes[..., None, None, :, :]
+    return np.stack([T[..., 0, 0] * dxi + T[..., 1, 0] * deta,
+                     T[..., 0, 1] * dxi + T[..., 1, 1] * deta], axis=-1)
+
+
+def cell_rule_kernels(cells) -> dict:
+    """A cell group's mass, pressure means and interior divergence pairings on a cell rule.
+
+    The rule is the centroid fan of exactness 2 alpha, the degree of every
+    integrand: phi_i phi_j, phi_i, and phi_j d(phi_i)/dx_c.  `pairings`
+    maps each degree (alpha and sigma) to -(v_0, grad q)_K on the interior
+    columns of `_divergence_pairings`.
+    """
+    lay = cells.layout
+    rule = polygon_rule(cells.vertices, 2 * lay.alpha, cells.center)
+    x, y = rule.points[..., 0], rule.points[..., 1]
+    V = cells.basis.eval(x, y)
+    WV = rule.weights[..., None] * V
+    G = basis_gradients(cells.basis, x, y)
+    pairings = {}
+    for degree in (lay.alpha, lay.sigma):
+        dim = poly_dim(degree)
+        pairings[degree] = np.concatenate(
+            [-np.swapaxes(G[..., :dim, c], -1, -2) @ WV for c in (0, 1)], axis=-1)
+    return {"mass": np.swapaxes(V, -1, -2) @ WV,
+            "pressure_mean": WV[..., :lay.dim_sigma].sum(axis=-2),
+            "pairings": pairings}

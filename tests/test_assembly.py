@@ -47,6 +47,7 @@ from wgmixed.solutions import registry_lookup
 
 from reference import (
     a_delta,
+    cell_rule_kernels,
     constant_pressure_vector,
     full_matrix,
     local_weak_divergence,
@@ -684,7 +685,7 @@ def test_grouped_assembly_matches_per_cell_loop(mesh_name, j, scheme):
 
 
 # ---------------------------------------------------------------------------
-# the assembly's cell rule: exactness 2 alpha on the first-vertex fan
+# the mass summed on the edges, and the kernels read from it
 # ---------------------------------------------------------------------------
 
 RULE_GROUPS = {
@@ -696,32 +697,30 @@ RULE_GROUPS = {
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 @pytest.mark.parametrize("mesh_name", list(RULE_GROUPS))
-def test_assembly_cell_rule_gives_the_former_rules_kernels(mesh_name, j):
-    # every cell integrand of the assembly has degree <= 2j, so the 2j rule on
-    # the first-vertex fan and the former (2j+2)-exact centroid fan agree
+def test_edge_mass_matches_a_cell_rule_oracle(mesh_name, j):
+    # every cell integrand of the assembly has degree <= 2j, so a 2j-exact
+    # centroid fan gives what the edge sums and the derivative map give
     mesh = RULE_GROUPS[mesh_name](j)
     layout = DofLayout(mesh, j, j, j - 1)
-    group = level_cells(mesh, layout)[-1]
-    m = group.vertices.shape[1]
-    assert (m == 3) == (mesh_name == "square-triangles")
-    former = CellGroup(mesh, group.ids, layout)
-    former.rule = polygon_rule(former.vertices, default_order(j, j), former.center)
-    assert group.rule.weights.shape[1] == (m - 2) * (j + 1) ** 2
-    assert former.rule.weights.shape[1] == m * (j + 2) ** 2
-
-    def pressure_mean(cells):
-        return np.einsum("gq,gqi->gi", cells.rule.weights, cells.Va[..., :layout.dim_sigma])
-
-    kernels = {
-        "mass": local_mass,
-        "pairings": lambda cells: assembly._divergence_pairings(cells, j),
-        "coupling": local_pressure_coupling,
-        "pressure_mean": pressure_mean,
+    cells = level_cells(mesh, layout)
+    system = assemble_system(mesh, layout, cells=cells)
+    group = cells[-1]
+    assert (group.vertices.shape[1] == 3) == (mesh_name == "square-triangles")
+    assert "mass" in vars(group) and "Ve" not in vars(group)   # released, mass kept
+    want = cell_rule_kernels(group)
+    pairs = {
+        "mass": (group.mass, want["mass"]),
+        "local_mass": (local_mass(group), np.kron(np.eye(2), want["mass"])),
+        "pressure_mean": (system.pressure_mean[layout.pressure_dofs(group.ids)],
+                          want["pressure_mean"]),
     }
-    for name, kernel in kernels.items():
-        got, want = kernel(group), kernel(former)
-        assert got.shape == want.shape, name
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+    for degree in (j, j - 1):
+        pairs[f"pairings{degree}"] = (
+            assembly._divergence_pairings(group, degree)[..., :group.n_int],
+            want["pairings"][degree])
+    for name, (got, ref) in pairs.items():
+        assert got.shape == ref.shape, name
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from wgmixed.basis import (
     project_cell,
     project_edge,
 )
+from wgmixed.mesh import generate_disk_mesh
 from wgmixed.quadrature import polygon_rule
 
 from reference import cell_diameter as all_pairs_diameter
@@ -46,16 +47,22 @@ def test_basis_is_one_at_center():
         assert np.allclose(vals, expect, atol=1e-15)
 
 
-def test_gradients_match_finite_differences():
-    verts = regular_polygon(5)
-    bas = cell_basis(verts, 4)
+def test_derivatives_match_finite_differences():
+    # row i of plane c holds d(function i)/dx_c in the basis, alone or in a group
+    verts = regular_polygon(5) * [1.0, 0.4]
+    group = cell_basis(np.stack([verts, verts @ [[0.6, 0.8], [-0.8, 0.6]] + [0.2, -0.1]]), 4)
+    assert group.derivatives().shape == (2, 2, group.dim, group.dim)
     pts = np.array([[0.1, 0.2], [-0.3, 0.15], [0.0, 0.0]])
     eps = 1e-6
-    G = bas.grad(pts[:, 0], pts[:, 1])
-    gx = (bas.eval(pts[:, 0] + eps, pts[:, 1]) - bas.eval(pts[:, 0] - eps, pts[:, 1])) / (2 * eps)
-    gy = (bas.eval(pts[:, 0], pts[:, 1] + eps) - bas.eval(pts[:, 0], pts[:, 1] - eps)) / (2 * eps)
-    assert np.allclose(G[:, :, 0], gx, atol=1e-8)
-    assert np.allclose(G[:, :, 1], gy, atol=1e-8)
+    for g in range(2):
+        bas = group[g]
+        D = bas.derivatives()
+        assert np.array_equal(D, group.derivatives()[g])
+        V = bas.eval(pts[:, 0], pts[:, 1])
+        gx = (bas.eval(pts[:, 0] + eps, pts[:, 1]) - bas.eval(pts[:, 0] - eps, pts[:, 1])) / (2 * eps)
+        gy = (bas.eval(pts[:, 0], pts[:, 1] + eps) - bas.eval(pts[:, 0], pts[:, 1] - eps)) / (2 * eps)
+        assert np.allclose(V @ D[0].T, gx, atol=1e-8)
+        assert np.allclose(V @ D[1].T, gy, atol=1e-8)
 
 
 def test_project_reproduces_polynomials():
@@ -164,7 +171,7 @@ def _split_boundary_cell():
                          ids=["trial22_quad", "split_boundary_cell"])
 def test_lower_degree_basis_is_leading_columns(verts):
     # graded-lex P_{j-1} on the same centre and axes is a prefix of P_j, so one
-    # basis per cell gives the pressure values and gradients bit for bit
+    # basis per cell gives the pressure values bit for bit
     rule = polygon_rule(verts, 8)
     x, y = rule.points[:, 0], rule.points[:, 1]
     f = lambda x, y: np.exp(x) * np.cos(3.0 * y)
@@ -172,7 +179,6 @@ def test_lower_degree_basis_is_leading_columns(verts):
         big, small = cell_basis(verts, j), cell_basis(verts, j - 1)
         k = poly_dim(j - 1)
         assert np.array_equal(small.eval(x, y), big.eval(x, y)[:, :k])
-        assert np.array_equal(small.grad(x, y), big.grad(x, y)[:, :k])
         # projecting onto P_{j-1} through the P_j basis uses its leading columns
         own = project_cell(verts, f, j - 1, rule=rule)
         prefix = project_cell(verts, f, j - 1, basis=big, rule=rule)
@@ -226,7 +232,6 @@ def test_group_basis_and_projections_equal_one_cell_ones():
         assert np.array_equal(group[g].center, one.center)
         assert np.array_equal(group[g].axes, one.axes)
         assert np.array_equal(group.eval(x, y)[g], one.eval(x[g], y[g]))
-        assert np.array_equal(group.grad(x, y)[g], one.grad(x[g], y[g]))
         single = project_cell(stack[g], f, 3, basis=one,
                               rule=polygon_rule(stack[g], 10, mesh.cell_centroids[c]))
         assert np.allclose(coef[g], single, rtol=1e-13, atol=1e-13 * np.abs(single).max())
@@ -268,18 +273,12 @@ def _running_product_tabulation(basis, x, y):
     px, py = np.cumprod(np.concatenate([np.ones_like(XY), np.repeat(XY, basis.degree, axis=-1)],
                                        axis=-1), axis=-1)
     a, b = basis.exponents[:, 0], basis.exponents[:, 1]
-    values = px[..., a] * py[..., b]
-    dxi = a * px[..., np.maximum(a - 1, 0)] * py[..., b]
-    deta = b * px[..., a] * py[..., np.maximum(b - 1, 0)]
-    T = basis.axes[..., None, None]
-    grads = np.stack([T[..., 0, 0, :, :] * dxi + T[..., 1, 0, :, :] * deta,
-                      T[..., 0, 1, :, :] * dxi + T[..., 1, 1, :, :] * deta], axis=-1)
-    return values, grads
+    return px[..., a] * py[..., b]
 
 
 @pytest.mark.parametrize("degree", range(6))
 def test_eval_and_grad_match_power_reference(degree):
-    # xi**a * eta**b and its chain-rule gradient, to 1e-13 of the largest entry
+    # xi**a * eta**b, to 1e-13 of the largest entry
     for verts, x, y in _tabulation_cases():
         bas = cell_basis(verts, degree)
         d = np.stack([x - bas.center[..., 0, None], y - bas.center[..., 1, None]], axis=-1)
@@ -287,15 +286,9 @@ def test_eval_and_grad_match_power_reference(degree):
         a, b = bas.exponents[:, 0], bas.exponents[:, 1]
         X, Y = xi[..., None], eta[..., None]
         ref = X ** a * Y ** b
-        dxi = a * X ** np.maximum(a - 1, 0) * Y ** b
-        deta = b * X ** a * Y ** np.maximum(b - 1, 0)
-        T = bas.axes[..., None, None, :, :]      # chain rule: d(xi, eta)/d(x, y) = axes
-        ref_grad = np.stack([T[..., 0, 0] * dxi + T[..., 1, 0] * deta,
-                             T[..., 0, 1] * dxi + T[..., 1, 1] * deta], axis=-1)
-        vals, grads = bas.eval(x, y), bas.grad(x, y)
-        assert vals.shape == x.shape + (bas.dim,) and grads.shape == x.shape + (bas.dim, 2)
+        vals = bas.eval(x, y)
+        assert vals.shape == x.shape + (bas.dim,)
         assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.abs(grads - ref_grad).max() <= 1e-13 * max(np.abs(ref_grad).max(), 1.0)
 
 
 @pytest.mark.parametrize("degree", range(6))
@@ -304,12 +297,11 @@ def test_tabulation_bitwise_equals_running_product(degree):
     # batched products that read these values sum in the same order as before
     for verts, x, y in _tabulation_cases():
         bas = cell_basis(verts, degree)
-        values, grads = _running_product_tabulation(bas, x, y)
-        for got, want in ((bas.eval(x, y), values), (bas.grad(x, y), grads)):
-            assert got.shape == want.shape
-            assert [st for n, st in zip(got.shape, got.strides) if n > 1] == \
-                [st for n, st in zip(want.shape, want.strides) if n > 1]
-            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        got, want = bas.eval(x, y), _running_product_tabulation(bas, x, y)
+        assert got.shape == want.shape
+        assert [st for n, st in zip(got.shape, got.strides) if n > 1] == \
+            [st for n, st in zip(want.shape, want.strides) if n > 1]
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_project_cell_takes_tabulated_values():
@@ -323,6 +315,23 @@ def test_project_cell_takes_tabulated_values():
         assert np.array_equal(project_cell(verts, f, degree, rule=rule, values=values), want)
     with pytest.raises(ValueError, match="rule"):
         project_cell(verts, f, 2, values=values)
+
+
+def test_project_cell_takes_a_mass_matrix():
+    # the exact Gram matrices of the P_3 basis stand in for the rule's, for
+    # every leading P_degree block; a group's are used cell by cell
+    mesh = generate_disk_mesh(16, 3)
+    ids = [c for c, loop in enumerate(mesh.cells) if loop.size == 5]
+    stack = mesh.vertices[np.array([mesh.cells[c] for c in ids])]
+    bas = cell_basis(stack, 3, mesh.cell_centroids[ids], mesh.cell_axes[ids])
+    rule = polygon_rule(stack, 10, mesh.cell_centroids[ids])
+    values = bas.eval(rule.points[..., 0], rule.points[..., 1])
+    mass = np.stack([cell_mass_matrix(v, bas[g], 12) for g, v in enumerate(stack)])
+    f = lambda x, y: np.stack([np.exp(x) * np.cos(3.0 * y), x * y], axis=-1)
+    for degree in (2, 3):
+        want = project_cell(stack, f, degree, rule=rule, values=values)
+        got = project_cell(stack, f, degree, rule=rule, values=values, mass=mass)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("seed", range(4))

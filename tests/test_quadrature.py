@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgmixed.basis import project_cell
 from wgmixed.quadrature import (
     MalformedCellError,
     MalformedEdgeError,
@@ -19,6 +20,7 @@ from wgmixed.quadrature import (
     segment_rule,
     triangle_rule,
 )
+from wgmixed.solutions import registry_lookup
 
 from reference import integrate_cell, integrate_edge, principal_axes
 
@@ -162,29 +164,22 @@ def test_polygon_rule_rejects_degenerate_and_bowtie():
         polygon_rule([(0, 0), (0, 1), (1, 1), (1, 0)], 2)  # clockwise
 
 
-@pytest.mark.parametrize("order", [0, 2, 4, 7])
-def test_default_fan_integrates_a_triangle_on_itself(order, monkeypatch):
-    # the default fan is rooted at the first vertex and needs no centroid
-    import wgmixed.quadrature as quadrature
-
-    def no_moments(*args):
-        raise AssertionError("the default fan computes no moments")
-
-    monkeypatch.setattr(quadrature, "polygon_moments", no_moments)
-    ref = triangle_rule(order)
-    tri = np.array([(0.2, 0.1), (1.3, 0.4), (0.5, 1.1)])
-    rule = polygon_rule(tri, order)
-    assert rule.points.shape == (len(ref.weights), 2)
-    assert rule.weights.shape == (len(ref.weights),)
-    assert rule.weights.sum() == pytest.approx(0.505, rel=1e-14)
-    # an m-gon gets m - 2 fan triangles, alone or in a stack
-    hexagon = regular_polygon(6)
-    stack = np.stack([hexagon, 2.0 * hexagon + 1.0])
-    rule = polygon_rule(stack, order)
-    assert rule.weights.shape == (2, 4 * len(ref.weights))
-    one = polygon_rule(stack[1], order)
-    assert np.array_equal(rule.points[1], one.points)
-    assert np.array_equal(rule.weights[1], one.weights)
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_default_fan_is_the_centroid_fan(degree):
+    # a fan from one vertex spans a many-sided cell with sliver triangles and
+    # projects a smooth field on a 512-gon to 5e-5 only (degree 2); the
+    # default fan is each loop's centroid fan, one triangle per edge
+    p = registry_lookup("ring").p
+    verts = regular_polygon(512)
+    centroid_fan = polygon_rule(verts, 12, polygon_centroid(verts))
+    rule = polygon_rule(verts, 12)
+    assert rule.weights.shape == (512 * len(triangle_rule(12).weights),)
+    want = project_cell(verts, p, degree, rule=centroid_fan)
+    assert np.abs(project_cell(verts, p, degree, order=12) - want).max() <= 1e-10
+    stack = np.stack([verts[::8], 2.0 * verts[::8] + 1.0])
+    one = polygon_rule(stack[1], 4)
+    assert np.array_equal(polygon_rule(stack, 4).points[1], one.points)
+    assert np.array_equal(one.points, polygon_rule(stack[1], 4, polygon_centroid(stack[1])).points)
 
 
 def test_polygon_centroid_square():
