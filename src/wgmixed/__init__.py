@@ -26,7 +26,6 @@ from .mesh import (
     generate_disk_mesh,
     generate_ring_mesh,
     generate_square_tri,
-    read_mesh,
     validate_mesh,
     write_mesh,
 )

@@ -467,8 +467,12 @@ class SaddleSystem:
     scheme: str                  # "original" | "modified"
     normal_mode: str             # "straight" | "curved"
     blocks: list
-    pressure_mean: np.ndarray    # entries (q_i, 1)_{Omega_h}
     flux_mass: np.ndarray        # (cells, dim P_alpha, dim P_alpha), per flux component
+
+    @property
+    def pressure_mean(self) -> np.ndarray:
+        """Entries (q_i, 1)_{Omega_h}, cell-major: each cell's mass row of phi_0 = 1."""
+        return self.flux_mass[:, 0, :self.layout.dim_sigma].ravel()
 
     @cached_property
     def A(self) -> sp.csr_matrix:
@@ -580,17 +584,14 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     if cells is None:
         cells = level_cells(mesh, layout)
 
-    ns = layout.dim_sigma
     blocks = []
     flux_mass = np.empty((mesh.n_cells, layout.dim_alpha, layout.dim_alpha))
-    pmean = np.zeros(layout.n_pressure)
     for group in cells:
         blocks.append(_cell_blocks(group, scheme, mode, other, rho))
         flux_mass[group.ids] = group.mass
-        pmean[blocks[-1].pdofs] = group.mass[:, 0, :ns]   # phi_0 = 1
         group.release()
     return SaddleSystem(layout=layout, scheme=scheme, normal_mode=mode, blocks=blocks,
-                        pressure_mean=pmean, flux_mass=flux_mass)
+                        flux_mass=flux_mass)
 
 
 def project_level(mesh: PolygonalMesh, layout: DofLayout, cells: list | None = None,

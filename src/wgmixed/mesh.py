@@ -1,6 +1,6 @@
 """Polygonal meshes: body-fitted generators for square/disk/ring domains,
 curved-boundary geometry (chord-to-arc map, gap function, curve normals),
-mesh-quality validation, and a plain-text mesh file format.
+mesh-quality validation, and a plain-text mesh file writer.
 
 Conventions: cells are CCW vertex loops.  Each edge stores its endpoints in
 the CCW traversal order of the *owning* cell (the lower-indexed adjacent
@@ -11,8 +11,7 @@ Boundary edges have exactly one adjacent cell and carry curve data
 A mesh is built in stacked numpy passes, never one cell or one boundary edge
 at a time.  `build_mesh` groups the cells by vertex count and stores each
 group's loops, edge ids and edge signs as (G, m) arrays (`CellLoops`, in
-`groups`); `cells`, `cell_edges` and `cell_edge_signs` are per-cell views of
-them.  It makes one `polygon_moments` and `cell_diameter` pass per group
+`groups`).  It makes one `polygon_moments` and `cell_diameter` pass per group
 and one `moment_axes` pass over all cells, and stores each cell's area,
 centroid, diameter and principal axes (equal bit for bit to what
 `cell_basis` computes for the cell alone), and every edge's length and
@@ -117,34 +116,37 @@ def segment_geometry(curves: BoundaryCurves, xhat):
     return foot, gamma, ntilde
 
 
-def circle_curves(chords, center, radius, arc=True) -> BoundaryCurves:
-    """Curves of B chords (B, 2, 2) on circles; rows where `arc` is False are flat.
+def circle_curves(chords, center, radius) -> BoundaryCurves:
+    """Curves of B chords (B, 2, 2) on circles about one `center` (2,).
 
-    `center` ((2,) or (B, 2)), `radius` and `arc` (scalars or (B,)) give each
-    chord's circle.  Both ends of an arc must lie on its circle; the arc side
-    is inferred from the chord midpoint.  Row k is edge k.
+    `radius` (a scalar or (B,)) gives each chord's circle.  Both ends of a
+    chord must lie on its circle; the arc side is inferred from the chord
+    midpoint.  Row k is edge k.
     """
     ch = np.asarray(chords, dtype=float).reshape(-1, 2, 2)
     B = ch.shape[0]
-    arc = np.broadcast_to(np.asarray(arc, dtype=bool), (B,))
-    center = np.where(arc[:, None], np.asarray(center, dtype=float), 0.0)
-    radius = np.where(arc, np.asarray(radius, dtype=float), 0.0)
+    center = np.full((B, 2), center, dtype=float)
+    radius = np.full(B, radius, dtype=float)
     r = ch - center[:, None, :]
-    off = arc[:, None] & (np.abs(np.hypot(r[..., 0], r[..., 1]) - radius[:, None])
-                          > ON_CURVE_TOL * np.maximum(radius, 1.0)[:, None])
+    off = (np.abs(np.hypot(r[..., 0], r[..., 1]) - radius[:, None])
+           > ON_CURVE_TOL * np.maximum(radius, 1.0)[:, None])
     if off.any():
         k, i = np.argwhere(off)[0]
         raise MeshError(f"chord endpoint {ch[k, i]} not on circle (r={radius[k]})")
     d = ch[:, 1] - ch[:, 0]
     t = d / np.hypot(d[:, 0], d[:, 1])[:, None]
     w = 0.5 * (ch[:, 0] + ch[:, 1]) - center
-    side = np.where(arc & ~(w[:, 0] * t[:, 1] - w[:, 1] * t[:, 0] >= 0.0), -1, 1)
-    return BoundaryCurves(np.arange(B), ch[:, 0], ch[:, 1], arc.copy(), center, radius, side)
+    side = np.where(w[:, 0] * t[:, 1] - w[:, 1] * t[:, 0] >= 0.0, 1, -1)
+    return BoundaryCurves(np.arange(B), ch[:, 0], ch[:, 1], np.ones(B, dtype=bool), center,
+                          radius, side)
 
 
 def flat_curves(chords) -> BoundaryCurves:
     """Flat curves of B chords (B, 2, 2); row k is edge k."""
-    return circle_curves(chords, (0.0, 0.0), 0.0, arc=False)
+    ch = np.asarray(chords, dtype=float).reshape(-1, 2, 2)
+    B = ch.shape[0]
+    return BoundaryCurves(np.arange(B), ch[:, 0], ch[:, 1], np.zeros(B, dtype=bool),
+                          np.zeros((B, 2)), np.zeros(B), np.ones(B, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -162,23 +164,18 @@ class CellLoops:
 
 
 class _CellRows(Sequence):
-    """Per-cell view of one array of a mesh's groups: item c is cell c's row."""
+    """Per-cell view of a mesh's group loops: item c is cell c's CCW vertex loop."""
 
-    def __init__(self, mesh: "PolygonalMesh", name: str):
-        self._arrays = [getattr(g, name) for g in mesh.groups]
+    def __init__(self, mesh: "PolygonalMesh"):
+        self._loops = [g.loops for g in mesh.groups]
         self._slots = mesh.cell_slots
 
     def __len__(self) -> int:
         return self._slots.shape[0]
 
     def __getitem__(self, c):
-        if isinstance(c, slice):
-            return [self[i] for i in range(*c.indices(len(self)))]
         g, r = self._slots[c]
-        return self._arrays[g][r]
-
-    def __iter__(self):
-        return (self._arrays[g][r] for g, r in self._slots.tolist())
+        return self._loops[g][r]
 
 
 @dataclass
@@ -204,17 +201,7 @@ class PolygonalMesh:
     @property
     def cells(self) -> Sequence:
         """CCW vertex loop of each cell."""
-        return _CellRows(self, "loops")
-
-    @property
-    def cell_edges(self) -> Sequence:
-        """Edge ids of each cell, in traversal order."""
-        return _CellRows(self, "edges")
-
-    @property
-    def cell_edge_signs(self) -> Sequence:
-        """Per cell: +1 where the cell owns the edge, else -1."""
-        return _CellRows(self, "signs")
+        return _CellRows(self)
 
     @property
     def n_cells(self) -> int:
@@ -702,7 +689,7 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQualityReport:
 
 
 # ---------------------------------------------------------------------------
-# mesh file format (plain JSON text, 17 significant digits, round-trip exact)
+# mesh file output (plain JSON text, 17 significant digits: exact under any JSON reader)
 # ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
@@ -734,96 +721,7 @@ def mesh_to_text(mesh: PolygonalMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _index(v, n: int) -> bool:
-    """v is a JSON integer (not a bool, float or string) in 0..n-1."""
-    return type(v) is int and 0 <= v < n
-
-
-def _number(v) -> bool:
-    """v is a finite JSON number (an int or a float, not a bool) that a float holds."""
-    return type(v) in (int, float) and abs(v) <= np.finfo(float).max
-
-
-def mesh_from_text(text: str) -> PolygonalMesh:
-    """Parse the documented JSON layout; malformed documents raise MeshError.
-
-    The version must be the JSON integer 1 and the domain, when given, a
-    string.  Indices must be JSON integers and coordinates finite numbers:
-    nothing is rounded.  The vertex rows must number 0..nv-1 with distinct
-    coordinates, and every boundary edge needs exactly one curve entry,
-    which names no other edge; the entries are matched to the edges in one
-    batched lookup.
-    """
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise MeshError(f"not a JSON document: {exc}") from exc
-    if not isinstance(data, dict) or data.get("format") != "wgmixed-mesh":
-        raise MeshError("not a wgmixed mesh document")
-    if type(data.get("version")) is not int or data["version"] != 1:
-        raise MeshError(f"unsupported mesh format version {data.get('version')!r}; expected 1")
-    if not isinstance(data.get("domain", ""), str):
-        raise MeshError("the domain must be a string")
-    if not all(isinstance(data.get(key), list) for key in ("vertices", "cells", "boundary")):
-        raise MeshError("the document needs lists of vertices, cells and boundary")
-    rows = data["vertices"]
-    nv = len(rows)
-    if not all(isinstance(row, list) and len(row) == 3 and all(map(_number, row[1:]))
-               for row in rows):
-        raise MeshError("vertex rows must be [index, x, y] with finite coordinates")
-    ids = [row[0] for row in rows]
-    if not (all(_index(i, nv) for i in ids) and sorted(ids) == list(range(nv))):
-        raise MeshError(f"vertex rows must be numbered 0..{nv - 1}, each once")
-    for c, loop in enumerate(data["cells"]):
-        if not (isinstance(loop, list) and all(_index(v, nv) for v in loop)):
-            raise MeshError(f"cell {c}: vertex indices must be integers in 0..{nv - 1}")
-    verts = np.empty((nv, 2))
-    verts[ids] = [row[1:] for row in rows]
-    repeats = nv - np.unique(verts + 0.0, axis=0).shape[0]    # + 0.0 makes -0.0 equal 0.0
-    if repeats:
-        raise MeshError(f"{repeats} vertex rows repeat another row's coordinates")
-
-    rows = data["boundary"]
-    if not all(isinstance(row, list) and len(row) >= 3 and all(_index(v, nv) for v in row[:2])
-               and (row[2:] == ["flat"] or (row[2:3] == ["circle"] and len(row) == 6
-                                            and all(map(_number, row[3:]))))
-               for row in rows):
-        raise MeshError('curve entries must be [a, b, "flat"] or [a, b, "circle", cx, cy, r] '
-                        f"with vertex indices in 0..{nv - 1} and finite numbers")
-    pairs = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
-    arc = np.array([row[2] == "circle" for row in rows], dtype=bool)
-    circle = np.array([row[3:] if row[2] == "circle" else [0.0] * 3 for row in rows],
-                      dtype=float).reshape(-1, 3)
-    keys = pairs.min(axis=1) * nv + pairs.max(axis=1)
-    known, first = np.unique(keys, return_index=True)
-    if known.size < keys.size:
-        a, b = pairs[np.setdiff1d(np.arange(keys.size), first)[0]]
-        raise MeshError(f"boundary edge {a}-{b} has two curve entries")
-
-    def lookup(ends, chords):
-        want = ends.min(axis=1) * nv + ends.max(axis=1)
-        at = np.searchsorted(known, want)
-        found = at < known.size
-        found[found] = known[at[found]] == want[found]
-        if not found.all():
-            i0, i1 = ends[np.argmin(found)]
-            raise MeshError(f"boundary edge {i0}-{i1} has no curve entry")
-        unused = np.setdiff1d(np.arange(known.size), at)
-        if unused.size:
-            names = ", ".join(f"{k // nv}-{k % nv}" for k in known[unused].tolist())
-            raise MeshError(f"curve entries name no boundary edge: {names}")
-        k = first[at]
-        return circle_curves(chords, circle[k, :2], circle[k, 2], arc=arc[k])
-
-    return build_mesh(verts, data["cells"], curve_lookup=lookup,
-                      domain=data.get("domain", "custom"))
-
-
 def write_mesh(mesh: PolygonalMesh, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(mesh_to_text(mesh))
 
-
-def read_mesh(path) -> PolygonalMesh:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mesh_from_text(fh.read())

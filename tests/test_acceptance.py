@@ -182,7 +182,7 @@ def test_criterion8a_commutativity():
         dof[lay.dim_alpha:2 * lay.dim_alpha] = project_cell(
             verts, lambda x, y: u_comp(x, y, cu[1]), alpha, 2 * alpha + 4, basis=ops.basis[0])
         from wgmixed.basis import project_edge
-        for k, e in enumerate(mesh.cell_edges[0]):
+        for k, e in enumerate(mesh.cell_arrays(0)[1]):
             p0, p1 = mesh.vertices[mesh.edges[e]]
             n_e = mesh.edge_normals[e]
             dof[ops.n_int + lay.trace_dim * k + np.arange(lay.trace_dim)] = project_edge(

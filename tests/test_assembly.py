@@ -80,7 +80,7 @@ def consistent_trace_dofs(mesh, ops, u):
                                        lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis[0])
     dof[lay.dim_alpha:2 * lay.dim_alpha] = project_cell(
         verts, lambda x, y: u(x, y)[:, 1], lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis[0])
-    for k, e in enumerate(mesh.cell_edges[c]):
+    for k, e in enumerate(mesh.cell_arrays(c)[1]):
         p0, p1 = mesh.vertices[mesh.edges[e]]
         n_e = mesh.edge_normals[e]
         dof[ops.n_int + lay.trace_dim * k + np.arange(lay.trace_dim)] = project_edge(
@@ -281,7 +281,7 @@ def owner_corrections(mesh, e, layout):
     """The owner cell's correction pairings (m, dim P_sigma, 2 dim P_alpha) and e's position."""
     c = int(mesh.edge_cells[e, 0])
     pairings = local_boundary_correction(one_cell(mesh, c, layout))[0]
-    return pairings, mesh.cell_edges[c].tolist().index(e)
+    return pairings, mesh.cell_arrays(c)[1].tolist().index(e)
 
 
 def test_boundary_correction_entries_structure():
@@ -294,7 +294,7 @@ def test_boundary_correction_entries_structure():
     # q = constant row vanishes (mean deviation is mean-free)
     assert np.abs(C[0]).max() <= 1e-14
     # the cell's interior edges carry no correction
-    interior = mesh.edge_cells[mesh.cell_edges[int(mesh.edge_cells[e, 0])], 1] >= 0
+    interior = mesh.edge_cells[mesh.cell_arrays(int(mesh.edge_cells[e, 0]))[1], 1] >= 0
     assert interior.any() and np.all(pairings[interior] == 0.0)
 
 
@@ -329,7 +329,8 @@ def test_boundary_correction_rows_pair_only_the_cells_asked_for(monkeypatch):
 
     monkeypatch.setattr(assembly, "local_boundary_correction", counted)
     assemble_system(mesh, layout, scheme="modified")
-    boundary = [c for c in range(mesh.n_cells) if mesh.edge_cells[mesh.cell_edges[c], 1].min() < 0]
+    boundary = [c for c in range(mesh.n_cells)
+                if mesh.edge_cells[mesh.cell_arrays(c)[1], 1].min() < 0]
     assert len(pairs) == 1 and np.array_equal(np.sort(pairs[0]), boundary)
 
 
@@ -609,7 +610,7 @@ def per_cell_reference(mesh, layout, scheme, rho, case):
         S_mass = S.copy()
         S_mass[:ops.n_int, :ops.n_int] += local_mass(ops)[0]
         ref["A"][np.ix_(idx[keep], idx[keep])] += S_mass[np.ix_(keep, keep)]
-        if mesh.edge_cells[mesh.cell_edges[c], 1].min() < 0:
+        if mesh.edge_cells[mesh.cell_arrays(c)[1], 1].min() < 0:
             delta = local_stabilization(ops, other, rho)[0] - S
             ref["A_delta"][np.ix_(idx[keep], idx[keep])] += delta[np.ix_(keep, keep)]
             corr = local_boundary_correction(ops)[0].sum(axis=0)

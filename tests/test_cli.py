@@ -1,11 +1,13 @@
 """Command-line interface: flags, exit codes, CSV output, mesh export."""
 
+import json
+
 import pytest
 
 from wgmixed import convergence, solver
 from wgmixed.cli import run_cli
 from wgmixed.convergence import CSV_HEADER
-from wgmixed.mesh import read_mesh
+from wgmixed.mesh import generate_disk_mesh, mesh_to_text
 
 
 def test_help_exits_zero(capsys):
@@ -61,9 +63,11 @@ def test_mesh_out_written(tmp_path):
     code = run_cli(["--domain", "disk", "--degree", "1", "--levels", "8",
                     "--out", str(tmp_path / "out.csv"), "--mesh-out", str(base)])
     assert code == 0
-    mesh = read_mesh(f"{base}.n8.json")
-    assert mesh.domain == "disk"
-    assert mesh.n_cells == 8
+    text = (tmp_path / "disk.n8.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert doc["domain"] == "disk"
+    assert len(doc["cells"]) == 8
+    assert text == mesh_to_text(generate_disk_mesh(8))
 
 
 def test_rho_and_quadrature_flags(tmp_path):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from wgmixed.convergence import StudyConfig
-from wgmixed.mesh import _disk_layers, read_mesh
+from wgmixed.mesh import _disk_layers, mesh_to_text
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -32,7 +32,9 @@ def test_mesh_gallery_writes_and_validates_every_sample(tmp_path, capsys):
     assert len(lines) == len(gallery.SAMPLES)
     for (name, make), line in zip(gallery.SAMPLES, lines):
         assert line.startswith(name) and "passed=True" in line, line
-        assert read_mesh(tmp_path / f"{name}.json").n_cells == make().n_cells
+        text = (tmp_path / f"{name}.json").read_text(encoding="utf-8")
+        assert len(json.loads(text)["cells"]) == make().n_cells
+        assert text == mesh_to_text(make())
 
 
 def test_bench_case_record_compares_with_itself(tmp_path, capsys):
