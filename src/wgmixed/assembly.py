@@ -18,11 +18,14 @@ with m the straight cell normal ("straight" mode) or the analytic-boundary
 normal pulled back to boundary chords ("curved" mode; interior edges keep the
 straight normal).
 
-A level's cells are handled in groups of one vertex count (a disk or ring
-mesh holds triangles and, with split boundary chords, one kind of boundary
-polygon).  `level_cells` builds each group once: its cells' P_alpha basis
-(the P_sigma pressure basis is its leading functions) in the centroids and
-principal axes the mesh stores, as stacked arrays with the group axis first.
+A level's cells are handled in groups of one vertex count and one
+boundary-edge count, so a group's cells keep the same number of traces, and
+either all of them touch the boundary or none does (a disk or ring mesh
+holds interior triangles and, with split boundary chords, one kind of
+boundary polygon).  `level_cells` builds each group once: its cells'
+P_alpha basis (the P_sigma pressure basis is its leading functions) in the
+centroids and principal axes the mesh stores, as stacked arrays with the
+group axis first.
 The assembly has no cell rule.  Its edge rules (exactness `default_order`,
 or the study's quadrature order, at least 2 alpha) serve the stabilization
 and the mass matrix, summed on the edges (`CellGroup.mass`); the interior
@@ -41,10 +44,10 @@ once with batched products, on the kept flux columns only, and return them
 stacked, group axis first; a single cell is a group of one.  The pressure
 rows are the defining pairings -(div_w v, q)_K with the P_sigma basis, so no
 kernel solves against the mass matrix.  The two normal modes differ
-only in the boundary-edge terms, so `assemble_system` stabilizes the cells
-that have a boundary edge in both modes and keeps the second as a difference
-on those cells, together with the diagonal blocks of the L2 mass matrix of
-the interior flux (whose leading blocks are the pressure's).
+only in the boundary-edge terms, so `assemble_system` stabilizes the
+boundary groups in both modes and keeps the second as a difference on
+them, together with the diagonal blocks of the L2 mass matrix of the
+interior flux (whose leading blocks are the pressure's).
 
 The assembled system is a list of cell blocks, one per group: each cell's
 saddle block on its group's kept dofs, with the scheme's pressure rows
@@ -139,16 +142,17 @@ class DofLayout:
 
 
 class CellGroup:
-    """Cells of one vertex count with their stacked basis, rules and mass, built once per level.
+    """Cells of one vertex count and one boundary-edge count with their stacked basis,
+    rules and mass, built once per level.
 
-    Arrays carry the group axis first.  The group decides which local flux
-    dofs its cells keep: `slots` lists each cell's kept edges (those that are
-    not dropped boundary edges) in local order, padded with its dropped edges
-    up to the group's widest cell.  A padding slot carries its edge's real
-    values in every kernel; its entries in `dofs` (each cell's `n_loc` global
-    flux dofs: the interior flux, then each slot's trace) are -1.  `basis` is
-    the cells' P_alpha basis in the centroids and axes the mesh stores; the
-    P_sigma pressure basis is its leading `dim_sigma` functions.
+    Arrays carry the group axis first; cells whose boundary-edge counts
+    differ raise `ValueError`.  The group decides which local flux dofs its
+    cells keep: `slots` lists each cell's kept edges (those that are not
+    dropped boundary edges) in local order, the same number for every cell,
+    and `dofs` each cell's `n_loc` global flux dofs: the interior flux, then
+    each slot's trace.  `basis` is the cells' P_alpha basis in the centroids
+    and axes the mesh stores; the P_sigma pressure basis is its leading
+    `dim_sigma` functions.
 
     Every rule and the basis values on it are built on first use and dropped
     by `release`.  `edge_quad` holds the edge rules of exactness
@@ -170,14 +174,16 @@ class CellGroup:
         loops, self.edges, self.signs = mesh.cell_arrays(self.ids)
         self.vertices = mesh.vertices[loops]
         self.boundary = mesh.edge_cells[self.edges, 1] < 0
+        if np.unique(self.boundary.sum(axis=1)).size > 1:
+            raise ValueError("cells of different boundary-edge counts do not stack")
         self.center = mesh.cell_centroids[self.ids]
         self.basis = cell_basis(self.vertices, layout.alpha, self.center, mesh.cell_axes[self.ids])
         self.edge_basis = EdgeBasis(layout.beta)
         self.n_int = 2 * layout.dim_alpha
         kept = layout.trace_offsets[self.edges] >= 0
-        self.slots = np.argsort(~kept, axis=1, kind="stable")[:, :kept.sum(axis=1).max()]
+        self.slots = np.nonzero(kept)[1].reshape(self.ids.size, -1)
         off = layout.trace_offsets[np.take_along_axis(self.edges, self.slots, axis=1)][..., None]
-        traces = np.where(off >= 0, off + np.arange(layout.trace_dim), -1)
+        traces = off + np.arange(layout.trace_dim)
         inner = layout.interior_offsets[self.ids][:, None] + np.arange(self.n_int)
         self.dofs = np.concatenate([inner, traces.reshape(self.ids.size, -1)], axis=1)
         self.n_loc = self.dofs.shape[1]
@@ -226,20 +232,19 @@ class CellGroup:
         for name in ("edge_quad", "Ve", "proj_rule", "proj_values"):
             self.__dict__.pop(name, None)
 
-    def normals(self, mode: str, rows=slice(None)):
+    def normals(self, mode: str):
         """Stabilization normal m (G, m, q, 2) and n_e . m (G, m, q) on each edge point.
 
-        `rows` selects cells of the group (all by default).  Straight mode uses
-        the cell outward normal; curved mode replaces it on boundary edges by
-        the analytic-curve normal pulled back to the chord.
+        Straight mode uses the cell outward normal; curved mode replaces it on
+        boundary edges by the analytic-curve normal pulled back to the chord.
         """
-        edges, signs, boundary = self.edges[rows], self.signs[rows], self.boundary[rows]
-        n_edge = self.mesh.edge_normals[edges]
+        boundary = self.boundary
+        n_edge = self.mesh.edge_normals[self.edges]
         t = self.edge_quad[2]
-        m_vec = np.repeat((signs[..., None] * n_edge)[:, :, None, :], t.size, axis=2)
-        ne_dot_m = np.repeat(signs[..., None].astype(float), t.size, axis=2)
+        m_vec = np.repeat((self.signs[..., None] * n_edge)[:, :, None, :], t.size, axis=2)
+        ne_dot_m = np.repeat(self.signs[..., None].astype(float), t.size, axis=2)
         if mode == "curved" and boundary.any():
-            bedges = edges[boundary]
+            bedges = self.edges[boundary]
             curves = self.mesh.boundary_segments
             k = curves.rows(bedges)
             if np.any(k < 0):
@@ -253,8 +258,14 @@ class CellGroup:
 
 
 def level_cells(mesh: PolygonalMesh, layout: DofLayout, edge_order: int | None = None) -> list:
-    """The level's cell groups, one per vertex count, with edge rules of exactness `edge_order`."""
-    return [CellGroup(mesh, ids, layout, edge_order) for ids in mesh.cell_groups()]
+    """The level's cell groups, one per vertex count and boundary-edge count, with edge
+    rules of exactness `edge_order`."""
+    cells = []
+    for group in mesh.groups:
+        counts = (mesh.edge_cells[group.edges, 1] < 0).sum(axis=1)
+        cells += [CellGroup(mesh, group.ids[counts == c], layout, edge_order)
+                  for c in np.unique(counts)]
+    return cells
 
 
 def local_mass(cells: CellGroup) -> np.ndarray:
@@ -275,20 +286,18 @@ def _divergence_pairings(cells: CellGroup, degree: int) -> np.ndarray:
                            traces.reshape(traces.shape[:2] + (-1,))], axis=2)
 
 
-def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1.0,
-                        rows=slice(None)) -> np.ndarray:
+def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1.0) -> np.ndarray:
     """Quadratic forms rho/h_K sum_e int_e ((u_0-u_b).m)((v_0-v_b).m) ds.
 
     mode="straight" uses the cell outward normal on every edge; mode="curved"
     replaces it on boundary edges by the analytic-curve normal pulled back to
-    the chord (interior edges keep the straight normal).  `rows` (a mask or
-    indices) stabilizes only those cells of the group.
+    the chord (interior edges keep the straight normal).
     """
     if mode not in ("straight", "curved"):
         raise ValueError(f"unknown normal mode '{mode}'")
-    m_vec, ne_dot_m = cells.normals(mode, rows)
+    m_vec, ne_dot_m = cells.normals(mode)
     _, w, t = cells.edge_quad
-    w, Ve, slots = w[rows], cells.Ve[rows], cells.slots[rows]
+    Ve, slots = cells.Ve, cells.slots
     G, m, q = w.shape
     g, s = np.arange(G)[:, None], slots.shape[1]
     traces = np.zeros((G, m, q, s, cells.layout.trace_dim))
@@ -297,7 +306,7 @@ def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1
     R = np.concatenate([Ve * m_vec[..., 0:1], Ve * m_vec[..., 1:2],
                         traces.reshape(G, m, q, -1)], axis=-1).reshape(G, m * q, -1)
     S = np.swapaxes(R, 1, 2) @ (w.reshape(G, -1, 1) * R)
-    return (rho / cells.mesh.cell_diameters[cells.ids[rows]])[:, None, None] * S
+    return (rho / cells.mesh.cell_diameters[cells.ids])[:, None, None] * S
 
 
 def local_pressure_coupling(cells: CellGroup) -> np.ndarray:
@@ -305,20 +314,19 @@ def local_pressure_coupling(cells: CellGroup) -> np.ndarray:
     return -_divergence_pairings(cells, cells.layout.sigma)
 
 
-def local_boundary_correction(cells: CellGroup, rows=slice(None)) -> np.ndarray:
+def local_boundary_correction(cells: CellGroup) -> np.ndarray:
     """Pairings <phi.n - mean_e(phi.n), q>_e on each edge, (G, m, dim P_sigma, 2 dim P_alpha).
 
     Rows run over the cell's pressure basis, columns over its interior dofs;
-    the pairings of interior edges are zero.  `rows` (a mask or indices)
-    pairs only those cells of the group.
+    the pairings of interior edges are zero.
     """
-    w, Ve = cells.edge_quad[1][rows], cells.Ve[rows]
-    n = cells.mesh.edge_normals[cells.edges[rows]][:, :, None, None, :]
+    w, Ve = cells.edge_quad[1], cells.Ve
+    n = cells.mesh.edge_normals[cells.edges][:, :, None, None, :]
     F = np.concatenate([Ve * n[..., 0], Ve * n[..., 1]], axis=-1)   # phi . n
     mean = np.einsum("gkq,gkqi->gki", w, F) / w.sum(axis=-1)[..., None]
     C = np.einsum("gkqs,gkq,gkqi->gksi", Ve[..., :cells.layout.dim_sigma], w,
                   F - mean[:, :, None, :])
-    return C * cells.boundary[rows][..., None, None]
+    return C * cells.boundary[..., None, None]
 
 
 class SingularSystemError(RuntimeError):
@@ -328,8 +336,8 @@ class SingularSystemError(RuntimeError):
 def _to_csr(triplets, shape) -> sp.csr_matrix:
     """CSR matrix from stacked dense blocks (G, r, c) with global rows (G, r) and columns (G, c).
 
-    `triplets` yields (rows, cols, blocks); negative indices (dropped dofs)
-    are skipped.
+    `triplets` yields (rows, cols, blocks); negative indices (traces with no
+    multiplier) are skipped.
     """
     r, c, v = [], [], []
     for rows, cols, blocks in triplets:
@@ -343,12 +351,12 @@ def _to_csr(triplets, shape) -> sp.csr_matrix:
 
 
 def _gather(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """v[idx], reading 0 where idx is -1 (a dropped slot)."""
+    """v[idx], reading 0 where idx is -1 (no multiplier, or a non-owner copy)."""
     return np.concatenate([[0.0], v])[idx + 1]
 
 
 def _scatter(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Length-n sums of `values` by index `idx`; entries at -1 (dropped slots) are skipped."""
+    """Length-n sums of `values` by index `idx`; entries at -1 are skipped."""
     return np.bincount(idx.ravel() + 1, values.ravel(), minlength=n + 1)[1:]
 
 
@@ -357,14 +365,13 @@ class CellBlocks:
     """One cell group's saddle blocks on its cells' kept dofs, with their multiplier maps.
 
     The flux dofs are the group's (`CellGroup.dofs`): each cell's interior
-    flux, then its slots' traces, -1 marking a padding slot that names a
-    dropped edge.  `local` holds each cell's saddle block
+    flux, then its slots' traces.  `local` holds each cell's saddle block
     [[A_K, B_K^T], [P_K, 0]] on these flux dofs and its pressures, A_K being
     the flux-norm block in the scheme's normal mode and P_K the scheme's
     pressure rows (B_K minus the boundary corrections in the modified
-    scheme).  A padding slot's rows and columns are the identity's.  On the
-    cells `boundary` of the group, `delta` is the other normal mode's
-    flux-norm block minus A_K.
+    scheme).  On a boundary group `delta` is the other normal mode's
+    flux-norm block minus A_K; on an interior group, where the modes agree,
+    it is None.
 
     In the hybridized solve each cell keeps its own copy of its traces, and
     the two copies on an edge shared by two cells are tied by the edge's
@@ -372,21 +379,19 @@ class CellBlocks:
     one's, 0 on a trace that has no multiplier).  `hdofs` index the trace
     dofs' multipliers in `SaddleSystem.condensed` (-1: no multiplier, or the
     pinned multiplier 0), and `owned` each local unknown's global dof, -1 on
-    padding slots and on the non-owner copy of a shared trace.  The trace
-    columns of local_K^{-1} (`SaddleSystem.inverses`) times `sides` are
-    local_K^{-1} E_K^T, E_K the signed map of the cell's traces to its
-    multipliers.
+    the non-owner copy of a shared trace.  The trace columns of local_K^{-1}
+    (`SaddleSystem.inverses`) times `sides` are local_K^{-1} E_K^T, E_K the
+    signed map of the cell's traces to its multipliers.
     """
 
     ids: np.ndarray            # (G,) cells
-    vdofs: np.ndarray          # (G, K) global flux dofs, -1 = dropped
+    vdofs: np.ndarray          # (G, K) global flux dofs
     pdofs: np.ndarray          # (G, ns) global pressure dofs
     local: np.ndarray          # (G, K + ns, K + ns)
-    boundary: np.ndarray       # (Gb,) rows of the cells with a boundary edge
-    delta: np.ndarray          # (Gb, K, K)
+    delta: np.ndarray | None   # (G, K, K) on a boundary group, else None
     hdofs: np.ndarray          # (G, K - n_int) multiplier rows of the trace dofs, -1 = none
     sides: np.ndarray          # (G, K - n_int) +1 owner, -1 other side, 0 no multiplier
-    owned: np.ndarray          # (G, K + ns) global dofs, -1 = padding or non-owner copy
+    owned: np.ndarray          # (G, K + ns) global dofs, -1 = non-owner copy
 
     @property
     def A(self) -> np.ndarray:
@@ -408,10 +413,10 @@ def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: floa
     """The group's `CellBlocks`: its kernels' blocks and index maps, no linear algebra."""
     layout, ni, ns, k = group.layout, group.n_int, group.layout.dim_sigma, group.n_loc
     pdofs = layout.pressure_dofs(group.ids)
-    bd = np.flatnonzero(group.boundary.any(axis=1))
+    boundary = group.boundary.any()
 
     A = local_stabilization(group, mode=mode, rho=rho)
-    delta = local_stabilization(group, mode=other, rho=rho, rows=bd) - A[bd] if bd.size else A[:0]
+    delta = local_stabilization(group, mode=other, rho=rho) - A if boundary else None
     A[:, :ni, :ni] += local_mass(group)
     B = local_pressure_coupling(group)
 
@@ -419,12 +424,8 @@ def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: floa
     local[:, :k, :k] = A
     local[:, :k, k:] = np.swapaxes(B, 1, 2)
     local[:, k:, :k] = B
-    if scheme == "modified" and bd.size:
-        local[bd, k:, :ni] -= local_boundary_correction(group, rows=bd).sum(axis=1)
-    g, c = np.nonzero(group.dofs < 0)    # padding slots: decoupled
-    local[g, c, :] = 0.0
-    local[g, :, c] = 0.0
-    local[g, c, c] = 1.0
+    if scheme == "modified" and boundary:
+        local[:, k:, :ni] -= local_boundary_correction(group).sum(axis=1)
 
     td = layout.trace_dim
     offsets = layout.multiplier_offsets[np.take_along_axis(group.edges, group.slots, axis=1)]
@@ -434,8 +435,8 @@ def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: floa
     owned = np.concatenate([group.dofs, layout.n_velocity + pdofs], axis=1)
     owned[:, ni:k][~owner] = -1
     # H's rows are the multipliers less one: multiplier 0, pinned, gets -1
-    return CellBlocks(ids=group.ids, vdofs=group.dofs, pdofs=pdofs, local=local, boundary=bd,
-                      delta=delta, hdofs=np.where(shared, mult - 1, -1),
+    return CellBlocks(ids=group.ids, vdofs=group.dofs, pdofs=pdofs, local=local, delta=delta,
+                      hdofs=np.where(shared, mult - 1, -1),
                       sides=np.where(shared, np.where(owner, 1.0, -1.0), 0.0), owned=owned)
 
 
@@ -448,10 +449,9 @@ class SaddleSystem:
     original scheme and B minus the boundary corrections for the
     boundary-corrected one, making the operator non-symmetric exactly when a
     correction row is nonzero.  A is the flux-norm matrix in the scheme's
-    normal mode; the other mode's differs by the blocks' `delta` on cells
-    with a boundary edge.  flux_mass holds the diagonal blocks of the L2 mass
-    matrix of the interior flux; their leading dim P_sigma blocks are the
-    pressure's.
+    normal mode; the other mode's differs by the boundary groups' `delta`
+    blocks.  flux_mass holds the diagonal blocks of the L2 mass matrix of the
+    interior flux; their leading dim P_sigma blocks are the pressure's.
 
     `blocks` holds each cell group's `CellBlocks`, the system's one
     representation: products and the error norms are computed from them cell
@@ -498,7 +498,7 @@ class SaddleSystem:
         out = np.zeros(n)
         for b in self.blocks:
             idx = np.concatenate([b.vdofs, nv + b.pdofs], axis=1)
-            out += _scatter(idx, b.local @ _gather(x, idx)[..., None], n)
+            out += _scatter(idx, b.local @ x[idx][..., None], n)
         return out
 
     @cached_property
@@ -569,11 +569,10 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     scheme stabilizes with straight normals and keeps the symmetric block
     structure; the modified scheme stabilizes with curved normals and
     subtracts the boundary-correction pairings from the mass-conservation
-    rows only.  Cells with a boundary edge are stabilized in the other normal
-    mode too; the difference is kept as each such cell's `delta` block, so
-    both flux norms come from one pass.  Each group's blocks are built on
-    its cells' kept dofs; nothing is inverted or factorized here (see
-    `SaddleSystem.condensed`).
+    rows only.  Boundary groups are stabilized in the other normal mode too;
+    the difference is kept as their `delta` blocks, so both flux norms come
+    from one pass.  Each group's blocks are built on its cells' kept dofs;
+    nothing is inverted or factorized here (see `SaddleSystem.condensed`).
     """
     if scheme not in ("original", "modified"):
         raise ValueError(f"unknown scheme '{scheme}'")

@@ -10,21 +10,21 @@ piecewise-polynomial projection of the exact pressure.
 A level builds one mesh (its generator applies a split law to the mesh size
 of its corner loops; a `none` or `fixed:<k>` study passes the count), then
 works on the level's cell groups, then solves, then measures: `level_cells`
-stacks the basis of each group of cells with one vertex count once; the
-assembly tabulates it on the group's edge rules, sums each cell's mass
-matrix there and releases the rules, and then `project_level` tabulates it
-on the group's projection rule once, for the right-hand side and both exact
-projections (flux and pressure, solved with that mass) in one pass, and
-releases that rule before the next group.  No rule is kept past its group,
-and the cell groups go before the solve.  The four error norms are quadratic
-forms in what the assembly already returned, read by `vh_norm`,
-`l2_flux_interior_error` and `l2_pressure_error` from the level's
-`SaddleSystem`: the two flux norms are summed cell by cell over the system's
-cell blocks in each normal mode, the L2 norms over the diagonal blocks of
-the interior-flux and pressure mass matrices; none of them assembles
-anything, and no global matrix is built.  `run_level` records the seconds of
-each stage in `StudyRow.stages` and the solve's diagnostics (condensed size,
-LU fill, residuals) in `StudyRow.diagnostics`.
+stacks the basis of each group of cells with one vertex count and one
+boundary-edge count once; the assembly tabulates it on the group's edge
+rules, sums each cell's mass matrix there and releases the rules, and then
+`project_level` tabulates it on the group's projection rule once, for the
+right-hand side and both exact projections (flux and pressure, solved with
+that mass) in one pass, and releases that rule before the next group.  No
+rule is kept past its group, and the cell groups go before the solve.  The
+four error norms are quadratic forms in what the assembly already returned,
+read by `vh_norm`, `l2_flux_interior_error` and `l2_pressure_error` from the
+level's `SaddleSystem`: the two flux norms are summed cell by cell over the
+system's cell blocks in each normal mode, the L2 norms over the diagonal
+blocks of the interior-flux and pressure mass matrices; none of them
+assembles anything, and no global matrix is built.  `run_level` records the
+seconds of each stage in `StudyRow.stages` and the solve's diagnostics
+(condensed size, LU fill, residuals) in `StudyRow.diagnostics`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import numpy as np
 from .assembly import (
     DofLayout,
     SaddleSystem,
-    _gather,
     assemble_system,
     level_cells,
     project_level,
@@ -99,11 +98,10 @@ def vh_norm(system: SaddleSystem, w: np.ndarray, mode: str = "straight") -> floa
         raise ValueError(f"unknown normal mode '{mode}'")
     total = 0.0
     for b in system.blocks:
-        x = _gather(w, b.vdofs)
+        x = w[b.vdofs]
         total += float(np.sum(x * (b.A @ x[..., None])[..., 0]))
-        if mode != system.normal_mode and b.boundary.size:
-            xb = x[b.boundary]
-            total += float(np.sum(xb * (b.delta @ xb[..., None])[..., 0]))
+        if mode != system.normal_mode and b.delta is not None:
+            total += float(np.sum(x * (b.delta @ x[..., None])[..., 0]))
     return math.sqrt(max(total, 0.0))
 
 

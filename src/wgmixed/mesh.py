@@ -215,10 +215,6 @@ class PolygonalMesh:
     def boundary_edge_indices(self) -> np.ndarray:
         return np.where(self.edge_cells[:, 1] < 0)[0]
 
-    def cell_groups(self) -> list:
-        """Cell ids grouped by vertex count, fewest vertices first."""
-        return [g.ids for g in self.groups]
-
     def cell_arrays(self, cells):
         """Loops, edge ids and edge signs of `cells`, all of one vertex count.
 
@@ -693,7 +689,8 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQualityReport:
 # ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text   # JSON reads "-0" as the integer 0
 
 
 def mesh_to_text(mesh: PolygonalMesh) -> str:

@@ -35,10 +35,10 @@ def cell_diameter(vertices):
 
 
 def a_delta(system) -> sp.csr_matrix:
-    """The other normal mode's flux-norm matrix minus A, scattered from the blocks' `delta`."""
+    """The other normal mode's flux-norm matrix minus A, from the boundary groups' `delta`."""
     nv = system.layout.n_velocity
-    return _to_csr(((b.vdofs[b.boundary], b.vdofs[b.boundary], b.delta)
-                    for b in system.blocks), (nv, nv))
+    return _to_csr(((b.vdofs, b.vdofs, b.delta) for b in system.blocks if b.delta is not None),
+                   (nv, nv))
 
 
 def vh_matrix(system, mode: str) -> sp.csr_matrix:

@@ -312,26 +312,52 @@ def test_boundary_correction_annihilates_constant_normal_component():
     assert np.abs(C @ dof).max() <= 1e-14
 
 
-def test_boundary_correction_rows_pair_only_the_cells_asked_for(monkeypatch):
-    mesh = generate_disk_mesh(16, lambda h: boundary_split_count(h, 2, "modified"))
+GROUPED_MESHES = {
+    "square-tri4": lambda: generate_square_tri(4),     # corner cells have two boundary edges
+    "disk-unsplit": lambda: generate_disk_mesh(16, 1),
+    "disk-split": lambda: generate_disk_mesh(16, lambda h: boundary_split_count(h, 2, "modified")),
+    "ring-fixed3": lambda: generate_ring_mesh(16, 3),
+}
+
+
+@pytest.mark.parametrize("mesh_name", list(GROUPED_MESHES))
+def test_each_group_holds_one_vertex_count_and_one_boundary_edge_count(mesh_name, monkeypatch):
+    mesh = GROUPED_MESHES[mesh_name]()
     layout = DofLayout(mesh, 2, 2, 1)
-    for group in level_cells(mesh, layout):
-        bd = np.flatnonzero(group.boundary.any(axis=1))
-        if bd.size:
-            assert np.array_equal(local_boundary_correction(group, rows=bd),
-                                  local_boundary_correction(group)[bd])
-    # the assembly pairs the boundary cells alone, and skips a group that has none
+    kind = {c: (mesh.cells[c].size, int((mesh.edge_cells[mesh.cell_arrays(c)[1], 1] < 0).sum()))
+            for c in range(mesh.n_cells)}
+    groups = level_cells(mesh, layout)
+    assert np.array_equal(np.sort(np.concatenate([g.ids for g in groups])),
+                          np.arange(mesh.n_cells))
+    kinds = []
+    for group in groups:
+        (m, nb), = {kind[c] for c in group.ids}
+        kinds.append((m, nb))
+        assert np.array_equal(group.boundary.sum(axis=1), np.full(group.ids.size, nb))
+        assert np.all(group.dofs >= 0)
+        assert group.n_loc == group.n_int + layout.trace_dim * (m - nb)
+    assert sorted(kinds) == kinds == sorted(set(kind.values()))
+
+    # cells of one vertex count but different boundary-edge counts do not stack
+    mixed = [[next(c for c in kind if kind[c] == a), next(c for c in kind if kind[c] == b)]
+             for a, b in zip(kinds, kinds[1:]) if a[0] == b[0]]
+    assert bool(mixed) == (mesh_name in ("square-tri4", "disk-unsplit"))
+    for ids in mixed:
+        with pytest.raises(ValueError, match="boundary-edge"):
+            CellGroup(mesh, ids, layout)
+
+    # the modified scheme pairs the boundary groups alone
     pairs, kernel = [], assembly.local_boundary_correction
 
-    def counted(cells, rows=slice(None)):
-        pairs.append(cells.ids[rows])
-        return kernel(cells, rows)
+    def counted(cells):
+        pairs.append(cells.ids)
+        return kernel(cells)
 
     monkeypatch.setattr(assembly, "local_boundary_correction", counted)
     assemble_system(mesh, layout, scheme="modified")
-    boundary = [c for c in range(mesh.n_cells)
-                if mesh.edge_cells[mesh.cell_arrays(c)[1], 1].min() < 0]
-    assert len(pairs) == 1 and np.array_equal(np.sort(pairs[0]), boundary)
+    boundary = [g.ids for g in groups if g.boundary.any()]
+    assert len(pairs) == len(boundary) and all(map(np.array_equal, pairs, boundary))
+    assert all(kind[c][1] > 0 for ids in pairs for c in ids)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +609,8 @@ def test_rhs_above_the_rounding_floor_keeps_every_bit(n, j):
 # ---------------------------------------------------------------------------
 
 MIXED_MESHES = {
+    "square-tri4": lambda j: generate_square_tri(4),     # 0, 1 or 2 boundary edges
+    "disk-unsplit": lambda j: generate_disk_mesh(16, 1),  # interior and boundary triangles
     "disk-fixed3": lambda j: generate_disk_mesh(16, 3),
     "disk-original-law": lambda j: generate_disk_mesh(
         16, lambda h: boundary_split_count(h, j, "original")),
@@ -604,18 +632,17 @@ def per_cell_reference(mesh, layout, scheme, rho, case):
     for c in range(mesh.n_cells):
         ops = one_cell(mesh, c, layout)
         idx = ops.dofs[0]
-        keep = idx >= 0
         pidx = layout.pressure_dofs(c)
         S = local_stabilization(ops, mode, rho)[0]
         S_mass = S.copy()
         S_mass[:ops.n_int, :ops.n_int] += local_mass(ops)[0]
-        ref["A"][np.ix_(idx[keep], idx[keep])] += S_mass[np.ix_(keep, keep)]
+        ref["A"][np.ix_(idx, idx)] += S_mass
         if mesh.edge_cells[mesh.cell_arrays(c)[1], 1].min() < 0:
             delta = local_stabilization(ops, other, rho)[0] - S
-            ref["A_delta"][np.ix_(idx[keep], idx[keep])] += delta[np.ix_(keep, keep)]
+            ref["A_delta"][np.ix_(idx, idx)] += delta
             corr = local_boundary_correction(ops)[0].sum(axis=0)
             ref["corr"][np.ix_(pidx, idx[:ops.n_int])] += corr
-        ref["B"][np.ix_(pidx, idx[keep])] += local_pressure_coupling(ops)[0][:, keep]
+        ref["B"][np.ix_(pidx, idx)] += local_pressure_coupling(ops)[0]
         ref["flux_mass"][c] = local_mass(ops)[0][:na, :na]
         ref["pressure_mass"][c] = ref["flux_mass"][c][:ns, :ns]
 
@@ -648,12 +675,12 @@ def per_cell_reference(mesh, layout, scheme, rho, case):
 @pytest.mark.parametrize("j", [1, 2, 3])
 @pytest.mark.parametrize("mesh_name", list(MIXED_MESHES))
 def test_grouped_assembly_matches_per_cell_loop(mesh_name, j, scheme):
-    # triangles and one kind of boundary polygon: two groups, scattered together
+    # interior triangles and boundary cells of one or more kinds: groups scattered together
     mesh = MIXED_MESHES[mesh_name](j)
     layout = DofLayout(mesh, j, j, j - 1)
     groups = level_cells(mesh, layout)
-    sizes = [g.vertices.shape[1] for g in groups]
-    assert len(sizes) == 2 and sizes[0] == 3
+    assert len(groups) >= 2 and not groups[0].boundary.any()
+    assert groups[0].vertices.shape[1] == 3 and all(g.boundary.any() for g in groups[1:])
     assert np.array_equal(np.sort(np.concatenate([g.ids for g in groups])),
                           np.arange(mesh.n_cells))
     for g in groups:
@@ -807,16 +834,15 @@ def four_builder_matrices(mesh, layout, scheme, rho):
     for group in level_cells(mesh, layout):
         idx = group.dofs
         pidx = layout.pressure_dofs(group.ids)
-        bd = group.boundary.any(axis=1)
         A_loc = local_stabilization(group, mode=mode, rho=rho)
-        if bd.any():
-            S_other = local_stabilization(group, mode=other, rho=rho, rows=bd)
-            parts["A_delta"].append((idx[bd], idx[bd], S_other - A_loc[bd]))
-        A_loc[:, :group.n_int, :group.n_int] += local_mass(group)
-        parts["A"].append((idx, idx, A_loc))
         B_loc = local_pressure_coupling(group)
         parts["B"].append((pidx, idx, B_loc.copy()))
-        B_loc[bd, :, :group.n_int] -= local_boundary_correction(group)[bd].sum(axis=1)
+        if group.boundary.any():
+            S_other = local_stabilization(group, mode=other, rho=rho)
+            parts["A_delta"].append((idx, idx, S_other - A_loc))
+            B_loc[:, :, :group.n_int] -= local_boundary_correction(group).sum(axis=1)
+        A_loc[:, :group.n_int, :group.n_int] += local_mass(group)
+        parts["A"].append((idx, idx, A_loc))
         parts["B1"].append((pidx, idx, B_loc))
 
     nv, npr = layout.n_velocity, layout.n_pressure
@@ -859,7 +885,7 @@ KEPT_MESHES = {
     "disk-original-law-n32": lambda: generate_disk_mesh(
         32, lambda h: boundary_split_count(h, 2, "original")),
     "ring-fixed3": lambda: generate_ring_mesh(16, 3),
-    "disk-unsplit": lambda: generate_disk_mesh(16, 1),   # padding slots in the triangles
+    "disk-unsplit": lambda: generate_disk_mesh(16, 1),   # interior and boundary triangles
 }
 
 
@@ -879,20 +905,15 @@ def test_kept_blocks_are_the_full_blocks_cropped_to_the_slots(mesh_name):
                                ni + (td * group.slots[..., None] + np.arange(td)).reshape(G, -1)],
                               axis=1)
 
-        def close(kept, whole, rows=slice(None), square=True):
-            c = cols[rows]
-            want = np.take_along_axis(whole, c[:, None, :], axis=2)
+        def close(kept, whole, square=True):
+            want = np.take_along_axis(whole, cols[:, None, :], axis=2)
             if square:
-                want = np.take_along_axis(want, c[:, :, None], axis=1)
+                want = np.take_along_axis(want, cols[:, :, None], axis=1)
             assert kept.shape == want.shape and kept.shape[-1] == group.n_loc
             assert np.abs(kept - want).max() <= 1e-13 * np.abs(want).max()
 
-        bd = np.flatnonzero(group.boundary.any(axis=1))
         for mode in ("straight", "curved"):
             close(local_stabilization(group, mode, 2.5), local_stabilization(full, mode, 2.5))
-            if bd.size:
-                close(local_stabilization(group, mode, 2.5, rows=bd),
-                      local_stabilization(full, mode, 2.5, rows=bd), rows=bd)
         close(local_pressure_coupling(group), local_pressure_coupling(full), square=False)
 
 

@@ -122,6 +122,19 @@ def assert_document_gives_the_mesh(mesh):
     assert circles.tobytes() == np.column_stack([curves.center, curves.radius]).tobytes()
 
 
+def test_negative_zeros_read_back_negative():
+    # ".17g" alone writes -0.0 as "-0", which json reads as the integer 0
+    square = build_mesh([(-0.0, -0.0), (1.0, -0.0), (1.0, 1.0), (-0.0, 1.0)], [[0, 1, 2, 3]])
+    disk = generate_disk_mesh(8, 1)
+    centered = build_mesh(disk.vertices, disk.cells,
+                          lambda ends, chords: circle_curves(chords, (-0.0, -0.0), 1.0),
+                          domain="disk")
+    assert np.signbit(square.vertices).sum() == 4
+    assert np.signbit(centered.boundary_segments.center).all()
+    for mesh in (square, centered):
+        assert_document_gives_the_mesh(mesh)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 12, 16]),
        split=st.sampled_from([1, 3]))

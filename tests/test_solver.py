@@ -116,9 +116,9 @@ def quad_strip():
 
 
 # mesh, degree, scheme, domain (whose source term the right-hand side takes).
-# The cells of a group keep different numbers of traces on the ring (2 or 3
-# of 3) and the strip (1 or 2 of 4), so their groups hold padding slots; the
-# split disks' boundary cells all keep two, so their groups hold none.
+# Cells of one vertex count keep different numbers of traces on the square
+# (1, 2 or 3 of 3), the ring (2 or 3 of 3) and the strip (1 or 2 of 4), so
+# each of these splits into groups by boundary-edge count.
 CONDENSED_CASES = pytest.mark.parametrize("mesh_fn, degree, scheme, domain", [
     (lambda: generate_square_tri(4), 1, "original", "square"),
     (lambda: generate_square_tri(4), 2, "original", "square"),
