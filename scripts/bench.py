@@ -3,12 +3,17 @@
 
 Each case runs one refinement level through `run_level` in a fresh
 interpreter, so the peak resident memory it reports (`ru_maxrss`) is that
-level's own.  The record of a case holds the level's stage seconds
-(`StudyRow.stages`), its unknowns, residual and solver diagnostics, the peak
-memory, the peak memory at the end of each stage (`stage_rss_mb`) and the
-git revision of the wgmixed checkout that was imported.  The stage peaks
-are read from outside the package: a trace function sees each return of the
-`lap(stage)` closure by which `run_level` ends a stage.
+level's own.  A record runs every case `RUNS` times, the cases taking turns,
+so that a slow spell of the machine falls on all of them.  The record of a
+case holds the medians over its runs of the level's stage seconds (`stages`,
+from `StudyRow.stages`) and of its level seconds (`level_s`), with their
+first and third quartiles beside them (`quartiles`, per stage and `level`);
+the medians of the peak memory and of the peak memory at the end of each
+stage (`stage_rss_mb`); and, from its last run, its unknowns, residual and
+solver diagnostics and the git revision of the wgmixed checkout that was
+imported.  The stage peaks are read from outside the package: a trace
+function sees each return of the `lap(stage)` closure by which `run_level`
+ends a stage.
 
     PYTHONPATH=src python scripts/bench.py --label after
     PYTHONPATH=<other checkout>/src python scripts/bench.py --label before
@@ -16,15 +21,17 @@ are read from outside the package: a trace function sees each return of the
 
     python scripts/bench.py --compare bench/BENCH_before.json bench/BENCH_after.json
 
-`--case` runs one case in this process and prints its record.  A checkout
-whose `StudyRow` has no `diagnostics` gives an empty `diagnostics` record.
-`--compare` reads two records and prints, for each case in both, every
-stage's seconds before and after and their ratio (an older record's `rhs`
-stage counted into its `project`), then the peak memory at
-the end of each stage (rows `rss@<stage>`, in MB; `-` where a record has
-none), then the solver diagnostics `n_condensed`, `condensed_nnz` (the
-factored matrix's nnz), `lu_fill` and `residual_unrefined` before and after;
-it writes nothing.
+`--case` runs one case once in this process and prints its record.  A
+checkout whose `StudyRow` has no `diagnostics` gives an empty `diagnostics`
+record.  `--compare` reads two records and prints, for each case in both,
+every stage's median seconds before and after and their ratio (an older
+record's `rhs` stage counted into its `project`), with `~` after a ratio
+whose quartile ranges in the two records overlap, a change within the
+run-to-run spread (records of one run per case, with no quartiles, are never
+marked); then the median peak memory at the end of each stage (rows
+`rss@<stage>`, in MB; `-` where a record has none), then the solver
+diagnostics `n_condensed`, `condensed_nnz` (the factored matrix's nnz),
+`lu_fill` and `residual_unrefined` before and after; it writes nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import numpy
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 5   # runs of each case per record
 
 # name -> (domain, scheme, degree, n, split rule)
 CASES = {
@@ -111,6 +119,20 @@ def run_case(name: str) -> dict:
     }
 
 
+def summarize(runs: list) -> dict:
+    """One case's record from the records of its runs: medians and quartiles of the
+    seconds, medians of the peak memories, everything else from the last run."""
+    seconds = {stage: [r["stages"][stage] for r in runs] for stage in runs[-1]["stages"]}
+    seconds["level"] = [r["level_s"] for r in runs]
+    q1, median, q3 = numpy.percentile(list(seconds.values()), [25, 50, 75], axis=1).tolist()
+    stages = dict(zip(seconds, median))
+    return dict(runs[-1], runs=len(runs), level_s=stages.pop("level"), stages=stages,
+                quartiles={stage: [a, b] for stage, a, b in zip(seconds, q1, q3)},
+                peak_rss_mb=float(numpy.median([r["peak_rss_mb"] for r in runs])),
+                stage_rss_mb={stage: float(numpy.median([r["stage_rss_mb"][stage] for r in runs]))
+                              for stage in runs[-1]["stage_rss_mb"]})
+
+
 # the solver diagnostics `--compare` shows side by side; n_condensed and
 # condensed_nnz are the size and nnz of the factored matrix: the multiplier
 # system H, or in records before it the bordered trace-pressure system
@@ -137,10 +159,16 @@ def stage_seconds(record) -> dict:
     return stages
 
 
+def overlap(before, after) -> bool:
+    """Whether two quartile ranges [q1, q3] overlap; False where a record has none."""
+    return before is not None and after is not None and \
+        before[0] <= after[1] and after[0] <= before[1]
+
+
 def compare(before_path, after_path) -> None:
-    """Print each case's stage seconds in two bench records, with after/before ratios,
-    then its peak memory at the end of each stage and its solver diagnostics,
-    before and after."""
+    """Print each case's median stage seconds in two bench records, with after/before
+    ratios marked `~` where the quartile ranges overlap, then its peak memory at the
+    end of each stage and its solver diagnostics, before and after."""
     before, after = (json.loads(Path(p).read_text(encoding="utf-8"))
                      for p in (before_path, after_path))
     old = {record["case"]: record for record in before["cases"]}
@@ -156,7 +184,9 @@ def compare(before_path, after_path) -> None:
                 continue
             t0 = seconds_before[stage]
             ratio = f"{t1 / t0:7.3f}" if t0 > 0 else "    inf"
-            print(f"{record['case']:30s} {stage:10s} {t0:10.4f} {t1:10.4f} {ratio}")
+            spread = " ~" if overlap(prev.get("quartiles", {}).get(stage),
+                                     record.get("quartiles", {}).get(stage)) else ""
+            print(f"{record['case']:30s} {stage:10s} {t0:10.4f} {t1:10.4f} {ratio}{spread}")
         rss_before, rss_after = (r.get("stage_rss_mb", {}) for r in (prev, record))
         for stage in record["stages"]:
             m0, m1 = (f"{m[stage]:.1f}" if stage in m else "-" for m in (rss_before, rss_after))
@@ -179,14 +209,17 @@ def main(argv=None) -> int:
         print(json.dumps(run_case(args.case)))
         return 0
 
-    records = []
-    for name in CASES:
-        proc = subprocess.run([sys.executable, __file__, "--case", name],
-                              stdout=subprocess.PIPE, text=True, check=True)
-        record = json.loads(proc.stdout.strip().splitlines()[-1])
-        print(f"{name:30s} dofs={record['dofs']:>8d} level={record['level_s']:7.2f} s "
-              f"solve={record['stages']['solve']:7.2f} s rss={record['peak_rss_mb']:7.1f} MB")
-        records.append(record)
+    runs = {name: [] for name in CASES}
+    for k in range(RUNS):
+        for name in CASES:
+            proc = subprocess.run([sys.executable, __file__, "--case", name],
+                                  stdout=subprocess.PIPE, text=True, check=True)
+            record = json.loads(proc.stdout.strip().splitlines()[-1])
+            print(f"{k + 1}/{RUNS} {name:30s} dofs={record['dofs']:>8d} "
+                  f"level={record['level_s']:7.2f} s solve={record['stages']['solve']:7.2f} s "
+                  f"rss={record['peak_rss_mb']:7.1f} MB")
+            runs[name].append(record)
+    records = [summarize(case_runs) for case_runs in runs.values()]
     out = ROOT / "bench" / f"BENCH_{args.label}.json"
     out.parent.mkdir(exist_ok=True)
     bench = {"label": args.label, "python": platform.python_version(),

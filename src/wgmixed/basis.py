@@ -25,19 +25,17 @@ pressure.
 A `CellBasis` holds one cell's centre and axes, or a group's stacked (G, 2)
 and (G, 2, 2) arrays; a group's points carry the group axis first, and
 `project_cell` and `project_edge` project onto a whole group of cells or a
-stack of edges with one call of the function and one batched solve.  The
-monomials are products of entries of one power table per point set, filled
-by plain multiplication: plane 0 is 1, plane 1 is xi (or eta), and plane k
-is plane k-1 times xi (or eta), so xi^k is the product of k factors taken
-left to right, the same bits as a running product.  Each plane is
-contiguous, and `eval` writes one basis function at a time, from the planes
-it needs, into its own contiguous plane of a preallocated result (the
-function axis is last in shape, first in memory; the batched products
-downstream sum in an order that follows this layout).  Derivatives are not
-tabulated: `CellBasis.derivatives` maps each function to the coefficients
-of its x- and y-derivatives in the basis.  `project_cell` accepts basis
-values already tabulated on its rule, and the Gram matrices, so a group's
-values on one rule are computed once and shared.
+stack of edges with one call of the function and one batched solve.  `eval`
+writes each function into its own contiguous plane of a preallocated result
+(the function axis is last in shape, first in memory; the batched products
+downstream sum in an order that follows this layout), and the plane of (a, b)
+is (a+b)(a+b+1)/2 + b.  The planes of (k, 0) and (0, k) are running products
+of xi and eta, k factors taken left to right, and a mixed (a, b) is the
+product of the planes of (a, 0) and (0, b), so no other table is filled.
+`CellBasis.derivatives` maps each function to the coefficients of its x- and
+y-derivatives in the basis.  `project_cell` accepts basis values already
+tabulated on its rule, and the Gram matrices, so a group's values on one rule
+are computed once and shared.
 
 Edge bases are (t-1/2)^k in the arclength fraction t of the (globally
 oriented) edge.
@@ -99,6 +97,11 @@ def moment_axes(moments) -> np.ndarray:
                      np.stack([-rs * sin, rs * cos], axis=-1)], axis=-2)
 
 
+def _plane(a, b):
+    """Index of xi^a eta^b in graded-lex order."""
+    return (a + b) * (a + b + 1) // 2 + b
+
+
 @dataclass(frozen=True)
 class CellBasis:
     """Shape-adapted monomial basis of P_degree on a cell, or on each cell of a group.
@@ -122,27 +125,22 @@ class CellBasis:
         """The basis of cell g of a group."""
         return CellBasis(self.degree, self.center[g], self.axes[g], self.exponents)
 
-    def _powers(self, x, y):
-        """Table of the powers xi^k and eta^k, k = 0..degree, shape (2, degree + 1, ...)."""
+    def eval(self, x, y) -> np.ndarray:
+        """Basis values at points; shape (..., npoints, dim), one function per memory plane."""
         dx = np.asarray(x, dtype=float) - self.center[..., 0, None]
         dy = np.asarray(y, dtype=float) - self.center[..., 1, None]
         T = self.axes[..., None]
-        X = T[..., 0, 0, :] * dx + T[..., 0, 1, :] * dy
-        table = np.empty((2, self.degree + 1) + X.shape)
-        table[:, 0] = 1.0
+        out = np.empty((self.dim,) + np.broadcast(dx, dy, T[..., 0, 0, :]).shape)
+        out[0] = 1.0
         if self.degree:
-            table[0, 1] = X
-            table[1, 1] = T[..., 1, 0, :] * dx + T[..., 1, 1, :] * dy
+            for r in (0, 1):   # the planes of (1, 0) and (0, 1): xi and eta
+                np.add(T[..., r, 0, :] * dx, T[..., r, 1, :] * dy, out=out[1 + r])
         for k in range(2, self.degree + 1):
-            np.multiply(table[:, k - 1], table[:, 1], out=table[:, k])
-        return table
-
-    def eval(self, x, y) -> np.ndarray:
-        """Basis values at points; shape (..., npoints, dim), one function per memory plane."""
-        px, py = self._powers(x, y)
-        out = np.empty((self.dim,) + px.shape[1:])
-        for i, (a, b) in enumerate(self.exponents):
-            np.multiply(px[a], py[b], out=out[i])
+            np.multiply(out[_plane(k - 1, 0)], out[1], out=out[_plane(k, 0)])
+            np.multiply(out[_plane(0, k - 1)], out[2], out=out[_plane(0, k)])
+        for a, b in self.exponents.tolist():
+            if a and b:
+                np.multiply(out[_plane(a, 0)], out[_plane(0, b)], out=out[_plane(a, b)])
         return np.moveaxis(out, 0, -1)
 
     def derivatives(self) -> np.ndarray:
@@ -150,11 +148,11 @@ class CellBasis:
         d(function i)/dx_c, shape (..., 2, dim, dim).  d/dxi of xi^a eta^b is
         a xi^(a-1) eta^b, and the chain rule weights d/dxi and d/deta by `axes`.
         """
-        index = {(a, b): k for k, (a, b) in enumerate(self.exponents.tolist())}
+        a, b = self.exponents.T
+        rows = np.arange(self.dim)
         shift = np.zeros((2, self.dim, self.dim))
-        for i, (a, b) in enumerate(self.exponents.tolist()):   # a zero factor adds nothing
-            shift[0, i, index.get((a - 1, b), 0)] += a
-            shift[1, i, index.get((a, b - 1), 0)] += b
+        shift[0, rows, _plane(np.maximum(a - 1, 0), b)] = a   # a = 0 writes 0 on the diagonal
+        shift[1, rows, _plane(a, np.maximum(b - 1, 0))] = b
         return np.einsum("...rc,rik->...cik", self.axes, shift)
 
 

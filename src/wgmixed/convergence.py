@@ -159,6 +159,9 @@ class StudyConfig:
             raise ValueError(f"quadrature order {q} is below 2j = {2 * self.degree}, "
                              "the exactness the edge integrals need")
         parse_split_rule(self.split_rule)
+        if self.domain == "square" and self.split_rule != "none":
+            raise ValueError(f"split_rule '{self.split_rule}' needs a curved boundary; "
+                             "the square domain takes none")
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,7 @@ def run_level(config: StudyConfig, n: int, coarser_h: float | None = None):
         stages[stage] = marks[-1] - marks[-2]
 
     law = parse_split_rule(config.split_rule)
-    split = 1 if law == "none" or config.domain == "square" else law
+    split = 1 if law == "none" else law
 
     def split_law(base_h):
         nonlocal split

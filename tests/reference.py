@@ -4,7 +4,8 @@ The program holds a system only as cell blocks (`SaddleSystem.blocks`) plus
 the scattered A, B and pressure rows.  The global matrices a test compares
 against, the weak divergence itself, the plain per-cell integrals, bases,
 gradients and diameters the quadrature, basis and mesh tests use as
-references, and the cell kernels on a cell rule, are built here, from those
+references, the cell kernels on a cell rule, and the former power-table basis
+tabulation and dict-indexed derivative maps, are built here, from those
 blocks and matrices or from the quadrature rules.  Nothing in `src` imports
 this module.
 """
@@ -86,6 +87,37 @@ def cell_mass_matrix(vertices, basis, order: int | None = None) -> np.ndarray:
 def principal_axes(vertices) -> np.ndarray:
     """`moment_axes` of a polygon given as its vertex loop."""
     return moment_axes(polygon_moments(vertices)[2])
+
+
+def power_table_values(basis, x, y) -> np.ndarray:
+    """Basis values at points, (..., npoints, dim), from a table of the powers
+    xi^k and eta^k, k = 0..degree, filled by repeated multiplication."""
+    dx = np.asarray(x, dtype=float) - basis.center[..., 0, None]
+    dy = np.asarray(y, dtype=float) - basis.center[..., 1, None]
+    T = basis.axes[..., None]
+    X = T[..., 0, 0, :] * dx + T[..., 0, 1, :] * dy
+    table = np.empty((2, basis.degree + 1) + X.shape)
+    table[:, 0] = 1.0
+    if basis.degree:
+        table[0, 1] = X
+        table[1, 1] = T[..., 1, 0, :] * dx + T[..., 1, 1, :] * dy
+    for k in range(2, basis.degree + 1):
+        np.multiply(table[:, k - 1], table[:, 1], out=table[:, k])
+    px, py = table
+    out = np.empty((basis.dim,) + px.shape[1:])
+    for i, (a, b) in enumerate(basis.exponents):
+        np.multiply(px[a], py[b], out=out[i])
+    return np.moveaxis(out, 0, -1)
+
+
+def indexed_derivatives(basis) -> np.ndarray:
+    """`CellBasis.derivatives` with each shifted exponent looked up in a dict."""
+    index = {(a, b): k for k, (a, b) in enumerate(basis.exponents.tolist())}
+    shift = np.zeros((2, basis.dim, basis.dim))
+    for i, (a, b) in enumerate(basis.exponents.tolist()):   # a zero factor adds nothing
+        shift[0, i, index.get((a - 1, b), 0)] += a
+        shift[1, i, index.get((a, b - 1), 0)] += b
+    return np.einsum("...rc,rik->...cik", basis.axes, shift)
 
 
 def basis_gradients(basis, x, y) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wgmixed.basis import (
     EdgeBasis,
@@ -20,7 +21,7 @@ from wgmixed.mesh import generate_disk_mesh
 from wgmixed.quadrature import polygon_rule
 
 from reference import cell_diameter as all_pairs_diameter
-from reference import cell_mass_matrix
+from reference import cell_mass_matrix, indexed_derivatives, power_table_values
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -244,7 +245,7 @@ def test_group_basis_and_projections_equal_one_cell_ones():
 
 
 # ---------------------------------------------------------------------------
-# power-table tabulation
+# tabulation
 # ---------------------------------------------------------------------------
 
 def _tabulation_cases():
@@ -302,6 +303,39 @@ def test_tabulation_bitwise_equals_running_product(degree):
         assert [st for n, st in zip(got.shape, got.strides) if n > 1] == \
             [st for n, st in zip(want.shape, want.strides) if n > 1]
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 5),
+       points=arrays(np.float64, st.tuples(st.just(4), st.integers(1, 12), st.just(2)),
+                     elements=st.floats(-4.0, 4.0)))
+def test_eval_and_derivatives_bitwise_equal_power_table(degree, points):
+    # one cell on the points of the first cell, and the group of four on all of them
+    for verts, _, _ in _tabulation_cases():
+        bas = cell_basis(verts, degree)
+        pts = points if verts.ndim == 3 else points[0]
+        x, y = pts[..., 0], pts[..., 1]
+        got, want = bas.eval(x, y), power_table_values(bas, x, y)
+        assert got.strides == want.strides
+        assert np.array_equal(got, want)
+        assert np.array_equal(bas.derivatives(), indexed_derivatives(bas))
+
+
+@pytest.mark.parametrize("degree", range(1, 6))
+def test_eval_peak_memory_is_its_output_and_four_planes(degree):
+    # the planes of xi, eta and the shifted coordinates, beside the dim output
+    # planes, and no table of powers
+    rng = np.random.default_rng(degree)
+    stack = np.stack([regular_polygon(6, center=(g, -g)) for g in range(32)])
+    bas = cell_basis(stack, degree)
+    x, y = stack[:, 0, :].T[..., None] + rng.random((2, 32, 4096))
+    tracemalloc.start()
+    try:
+        bas.eval(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (bas.dim + 4.5) * x.nbytes, peak / x.nbytes
 
 
 def test_project_cell_takes_tabulated_values():

@@ -99,6 +99,7 @@ def test_ring_runs_through_same_pipeline(tmp_path):
     (["--domain", "disk", "--split-rule", "fixed:0"], "fixed:0"),
     (["--domain", "disk", "--split-rule", "fixed:"], "fixed:"),
     (["--domain", "disk", "--levels", ""], "--levels is empty"),
+    (["--domain", "square", "--split-rule", "fixed:3", "--levels", "2,4"], "split_rule"),
 ])
 def test_bad_study_rejected_before_any_level(args, named, monkeypatch, capsys):
     ran = []

@@ -215,6 +215,7 @@ def test_study_with_threads_one_runs_its_levels_in_order():
     ({"threads": -3}, "threads -3"),
     ({"threads": 0}, "threads 0"),
     ({"threads": 2}, "threads 2"),
+    ({"domain": "square", "split_rule": "fixed:3"}, "split_rule 'fixed:3'"),
 ])
 def test_study_config_names_a_bad_field_before_any_level(bad, named, monkeypatch, capsys):
     ran = []

@@ -5,8 +5,9 @@ up to 20% of the smallest diameter of the cells around them; the boundary
 vertices stay on the circle.  On every such mesh the WG interpolant of a
 [P_j]^2 field (cell projections, and edge projections of u . n_e on every
 edge, boundary edges included) has zero straight-mode stabilization, the
-weak divergence commutes with the L2 projection onto P_j, and the standard
-JSON reader gets the mesh's vertices, loops and boundary curves back from
+weak divergence commutes with the L2 projection onto P_j, the cell bases of
+degrees 0-5 on every cell group equal the power-table reference bit for bit,
+and the standard JSON reader gets the mesh's vertices, loops and boundary curves back from
 the written text bit for bit.
 """
 
@@ -22,7 +23,7 @@ from wgmixed.assembly import (
     local_stabilization,
     projection_order,
 )
-from wgmixed.basis import graded_lex_exponents, project_cell, project_edge
+from wgmixed.basis import cell_basis, graded_lex_exponents, project_cell, project_edge
 from wgmixed.convergence import project_exact
 from wgmixed.mesh import (
     build_mesh,
@@ -32,7 +33,7 @@ from wgmixed.mesh import (
     validate_mesh,
 )
 
-from reference import local_weak_divergence
+from reference import indexed_derivatives, local_weak_divergence, power_table_values
 
 
 def perturbed_disk(n, split, rng, fraction=0.2):
@@ -102,6 +103,19 @@ def test_grouped_kernels_on_perturbed_disks(seed, j, n, split):
         expect = project_cell(group.vertices, div_u, layout.beta, basis=group.basis,
                               rule=group.proj_rule)
         assert np.abs(got - expect).max() <= 1e-10 * max(1.0, np.abs(expect).max())
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 12, 16]),
+       split=st.sampled_from([1, 3]))
+def test_group_bases_bitwise_equal_power_table_on_perturbed_disks(seed, n, split):
+    mesh = perturbed_disk(n, split, np.random.default_rng(seed))
+    for group in level_cells(mesh, DofLayout(mesh, 1, 1, 0, include_boundary_traces=True)):
+        x, y = group.proj_rule.points[..., 0], group.proj_rule.points[..., 1]
+        for degree in range(6):
+            bas = cell_basis(group.vertices, degree, group.basis.center, group.basis.axes)
+            assert np.array_equal(bas.eval(x, y), power_table_values(bas, x, y))
+            assert np.array_equal(bas.derivatives(), indexed_derivatives(bas))
 
 
 def assert_document_gives_the_mesh(mesh):

@@ -57,6 +57,27 @@ def test_bench_case_record_compares_with_itself(tmp_path, capsys):
     assert rss == [[f"{m:.1f}"] * 2 for m in peaks]
 
 
+def test_bench_record_holds_medians_and_quartiles_of_its_runs(tmp_path, capsys):
+    bench = load_script("bench")
+    runs = [{"case": "c", "stages": {"mesh": t, "solve": 2 * t}, "level_s": 3 * t,
+             "peak_rss_mb": 100.0 + t, "stage_rss_mb": {"mesh": 50.0 + t, "solve": 90.0 + t},
+             "dofs": 7} for t in (5.0, 1.0, 4.0, 2.0, 3.0)]
+    record = bench.summarize(runs)
+    assert record["runs"] == 5 and record["dofs"] == 7
+    assert record["stages"] == {"mesh": 3.0, "solve": 6.0} and record["level_s"] == 9.0
+    assert record["quartiles"] == {"mesh": [2.0, 4.0], "solve": [4.0, 8.0], "level": [6.0, 12.0]}
+    assert record["peak_rss_mb"] == 103.0 and record["stage_rss_mb"] == {"mesh": 53.0, "solve": 93.0}
+    # a record against itself: every ratio 1, every quartile range overlapping
+    path = tmp_path / "BENCH_runs.json"
+    path.write_text(json.dumps({"cases": [record]}), encoding="utf-8")
+    bench.compare(path, path)
+    rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[1:] for row in rows if row[1] in ("mesh", "solve", "level")] == [
+        ["mesh", "3.0000", "3.0000", "1.000", "~"], ["solve", "6.0000", "6.0000", "1.000", "~"],
+        ["level", "9.0000", "9.0000", "1.000", "~"]]
+    assert not bench.overlap([1.0, 2.0], [2.5, 3.0]) and not bench.overlap(None, [1.0, 2.0])
+
+
 def test_quick_studies_are_the_full_ones_without_their_finest_level():
     studies = load_script("run_all_studies")
     assert [claim.name for claim in studies.QUICK] == [claim.name for claim in studies.CLAIMS]
