@@ -57,6 +57,17 @@ CLAIMS = (
     Claim("ring_original_j1", StudyConfig("ring", "original", 1, (48, 96, 192, 384)), 0.5, 0.2),
     Claim("ring_original_j2", StudyConfig("ring", "original", 2, (16, 32, 64, 128)), 0.5, 0.2),
     Claim("ring_modified_j1", StudyConfig("ring", "modified", 1, (16, 32, 64, 128)), 1.0, 0.2),
+    # the same three rates at degrees 3 and 4
+    Claim("disk_original_j3", StudyConfig("disk", "original", 3, (16, 32, 64, 128)), 0.5, 0.2),
+    Claim("disk_original_j4", StudyConfig("disk", "original", 4, (16, 32, 64, 128)), 0.5, 0.2),
+    Claim("disk_modified_j3", StudyConfig("disk", "modified", 3, (16, 32, 64, 128)), 1.5, 0.25),
+    Claim("disk_modified_j4", StudyConfig("disk", "modified", 4, (16, 32, 64, 128)), 1.5, 0.25),
+    Claim("disk_modified_j3_split", StudyConfig("disk", "modified", 3, (16, 32, 64, 128),
+                                                split_rule="modified"), 3.0, 0.25, (2, 3, 5, 7)),
+    Claim("disk_modified_j4_split", StudyConfig("disk", "modified", 4, (16, 32, 64, 128),
+                                                split_rule="modified"), 4.0, 0.25, (3, 5, 11, 25)),
+    Claim("ring_original_j3", StudyConfig("ring", "original", 3, (16, 32, 64, 128)), 0.5, 0.2),
+    Claim("ring_modified_j3", StudyConfig("ring", "modified", 3, (16, 32, 64, 128)), 1.5, 0.25),
 )
 
 QUICK = tuple(claim._replace(config=dataclasses.replace(

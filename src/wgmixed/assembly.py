@@ -96,10 +96,10 @@ class DofLayout:
 
     Velocity dofs: per-cell interior blocks (component-major: all x-component
     basis functions, then all y-component), followed by per-edge trace blocks.
-    Boundary-edge traces are eliminated unless `include_boundary_traces` is
-    set (which models the larger space used only in tests).  Pressure dofs are
-    indexed separately from zero, and so are the solver's multipliers: one
-    P_beta block per edge shared by two cells.
+    Boundary-edge traces are zero and not unknowns (`include_boundary_traces`
+    keeps them for the kernel tests; `assemble_system` refuses it), so trace
+    dof d is multiplier d - n_interior of the hybridized solve.  Pressure
+    dofs are indexed separately from zero.
     """
 
     def __init__(self, mesh: PolygonalMesh, alpha: int, beta: int, sigma: int,
@@ -128,9 +128,6 @@ class DofLayout:
         self.n_velocity = self.n_interior + self.trace_dim * int(kept.sum())
         self.pressure_offsets = self.dim_sigma * np.arange(nc, dtype=np.int64)
         self.n_pressure = self.dim_sigma * nc
-        shared = mesh.edge_cells[:, 1] >= 0
-        self.multiplier_offsets = np.where(shared, self.trace_dim * (np.cumsum(shared) - 1), -1)
-        self.n_multipliers = self.trace_dim * int(shared.sum())
 
     @property
     def n_dofs(self) -> int:
@@ -336,8 +333,8 @@ class SingularSystemError(RuntimeError):
 def _to_csr(triplets, shape) -> sp.csr_matrix:
     """CSR matrix from stacked dense blocks (G, r, c) with global rows (G, r) and columns (G, c).
 
-    `triplets` yields (rows, cols, blocks); negative indices (traces with no
-    multiplier) are skipped.
+    `triplets` yields (rows, cols, blocks); negative indices (the pinned
+    multiplier 0) are skipped.
     """
     r, c, v = [], [], []
     for rows, cols, blocks in triplets:
@@ -351,7 +348,7 @@ def _to_csr(triplets, shape) -> sp.csr_matrix:
 
 
 def _gather(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """v[idx], reading 0 where idx is -1 (no multiplier, or a non-owner copy)."""
+    """v[idx], reading 0 where idx is -1 (the pinned multiplier, or a non-owner copy)."""
     return np.concatenate([[0.0], v])[idx + 1]
 
 
@@ -373,15 +370,16 @@ class CellBlocks:
     flux-norm block minus A_K; on an interior group, where the modes agree,
     it is None.
 
-    In the hybridized solve each cell keeps its own copy of its traces, and
-    the two copies on an edge shared by two cells are tied by the edge's
+    In the hybridized solve each cell keeps its own copy of its traces, all
+    on edges of two cells, and the two copies are tied by the edge's
     multiplier, with sign `sides` (+1 on the owner's copy, -1 on the other
-    one's, 0 on a trace that has no multiplier).  `hdofs` index the trace
-    dofs' multipliers in `SaddleSystem.condensed` (-1: no multiplier, or the
-    pinned multiplier 0), and `owned` each local unknown's global dof, -1 on
-    the non-owner copy of a shared trace.  The trace columns of local_K^{-1}
-    (`SaddleSystem.inverses`) times `sides` are local_K^{-1} E_K^T, E_K the
-    signed map of the cell's traces to its multipliers.
+    one's).  Trace dof d is multiplier d - n_interior, so `hdofs`, the trace
+    dofs' rows in `SaddleSystem.condensed`, are the trace dofs less
+    n_interior + 1 (-1: the pinned multiplier 0); `owned` is each local
+    unknown's global dof, -1 on the non-owner copy of a trace.  The trace
+    columns of local_K^{-1} (`SaddleSystem.inverses`) times `sides` are
+    local_K^{-1} E_K^T, E_K the signed map of the cell's traces to its
+    multipliers.
     """
 
     ids: np.ndarray            # (G,) cells
@@ -389,8 +387,8 @@ class CellBlocks:
     pdofs: np.ndarray          # (G, ns) global pressure dofs
     local: np.ndarray          # (G, K + ns, K + ns)
     delta: np.ndarray | None   # (G, K, K) on a boundary group, else None
-    hdofs: np.ndarray          # (G, K - n_int) multiplier rows of the trace dofs, -1 = none
-    sides: np.ndarray          # (G, K - n_int) +1 owner, -1 other side, 0 no multiplier
+    hdofs: np.ndarray          # (G, K - n_int) multiplier rows of the trace dofs, -1 = pinned
+    sides: np.ndarray          # (G, K - n_int) +1 owner, -1 other side
     owned: np.ndarray          # (G, K + ns) global dofs, -1 = non-owner copy
 
     @property
@@ -427,17 +425,13 @@ def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: floa
     if scheme == "modified" and boundary:
         local[:, k:, :ni] -= local_boundary_correction(group).sum(axis=1)
 
-    td = layout.trace_dim
-    offsets = layout.multiplier_offsets[np.take_along_axis(group.edges, group.slots, axis=1)]
-    shared = np.repeat(offsets >= 0, td, axis=1)
-    owner = np.repeat(np.take_along_axis(group.signs, group.slots, axis=1) > 0, td, axis=1)
-    mult = (offsets[..., None] + np.arange(td)).reshape(shared.shape)
+    sides = np.repeat(np.take_along_axis(group.signs, group.slots, axis=1).astype(float),
+                      layout.trace_dim, axis=1)
     owned = np.concatenate([group.dofs, layout.n_velocity + pdofs], axis=1)
-    owned[:, ni:k][~owner] = -1
+    owned[:, ni:k][sides < 0] = -1
     # H's rows are the multipliers less one: multiplier 0, pinned, gets -1
     return CellBlocks(ids=group.ids, vdofs=group.dofs, pdofs=pdofs, local=local, delta=delta,
-                      hdofs=np.where(shared, mult - 1, -1),
-                      sides=np.where(shared, np.where(owner, 1.0, -1.0), 0.0), owned=owned)
+                      hdofs=group.dofs[:, ni:] - layout.n_interior - 1, sides=sides, owned=owned)
 
 
 @dataclass
@@ -521,7 +515,7 @@ class SaddleSystem:
             traces = slice(2 * lay.dim_alpha, b.vdofs.shape[1])
             H = b.sides[:, :, None] * inverse[:, traces, traces] * b.sides[:, None, :]
             parts.append((b.hdofs, b.hdofs, H))
-        n = lay.n_multipliers - 1
+        n = lay.n_velocity - lay.n_interior - 1
         return _to_csr(parts, (n, n)).tocsc()
 
     def condense(self, f: np.ndarray) -> tuple[np.ndarray, list]:
@@ -531,7 +525,7 @@ class SaddleSystem:
         owner's copy only.
         """
         ni = 2 * self.layout.dim_alpha
-        g = np.zeros(self.layout.n_multipliers - 1)
+        g = np.zeros(self.layout.n_velocity - self.layout.n_interior - 1)
         solves = []
         for b, inverse in zip(self.blocks, self.inverses):
             z = (inverse @ _gather(f, b.owned)[..., None])[..., 0]
@@ -573,10 +567,13 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     the difference is kept as their `delta` blocks, so both flux norms come
     from one pass.  Each group's blocks are built on its cells' kept dofs;
     nothing is inverted or factorized here (see `SaddleSystem.condensed`).
+    A layout that keeps boundary traces is refused before any kernel runs.
     """
     if scheme not in ("original", "modified"):
         raise ValueError(f"unknown scheme '{scheme}'")
     layout = degrees if isinstance(degrees, DofLayout) else DofLayout(mesh, *degrees)
+    if np.any(layout.trace_offsets[mesh.boundary_edge_indices] >= 0):
+        raise ValueError("include_boundary_traces: boundary traces have no multiplier")
     if rho <= 0.0:
         raise ValueError("stabilization parameter rho must be positive")
     mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")

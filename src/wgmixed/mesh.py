@@ -632,13 +632,13 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQualityReport:
 
     max_gap = max_dev = max_dev_edge = 0.0
     if bidx.size:
-        rows = mesh.boundary_segments.rows(bidx)
-        if np.any(rows < 0):
-            raise MeshError(f"boundary edge {bidx[np.argmin(rows)]} lacks a curved segment")
+        curves = mesh.boundary_segments   # one row per boundary edge, ascending
+        if not np.array_equal(curves.edges, bidx):
+            raise MeshError("curved segments are not one per boundary edge, in order")
         L = mesh.edge_lengths[bidx][:, None]
         msmp = SAMPLES_PER_EDGE
         xh = np.hstack([L * (np.arange(msmp) + 0.5) / msmp, 0.0 * L, L])
-        _, gamma, ntilde = segment_geometry(mesh.boundary_segments.take(rows), xh)
+        _, gamma, ntilde = segment_geometry(curves, xh)
         dev = np.linalg.norm(ntilde[:, :msmp] - mesh.edge_normals[bidx][:, None, :],
                              axis=2).max(axis=1)
         gap = gamma[:, :msmp].max(axis=1)

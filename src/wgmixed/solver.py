@@ -1,9 +1,11 @@
 """Direct solution of the assembled saddle-point systems by hybridization.
 
 Each cell keeps its own copy of its edge traces, and the two copies on an
-edge shared by two cells are tied by a P_beta multiplier on the edge.  A
-cell's saddle block on its own interior flux, traces and pressure is
-nonsingular, so every cell unknown is eliminated with its block's inverse,
+edge shared by two cells are tied by a P_beta multiplier on the edge.
+Boundary traces are zero and are not unknowns, so every trace dof has a
+multiplier: trace dof d is multiplier d - n_interior.  A cell's saddle
+block on its own interior flux, traces and pressure is nonsingular, so
+every cell unknown is eliminated with its block's inverse,
 and the solve factorizes only the multiplier system
 H = sum_K E_K local_K^{-1} E_K^T (`SaddleSystem.condensed`) by sparse LU.  H
 couples only edges of one cell, so its pattern is symmetric; it is symmetric
@@ -18,9 +20,9 @@ inherits it, and it is pinned by dropping multiplier 0.  One step of
 iterative refinement against the full operator follows every solve, and the
 pressure mean is then taken out on each cell's constant coefficient.  H is
 factorized once, pivot-free; a failed or inaccurate factorization raises at
-once, with no retry.  A mesh of one cell has no multiplier, and its block is
-singular (no trace pairs with the constant pressure): `SaddleSystem.inverses`
-raises before anything is factorized.
+once, with no retry.  A mesh of one cell has no trace, so no multiplier,
+and its block is singular (no trace pairs with the constant pressure):
+`SaddleSystem.inverses` raises before anything is factorized.
 """
 
 from __future__ import annotations

@@ -360,6 +360,36 @@ def test_each_group_holds_one_vertex_count_and_one_boundary_edge_count(mesh_name
     assert all(kind[c][1] > 0 for ids in pairs for c in ids)
 
 
+@pytest.mark.parametrize("mesh_name", list(GROUPED_MESHES))
+def test_each_trace_dof_is_one_multiplier_held_by_the_two_cells_of_its_edge(mesh_name):
+    # trace dof d is multiplier d - n_interior: the owner's copy enters with +1,
+    # the other cell's with -1, and each global dof has exactly one owned copy
+    mesh = GROUPED_MESHES[mesh_name]()
+    layout = DofLayout(mesh, 2, 2, 1)
+    system = assemble_system(mesh, layout)
+    ni, td = 2 * layout.dim_alpha, layout.trace_dim
+    inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+    edge_of = np.full(layout.n_velocity, -1)
+    edge_of[layout.trace_offsets[inner][:, None] + np.arange(td)] = inner[:, None]
+    cells, traces, sides, owned = [], [], [], []
+    for b in system.blocks:
+        assert np.array_equal(b.hdofs, b.vdofs[:, ni:] - layout.n_interior - 1)
+        cells.append(np.repeat(b.ids, b.sides.shape[1]))
+        traces.append(b.vdofs[:, ni:].ravel())
+        sides.append(b.sides.ravel())
+        owned.append(b.owned[b.owned >= 0])
+    cells, traces, sides = map(np.concatenate, (cells, traces, sides))
+    n_traces = layout.n_velocity - layout.n_interior
+    assert n_traces == td * inner.size
+    assert np.array_equal(np.bincount(traces - layout.n_interior, minlength=n_traces),
+                          np.full(n_traces, 2))
+    assert np.all(edge_of[traces] >= 0)
+    pair = mesh.edge_cells[edge_of[traces]]
+    assert np.all((cells == pair[:, 0]) | (cells == pair[:, 1]))
+    assert np.array_equal(sides, np.where(cells == pair[:, 0], 1.0, -1.0))
+    assert np.array_equal(np.sort(np.concatenate(owned)), np.arange(layout.n_dofs))
+
+
 # ---------------------------------------------------------------------------
 # global systems
 # ---------------------------------------------------------------------------
@@ -376,6 +406,24 @@ def test_degree_condition_enforced():
         DofLayout(mesh, 1, 1, -1)
     with pytest.raises(ValueError):
         assemble_system(mesh, (2, 2, 0))
+
+
+def test_a_layout_keeping_boundary_traces_is_refused_before_any_kernel(monkeypatch):
+    # boundary traces have no multiplier, so the hybridized solve cannot take them
+    mesh = generate_disk_mesh(16, 3)
+    calls, kernel = [], assembly.local_stabilization
+
+    def counted(cells, *args, **kwargs):
+        calls.append(cells.ids)
+        return kernel(cells, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "local_stabilization", counted)
+    for scheme in ("original", "modified"):
+        with pytest.raises(ValueError, match="include_boundary_traces"):
+            assemble_system(mesh, wh_layout(mesh, 2, 2, 1), scheme=scheme)
+    assert calls == []
+    assemble_system(mesh, DofLayout(mesh, 2, 2, 1))
+    assert calls
 
 
 def test_dof_counts():

@@ -1,5 +1,6 @@
 """Mesh generators, curved-boundary geometry, validators, and the mesh file writer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -518,6 +519,21 @@ def test_validate_rejects_hacked_zero_area_cell():
     hacked = PolygonalMesh(**{**m.__dict__, "vertices": verts})
     with pytest.raises(MeshError):
         validate_mesh(hacked)
+
+
+@pytest.mark.parametrize("fault", ["missing", "interior", "reversed"])
+def test_validate_rejects_curves_that_are_not_one_per_boundary_edge(fault):
+    m = generate_disk_mesh(8, 1)
+    curves, bidx = m.boundary_segments, m.boundary_edge_indices
+    inner = int(np.flatnonzero(m.edge_cells[:, 1] >= 0)[0])
+    rows = {"missing": curves.take(curves.edges != bidx[0]),
+            "interior": dataclasses.replace(curves, edges=np.where(curves.edges == bidx[0],
+                                                                   inner, curves.edges)),
+            "reversed": curves.take(np.arange(bidx.size)[::-1])}[fault]
+    hacked = PolygonalMesh(**{**m.__dict__, "boundary_segments": rows})
+    with pytest.raises(MeshError, match="not one per boundary edge, in order"):
+        validate_mesh(hacked)
+    assert validate_mesh(m).passed
 
 
 def test_circle_segment_rejects_off_circle_endpoints():

@@ -297,7 +297,7 @@ def test_one_cell_mesh_is_singular_before_any_factorization(monkeypatch):
     # cell's block is zero, and the block inverse fails before splu is called
     mesh = build_mesh([(0, 0), (1, 0), (1.2, 0.8), (0.4, 1.1), (-0.1, 0.6)], [[0, 1, 2, 3, 4]])
     system, rhs = make_problem(mesh, (2, 2, 1), "original", "square")
-    assert system.layout.n_multipliers == 0
+    assert system.layout.n_velocity == system.layout.n_interior
     calls = []
     monkeypatch.setattr(solver, "splu", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(SingularSystemError, match="singular"):
