@@ -51,17 +51,14 @@ interior flux (whose leading blocks are the pressure's).
 
 The assembled system is a list of cell blocks, one per group: each cell's
 saddle block on its group's kept dofs, with the scheme's pressure rows
-(boundary corrections subtracted in the modified scheme) stored in it, and
-the maps of the cell's copies of its traces to the multipliers of the
-hybridized solve.  `assemble_system` inverts and factorizes nothing.  On
-first access `SaddleSystem.inverses` inverts each group's blocks in one
-batched call, and `SaddleSystem.condensed` scatters the multiplier system
-from them, the one sparse matrix the solve factorizes.  The cell blocks are
-the only operator: products with it, and the flux norms in both normal
-modes (`convergence.vh_norm`), are computed cell by cell from them.  The
-global A, B and pressure rows are scattered from them only on request, on
-the blocks' pattern (stored zeros kept); neither the solve nor the norms
-read them.
+(boundary corrections subtracted in the modified scheme) stored in it.
+`assemble_system` inverts and factorizes nothing; the hybridized solve
+(`solver.solve_saddle`) eliminates the blocks.  The cell blocks are the
+only operator: products with it, and the flux norms in both normal modes
+(`convergence.vh_norm`), are computed cell by cell from them.  The global
+A, B and pressure rows are scattered from them only on request, on the
+blocks' pattern (stored zeros kept); neither the solve nor the norms read
+them.
 """
 
 from __future__ import annotations
@@ -247,8 +244,9 @@ class CellGroup:
             if np.any(k < 0):
                 raise ConfigurationError(
                     f"edge {bedges[np.argmin(k)]}: curved stabilization requires its curve")
-            ntilde = segment_geometry(curves.take(k),
-                                      self.mesh.edge_lengths[bedges][:, None] * t)[2]
+            # the stack as stored, then this group's rows: no copy of the curves
+            xhat = self.mesh.edge_lengths[curves.edges][:, None] * t
+            ntilde = segment_geometry(curves, xhat)[2][k]
             m_vec[boundary] = ntilde
             ne_dot_m[boundary] = np.einsum("sqc,sc->sq", ntilde, n_edge[boundary])
         return m_vec, ne_dot_m
@@ -326,30 +324,19 @@ def local_boundary_correction(cells: CellGroup) -> np.ndarray:
     return C * cells.boundary[..., None, None]
 
 
-class SingularSystemError(RuntimeError):
-    """System singular beyond the expected rank-1 pressure kernel."""
-
-
 def _to_csr(triplets, shape) -> sp.csr_matrix:
     """CSR matrix from stacked dense blocks (G, r, c) with global rows (G, r) and columns (G, c).
 
-    `triplets` yields (rows, cols, blocks); negative indices (the pinned
-    multiplier 0) are skipped.
+    `triplets` yields (rows, cols, blocks).
     """
     r, c, v = [], [], []
     for rows, cols, blocks in triplets:
         R, C = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
-        keep = (R >= 0) & (C >= 0)
-        r.append(R[keep])
-        c.append(C[keep])
-        v.append(blocks[keep])
+        r.append(R.ravel())
+        c.append(C.ravel())
+        v.append(blocks.ravel())
     return sp.coo_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
                          shape=shape).tocsr()
-
-
-def _gather(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """v[idx], reading 0 where idx is -1 (the pinned multiplier, or a non-owner copy)."""
-    return np.concatenate([[0.0], v])[idx + 1]
 
 
 def _scatter(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -359,7 +346,7 @@ def _scatter(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class CellBlocks:
-    """One cell group's saddle blocks on its cells' kept dofs, with their multiplier maps.
+    """One cell group's saddle blocks on its cells' kept dofs.
 
     The flux dofs are the group's (`CellGroup.dofs`): each cell's interior
     flux, then its slots' traces.  `local` holds each cell's saddle block
@@ -369,17 +356,6 @@ class CellBlocks:
     scheme).  On a boundary group `delta` is the other normal mode's
     flux-norm block minus A_K; on an interior group, where the modes agree,
     it is None.
-
-    In the hybridized solve each cell keeps its own copy of its traces, all
-    on edges of two cells, and the two copies are tied by the edge's
-    multiplier, with sign `sides` (+1 on the owner's copy, -1 on the other
-    one's).  Trace dof d is multiplier d - n_interior, so `hdofs`, the trace
-    dofs' rows in `SaddleSystem.condensed`, are the trace dofs less
-    n_interior + 1 (-1: the pinned multiplier 0); `owned` is each local
-    unknown's global dof, -1 on the non-owner copy of a trace.  The trace
-    columns of local_K^{-1} (`SaddleSystem.inverses`) times `sides` are
-    local_K^{-1} E_K^T, E_K the signed map of the cell's traces to its
-    multipliers.
     """
 
     ids: np.ndarray            # (G,) cells
@@ -387,9 +363,6 @@ class CellBlocks:
     pdofs: np.ndarray          # (G, ns) global pressure dofs
     local: np.ndarray          # (G, K + ns, K + ns)
     delta: np.ndarray | None   # (G, K, K) on a boundary group, else None
-    hdofs: np.ndarray          # (G, K - n_int) multiplier rows of the trace dofs, -1 = pinned
-    sides: np.ndarray          # (G, K - n_int) +1 owner, -1 other side
-    owned: np.ndarray          # (G, K + ns) global dofs, -1 = non-owner copy
 
     @property
     def A(self) -> np.ndarray:
@@ -408,7 +381,7 @@ class CellBlocks:
 
 
 def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: float) -> CellBlocks:
-    """The group's `CellBlocks`: its kernels' blocks and index maps, no linear algebra."""
+    """The group's `CellBlocks`: its kernels' blocks, no linear algebra."""
     layout, ni, ns, k = group.layout, group.n_int, group.layout.dim_sigma, group.n_loc
     pdofs = layout.pressure_dofs(group.ids)
     boundary = group.boundary.any()
@@ -424,14 +397,7 @@ def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: floa
     local[:, k:, :k] = B
     if scheme == "modified" and boundary:
         local[:, k:, :ni] -= local_boundary_correction(group).sum(axis=1)
-
-    sides = np.repeat(np.take_along_axis(group.signs, group.slots, axis=1).astype(float),
-                      layout.trace_dim, axis=1)
-    owned = np.concatenate([group.dofs, layout.n_velocity + pdofs], axis=1)
-    owned[:, ni:k][sides < 0] = -1
-    # H's rows are the multipliers less one: multiplier 0, pinned, gets -1
-    return CellBlocks(ids=group.ids, vdofs=group.dofs, pdofs=pdofs, local=local, delta=delta,
-                      hdofs=group.dofs[:, ni:] - layout.n_interior - 1, sides=sides, owned=owned)
+    return CellBlocks(ids=group.ids, vdofs=group.dofs, pdofs=pdofs, local=local, delta=delta)
 
 
 @dataclass
@@ -448,13 +414,9 @@ class SaddleSystem:
     interior flux; their leading dim P_sigma blocks are the pressure's.
 
     `blocks` holds each cell group's `CellBlocks`, the system's one
-    representation: products and the error norms are computed from them cell
-    by cell.  `inverses` (the blocks inverted) and `condensed`, the only
-    sparse matrix the solve needs, are built from them on first access: the
-    multiplier system H = sum_K E_K local_K^{-1} E_K^T of the hybridized
-    solve (see `CellBlocks`), pinned at multiplier 0 (CSC).  A, B and
-    `pressure_rows` (on the pattern of B) are scattered from the blocks on
-    request only.
+    representation: products, the error norms and the solve are computed
+    from them cell by cell.  A, B and `pressure_rows` (on the pattern of B)
+    are scattered from the blocks on request only.
     """
 
     layout: DofLayout
@@ -495,54 +457,6 @@ class SaddleSystem:
             out += _scatter(idx, b.local @ x[idx][..., None], n)
         return out
 
-    @cached_property
-    def inverses(self) -> list:
-        """Each group's cell blocks inverted, local_K^{-1} (G, K + ns, K + ns)."""
-        try:
-            return [np.linalg.inv(b.local) for b in self.blocks]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"a cell's saddle block is singular ({exc})") from exc
-
-    @cached_property
-    def condensed(self) -> sp.csc_matrix:
-        """H = sum_K E_K local_K^{-1} E_K^T without multiplier 0's row and column (CSC).
-
-        Its only kernel, the constant pressure's, is pinned so.
-        """
-        lay = self.layout
-        parts = []
-        for b, inverse in zip(self.blocks, self.inverses):
-            traces = slice(2 * lay.dim_alpha, b.vdofs.shape[1])
-            H = b.sides[:, :, None] * inverse[:, traces, traces] * b.sides[:, None, :]
-            parts.append((b.hdofs, b.hdofs, H))
-        n = lay.n_velocity - lay.n_interior - 1
-        return _to_csr(parts, (n, n)).tocsc()
-
-    def condense(self, f: np.ndarray) -> tuple[np.ndarray, list]:
-        """H's right-hand side sum_K E_K local_K^{-1} f_K, and each group's local_K^{-1} f_K.
-
-        f_K is f on the cell's own dofs; a shared trace's entry goes to its
-        owner's copy only.
-        """
-        ni = 2 * self.layout.dim_alpha
-        g = np.zeros(self.layout.n_velocity - self.layout.n_interior - 1)
-        solves = []
-        for b, inverse in zip(self.blocks, self.inverses):
-            z = (inverse @ _gather(f, b.owned)[..., None])[..., 0]
-            g += _scatter(b.hdofs, b.sides * z[:, ni:b.vdofs.shape[1]], g.size)
-            solves.append(z)
-        return g, solves
-
-    def expand(self, solves: list, y: np.ndarray) -> np.ndarray:
-        """The full solution vector from the multipliers y and `condense`'s solves."""
-        ni = 2 * self.layout.dim_alpha
-        x = np.zeros(self.layout.n_dofs)
-        for b, inverse, z in zip(self.blocks, self.inverses, solves):
-            ey = b.sides * _gather(y, b.hdofs)     # E_K^T y on the cell's traces
-            x += _scatter(b.owned, z - (inverse[:, :, ni:b.vdofs.shape[1]] @ ey[..., None])[..., 0],
-                          x.size)
-        return x
-
 
 def assemble_vh_matrix(mesh: PolygonalMesh, layout: DofLayout, mode: str = "straight",
                        rho: float = 1.0) -> sp.csr_matrix:
@@ -566,7 +480,7 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     rows only.  Boundary groups are stabilized in the other normal mode too;
     the difference is kept as their `delta` blocks, so both flux norms come
     from one pass.  Each group's blocks are built on its cells' kept dofs;
-    nothing is inverted or factorized here (see `SaddleSystem.condensed`).
+    nothing is inverted or factorized here (see `solver.solve_saddle`).
     A layout that keeps boundary traces is refused before any kernel runs.
     """
     if scheme not in ("original", "modified"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wgmixed import assembly, basis, convergence
+from wgmixed import assembly, basis, convergence, solver
 from wgmixed.assembly import (
     CellGroup,
     ConfigurationError,
@@ -35,12 +35,14 @@ from wgmixed.convergence import (
     vh_norm,
 )
 from wgmixed.mesh import (
+    BoundaryCurves,
     PolygonalMesh,
     boundary_split_count,
     build_mesh,
     generate_disk_mesh,
     generate_ring_mesh,
     generate_square_tri,
+    segment_geometry,
 )
 from wgmixed.quadrature import polygon_rule
 from wgmixed.solutions import registry_lookup
@@ -372,12 +374,12 @@ def test_each_trace_dof_is_one_multiplier_held_by_the_two_cells_of_its_edge(mesh
     edge_of = np.full(layout.n_velocity, -1)
     edge_of[layout.trace_offsets[inner][:, None] + np.arange(td)] = inner[:, None]
     cells, traces, sides, owned = [], [], [], []
-    for b in system.blocks:
-        assert np.array_equal(b.hdofs, b.vdofs[:, ni:] - layout.n_interior - 1)
-        cells.append(np.repeat(b.ids, b.sides.shape[1]))
+    for b, e in zip(system.blocks, solver._eliminate(system)[0]):
+        assert np.array_equal(e.hdofs, b.vdofs[:, ni:] - layout.n_interior - 1)
+        cells.append(np.repeat(b.ids, e.sides.shape[1]))
         traces.append(b.vdofs[:, ni:].ravel())
-        sides.append(b.sides.ravel())
-        owned.append(b.owned[b.owned >= 0])
+        sides.append(e.sides.ravel())
+        owned.append(e.owned[e.owned >= 0])
     cells, traces, sides = map(np.concatenate, (cells, traces, sides))
     n_traces = layout.n_velocity - layout.n_interior
     assert n_traces == td * inner.size
@@ -388,6 +390,33 @@ def test_each_trace_dof_is_one_multiplier_held_by_the_two_cells_of_its_edge(mesh
     assert np.all((cells == pair[:, 0]) | (cells == pair[:, 1]))
     assert np.array_equal(sides, np.where(cells == pair[:, 0], 1.0, -1.0))
     assert np.array_equal(np.sort(np.concatenate(owned)), np.arange(layout.n_dofs))
+
+
+def test_curved_normals_read_the_stored_curves_without_a_copy(monkeypatch):
+    # the curve stack is evaluated as stored and each group gathers its edges'
+    # rows from it, which is what evaluating each edge's row alone gives
+    taken, take = [], BoundaryCurves.take
+
+    def counted(self, rows):
+        taken.append(rows)
+        return take(self, rows)
+
+    mesh = GROUPED_MESHES["disk-split"]()
+    monkeypatch.setattr(BoundaryCurves, "take", counted)
+    assemble_system(mesh, (2, 2, 1), scheme="modified")
+    assert taken == []
+    monkeypatch.undo()
+    for make in GROUPED_MESHES.values():
+        mesh = make()
+        curves = mesh.boundary_segments
+        for group in level_cells(mesh, DofLayout(mesh, 2, 2, 1)):
+            m_vec, _ = group.normals("curved")
+            t = group.edge_quad[2]
+            for g, k in zip(*np.nonzero(group.boundary)):
+                e = group.edges[g, k]
+                row = curves.take(curves.rows([e]))
+                want = segment_geometry(row, mesh.edge_lengths[e] * t[None])[2][0]
+                assert np.array_equal(m_vec[g, k], want)
 
 
 # ---------------------------------------------------------------------------
@@ -860,15 +889,20 @@ def test_run_level_tabulates_each_projection_rule_once(monkeypatch):
 
 def test_run_level_builds_one_sparse_matrix_and_no_full_matrix(monkeypatch):
     calls = []
-    build = assembly._to_csr
+    build, eliminate = assembly._to_csr, solver._eliminate
 
     def counted(*args):
         calls.append(args[1])
         return build(*args)
 
+    def eliminated(system):
+        calls.append("H")
+        return eliminate(system)
+
     monkeypatch.setattr(assembly, "_to_csr", counted)
+    monkeypatch.setattr(solver, "_eliminate", eliminated)
     run_level(StudyConfig("disk", "modified", 2, (16,), split_rule="modified"), 16)
-    assert len(calls) == 1    # the multiplier system H
+    assert calls == ["H"]    # the multiplier system H, and no scattered global matrix
 
 
 def four_builder_matrices(mesh, layout, scheme, rho):

@@ -1,6 +1,10 @@
 """Command-line interface: flags, exit codes, CSV output, mesh export."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +170,18 @@ def test_out_of_memory_exits_one(monkeypatch, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and "out of memory" in err[0] and "MALLOC" in err[0], err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("rho", ["1e200", "1e300"])
+def test_overflowing_residual_is_one_solver_failure_line(rho):
+    # the residual's squares overflow: its norm is scaled, or read as inf, and
+    # numpy prints no warning before the failure (a fresh interpreter shows every one)
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "wgmixed.cli", "--domain", "disk",
+                           "--levels", "16", "--rho", rho], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src"),
+                                   PYTHONWARNINGS="always"),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and "solver failure" in err[0], err

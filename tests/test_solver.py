@@ -179,7 +179,7 @@ def test_condensed_matrix_is_the_dense_bordered_schur_complement(mesh_fn, degree
     # bordered by the multiplier constraints E
     system, _ = make_problem(mesh_fn(), (degree, degree, degree - 1), scheme, domain)
     ref = dense_multiplier_system(system)
-    got = system.condensed
+    got = solver._eliminate(system)[1]
     assert got.format == "csc"
     assert np.abs(got.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
     if scheme == "original":
@@ -215,7 +215,7 @@ def test_diagnostics_report_condensed_size_fill_and_unrefined_residual():
     d = solve_saddle(system, rhs).diagnostics
     n_traces = lay.n_velocity - lay.n_interior
     assert d["n_condensed"] == n_traces - 1
-    assert d["condensed_nnz"] == system.condensed.nnz
+    assert d["condensed_nnz"] == solver._eliminate(system)[1].nnz
     # the condensed factor holds well under half the entries of the full one
     border = np.zeros(lay.n_dofs)
     border[lay.n_velocity:] = system.pressure_mean
@@ -232,7 +232,7 @@ def test_diagnostics_report_condensed_size_fill_and_unrefined_residual():
 ], ids=["disk-modified-j2-split", "ring-original-j1"])
 def test_lu_fill_depends_on_the_pattern_alone(mesh_fn, degree, scheme, domain):
     system, _ = make_problem(mesh_fn(), (degree, degree, degree - 1), scheme, domain)
-    H = system.condensed
+    H = solver._eliminate(system)[1]
     fill = solver._factorize(H).nnz
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -255,8 +255,30 @@ def test_multiplier_system_has_a_positive_definite_symmetric_part(mesh_fn, degre
     # the boundary corrections make H nonsymmetric at j >= 2; a positive
     # definite symmetric part is what makes its LU without pivoting exist
     system, _ = make_problem(mesh_fn(), (degree, degree, degree - 1), "modified", domain)
-    H = system.condensed.toarray()
+    H = solver._eliminate(system)[1].toarray()
     assert np.linalg.eigvalsh(0.5 * (H + H.T))[0] > 0.0
+
+
+def test_solve_leaves_the_system_as_assembled():
+    # the block inverses, the multiplier maps and H live only inside the solve
+    system, rhs = make_problem(split_disk(16, 2, "modified"), (2, 2, 1), "modified", "disk")
+    before = dict(vars(system))
+    solve_saddle(system, rhs)
+    after = vars(system)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_norm_neither_overflows_nor_changes_digits():
+    rng = np.random.default_rng(3)
+    for v in (rng.standard_normal(1001) * 1e-7, rng.standard_normal(64) * 1e5):
+        assert solver._norm(v) == np.linalg.norm(v)
+    assert solver._norm(np.full(3, 1e200)) == pytest.approx(np.sqrt(3.0) * 1e200, rel=1e-15)
+    assert solver._norm(np.array([1.7e308, 0.0])) == 1.7e308
+    assert solver._norm(np.array([1.7e308, 1.7e308])) == np.inf
+    assert solver._norm(np.array([1.0, np.nan])) == np.inf
+    assert solver._norm(np.zeros(4)) == 0.0
 
 
 def test_inaccurate_factorization_raises_after_one_factorization(monkeypatch):
@@ -294,7 +316,8 @@ def test_failed_factorization_is_not_retried(monkeypatch, message, error):
 
 def test_one_cell_mesh_is_singular_before_any_factorization(monkeypatch):
     # no edge of two cells, so no trace: the constant pressure's column of the
-    # cell's block is zero, and the block inverse fails before splu is called
+    # cell's block is zero, and the solver's block inversion fails before splu
+    # is called
     mesh = build_mesh([(0, 0), (1, 0), (1.2, 0.8), (0.4, 1.1), (-0.1, 0.6)], [[0, 1, 2, 3, 4]])
     system, rhs = make_problem(mesh, (2, 2, 1), "original", "square")
     assert system.layout.n_velocity == system.layout.n_interior
