@@ -4,10 +4,15 @@
 Each case runs one refinement level through `run_level` in a fresh
 interpreter, so the peak resident memory it reports (`ru_maxrss`) is that
 level's own.  A record runs every case `RUNS` times, the cases taking turns,
-so that a slow spell of the machine falls on all of them.  The record of a
-case holds the medians over its runs of the level's stage seconds (`stages`,
-from `StudyRow.stages`) and of its level seconds (`level_s`), with their
-first and third quartiles beside them (`quartiles`, per stage and `level`);
+so that a slow spell of the machine falls on all of them.  With `--parent
+DIR` one invocation makes two records, of `DIR/src` (`BENCH_parent-<label>`)
+and of this checkout's `src` (`BENCH_<label>`), each run's interpreter
+given its side's `PYTHONPATH`: every round runs each case once on either
+side, back to back, and the side that runs first alternates by round, so a
+drift of the machine falls on both records.  The record of a case holds the
+medians over its runs of the level's stage seconds (`stages`, from
+`StudyRow.stages`) and of its level seconds (`level_s`), with their first
+and third quartiles beside them (`quartiles`, per stage and `level`);
 the medians of the peak memory and of the peak memory at the end of each
 stage (`stage_rss_mb`); and, from its last run, its unknowns, residual and
 solver diagnostics and the git revision of the wgmixed checkout that was
@@ -15,8 +20,8 @@ imported.  The stage peaks are read from outside the package: a trace
 function sees each return of the `lap(stage)` closure by which `run_level`
 ends a stage.
 
+    python scripts/bench.py --label after --parent <other checkout>
     PYTHONPATH=src python scripts/bench.py --label after
-    PYTHONPATH=<other checkout>/src python scripts/bench.py --label before
     PYTHONPATH=src python scripts/bench.py --case ring-original-j1-n384
 
     python scripts/bench.py --compare bench/BENCH_before.json bench/BENCH_after.json
@@ -199,6 +204,8 @@ def compare(before_path, after_path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="local")
+    parser.add_argument("--parent", metavar="DIR",
+                        help="also record DIR/src, alternating with this checkout's src")
     parser.add_argument("--case", choices=list(CASES))
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
@@ -209,25 +216,34 @@ def main(argv=None) -> int:
         print(json.dumps(run_case(args.case)))
         return 0
 
-    runs = {name: [] for name in CASES}
+    sides = {args.label: None}   # label -> the environment of its runs; None: this process's
+    if args.parent:
+        sources = ((f"parent-{args.label}", Path(args.parent).resolve() / "src"),
+                   (args.label, ROOT / "src"))
+        sides = {label: dict(os.environ, PYTHONPATH=str(src)) for label, src in sources}
+    runs = {label: {name: [] for name in CASES} for label in sides}
     for k in range(RUNS):
+        order = list(sides) if k % 2 == 0 else list(sides)[::-1]
         for name in CASES:
-            proc = subprocess.run([sys.executable, __file__, "--case", name],
-                                  stdout=subprocess.PIPE, text=True, check=True)
-            record = json.loads(proc.stdout.strip().splitlines()[-1])
-            print(f"{k + 1}/{RUNS} {name:30s} dofs={record['dofs']:>8d} "
-                  f"level={record['level_s']:7.2f} s solve={record['stages']['solve']:7.2f} s "
-                  f"rss={record['peak_rss_mb']:7.1f} MB")
-            runs[name].append(record)
-    records = [summarize(case_runs) for case_runs in runs.values()]
-    out = ROOT / "bench" / f"BENCH_{args.label}.json"
-    out.parent.mkdir(exist_ok=True)
-    bench = {"label": args.label, "python": platform.python_version(),
-             "numpy": numpy.__version__, "scipy": scipy.__version__,
-             "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
-             "cases": records}
-    out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
-    print(f"-> {out}")
+            for label in order:
+                proc = subprocess.run([sys.executable, __file__, "--case", name],
+                                      stdout=subprocess.PIPE, text=True, check=True,
+                                      env=sides[label])
+                record = json.loads(proc.stdout.strip().splitlines()[-1])
+                print(f"{k + 1}/{RUNS} {label} {name:30s} dofs={record['dofs']:>8d} "
+                      f"level={record['level_s']:7.2f} s "
+                      f"solve={record['stages']['solve']:7.2f} s "
+                      f"rss={record['peak_rss_mb']:7.1f} MB")
+                runs[label][name].append(record)
+    for label, cases in runs.items():
+        out = ROOT / "bench" / f"BENCH_{label}.json"
+        out.parent.mkdir(exist_ok=True)
+        bench = {"label": label, "python": platform.python_version(),
+                 "numpy": numpy.__version__, "scipy": scipy.__version__,
+                 "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
+                 "cases": [summarize(case_runs) for case_runs in cases.values()]}
+        out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+        print(f"-> {out}")
     return 0
 
 

@@ -18,12 +18,11 @@ with m the straight cell normal ("straight" mode) or the analytic-boundary
 normal pulled back to boundary chords ("curved" mode; interior edges keep the
 straight normal).
 
-A level's cells are handled in groups of one vertex count and one
-boundary-edge count, so a group's cells keep the same number of traces, and
-either all of them touch the boundary or none does (a disk or ring mesh
-holds interior triangles and, with split boundary chords, one kind of
-boundary polygon).  `level_cells` builds each group once: its cells'
-P_alpha basis (the P_sigma pressure basis is its leading functions) in the
+A level's cells are handled in the mesh's groups (`mesh.groups`, one per
+vertex count and boundary-edge count), so a group's cells keep the same
+number of traces, and either all of them touch the boundary or none does.
+`level_cells` builds one `CellGroup` per mesh group: its cells' P_alpha
+basis (the P_sigma pressure basis is its leading functions) in the
 centroids and principal axes the mesh stores, as stacked arrays with the
 group axis first.
 The assembly has no cell rule.  Its edge rules (exactness `default_order`,
@@ -37,20 +36,22 @@ polynomials.  Each rule is built on first use and dropped by
 group once it is assembled, and `project_level` computes the right-hand
 side moments and both exact cell projections in one pass per group and
 releases the group before the next one starts.  The group also fixes its
-cells' kept flux dofs (`CellGroup.dofs`).
+cells' flux dofs (`CellGroup.dofs`): the interior flux, then the traces of
+the cell's interior edges; boundary edges carry no trace unknowns.
 The kernels `local_mass`, `local_stabilization`, `local_pressure_coupling`
 and `local_boundary_correction` compute every cell's block of a group at
-once with batched products, on the kept flux columns only, and return them
+once with batched products, on the cell's flux dofs only, and return them
 stacked, group axis first; a single cell is a group of one.  The pressure
 rows are the defining pairings -(div_w v, q)_K with the P_sigma basis, so no
 kernel solves against the mass matrix.  The two normal modes differ
-only in the boundary-edge terms, so `assemble_system` stabilizes the
-boundary groups in both modes and keeps the second as a difference on
-them, together with the diagonal blocks of the L2 mass matrix of the
-interior flux (whose leading blocks are the pressure's).
+only in the boundary-edge terms, which hold no trace, so `assemble_system`
+stabilizes the boundary groups in both modes and keeps the second as a
+difference on their interior-flux blocks, together with the diagonal blocks
+of the L2 mass matrix of the interior flux (whose leading blocks are the
+pressure's).
 
 The assembled system is a list of cell blocks, one per group: each cell's
-saddle block on its group's kept dofs, with the scheme's pressure rows
+saddle block on its group's flux dofs, with the scheme's pressure rows
 (boundary corrections subtracted in the modified scheme) stored in it.
 `assemble_system` inverts and factorizes nothing; the hybridized solve
 (`solver.solve_saddle`) eliminates the blocks.  The cell blocks are the
@@ -92,15 +93,14 @@ class DofLayout:
     """Global indexing of flux and pressure unknowns.
 
     Velocity dofs: per-cell interior blocks (component-major: all x-component
-    basis functions, then all y-component), followed by per-edge trace blocks.
-    Boundary-edge traces are zero and not unknowns (`include_boundary_traces`
-    keeps them for the kernel tests; `assemble_system` refuses it), so trace
-    dof d is multiplier d - n_interior of the hybridized solve.  Pressure
-    dofs are indexed separately from zero.
+    basis functions, then all y-component), followed by one trace block per
+    interior edge.  Boundary-edge traces are zero (v_b . n_e = 0 is the
+    essential condition) and not unknowns: their `trace_offsets` are -1, and
+    trace dof d is multiplier d - n_interior of the hybridized solve.
+    Pressure dofs are indexed separately from zero.
     """
 
-    def __init__(self, mesh: PolygonalMesh, alpha: int, beta: int, sigma: int,
-                 include_boundary_traces: bool = False):
+    def __init__(self, mesh: PolygonalMesh, alpha: int, beta: int, sigma: int):
         if min(alpha, beta, sigma) < 0:
             raise ValueError("polynomial degrees must be nonnegative")
         if not (beta - 1 <= sigma <= beta == alpha):
@@ -119,10 +119,10 @@ class DofLayout:
         nc = mesh.n_cells
         self.interior_offsets = 2 * self.dim_alpha * np.arange(nc, dtype=np.int64)
         self.n_interior = 2 * self.dim_alpha * nc
-        kept = (mesh.edge_cells[:, 1] >= 0) | include_boundary_traces
-        offsets = self.n_interior + self.trace_dim * (np.cumsum(kept) - 1)
-        self.trace_offsets = np.where(kept, offsets, -1)
-        self.n_velocity = self.n_interior + self.trace_dim * int(kept.sum())
+        inner = mesh.edge_cells[:, 1] >= 0
+        offsets = self.n_interior + self.trace_dim * (np.cumsum(inner) - 1)
+        self.trace_offsets = np.where(inner, offsets, -1)
+        self.n_velocity = self.n_interior + self.trace_dim * int(inner.sum())
         self.pressure_offsets = self.dim_sigma * np.arange(nc, dtype=np.int64)
         self.n_pressure = self.dim_sigma * nc
 
@@ -136,17 +136,15 @@ class DofLayout:
 
 
 class CellGroup:
-    """Cells of one vertex count and one boundary-edge count with their stacked basis,
-    rules and mass, built once per level.
+    """Cells of one mesh group's kind with their stacked basis, rules and mass,
+    built once per level.
 
-    Arrays carry the group axis first; cells whose boundary-edge counts
-    differ raise `ValueError`.  The group decides which local flux dofs its
-    cells keep: `slots` lists each cell's kept edges (those that are not
-    dropped boundary edges) in local order, the same number for every cell,
-    and `dofs` each cell's `n_loc` global flux dofs: the interior flux, then
-    each slot's trace.  `basis` is the cells' P_alpha basis in the centroids
-    and axes the mesh stores; the P_sigma pressure basis is its leading
-    `dim_sigma` functions.
+    Arrays carry the group axis first; `mesh.cell_arrays` refuses cells of
+    different kinds.  `slots` lists each cell's interior edges in local
+    order, the same number for every cell, and `dofs` each cell's `n_loc`
+    global flux dofs: the interior flux, then each slot's trace.  `basis` is
+    the cells' P_alpha basis in the centroids and axes the mesh stores; the
+    P_sigma pressure basis is its leading `dim_sigma` functions.
 
     Every rule and the basis values on it are built on first use and dropped
     by `release`.  `edge_quad` holds the edge rules of exactness
@@ -168,14 +166,11 @@ class CellGroup:
         loops, self.edges, self.signs = mesh.cell_arrays(self.ids)
         self.vertices = mesh.vertices[loops]
         self.boundary = mesh.edge_cells[self.edges, 1] < 0
-        if np.unique(self.boundary.sum(axis=1)).size > 1:
-            raise ValueError("cells of different boundary-edge counts do not stack")
         self.center = mesh.cell_centroids[self.ids]
         self.basis = cell_basis(self.vertices, layout.alpha, self.center, mesh.cell_axes[self.ids])
         self.edge_basis = EdgeBasis(layout.beta)
         self.n_int = 2 * layout.dim_alpha
-        kept = layout.trace_offsets[self.edges] >= 0
-        self.slots = np.nonzero(kept)[1].reshape(self.ids.size, -1)
+        self.slots = np.nonzero(~self.boundary)[1].reshape(self.ids.size, -1)
         off = layout.trace_offsets[np.take_along_axis(self.edges, self.slots, axis=1)][..., None]
         traces = off + np.arange(layout.trace_dim)
         inner = layout.interior_offsets[self.ids][:, None] + np.arange(self.n_int)
@@ -226,17 +221,16 @@ class CellGroup:
         for name in ("edge_quad", "Ve", "proj_rule", "proj_values"):
             self.__dict__.pop(name, None)
 
-    def normals(self, mode: str):
-        """Stabilization normal m (G, m, q, 2) and n_e . m (G, m, q) on each edge point.
+    def normals(self, mode: str) -> np.ndarray:
+        """Stabilization normal m (G, m, q, 2) on each edge point.
 
         Straight mode uses the cell outward normal; curved mode replaces it on
         boundary edges by the analytic-curve normal pulled back to the chord.
         """
         boundary = self.boundary
-        n_edge = self.mesh.edge_normals[self.edges]
         t = self.edge_quad[2]
-        m_vec = np.repeat((self.signs[..., None] * n_edge)[:, :, None, :], t.size, axis=2)
-        ne_dot_m = np.repeat(self.signs[..., None].astype(float), t.size, axis=2)
+        m_vec = np.repeat((self.signs[..., None] * self.mesh.edge_normals[self.edges])[:, :, None],
+                          t.size, axis=2)
         if mode == "curved" and boundary.any():
             bedges = self.edges[boundary]
             curves = self.mesh.boundary_segments
@@ -246,21 +240,13 @@ class CellGroup:
                     f"edge {bedges[np.argmin(k)]}: curved stabilization requires its curve")
             # the stack as stored, then this group's rows: no copy of the curves
             xhat = self.mesh.edge_lengths[curves.edges][:, None] * t
-            ntilde = segment_geometry(curves, xhat)[2][k]
-            m_vec[boundary] = ntilde
-            ne_dot_m[boundary] = np.einsum("sqc,sc->sq", ntilde, n_edge[boundary])
-        return m_vec, ne_dot_m
+            m_vec[boundary] = segment_geometry(curves, xhat)[2][k]
+        return m_vec
 
 
 def level_cells(mesh: PolygonalMesh, layout: DofLayout, edge_order: int | None = None) -> list:
-    """The level's cell groups, one per vertex count and boundary-edge count, with edge
-    rules of exactness `edge_order`."""
-    cells = []
-    for group in mesh.groups:
-        counts = (mesh.edge_cells[group.edges, 1] < 0).sum(axis=1)
-        cells += [CellGroup(mesh, group.ids[counts == c], layout, edge_order)
-                  for c in np.unique(counts)]
-    return cells
+    """The level's cell groups, one per mesh group, with edge rules of exactness `edge_order`."""
+    return [CellGroup(mesh, group.ids, layout, edge_order) for group in mesh.groups]
 
 
 def local_mass(cells: CellGroup) -> np.ndarray:
@@ -286,18 +272,19 @@ def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1
 
     mode="straight" uses the cell outward normal on every edge; mode="curved"
     replaces it on boundary edges by the analytic-curve normal pulled back to
-    the chord (interior edges keep the straight normal).
+    the chord (interior edges keep the straight normal).  A slot's edge is
+    interior, where n_e . m is the edge sign in both modes.
     """
     if mode not in ("straight", "curved"):
         raise ValueError(f"unknown normal mode '{mode}'")
-    m_vec, ne_dot_m = cells.normals(mode)
+    m_vec = cells.normals(mode)
     _, w, t = cells.edge_quad
     Ve, slots = cells.Ve, cells.slots
     G, m, q = w.shape
     g, s = np.arange(G)[:, None], slots.shape[1]
     traces = np.zeros((G, m, q, s, cells.layout.trace_dim))
-    own = -cells.edge_basis.eval(t) * ne_dot_m[..., None]   # each edge's own trace block
-    traces[g, slots, :, np.arange(s)] = own[g, slots]        # in its slot's columns
+    own = -cells.edge_basis.eval(t) * cells.signs[g, slots][..., None, None]   # each slot's block
+    traces[g, slots, :, np.arange(s)] = own                                   # in its columns
     R = np.concatenate([Ve * m_vec[..., 0:1], Ve * m_vec[..., 1:2],
                         traces.reshape(G, m, q, -1)], axis=-1).reshape(G, m * q, -1)
     S = np.swapaxes(R, 1, 2) @ (w.reshape(G, -1, 1) * R)
@@ -346,7 +333,7 @@ def _scatter(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class CellBlocks:
-    """One cell group's saddle blocks on its cells' kept dofs.
+    """One cell group's saddle blocks on its cells' flux dofs.
 
     The flux dofs are the group's (`CellGroup.dofs`): each cell's interior
     flux, then its slots' traces.  `local` holds each cell's saddle block
@@ -354,15 +341,16 @@ class CellBlocks:
     the flux-norm block in the scheme's normal mode and P_K the scheme's
     pressure rows (B_K minus the boundary corrections in the modified
     scheme).  On a boundary group `delta` is the other normal mode's
-    flux-norm block minus A_K; on an interior group, where the modes agree,
-    it is None.
+    flux-norm block minus A_K on the interior flux, the leading n_int dofs:
+    the modes differ only on boundary edges, which hold no trace.  On an
+    interior group, where the modes agree, it is None.
     """
 
     ids: np.ndarray            # (G,) cells
     vdofs: np.ndarray          # (G, K) global flux dofs
     pdofs: np.ndarray          # (G, ns) global pressure dofs
     local: np.ndarray          # (G, K + ns, K + ns)
-    delta: np.ndarray | None   # (G, K, K) on a boundary group, else None
+    delta: np.ndarray | None   # (G, n_int, n_int) on a boundary group, else None
 
     @property
     def A(self) -> np.ndarray:
@@ -387,7 +375,8 @@ def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: floa
     boundary = group.boundary.any()
 
     A = local_stabilization(group, mode=mode, rho=rho)
-    delta = local_stabilization(group, mode=other, rho=rho) - A if boundary else None
+    delta = (local_stabilization(group, mode=other, rho=rho)[:, :ni, :ni] - A[:, :ni, :ni]
+             if boundary else None)
     A[:, :ni, :ni] += local_mass(group)
     B = local_pressure_coupling(group)
 
@@ -410,8 +399,9 @@ class SaddleSystem:
     boundary-corrected one, making the operator non-symmetric exactly when a
     correction row is nonzero.  A is the flux-norm matrix in the scheme's
     normal mode; the other mode's differs by the boundary groups' `delta`
-    blocks.  flux_mass holds the diagonal blocks of the L2 mass matrix of the
-    interior flux; their leading dim P_sigma blocks are the pressure's.
+    blocks on the interior flux.  flux_mass holds the diagonal blocks of the
+    L2 mass matrix of the interior flux; their leading dim P_sigma blocks are
+    the pressure's.
 
     `blocks` holds each cell group's `CellBlocks`, the system's one
     representation: products, the error norms and the solve are computed
@@ -478,16 +468,14 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     structure; the modified scheme stabilizes with curved normals and
     subtracts the boundary-correction pairings from the mass-conservation
     rows only.  Boundary groups are stabilized in the other normal mode too;
-    the difference is kept as their `delta` blocks, so both flux norms come
-    from one pass.  Each group's blocks are built on its cells' kept dofs;
-    nothing is inverted or factorized here (see `solver.solve_saddle`).
-    A layout that keeps boundary traces is refused before any kernel runs.
+    the difference is kept as their interior-flux `delta` blocks, so both
+    flux norms come from one pass.  Each group's blocks are built on its
+    cells' flux dofs; nothing is inverted or factorized here (see
+    `solver.solve_saddle`).
     """
     if scheme not in ("original", "modified"):
         raise ValueError(f"unknown scheme '{scheme}'")
     layout = degrees if isinstance(degrees, DofLayout) else DofLayout(mesh, *degrees)
-    if np.any(layout.trace_offsets[mesh.boundary_edge_indices] >= 0):
-        raise ValueError("include_boundary_traces: boundary traces have no multiplier")
     if rho <= 0.0:
         raise ValueError("stabilization parameter rho must be positive")
     mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")

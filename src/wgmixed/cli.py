@@ -113,12 +113,10 @@ def run_cli(argv=None) -> int:
         print(f"wgmixed: {exc}", file=sys.stderr)
         return 2
 
-    csv_text = table.to_csv()
     if args.out == "-":
-        sys.stdout.write(csv_text)
+        sys.stdout.write(table.to_csv())
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        table.write_csv(args.out)
         print(f"wrote {args.out}: slope_u={table.slope_u:.3f} slope_p={table.slope_p:.3f}")
 
     if args.mesh_out:

@@ -10,8 +10,8 @@ piecewise-polynomial projection of the exact pressure.
 A level builds one mesh (its generator applies a split law to the mesh size
 of its corner loops; a `none` or `fixed:<k>` study passes the count), then
 works on the level's cell groups, then solves, then measures: `level_cells`
-stacks the basis of each group of cells with one vertex count and one
-boundary-edge count once; the assembly tabulates it on the group's edge
+stacks the basis of each of the mesh's groups (one per vertex count and
+boundary-edge count) once; the assembly tabulates it on the group's edge
 rules, sums each cell's mass matrix there and releases the rules, and then
 `project_level` tabulates it on the group's projection rule once, for the
 right-hand side and both exact projections (flux and pressure, solved with
@@ -101,7 +101,8 @@ def vh_norm(system: SaddleSystem, w: np.ndarray, mode: str = "straight") -> floa
         x = w[b.vdofs]
         total += float(np.sum(x * (b.A @ x[..., None])[..., 0]))
         if mode != system.normal_mode and b.delta is not None:
-            total += float(np.sum(x * (b.delta @ x[..., None])[..., 0]))
+            xi = x[:, :b.delta.shape[1]]   # the interior flux; the modes agree on the traces
+            total += float(np.sum(xi * (b.delta @ xi[..., None])[..., 0]))
     return math.sqrt(max(total, 0.0))
 
 

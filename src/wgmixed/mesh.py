@@ -9,16 +9,18 @@ Boundary edges have exactly one adjacent cell and carry curve data
 (possibly flat).  Meshes are immutable after construction.
 
 A mesh is built in stacked numpy passes, never one cell or one boundary edge
-at a time.  `build_mesh` groups the cells by vertex count and stores each
-group's loops, edge ids and edge signs as (G, m) arrays (`CellLoops`, in
-`groups`).  It makes one `polygon_moments` and `cell_diameter` pass per group
-and one `moment_axes` pass over all cells, and stores each cell's area,
+at a time.  `build_mesh` first numbers the edges in order of first
+appearance, by one `np.unique` over the vertex-pair keys of all half-edges.
+It then groups the cells once by kind, vertex count and then boundary-edge
+count, and stores each group's loops, edge ids and edge signs as (G, m)
+arrays (`CellLoops`, in `groups`): the cells of a group have the same
+number of interior edges, and either all of them touch the boundary or none
+does.  It makes one `polygon_moments` and `cell_diameter` pass per group and
+one `moment_axes` pass over all cells, and stores each cell's area,
 centroid, diameter and principal axes (equal bit for bit to what
 `cell_basis` computes for the cell alone), and every edge's length and
-normal.  The edges are numbered in
-order of first appearance by one `np.unique` over the vertex-pair keys of
-all half-edges.  The curve lookup is called once with every boundary chord
-and returns `BoundaryCurves`, arrays of centers, radii and sides that
+normal.  The curve lookup is called once with every boundary chord and
+returns `BoundaryCurves`, arrays of centers, radii and sides that
 `segment_geometry` evaluates on many chords at once; it is the only curve
 representation, and one chord is a one-row stack.  The assembly and
 `validate_mesh` read the stored arrays, a group at a time.  The disk and
@@ -155,7 +157,8 @@ def flat_curves(chords) -> BoundaryCurves:
 
 @dataclass(frozen=True, eq=False)
 class CellLoops:
-    """The cells of one vertex count m, stacked with the group axis first."""
+    """The cells of one kind (vertex count m and boundary-edge count), stacked
+    with the group axis first."""
 
     ids: np.ndarray        # (G,) cell ids, ascending
     loops: np.ndarray      # (G, m) CCW vertex loops
@@ -183,7 +186,7 @@ class PolygonalMesh:
     """Immutable polygonal mesh with adjacency, edge normals and curve data."""
 
     vertices: np.ndarray          # (nv, 2)
-    groups: tuple                 # CellLoops per vertex count, fewest vertices first
+    groups: tuple                 # CellLoops per kind: by vertex count, then boundary edges
     cell_slots: np.ndarray        # (nc, 2): each cell's group and row in it
     edges: np.ndarray             # (ne, 2), endpoints in owner's CCW order
     edge_cells: np.ndarray        # (ne, 2), [owner, neighbor or -1]
@@ -216,14 +219,18 @@ class PolygonalMesh:
         return np.where(self.edge_cells[:, 1] < 0)[0]
 
     def cell_arrays(self, cells):
-        """Loops, edge ids and edge signs of `cells`, all of one vertex count.
+        """Loops, edge ids and edge signs of `cells`, all of one group's kind.
 
         One cell id gives (m,) rows; an array of ids gives one row per id.
         """
         slots = self.cell_slots[np.asarray(cells)]
         g = np.unique(slots[..., 0])
         if g.size != 1:
-            raise ValueError("cells of different vertex counts do not stack")
+            kinds = [self.groups[k].edges[0] for k in g]
+            raise ValueError(
+                "cells of different kinds do not stack: vertex counts "
+                f"{[e.size for e in kinds]}, boundary-edge counts "
+                f"{[int(np.sum(self.edge_cells[e, 1] < 0)) for e in kinds]}")
         group, r = self.groups[g[0]], slots[..., 1]
         return group.loops[r], group.edges[r], group.signs[r]
 
@@ -263,17 +270,34 @@ def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> Po
     if few.size:
         raise MeshError(f"cell {few[0]}: fewer than 3 vertices")
     starts = np.cumsum(sizes) - sizes
+    cell_of = np.repeat(np.arange(nc), sizes)
+
+    # half-edge i runs from flat[i] to the next vertex of its loop
+    succ = np.arange(1, flat.size + 1)
+    succ[starts + sizes - 1] = starts
+    head, tail = flat, flat[succ]
+    lo, hi = np.minimum(head, tail), np.maximum(head, tail)
+    _, first, inverse, counts = np.unique(lo * nv + hi, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    order = np.argsort(first)            # edges numbered by first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    edge_of = rank[inverse]
+    first, counts = first[order], counts[order]
+
+    # one group per kind of cell, ordered by vertex count, then boundary-edge count
+    n_boundary = np.bincount(cell_of[counts[edge_of] == 1], minlength=nc)
+    kind = sizes * (sizes.max(initial=0) + 1) + n_boundary
     groups = []   # each group's cell ids and the positions of its loops in `flat`
-    for m in np.unique(sizes):
-        ids = np.flatnonzero(sizes == m)
-        groups.append((ids, starts[ids][:, None] + np.arange(m)))
+    for k in np.unique(kind):
+        ids = np.flatnonzero(kind == k)
+        groups.append((ids, starts[ids][:, None] + np.arange(sizes[ids[0]])))
     repeated = np.zeros(nc, dtype=bool)
     for ids, pos in groups:
         ordered = np.sort(flat[pos], axis=1)
         repeated[ids] = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     if repeated.any():
         raise MeshError(f"cell {np.argmax(repeated)}: repeated vertex in loop")
-    cell_of = np.repeat(np.arange(nc), sizes)
     outside = np.flatnonzero((flat < 0) | (flat >= nv))
     if outside.size:
         raise MeshError(f"cell {cell_of[outside[0]]}: vertex index out of range")
@@ -292,18 +316,6 @@ def build_mesh(vertices, cells, curve_lookup=None, domain: str = "custom") -> Po
         raise MeshError(f"cell {c}: area {areas[c]:.3e} not positive (CCW simple loop required)")
     axes = moment_axes(moments)
 
-    # half-edge i runs from flat[i] to the next vertex of its loop
-    succ = np.arange(1, flat.size + 1)
-    succ[starts + sizes - 1] = starts
-    head, tail = flat, flat[succ]
-    lo, hi = np.minimum(head, tail), np.maximum(head, tail)
-    _, first, inverse, counts = np.unique(lo * nv + hi, return_index=True,
-                                          return_inverse=True, return_counts=True)
-    order = np.argsort(first)            # edges numbered by first appearance
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    edge_of = rank[inverse]
-    first, counts = first[order], counts[order]
     crowded = np.flatnonzero(counts > 2)
     if crowded.size:
         i = first[crowded[0]]
@@ -585,7 +597,7 @@ def validate_mesh(mesh: PolygonalMesh) -> MeshQualityReport:
     `MAX_NORMAL_DEVIATION`).  Star-shapedness is checked with respect to the
     cell centroid (sufficient for the generated mesh families); curve gaps
     and normals are sampled at `SAMPLES_PER_EDGE` interior points of each
-    boundary chord.  Cells are measured a group of one vertex count at a time.
+    boundary chord.  Cells are measured a group of one kind at a time.
     """
     verts = mesh.vertices
     violations: list[str] = []

@@ -6,8 +6,9 @@ against, the weak divergence itself, the plain per-cell integrals, bases,
 gradients and diameters the quadrature, basis and mesh tests use as
 references, the cell kernels on a cell rule, and the former power-table basis
 tabulation and dict-indexed derivative maps, are built here, from those
-blocks and matrices or from the quadrature rules.  Nothing in `src` imports
-this module.
+blocks and matrices or from the quadrature rules; so is the wrapped cell, a
+mesh on which every edge of one polygon is interior and carries a trace.
+Nothing in `src` imports this module.
 """
 
 import math
@@ -17,6 +18,7 @@ import scipy.sparse as sp
 
 from wgmixed.assembly import _divergence_pairings, _to_csr
 from wgmixed.basis import moment_axes, poly_dim
+from wgmixed.mesh import build_mesh
 from wgmixed.quadrature import edge_rule, polygon_moments, polygon_rule
 
 
@@ -28,6 +30,22 @@ def local_weak_divergence(cells) -> np.ndarray:
     return np.linalg.solve(cells.mass, _divergence_pairings(cells, cells.layout.alpha))
 
 
+def wrapped_cell(vertices, scale: float = 3.0):
+    """A mesh whose cell 0 is the CCW loop `vertices`, ringed by one quad per edge
+    out to the loop scaled by `scale` about its centroid.
+
+    Every edge of cell 0 is interior and owned by it, so a `CellGroup` of
+    cell 0 has a trace slot, with sign +1, on each of its edges in loop order.
+    """
+    v = np.asarray(vertices, dtype=float)
+    m = v.shape[0]
+    center = polygon_moments(v)[1]
+    k = np.arange(m)
+    quads = np.column_stack([m + k, m + (k + 1) % m, (k + 1) % m, k])
+    return build_mesh(np.concatenate([v, center + scale * (v - center)]),
+                      [list(range(m))] + quads.tolist())
+
+
 def cell_diameter(vertices):
     """Largest vertex distance of each loop in a (..., m, 2) stack, over all vertex pairs at once."""
     v = np.asarray(vertices, dtype=float)
@@ -36,10 +54,11 @@ def cell_diameter(vertices):
 
 
 def a_delta(system) -> sp.csr_matrix:
-    """The other normal mode's flux-norm matrix minus A, from the boundary groups' `delta`."""
+    """The other normal mode's flux-norm matrix minus A, from the boundary groups' `delta`
+    on their interior flux dofs."""
     nv = system.layout.n_velocity
-    return _to_csr(((b.vdofs, b.vdofs, b.delta) for b in system.blocks if b.delta is not None),
-                   (nv, nv))
+    return _to_csr(((b.vdofs[:, :b.delta.shape[1]], b.vdofs[:, :b.delta.shape[1]], b.delta)
+                    for b in system.blocks if b.delta is not None), (nv, nv))
 
 
 def vh_matrix(system, mode: str) -> sp.csr_matrix:

@@ -2,6 +2,7 @@
 of the saddle systems (symmetry, kernels, orientation invariance)."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -54,6 +55,7 @@ from reference import (
     full_matrix,
     local_weak_divergence,
     vh_matrix,
+    wrapped_cell,
 )
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -63,17 +65,13 @@ def one_cell_square():
     return build_mesh(UNIT_SQUARE, [[0, 1, 2, 3]])
 
 
-def wh_layout(mesh, alpha, beta, sigma):
-    return DofLayout(mesh, alpha, beta, sigma, include_boundary_traces=True)
-
-
 def one_cell(mesh, c, layout):
     """Cell c as a group of one; its blocks are row 0 of each kernel's result."""
     return CellGroup(mesh, [c], layout)
 
 
 def consistent_trace_dofs(mesh, ops, u):
-    """Local dof vector for interior field u with traces Q_b(u . n_e)."""
+    """Local dof vector for interior field u with traces Q_b(u . n_e) on the slots' edges."""
     lay = ops.layout
     c = int(ops.ids[0])
     dof = np.zeros(ops.n_loc)
@@ -82,7 +80,7 @@ def consistent_trace_dofs(mesh, ops, u):
                                        lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis[0])
     dof[lay.dim_alpha:2 * lay.dim_alpha] = project_cell(
         verts, lambda x, y: u(x, y)[:, 1], lay.alpha, order=2 * lay.alpha + 4, basis=ops.basis[0])
-    for k, e in enumerate(mesh.cell_arrays(c)[1]):
+    for k, e in enumerate(ops.edges[0, ops.slots[0]]):
         p0, p1 = mesh.vertices[mesh.edges[e]]
         n_e = mesh.edge_normals[e]
         dof[ops.n_int + lay.trace_dim * k + np.arange(lay.trace_dim)] = project_edge(
@@ -95,8 +93,9 @@ def consistent_trace_dofs(mesh, ops, u):
 # ---------------------------------------------------------------------------
 
 def test_weak_divergence_of_constants_with_consistent_traces():
-    mesh = one_cell_square()
-    ops = one_cell(mesh, 0, wh_layout(mesh, 1, 1, 0))
+    mesh = wrapped_cell(UNIT_SQUARE)
+    ops = one_cell(mesh, 0, DofLayout(mesh, 1, 1, 0))
+    assert ops.slots.tolist() == [[0, 1, 2, 3]] and np.all(ops.signs == 1)
     u = lambda x, y: np.stack([2.0 * np.ones_like(x), -0.5 * np.ones_like(x)], axis=-1)
     dof = consistent_trace_dofs(mesh, ops, u)
     div = local_weak_divergence(ops)[0] @ dof
@@ -104,13 +103,14 @@ def test_weak_divergence_of_constants_with_consistent_traces():
 
 
 def test_weak_divergence_of_identity_field_is_two():
-    mesh = generate_square_tri(2)
+    square = generate_square_tri(2)
     u = lambda x, y: np.stack([x, y], axis=-1)
-    for c in range(mesh.n_cells):
-        ops = one_cell(mesh, c, wh_layout(mesh, 1, 1, 0))
+    for c in range(square.n_cells):
+        mesh = wrapped_cell(square.vertices[square.cells[c]])
+        ops = one_cell(mesh, 0, DofLayout(mesh, 1, 1, 0))
         dof = consistent_trace_dofs(mesh, ops, u)
         div = local_weak_divergence(ops)[0] @ dof
-        pts = mesh.cell_centroids[c][None, :]
+        pts = mesh.cell_centroids[0][None, :]
         val = ops.basis[0].eval(pts[:, 0], pts[:, 1]) @ div
         assert val[0] == pytest.approx(2.0, abs=1e-12)
         # nonconstant coefficients vanish
@@ -120,7 +120,7 @@ def test_weak_divergence_of_identity_field_is_two():
 def test_weak_divergence_interior_only_hand_value():
     # v_0 = (1, 0), all traces zero, on the unit square: div_w v = -12 (x - 1/2)
     mesh = one_cell_square()
-    ops = one_cell(mesh, 0, wh_layout(mesh, 1, 1, 0))
+    ops = one_cell(mesh, 0, DofLayout(mesh, 1, 1, 0))
     dof = np.zeros(ops.n_loc)
     dof[0] = 1.0
     div = local_weak_divergence(ops)[0] @ dof
@@ -142,8 +142,8 @@ def test_commutativity_with_divergence_projection():
             ang = 2 * np.pi * np.arange(m) / m
         verts = np.column_stack([np.cos(ang), np.sin(ang)]) * rng.uniform(0.3, 2.0)
         verts = verts + rng.uniform(-3, 3, 2)
-        mesh = build_mesh(verts, [list(range(m))])
-        lay = wh_layout(mesh, alpha, alpha, alpha - 1)
+        mesh = wrapped_cell(verts)
+        lay = DofLayout(mesh, alpha, alpha, alpha - 1)
         ops = one_cell(mesh, 0, lay)
 
         exps = graded_lex_exponents(alpha)
@@ -200,7 +200,7 @@ def test_pressure_rows_are_the_mass_rows_times_the_weak_divergence(mesh_name):
 
 def test_stabilization_hand_value_unit_square():
     mesh = one_cell_square()
-    ops = one_cell(mesh, 0, wh_layout(mesh, 1, 1, 0))
+    ops = one_cell(mesh, 0, DofLayout(mesh, 1, 1, 0))
     S = local_stabilization(ops, "straight", 1.0)[0]
     dof = np.zeros(ops.n_loc)
     dof[0] = 1.0  # v_0 = (1, 0), v_b = 0
@@ -208,10 +208,11 @@ def test_stabilization_hand_value_unit_square():
 
 
 def test_stabilization_vanishes_on_consistent_polynomials():
-    mesh = generate_square_tri(2)
+    square = generate_square_tri(2)
     u = lambda x, y: np.stack([1.0 + 2 * x - y, 3.0 * y], axis=-1)
-    for c in range(mesh.n_cells):
-        ops = one_cell(mesh, c, wh_layout(mesh, 1, 1, 0))
+    for c in range(square.n_cells):
+        mesh = wrapped_cell(square.vertices[square.cells[c]])
+        ops = one_cell(mesh, 0, DofLayout(mesh, 1, 1, 0))
         dof = consistent_trace_dofs(mesh, ops, u)
         S = local_stabilization(ops, "straight", 1.0)[0]
         assert dof @ S @ dof <= 1e-13
@@ -220,7 +221,7 @@ def test_stabilization_vanishes_on_consistent_polynomials():
 def test_stabilization_curved_equals_straight_on_flat_mesh():
     mesh = generate_square_tri(3)
     for c in range(mesh.n_cells):
-        ops = one_cell(mesh, c, wh_layout(mesh, 1, 1, 0))
+        ops = one_cell(mesh, c, DofLayout(mesh, 1, 1, 0))
         Ss = local_stabilization(ops, "straight", 1.0)[0]
         Sc = local_stabilization(ops, "curved", 1.0)[0]
         assert np.abs(Ss - Sc).max() <= 1e-14
@@ -230,7 +231,7 @@ def test_stabilization_psd_and_symmetric():
     mesh = generate_disk_mesh(8, 2)
     for c in range(mesh.n_cells):
         for mode in ("straight", "curved"):
-            ops = one_cell(mesh, c, wh_layout(mesh, 2, 2, 1))
+            ops = one_cell(mesh, c, DofLayout(mesh, 2, 2, 1))
             S = local_stabilization(ops, mode, 1.0)[0]
             assert np.abs(S - S.T).max() <= 1e-13 * max(1.0, np.abs(S).max())
             ev = np.linalg.eigvalsh(S)
@@ -243,7 +244,7 @@ def test_stabilization_curved_requires_segment():
     curves = full.boundary_segments
     mesh = PolygonalMesh(**{**full.__dict__,
                             "boundary_segments": curves.take(curves.edges != e)})
-    ops = one_cell(mesh, int(mesh.edge_cells[e, 0]), wh_layout(mesh, 1, 1, 0))
+    ops = one_cell(mesh, int(mesh.edge_cells[e, 0]), DofLayout(mesh, 1, 1, 0))
     local_stabilization(ops, "straight", 1.0)
     with pytest.raises(ConfigurationError):
         local_stabilization(ops, "curved", 1.0)
@@ -251,7 +252,7 @@ def test_stabilization_curved_requires_segment():
 
 def test_local_mass_spd_and_hand_value():
     mesh = one_cell_square()
-    ops = one_cell(mesh, 0, wh_layout(mesh, 1, 1, 0))
+    ops = one_cell(mesh, 0, DofLayout(mesh, 1, 1, 0))
     M = local_mass(ops)[0]
     dof = np.zeros(ops.n_int)
     dof[0] = 1.0
@@ -266,7 +267,7 @@ def test_local_mass_spd_and_hand_value():
 def test_local_mass_orthogonality_vs_quadrature_oracle():
     verts = np.array([(0.2, 0.1), (1.1, 0.0), (1.3, 0.9), (0.5, 1.2), (0.0, 0.7)])
     mesh = build_mesh(verts, [list(range(5))])
-    ops = one_cell(mesh, 0, wh_layout(mesh, 2, 2, 1))
+    ops = one_cell(mesh, 0, DofLayout(mesh, 2, 2, 1))
     M = local_mass(ops)[0]
     rule = polygon_rule(verts, 12)
     V = ops.basis[0].eval(rule.points[:, 0], rule.points[:, 1])
@@ -339,6 +340,10 @@ def test_each_group_holds_one_vertex_count_and_one_boundary_edge_count(mesh_name
         assert np.all(group.dofs >= 0)
         assert group.n_loc == group.n_int + layout.trace_dim * (m - nb)
     assert sorted(kinds) == kinds == sorted(set(kind.values()))
+    # the mesh groups its cells by kind once, and each cell group is one mesh group
+    assert [kind[int(g.ids[0])] for g in mesh.groups] == kinds
+    assert len(groups) == len(mesh.groups)
+    assert all(np.array_equal(g.ids, loops.ids) for g, loops in zip(groups, mesh.groups))
 
     # cells of one vertex count but different boundary-edge counts do not stack
     mixed = [[next(c for c in kind if kind[c] == a), next(c for c in kind if kind[c] == b)]
@@ -356,10 +361,16 @@ def test_each_group_holds_one_vertex_count_and_one_boundary_edge_count(mesh_name
         return kernel(cells)
 
     monkeypatch.setattr(assembly, "local_boundary_correction", counted)
-    assemble_system(mesh, layout, scheme="modified")
+    system = assemble_system(mesh, layout, scheme="modified")
     boundary = [g.ids for g in groups if g.boundary.any()]
     assert len(pairs) == len(boundary) and all(map(np.array_equal, pairs, boundary))
     assert all(kind[c][1] > 0 for ids in pairs for c in ids)
+    # the other normal mode differs on the interior flux of the boundary groups alone
+    ni = 2 * layout.dim_alpha
+    assert [b.delta is not None for b in system.blocks] == [g.boundary.any() for g in groups]
+    for b in system.blocks:
+        if b.delta is not None:
+            assert b.delta.shape == (b.ids.size, ni, ni)
 
 
 @pytest.mark.parametrize("mesh_name", list(GROUPED_MESHES))
@@ -410,7 +421,7 @@ def test_curved_normals_read_the_stored_curves_without_a_copy(monkeypatch):
         mesh = make()
         curves = mesh.boundary_segments
         for group in level_cells(mesh, DofLayout(mesh, 2, 2, 1)):
-            m_vec, _ = group.normals("curved")
+            m_vec = group.normals("curved")
             t = group.edge_quad[2]
             for g, k in zip(*np.nonzero(group.boundary)):
                 e = group.edges[g, k]
@@ -437,30 +448,24 @@ def test_degree_condition_enforced():
         assemble_system(mesh, (2, 2, 0))
 
 
-def test_a_layout_keeping_boundary_traces_is_refused_before_any_kernel(monkeypatch):
-    # boundary traces have no multiplier, so the hybridized solve cannot take them
-    mesh = generate_disk_mesh(16, 3)
-    calls, kernel = [], assembly.local_stabilization
-
-    def counted(cells, *args, **kwargs):
-        calls.append(cells.ids)
-        return kernel(cells, *args, **kwargs)
-
-    monkeypatch.setattr(assembly, "local_stabilization", counted)
-    for scheme in ("original", "modified"):
-        with pytest.raises(ValueError, match="include_boundary_traces"):
-            assemble_system(mesh, wh_layout(mesh, 2, 2, 1), scheme=scheme)
-    assert calls == []
-    assemble_system(mesh, DofLayout(mesh, 2, 2, 1))
-    assert calls
-
-
 def test_dof_counts():
     mesh = generate_square_tri(2)
     lay = DofLayout(mesh, 1, 1, 0)
     n_int_edges = sum(1 for e in range(mesh.n_edges) if mesh.edge_cells[e, 1] >= 0)
     assert lay.n_velocity == mesh.n_cells * 2 * 3 + n_int_edges * 2
     assert lay.n_pressure == mesh.n_cells
+
+
+@pytest.mark.parametrize("mesh_name", ["square-tri4", "disk-split", "ring-fixed3"])
+def test_no_layout_numbers_a_boundary_trace(mesh_name):
+    # v_b . n_e = 0 on every boundary chord: the layout takes no option that
+    # would number a boundary trace, and only interior edges carry trace dofs
+    assert list(inspect.signature(DofLayout).parameters) == ["mesh", "alpha", "beta", "sigma"]
+    mesh = GROUPED_MESHES[mesh_name]()
+    layout = DofLayout(mesh, 2, 2, 1)
+    assert np.all(layout.trace_offsets[mesh.boundary_edge_indices] == -1)
+    n_inner = int(np.sum(mesh.edge_cells[:, 1] >= 0))
+    assert layout.n_velocity == layout.n_interior + layout.trace_dim * n_inner
 
 
 def test_a_block_symmetric_spd():
@@ -921,7 +926,8 @@ def four_builder_matrices(mesh, layout, scheme, rho):
         parts["B"].append((pidx, idx, B_loc.copy()))
         if group.boundary.any():
             S_other = local_stabilization(group, mode=other, rho=rho)
-            parts["A_delta"].append((idx, idx, S_other - A_loc))
+            ni = group.n_int   # the modes differ on boundary edges, which hold no trace
+            parts["A_delta"].append((idx[:, :ni], idx[:, :ni], (S_other - A_loc)[:, :ni, :ni]))
             B_loc[:, :, :group.n_int] -= local_boundary_correction(group).sum(axis=1)
         A_loc[:, :group.n_int, :group.n_int] += local_mass(group)
         parts["A"].append((idx, idx, A_loc))
@@ -959,44 +965,6 @@ def test_modified_pressure_rows_keep_the_pattern_of_b(mesh_name):
     assert np.any(system.B.data == 0.0)
     for part in ("indptr", "indices"):
         assert np.array_equal(getattr(system.pressure_rows, part), getattr(system.B, part))
-
-
-KEPT_MESHES = {
-    "disk-original-law-n16": lambda: generate_disk_mesh(
-        16, lambda h: boundary_split_count(h, 2, "original")),
-    "disk-original-law-n32": lambda: generate_disk_mesh(
-        32, lambda h: boundary_split_count(h, 2, "original")),
-    "ring-fixed3": lambda: generate_ring_mesh(16, 3),
-    "disk-unsplit": lambda: generate_disk_mesh(16, 1),   # interior and boundary triangles
-}
-
-
-@pytest.mark.parametrize("mesh_name", list(KEPT_MESHES))
-def test_kept_blocks_are_the_full_blocks_cropped_to_the_slots(mesh_name):
-    # a group over the same cells that keeps every trace gives the full blocks;
-    # cropping them to the kept group's slots must give the kept blocks
-    mesh = KEPT_MESHES[mesh_name]()
-    layout = DofLayout(mesh, 2, 2, 1)
-    wide = DofLayout(mesh, 2, 2, 1, include_boundary_traces=True)
-    td = layout.trace_dim
-    for group in level_cells(mesh, layout):
-        full = CellGroup(mesh, group.ids, wide)
-        assert full.n_loc == full.n_int + td * group.edges.shape[1]
-        G, ni = group.ids.size, group.n_int
-        cols = np.concatenate([np.tile(np.arange(ni), (G, 1)),
-                               ni + (td * group.slots[..., None] + np.arange(td)).reshape(G, -1)],
-                              axis=1)
-
-        def close(kept, whole, square=True):
-            want = np.take_along_axis(whole, cols[:, None, :], axis=2)
-            if square:
-                want = np.take_along_axis(want, cols[:, :, None], axis=1)
-            assert kept.shape == want.shape and kept.shape[-1] == group.n_loc
-            assert np.abs(kept - want).max() <= 1e-13 * np.abs(want).max()
-
-        for mode in ("straight", "curved"):
-            close(local_stabilization(group, mode, 2.5), local_stabilization(full, mode, 2.5))
-        close(local_pressure_coupling(group), local_pressure_coupling(full), square=False)
 
 
 def test_boundary_nineteen_gons_keep_two_traces():

@@ -89,17 +89,6 @@ def test_project_exact_reproduces_polynomial_flux():
         assert pex[lay.pressure_dofs(c)][0] == pytest.approx(4.0, rel=1e-13)
 
 
-def test_project_exact_boundary_traces_zero():
-    mesh = generate_disk_mesh(8, 1)
-    lay = DofLayout(mesh, 1, 1, 0, include_boundary_traces=True)
-    case = registry_lookup("disk")
-    w, _ = project_exact(mesh, case.u, case.p, lay)
-    bidx = mesh.boundary_edge_indices
-    assert np.all(lay.trace_offsets[bidx] >= 0)
-    traces = w[lay.trace_offsets[bidx][:, None] + np.arange(lay.trace_dim)]
-    assert np.abs(traces).max() == 0.0
-
-
 def test_error_of_projection_against_itself_is_zero():
     mesh = generate_disk_mesh(8, 2)
     lay = DofLayout(mesh, 2, 2, 1)

@@ -78,6 +78,37 @@ def test_bench_record_holds_medians_and_quartiles_of_its_runs(tmp_path, capsys):
     assert not bench.overlap([1.0, 2.0], [2.5, 3.0]) and not bench.overlap(None, [1.0, 2.0])
 
 
+def test_bench_against_a_parent_alternates_the_sides_by_round(tmp_path, monkeypatch, capsys):
+    bench = load_script("bench")
+    calls = []
+
+    def fake_run(argv, env=None, **kwargs):
+        name = argv[argv.index("--case") + 1]
+        calls.append((env["PYTHONPATH"], name))
+        t = float(len(calls))
+        record = {"case": name, "dofs": 1, "level_s": t, "stages": {"solve": t},
+                  "peak_rss_mb": t, "stage_rss_mb": {"solve": t}}
+        return SimpleNamespace(stdout=json.dumps(record) + "\n")
+
+    (tmp_path / "child").mkdir()
+    monkeypatch.setattr(bench, "ROOT", tmp_path / "child")
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench.main(["--label", "L", "--parent", str(tmp_path / "parent")]) == 0
+    parent, child = str(tmp_path / "parent" / "src"), str(tmp_path / "child" / "src")
+    cases = list(bench.CASES)
+    assert len(calls) == 2 * bench.RUNS * len(cases)
+    for k in range(bench.RUNS):
+        first, second = (parent, child) if k % 2 == 0 else (child, parent)
+        block = calls[2 * k * len(cases):2 * (k + 1) * len(cases)]
+        assert block == [(side, name) for name in cases for side in (first, second)]
+    for label, src in (("parent-L", parent), ("L", child)):
+        record = json.loads((tmp_path / "child" / "bench" / f"BENCH_{label}.json").read_text())
+        assert record["label"] == label and [r["case"] for r in record["cases"]] == cases
+        for r in record["cases"]:
+            seconds = [i + 1.0 for i, call in enumerate(calls) if call == (src, r["case"])]
+            assert r["runs"] == bench.RUNS and r["level_s"] == sorted(seconds)[bench.RUNS // 2]
+
+
 def test_quick_studies_are_the_full_ones_without_their_finest_level():
     studies = load_script("run_all_studies")
     assert [claim.name for claim in studies.QUICK] == [claim.name for claim in studies.CLAIMS]
