@@ -14,11 +14,16 @@ medians over its runs of the level's stage seconds (`stages`, from
 `StudyRow.stages`) and of its level seconds (`level_s`), with their first
 and third quartiles beside them (`quartiles`, per stage and `level`);
 the medians of the peak memory and of the peak memory at the end of each
-stage (`stage_rss_mb`); and, from its last run, its unknowns, residual and
-solver diagnostics and the git revision of the wgmixed checkout that was
-imported.  The stage peaks are read from outside the package: a trace
+stage (`stage_rss_mb`); the medians of each stage's own traced peak
+(`stage_traced_mb`, with quartiles under `traced_mb@<stage>`: the most
+memory that `tracemalloc`, started just before `run_level`, saw allocated
+during the stage, in MB); and, from its last run, its unknowns, residual
+and solver diagnostics and the git revision of the wgmixed checkout that
+was imported.  The stage peaks are read from outside the package: a trace
 function sees each return of the `lap(stage)` closure by which `run_level`
-ends a stage.
+ends a stage, and there reads both peaks and resets the traced one.  RSS
+only rises over a level, so a late stage's RSS reads the peak of an
+earlier one; the traced peak is the stage's own.
 
     python scripts/bench.py --label after --parent <other checkout>
     PYTHONPATH=src python scripts/bench.py --label after
@@ -34,7 +39,9 @@ record's `rhs` stage counted into its `project`), with `~` after a ratio
 whose quartile ranges in the two records overlap, a change within the
 run-to-run spread (records of one run per case, with no quartiles, are never
 marked); then the median peak memory at the end of each stage (rows
-`rss@<stage>`, in MB; `-` where a record has none), then the solver
+`rss@<stage>`, in MB; `-` where a record has none), then each stage's
+median traced peak and its ratio, marked `~` as the seconds are (rows
+`traced_mb@<stage>`, in MB; `-` where a record has none), then the solver
 diagnostics `n_condensed`, `condensed_nnz` (the factored matrix's nnz),
 `lu_fill` and `residual_unrefined` before and after; it writes nothing.
 """
@@ -49,6 +56,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy
@@ -79,9 +87,10 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def stage_tracer(run_level, peaks: dict):
-    """A `sys.settrace` function that puts the peak memory into `peaks[stage]` as
-    each `lap(stage)` call of `run_level` returns; None if `run_level` has no `lap`."""
+def stage_tracer(run_level, peaks: dict, traced: dict):
+    """A `sys.settrace` function that puts the peak memory into `peaks[stage]`, and
+    the traced peak since the previous stage into `traced[stage]`, as each
+    `lap(stage)` call of `run_level` returns; None if `run_level` has no `lap`."""
     lap = next((c for c in run_level.__code__.co_consts
                 if getattr(c, "co_name", None) == "lap"), None)
     if lap is None:
@@ -89,7 +98,10 @@ def stage_tracer(run_level, peaks: dict):
 
     def on_return(frame, event, arg):
         if event == "return":
-            peaks[frame.f_locals["stage"]] = peak_rss_mb()
+            stage = frame.f_locals["stage"]
+            peaks[stage] = peak_rss_mb()
+            traced[stage] = tracemalloc.get_traced_memory()[1] / 2**20
+            tracemalloc.reset_peak()
         return on_return
 
     return lambda frame, event, arg: on_return if frame.f_code is lap else None
@@ -101,13 +113,15 @@ def run_case(name: str) -> dict:
 
     domain, scheme, degree, n, split_rule = CASES[name]
     config = StudyConfig(domain, scheme, degree, (n,), split_rule=split_rule)
-    peaks, previous = {}, sys.gettrace()
-    sys.settrace(stage_tracer(run_level, peaks))
+    peaks, traced, previous = {}, {}, sys.gettrace()
+    sys.settrace(stage_tracer(run_level, peaks, traced))
+    tracemalloc.start()
     t0 = time.perf_counter()
     try:
         row, _ = run_level(config, n)
     finally:
         wall = time.perf_counter() - t0
+        tracemalloc.stop()
         sys.settrace(previous)
     return {
         "case": name,
@@ -120,19 +134,26 @@ def run_case(name: str) -> dict:
         "diagnostics": getattr(row, "diagnostics", {}),
         "peak_rss_mb": peak_rss_mb(),
         "stage_rss_mb": peaks,
+        "stage_traced_mb": traced,
         "revision": git_revision(Path(wgmixed.__file__).resolve().parent),
     }
 
 
 def summarize(runs: list) -> dict:
     """One case's record from the records of its runs: medians and quartiles of the
-    seconds, medians of the peak memories, everything else from the last run."""
-    seconds = {stage: [r["stages"][stage] for r in runs] for stage in runs[-1]["stages"]}
-    seconds["level"] = [r["level_s"] for r in runs]
-    q1, median, q3 = numpy.percentile(list(seconds.values()), [25, 50, 75], axis=1).tolist()
-    stages = dict(zip(seconds, median))
-    return dict(runs[-1], runs=len(runs), level_s=stages.pop("level"), stages=stages,
-                quartiles={stage: [a, b] for stage, a, b in zip(seconds, q1, q3)},
+    seconds and of the traced peaks, medians of the peak memories, everything else
+    from the last run."""
+    series = {stage: [r["stages"][stage] for r in runs] for stage in runs[-1]["stages"]}
+    series["level"] = [r["level_s"] for r in runs]
+    traced = runs[-1]["stage_traced_mb"]
+    series.update({f"traced_mb@{stage}": [r["stage_traced_mb"][stage] for r in runs]
+                   for stage in traced})
+    q1, median, q3 = numpy.percentile(list(series.values()), [25, 50, 75], axis=1).tolist()
+    medians = dict(zip(series, median))
+    return dict(runs[-1], runs=len(runs), level_s=medians["level"],
+                stages={stage: medians[stage] for stage in runs[-1]["stages"]},
+                stage_traced_mb={stage: medians[f"traced_mb@{stage}"] for stage in traced},
+                quartiles={key: [a, b] for key, a, b in zip(series, q1, q3)},
                 peak_rss_mb=float(numpy.median([r["peak_rss_mb"] for r in runs])),
                 stage_rss_mb={stage: float(numpy.median([r["stage_rss_mb"][stage] for r in runs]))
                               for stage in runs[-1]["stage_rss_mb"]})
@@ -170,10 +191,23 @@ def overlap(before, after) -> bool:
         before[0] <= after[1] and after[0] <= before[1]
 
 
+def ratio_row(case: str, name: str, before, after, quartiles: tuple, digits: int) -> None:
+    """Print one row of `compare`: the medians before and after and their ratio, marked
+    `~` where the quartile ranges of `name` in the two records overlap."""
+    if before is None or after is None:
+        b, a = (f"{v:.{digits}f}" if v is not None else "-" for v in (before, after))
+        print(f"{case:30s} {name:10s} {b:>10s} {a:>10s}")
+        return
+    ratio = f"{after / before:7.3f}" if before > 0 else "    inf"
+    spread = " ~" if overlap(*(q.get(name) for q in quartiles)) else ""
+    print(f"{case:30s} {name:10s} {before:10.{digits}f} {after:10.{digits}f} {ratio}{spread}")
+
+
 def compare(before_path, after_path) -> None:
     """Print each case's median stage seconds in two bench records, with after/before
     ratios marked `~` where the quartile ranges overlap, then its peak memory at the
-    end of each stage and its solver diagnostics, before and after."""
+    end of each stage, its traced peak in each stage, marked as the seconds, and its
+    solver diagnostics, before and after."""
     before, after = (json.loads(Path(p).read_text(encoding="utf-8"))
                      for p in (before_path, after_path))
     old = {record["case"]: record for record in before["cases"]}
@@ -184,18 +218,17 @@ def compare(before_path, after_path) -> None:
             print(f"{record['case']:30s} (not in {before_path})")
             continue
         seconds_before, seconds_after = stage_seconds(prev), stage_seconds(record)
+        quartiles = tuple(r.get("quartiles", {}) for r in (prev, record))
         for stage, t1 in seconds_after.items():
-            if stage not in seconds_before:
-                continue
-            t0 = seconds_before[stage]
-            ratio = f"{t1 / t0:7.3f}" if t0 > 0 else "    inf"
-            spread = " ~" if overlap(prev.get("quartiles", {}).get(stage),
-                                     record.get("quartiles", {}).get(stage)) else ""
-            print(f"{record['case']:30s} {stage:10s} {t0:10.4f} {t1:10.4f} {ratio}{spread}")
+            if stage in seconds_before:
+                ratio_row(record["case"], stage, seconds_before[stage], t1, quartiles, 4)
         rss_before, rss_after = (r.get("stage_rss_mb", {}) for r in (prev, record))
         for stage in record["stages"]:
             m0, m1 = (f"{m[stage]:.1f}" if stage in m else "-" for m in (rss_before, rss_after))
             print(f"{record['case']:30s} {'rss@' + stage:10s} {m0:>10s} {m1:>10s}")
+        for stage in record["stages"]:
+            m0, m1 = (r.get("stage_traced_mb", {}).get(stage) for r in (prev, record))
+            ratio_row(record["case"], "traced_mb@" + stage, m0, m1, quartiles, 1)
         for key in SOLVER_DIAGNOSTICS:
             d0, d1 = (r.get("diagnostics", {}).get(key) for r in (prev, record))
             print(f"{record['case']:30s} {key:18s} {_diagnostic(d0):>10s} {_diagnostic(d1):>10s}")

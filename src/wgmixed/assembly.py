@@ -44,11 +44,12 @@ once with batched products, on the cell's flux dofs only, and return them
 stacked, group axis first; a single cell is a group of one.  The pressure
 rows are the defining pairings -(div_w v, q)_K with the P_sigma basis, so no
 kernel solves against the mass matrix.  The two normal modes differ
-only in the boundary-edge terms, which hold no trace, so `assemble_system`
-stabilizes the boundary groups in both modes and keeps the second as a
-difference on their interior-flux blocks, together with the diagonal blocks
-of the L2 mass matrix of the interior flux (whose leading blocks are the
-pressure's).
+only in the boundary-edge terms, which hold no trace: one
+`local_stabilization` pass forms the slots' terms, and the boundary edges'
+interior-flux Gram matrices once in each normal, so it yields both modes.
+`assemble_system` keeps the other mode as a difference on the boundary
+groups' interior-flux blocks, together with the diagonal blocks of the L2
+mass matrix of the interior flux (whose leading blocks are the pressure's).
 
 The assembled system is a list of cell blocks, one per group: each cell's
 saddle block on its group's flux dofs, with the scheme's pressure rows
@@ -221,27 +222,22 @@ class CellGroup:
         for name in ("edge_quad", "Ve", "proj_rule", "proj_values"):
             self.__dict__.pop(name, None)
 
-    def normals(self, mode: str) -> np.ndarray:
-        """Stabilization normal m (G, m, q, 2) on each edge point.
+    def boundary_rows(self, a: np.ndarray) -> np.ndarray:
+        """The rows (G, nb, ...) of an edge array (G, m, ...) on each cell's nb boundary edges."""
+        nb = int(self.boundary[0].sum())
+        return a[self.boundary].reshape((self.ids.size, nb) + a.shape[2:])
 
-        Straight mode uses the cell outward normal; curved mode replaces it on
-        boundary edges by the analytic-curve normal pulled back to the chord.
-        """
-        boundary = self.boundary
-        t = self.edge_quad[2]
-        m_vec = np.repeat((self.signs[..., None] * self.mesh.edge_normals[self.edges])[:, :, None],
-                          t.size, axis=2)
-        if mode == "curved" and boundary.any():
-            bedges = self.edges[boundary]
-            curves = self.mesh.boundary_segments
-            k = curves.rows(bedges)
-            if np.any(k < 0):
-                raise ConfigurationError(
-                    f"edge {bedges[np.argmin(k)]}: curved stabilization requires its curve")
-            # the stack as stored, then this group's rows: no copy of the curves
-            xhat = self.mesh.edge_lengths[curves.edges][:, None] * t
-            m_vec[boundary] = segment_geometry(curves, xhat)[2][k]
-        return m_vec
+    def curve_normals(self) -> np.ndarray:
+        """The analytic-curve normal pulled back to the boundary edges' points, (G, nb, q, 2)."""
+        edges = self.boundary_rows(self.edges)
+        curves = self.mesh.boundary_segments
+        k = curves.rows(edges)
+        if np.any(k < 0):
+            raise ConfigurationError(
+                f"edge {edges.flat[np.argmin(k)]}: curved stabilization requires its curve")
+        # the stack as stored, then this group's rows: no copy of the curves
+        xhat = self.mesh.edge_lengths[curves.edges][:, None] * self.edge_quad[2]
+        return segment_geometry(curves, xhat)[2][k]
 
 
 def level_cells(mesh: PolygonalMesh, layout: DofLayout, edge_order: int | None = None) -> list:
@@ -267,28 +263,35 @@ def _divergence_pairings(cells: CellGroup, degree: int) -> np.ndarray:
                            traces.reshape(traces.shape[:2] + (-1,))], axis=2)
 
 
-def local_stabilization(cells: CellGroup, mode: str = "straight", rho: float = 1.0) -> np.ndarray:
-    """Quadratic forms rho/h_K sum_e int_e ((u_0-u_b).m)((v_0-v_b).m) ds.
+def local_stabilization(cells: CellGroup, rho: float = 1.0) -> tuple:
+    """Quadratic forms rho/h_K sum_e int_e ((u_0-u_b).m)((v_0-v_b).m) ds in both normal modes.
 
-    mode="straight" uses the cell outward normal on every edge; mode="curved"
-    replaces it on boundary edges by the analytic-curve normal pulled back to
-    the chord (interior edges keep the straight normal).  A slot's edge is
-    interior, where n_e . m is the edge sign in both modes.
+    Returns the straight-mode form on the flux dofs (m the cell outward
+    normal) and, on a boundary group, the curved-mode form minus it on the
+    interior flux (G, n_int, n_int), None on an interior group: the curved
+    mode puts the curve normal on the boundary edges, which hold no trace.
     """
-    if mode not in ("straight", "curved"):
-        raise ValueError(f"unknown normal mode '{mode}'")
-    m_vec = cells.normals(mode)
     _, w, t = cells.edge_quad
-    Ve, slots = cells.Ve, cells.slots
-    G, m, q = w.shape
-    g, s = np.arange(G)[:, None], slots.shape[1]
-    traces = np.zeros((G, m, q, s, cells.layout.trace_dim))
+    G, s, q, ni = cells.ids.size, cells.slots.shape[1], t.size, cells.n_int
+    g, slots, td = np.arange(G)[:, None], cells.slots, cells.layout.trace_dim
+    normal = (cells.signs[..., None] * cells.mesh.edge_normals[cells.edges])[:, :, None]
+
+    def gram(V, m_vec, w, *columns):   # F^T w F, F the rows [v_0 . m, columns] on the points
+        F = np.concatenate([V * m_vec[..., 0:1], V * m_vec[..., 1:2], *columns], axis=-1)
+        F = F.reshape(G, w[0].size, F.shape[-1])
+        return np.swapaxes(F, 1, 2) @ (w.reshape(G, w[0].size, 1) * F)
+
+    traces = np.zeros((G, s, q, s, td))   # a slot's edge is interior: n_e . m is its sign
     own = -cells.edge_basis.eval(t) * cells.signs[g, slots][..., None, None]   # each slot's block
-    traces[g, slots, :, np.arange(s)] = own                                   # in its columns
-    R = np.concatenate([Ve * m_vec[..., 0:1], Ve * m_vec[..., 1:2],
-                        traces.reshape(G, m, q, -1)], axis=-1).reshape(G, m * q, -1)
-    S = np.swapaxes(R, 1, 2) @ (w.reshape(G, -1, 1) * R)
-    return (rho / cells.mesh.cell_diameters[cells.ids])[:, None, None] * S
+    traces[g, np.arange(s), :, np.arange(s)] = own                            # in its columns
+    S = gram(cells.Ve[g, slots], normal[g, slots], w[g, slots], traces.reshape(G, s, q, s * td))
+    scale = (rho / cells.mesh.cell_diameters[cells.ids])[:, None, None]
+    if not cells.boundary.any():
+        return scale * S, None
+    Vb, wb = cells.boundary_rows(cells.Ve), cells.boundary_rows(w)
+    straight = gram(Vb, cells.boundary_rows(normal), wb)
+    S[:, :ni, :ni] += straight
+    return scale * S, scale * (gram(Vb, cells.curve_normals(), wb) - straight)
 
 
 def local_pressure_coupling(cells: CellGroup) -> np.ndarray:
@@ -297,18 +300,16 @@ def local_pressure_coupling(cells: CellGroup) -> np.ndarray:
 
 
 def local_boundary_correction(cells: CellGroup) -> np.ndarray:
-    """Pairings <phi.n - mean_e(phi.n), q>_e on each edge, (G, m, dim P_sigma, 2 dim P_alpha).
+    """Pairings <phi.n - mean_e(phi.n), q>_e on the boundary edges, (G, nb, dim P_sigma, n_int).
 
-    Rows run over the cell's pressure basis, columns over its interior dofs;
-    the pairings of interior edges are zero.
+    Rows run over the cell's pressure basis, columns over its interior dofs.
     """
-    w, Ve = cells.edge_quad[1], cells.Ve
-    n = cells.mesh.edge_normals[cells.edges][:, :, None, None, :]
+    w, Ve = cells.boundary_rows(cells.edge_quad[1]), cells.boundary_rows(cells.Ve)
+    n = cells.boundary_rows(cells.mesh.edge_normals[cells.edges])[:, :, None, None, :]
     F = np.concatenate([Ve * n[..., 0], Ve * n[..., 1]], axis=-1)   # phi . n
     mean = np.einsum("gkq,gkqi->gki", w, F) / w.sum(axis=-1)[..., None]
-    C = np.einsum("gkqs,gkq,gkqi->gksi", Ve[..., :cells.layout.dim_sigma], w,
-                  F - mean[:, :, None, :])
-    return C * cells.boundary[..., None, None]
+    return np.einsum("gkqs,gkq,gkqi->gksi", Ve[..., :cells.layout.dim_sigma], w,
+                     F - mean[:, :, None, :])
 
 
 def _to_csr(triplets, shape) -> sp.csr_matrix:
@@ -368,15 +369,16 @@ class CellBlocks:
         return self.local[:, k:, :k]
 
 
-def _cell_blocks(group: CellGroup, scheme: str, mode: str, other: str, rho: float) -> CellBlocks:
+def _cell_blocks(group: CellGroup, scheme: str, mode: str, rho: float) -> CellBlocks:
     """The group's `CellBlocks`: its kernels' blocks, no linear algebra."""
     layout, ni, ns, k = group.layout, group.n_int, group.layout.dim_sigma, group.n_loc
     pdofs = layout.pressure_dofs(group.ids)
     boundary = group.boundary.any()
 
-    A = local_stabilization(group, mode=mode, rho=rho)
-    delta = (local_stabilization(group, mode=other, rho=rho)[:, :ni, :ni] - A[:, :ni, :ni]
-             if boundary else None)
+    A, delta = local_stabilization(group, rho)
+    if boundary and mode == "curved":
+        A[:, :ni, :ni] += delta
+        delta = -delta
     A[:, :ni, :ni] += local_mass(group)
     B = local_pressure_coupling(group)
 
@@ -467,25 +469,24 @@ def assemble_system(mesh: PolygonalMesh, degrees, scheme: str = "original",
     scheme stabilizes with straight normals and keeps the symmetric block
     structure; the modified scheme stabilizes with curved normals and
     subtracts the boundary-correction pairings from the mass-conservation
-    rows only.  Boundary groups are stabilized in the other normal mode too;
-    the difference is kept as their interior-flux `delta` blocks, so both
-    flux norms come from one pass.  Each group's blocks are built on its
-    cells' flux dofs; nothing is inverted or factorized here (see
-    `solver.solve_saddle`).
+    rows only.  One stabilization pass per group yields both normal modes;
+    the other mode is kept as the boundary groups' interior-flux `delta`
+    blocks.  Each group's blocks are built on its cells' flux dofs; nothing
+    is inverted or factorized here (see `solver.solve_saddle`).
     """
     if scheme not in ("original", "modified"):
         raise ValueError(f"unknown scheme '{scheme}'")
     layout = degrees if isinstance(degrees, DofLayout) else DofLayout(mesh, *degrees)
     if rho <= 0.0:
         raise ValueError("stabilization parameter rho must be positive")
-    mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")
+    mode = "curved" if scheme == "modified" else "straight"
     if cells is None:
         cells = level_cells(mesh, layout)
 
     blocks = []
     flux_mass = np.empty((mesh.n_cells, layout.dim_alpha, layout.dim_alpha))
     for group in cells:
-        blocks.append(_cell_blocks(group, scheme, mode, other, rho))
+        blocks.append(_cell_blocks(group, scheme, mode, rho))
         flux_mass[group.ids] = group.mass
         group.release()
     return SaddleSystem(layout=layout, scheme=scheme, normal_mode=mode, blocks=blocks,

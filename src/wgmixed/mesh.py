@@ -81,10 +81,6 @@ class BoundaryCurves:
         k = np.minimum(np.searchsorted(self.edges, e), self.edges.size - 1)
         return np.where(self.edges[k] == e, k, -1)
 
-    def take(self, rows) -> "BoundaryCurves":
-        """The curves of rows `rows`, in that order."""
-        return BoundaryCurves(*(getattr(self, f.name)[rows] for f in dataclasses.fields(self)))
-
 
 def segment_geometry(curves: BoundaryCurves, xhat):
     """Foot points (B, q, 2), gaps (B, q) and curve normals (B, q, 2) on B chords.

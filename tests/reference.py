@@ -6,11 +6,15 @@ against, the weak divergence itself, the plain per-cell integrals, bases,
 gradients and diameters the quadrature, basis and mesh tests use as
 references, the cell kernels on a cell rule, and the former power-table basis
 tabulation and dict-indexed derivative maps, are built here, from those
-blocks and matrices or from the quadrature rules; so is the wrapped cell, a
-mesh on which every edge of one polygon is interior and carries a trace.
+blocks and matrices or from the quadrature rules; so are the wrapped cell, a
+mesh on which every edge of one polygon is interior and carries a trace,
+the curve stacks of chosen rows, and the former kernels: the stabilization
+in one normal mode per call, over every edge, and the boundary correction
+on every edge, masked to the boundary ones.
 Nothing in `src` imports this module.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +22,7 @@ import scipy.sparse as sp
 
 from wgmixed.assembly import _divergence_pairings, _to_csr
 from wgmixed.basis import moment_axes, poly_dim
-from wgmixed.mesh import build_mesh
+from wgmixed.mesh import BoundaryCurves, build_mesh, segment_geometry
 from wgmixed.quadrature import edge_rule, polygon_moments, polygon_rule
 
 
@@ -178,3 +182,46 @@ def cell_rule_kernels(cells) -> dict:
     return {"mass": np.swapaxes(V, -1, -2) @ WV,
             "pressure_mean": WV[..., :lay.dim_sigma].sum(axis=-2),
             "pairings": pairings}
+
+
+def curve_rows(curves, rows) -> BoundaryCurves:
+    """The curve stack of rows `rows` of `curves`, in that order (a partial or faulty stack)."""
+    return BoundaryCurves(*(getattr(curves, f.name)[rows] for f in dataclasses.fields(curves)))
+
+
+def two_pass_stabilization(cells, mode: str, rho: float = 1.0) -> np.ndarray:
+    """The stabilization form on a group's flux dofs in normal mode `mode`, one mode per call.
+
+    One product table covers every edge, the boundary edges' rows holding zero
+    trace columns; mode "curved" puts the curve normal, evaluated on a copy of
+    the group's curve rows, on the boundary edges.
+    """
+    _, w, t = cells.edge_quad
+    Ve, slots = cells.Ve, cells.slots
+    G, m, q = w.shape
+    g, s = np.arange(G)[:, None], slots.shape[1]
+    m_vec = np.repeat((cells.signs[..., None] * cells.mesh.edge_normals[cells.edges])[:, :, None],
+                      q, axis=2)
+    if mode == "curved":
+        bedges, curves = cells.edges[cells.boundary], cells.mesh.boundary_segments
+        xhat = cells.mesh.edge_lengths[bedges][:, None] * t
+        m_vec[cells.boundary] = segment_geometry(curve_rows(curves, curves.rows(bedges)), xhat)[2]
+    traces = np.zeros((G, m, q, s, cells.layout.trace_dim))
+    own = -cells.edge_basis.eval(t) * cells.signs[g, slots][..., None, None]
+    traces[g, slots, :, np.arange(s)] = own
+    R = np.concatenate([Ve * m_vec[..., 0:1], Ve * m_vec[..., 1:2],
+                        traces.reshape(G, m, q, -1)], axis=-1).reshape(G, m * q, -1)
+    S = np.swapaxes(R, 1, 2) @ (w.reshape(G, -1, 1) * R)
+    return (rho / cells.mesh.cell_diameters[cells.ids])[:, None, None] * S
+
+
+def masked_boundary_correction(cells) -> np.ndarray:
+    """The correction pairings on every edge (G, m, dim P_sigma, 2 dim P_alpha), zero on
+    interior edges."""
+    w, Ve = cells.edge_quad[1], cells.Ve
+    n = cells.mesh.edge_normals[cells.edges][:, :, None, None, :]
+    F = np.concatenate([Ve * n[..., 0], Ve * n[..., 1]], axis=-1)
+    mean = np.einsum("gkq,gkqi->gki", w, F) / w.sum(axis=-1)[..., None]
+    C = np.einsum("gkqs,gkq,gkqi->gksi", Ve[..., :cells.layout.dim_sigma], w,
+                  F - mean[:, :, None, :])
+    return C * cells.boundary[..., None, None]

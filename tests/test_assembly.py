@@ -36,7 +36,6 @@ from wgmixed.convergence import (
     vh_norm,
 )
 from wgmixed.mesh import (
-    BoundaryCurves,
     PolygonalMesh,
     boundary_split_count,
     build_mesh,
@@ -52,8 +51,11 @@ from reference import (
     a_delta,
     cell_rule_kernels,
     constant_pressure_vector,
+    curve_rows,
     full_matrix,
     local_weak_divergence,
+    masked_boundary_correction,
+    two_pass_stabilization,
     vh_matrix,
     wrapped_cell,
 )
@@ -201,7 +203,7 @@ def test_pressure_rows_are_the_mass_rows_times_the_weak_divergence(mesh_name):
 def test_stabilization_hand_value_unit_square():
     mesh = one_cell_square()
     ops = one_cell(mesh, 0, DofLayout(mesh, 1, 1, 0))
-    S = local_stabilization(ops, "straight", 1.0)[0]
+    S = local_stabilization(ops, 1.0)[0][0]
     dof = np.zeros(ops.n_loc)
     dof[0] = 1.0  # v_0 = (1, 0), v_b = 0
     assert dof @ S @ dof == pytest.approx(math.sqrt(2.0), rel=1e-14)
@@ -214,7 +216,7 @@ def test_stabilization_vanishes_on_consistent_polynomials():
         mesh = wrapped_cell(square.vertices[square.cells[c]])
         ops = one_cell(mesh, 0, DofLayout(mesh, 1, 1, 0))
         dof = consistent_trace_dofs(mesh, ops, u)
-        S = local_stabilization(ops, "straight", 1.0)[0]
+        S = local_stabilization(ops, 1.0)[0][0]
         assert dof @ S @ dof <= 1e-13
 
 
@@ -222,17 +224,19 @@ def test_stabilization_curved_equals_straight_on_flat_mesh():
     mesh = generate_square_tri(3)
     for c in range(mesh.n_cells):
         ops = one_cell(mesh, c, DofLayout(mesh, 1, 1, 0))
-        Ss = local_stabilization(ops, "straight", 1.0)[0]
-        Sc = local_stabilization(ops, "curved", 1.0)[0]
-        assert np.abs(Ss - Sc).max() <= 1e-14
+        diff = local_stabilization(ops, 1.0)[1]
+        assert (diff is None) == (not ops.boundary.any())
+        assert diff is None or np.abs(diff).max() <= 1e-14
 
 
 def test_stabilization_psd_and_symmetric():
     mesh = generate_disk_mesh(8, 2)
     for c in range(mesh.n_cells):
-        for mode in ("straight", "curved"):
-            ops = one_cell(mesh, c, DofLayout(mesh, 2, 2, 1))
-            S = local_stabilization(ops, mode, 1.0)[0]
+        straight, diff = local_stabilization(one_cell(mesh, c, DofLayout(mesh, 2, 2, 1)), 1.0)
+        curved = straight.copy()
+        if diff is not None:
+            curved[:, :diff.shape[1], :diff.shape[1]] += diff
+        for S in (straight[0], curved[0]):
             assert np.abs(S - S.T).max() <= 1e-13 * max(1.0, np.abs(S).max())
             ev = np.linalg.eigvalsh(S)
             assert ev.min() >= -1e-12 * max(1.0, ev.max())
@@ -243,11 +247,11 @@ def test_stabilization_curved_requires_segment():
     e = int(full.boundary_edge_indices[0])
     curves = full.boundary_segments
     mesh = PolygonalMesh(**{**full.__dict__,
-                            "boundary_segments": curves.take(curves.edges != e)})
+                            "boundary_segments": curve_rows(curves, curves.edges != e)})
     ops = one_cell(mesh, int(mesh.edge_cells[e, 0]), DofLayout(mesh, 1, 1, 0))
-    local_stabilization(ops, "straight", 1.0)
-    with pytest.raises(ConfigurationError):
-        local_stabilization(ops, "curved", 1.0)
+    for kernel in (ops.curve_normals, lambda: local_stabilization(ops, 1.0)):
+        with pytest.raises(ConfigurationError, match=f"edge {e}:"):
+            kernel()
 
 
 def test_local_mass_spd_and_hand_value():
@@ -281,10 +285,12 @@ def test_local_mass_orthogonality_vs_quadrature_oracle():
 # ---------------------------------------------------------------------------
 
 def owner_corrections(mesh, e, layout):
-    """The owner cell's correction pairings (m, dim P_sigma, 2 dim P_alpha) and e's position."""
+    """The owner cell's correction pairings (nb, dim P_sigma, 2 dim P_alpha) on its boundary
+    edges, and e's position among them."""
     c = int(mesh.edge_cells[e, 0])
     pairings = local_boundary_correction(one_cell(mesh, c, layout))[0]
-    return pairings, mesh.cell_arrays(c)[1].tolist().index(e)
+    edges = mesh.cell_arrays(c)[1]
+    return pairings, edges[mesh.edge_cells[edges, 1] < 0].tolist().index(e)
 
 
 def test_boundary_correction_entries_structure():
@@ -296,9 +302,9 @@ def test_boundary_correction_entries_structure():
     assert C.shape == (lay.dim_sigma, 2 * lay.dim_alpha)
     # q = constant row vanishes (mean deviation is mean-free)
     assert np.abs(C[0]).max() <= 1e-14
-    # the cell's interior edges carry no correction
+    # one block per boundary edge of the cell, none for its interior edges
     interior = mesh.edge_cells[mesh.cell_arrays(int(mesh.edge_cells[e, 0]))[1], 1] >= 0
-    assert interior.any() and np.all(pairings[interior] == 0.0)
+    assert interior.any() and pairings.shape[0] == interior.size - interior.sum()
 
 
 def test_boundary_correction_annihilates_constant_normal_component():
@@ -406,28 +412,92 @@ def test_each_trace_dof_is_one_multiplier_held_by_the_two_cells_of_its_edge(mesh
 def test_curved_normals_read_the_stored_curves_without_a_copy(monkeypatch):
     # the curve stack is evaluated as stored and each group gathers its edges'
     # rows from it, which is what evaluating each edge's row alone gives
-    taken, take = [], BoundaryCurves.take
+    stacks, geometry = [], assembly.segment_geometry
 
-    def counted(self, rows):
-        taken.append(rows)
-        return take(self, rows)
+    def counted(curves, xhat):
+        stacks.append(curves)
+        return geometry(curves, xhat)
 
     mesh = GROUPED_MESHES["disk-split"]()
-    monkeypatch.setattr(BoundaryCurves, "take", counted)
+    monkeypatch.setattr(assembly, "segment_geometry", counted)
     assemble_system(mesh, (2, 2, 1), scheme="modified")
-    assert taken == []
+    assert stacks and all(curves is mesh.boundary_segments for curves in stacks)
     monkeypatch.undo()
     for make in GROUPED_MESHES.values():
         mesh = make()
         curves = mesh.boundary_segments
         for group in level_cells(mesh, DofLayout(mesh, 2, 2, 1)):
-            m_vec = group.normals("curved")
+            if not group.boundary.any():
+                continue
+            m_vec = group.curve_normals()
             t = group.edge_quad[2]
-            for g, k in zip(*np.nonzero(group.boundary)):
-                e = group.edges[g, k]
-                row = curves.take(curves.rows([e]))
-                want = segment_geometry(row, mesh.edge_lengths[e] * t[None])[2][0]
-                assert np.array_equal(m_vec[g, k], want)
+            assert m_vec.shape == group.boundary_rows(group.edge_quad[0]).shape
+            for g, row in enumerate(group.boundary_rows(group.edges)):
+                for k, e in enumerate(row):
+                    one = curve_rows(curves, curves.rows([e]))
+                    want = segment_geometry(one, mesh.edge_lengths[e] * t[None])[2][0]
+                    assert np.array_equal(m_vec[g, k], want)
+
+
+ONE_PASS_MESHES = {
+    "disk-unsplit": lambda j: generate_disk_mesh(16, 1),
+    "disk-original-law": lambda j: generate_disk_mesh(
+        8, lambda h: boundary_split_count(h, j, "original")),
+    "disk-modified-law": lambda j: generate_disk_mesh(
+        16, lambda h: boundary_split_count(h, j, "modified")),
+    "ring-fixed3": lambda j: generate_ring_mesh(16, 3),
+    "square": lambda j: generate_square_tri(4),
+    "one-cell-square": lambda j: one_cell_square(),
+}
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+@pytest.mark.parametrize("mesh_name", list(ONE_PASS_MESHES))
+def test_one_stabilization_pass_gives_both_normal_modes(mesh_name, j):
+    # the straight form on the flux dofs and, on a boundary group, the curved
+    # form minus it on the interior flux, as the two-pass oracle gives them;
+    # the boundary corrections, on the boundary edges alone, as the masked ones
+    mesh = ONE_PASS_MESHES[mesh_name](j)
+    for group in level_cells(mesh, DofLayout(mesh, j, j, j - 1)):
+        S, diff = local_stabilization(group, 2.5)
+        straight = two_pass_stabilization(group, "straight", 2.5)
+        assert S.shape == straight.shape == (group.ids.size, group.n_loc, group.n_loc)
+        assert np.abs(S - straight).max() <= 1e-13 * np.abs(straight).max()
+        if not group.boundary.any():
+            assert diff is None and np.array_equal(S, straight)
+            continue
+        curved = two_pass_stabilization(group, "curved", 2.5)
+        ni = group.n_int
+        want = (curved - straight)[:, :ni, :ni]
+        assert diff.shape == want.shape
+        assert np.abs(diff - want).max() <= 1e-13 * np.abs(curved).max()
+        C, masked = local_boundary_correction(group), masked_boundary_correction(group)
+        assert C.shape[1] == group.boundary[0].sum()
+        assert np.abs(C.sum(axis=1) - masked.sum(axis=1)).max() <= 1e-14 * max(
+            np.abs(masked).max(), 1.0)
+
+
+@pytest.mark.parametrize("scheme", ["original", "modified"])
+def test_assembly_stabilizes_each_group_in_one_pass(scheme, monkeypatch):
+    calls, curve_calls = [], []
+    kernel, geometry = assembly.local_stabilization, assembly.segment_geometry
+
+    def stabilized(cells, *args, **kwargs):
+        calls.append(cells.ids)
+        return kernel(cells, *args, **kwargs)
+
+    def evaluated(curves, xhat):
+        curve_calls.append(curves)
+        return geometry(curves, xhat)
+
+    monkeypatch.setattr(assembly, "local_stabilization", stabilized)
+    monkeypatch.setattr(assembly, "segment_geometry", evaluated)
+    mesh = generate_disk_mesh(16, lambda h: boundary_split_count(h, 2, "original"))
+    layout = DofLayout(mesh, 2, 2, 1)
+    groups = level_cells(mesh, layout)
+    assemble_system(mesh, layout, scheme=scheme, cells=groups)
+    assert len(calls) == len(groups) and all(map(np.array_equal, calls, (g.ids for g in groups)))
+    assert len(curve_calls) <= sum(bool(g.boundary.any()) for g in groups)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +772,6 @@ MIXED_MESHES = {
 
 def per_cell_reference(mesh, layout, scheme, rho, case):
     """Every assembled quantity from one-cell groups' blocks, scattered densely."""
-    mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")
     nv, npr = layout.n_velocity, layout.n_pressure
     na, ns = layout.dim_alpha, layout.dim_sigma
     ref = dict(A=np.zeros((nv, nv)), A_delta=np.zeros((nv, nv)), B=np.zeros((npr, nv)),
@@ -715,15 +784,18 @@ def per_cell_reference(mesh, layout, scheme, rho, case):
         ops = one_cell(mesh, c, layout)
         idx = ops.dofs[0]
         pidx = layout.pressure_dofs(c)
-        S = local_stabilization(ops, mode, rho)[0]
-        S_mass = S.copy()
-        S_mass[:ops.n_int, :ops.n_int] += local_mass(ops)[0]
-        ref["A"][np.ix_(idx, idx)] += S_mass
+        S, diff = local_stabilization(ops, rho)   # straight form, curved minus straight
+        S, ni = S[0], ops.n_int
         if mesh.edge_cells[mesh.cell_arrays(c)[1], 1].min() < 0:
-            delta = local_stabilization(ops, other, rho)[0] - S
-            ref["A_delta"][np.ix_(idx, idx)] += delta
+            delta = diff[0]
+            if scheme == "modified":
+                S[:ni, :ni] += delta
+                delta = -delta
+            ref["A_delta"][np.ix_(idx[:ni], idx[:ni])] += delta
             corr = local_boundary_correction(ops)[0].sum(axis=0)
-            ref["corr"][np.ix_(pidx, idx[:ops.n_int])] += corr
+            ref["corr"][np.ix_(pidx, idx[:ni])] += corr
+        S[:ni, :ni] += local_mass(ops)[0]
+        ref["A"][np.ix_(idx, idx)] += S
         ref["B"][np.ix_(pidx, idx)] += local_pressure_coupling(ops)[0]
         ref["flux_mass"][c] = local_mass(ops)[0][:na, :na]
         ref["pressure_mass"][c] = ref["flux_mass"][c][:ns, :ns]
@@ -916,18 +988,19 @@ def four_builder_matrices(mesh, layout, scheme, rho):
     This is how the assembly built them before it kept cell blocks; the
     lazily built matrices must equal these bit for bit.
     """
-    mode, other = ("curved", "straight") if scheme == "modified" else ("straight", "curved")
     parts = {"A": [], "A_delta": [], "B": [], "B1": []}
     for group in level_cells(mesh, layout):
         idx = group.dofs
         pidx = layout.pressure_dofs(group.ids)
-        A_loc = local_stabilization(group, mode=mode, rho=rho)
+        A_loc, diff = local_stabilization(group, rho)   # straight form, curved minus straight
         B_loc = local_pressure_coupling(group)
         parts["B"].append((pidx, idx, B_loc.copy()))
         if group.boundary.any():
-            S_other = local_stabilization(group, mode=other, rho=rho)
             ni = group.n_int   # the modes differ on boundary edges, which hold no trace
-            parts["A_delta"].append((idx[:, :ni], idx[:, :ni], (S_other - A_loc)[:, :ni, :ni]))
+            if scheme == "modified":
+                A_loc[:, :ni, :ni] += diff
+                diff = -diff
+            parts["A_delta"].append((idx[:, :ni], idx[:, :ni], diff))
             B_loc[:, :, :group.n_int] -= local_boundary_correction(group).sum(axis=1)
         A_loc[:, :group.n_int, :group.n_int] += local_mass(group)
         parts["A"].append((idx, idx, A_loc))

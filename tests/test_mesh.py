@@ -28,6 +28,8 @@ from wgmixed.mesh import (
 # apply its @given decorators inside a running one
 from test_properties import assert_document_gives_the_mesh, perturbed_disk
 
+from reference import curve_rows
+
 
 def shoelace(pts):
     x, y = pts[:, 0], pts[:, 1]
@@ -147,7 +149,7 @@ def test_ring_inner_gap_points_into_annulus():
     # the gap on inner-circle chords is measured toward the domain interior
     m = generate_ring_mesh(16, 1)
     curves = m.boundary_segments
-    inner = curves.take(np.flatnonzero(np.abs(curves.radius - 0.5) <= 1e-12))
+    inner = curve_rows(curves, np.flatnonzero(np.abs(curves.radius - 0.5) <= 1e-12))
     assert inner.edges.size == 16
     foot, gamma, ntilde = segment_geometry(inner, m.edge_lengths[inner.edges][:, None] / 2)
     assert np.all(gamma[:, 0] > 0)
@@ -526,10 +528,10 @@ def test_validate_rejects_curves_that_are_not_one_per_boundary_edge(fault):
     m = generate_disk_mesh(8, 1)
     curves, bidx = m.boundary_segments, m.boundary_edge_indices
     inner = int(np.flatnonzero(m.edge_cells[:, 1] >= 0)[0])
-    rows = {"missing": curves.take(curves.edges != bidx[0]),
+    rows = {"missing": curve_rows(curves, curves.edges != bidx[0]),
             "interior": dataclasses.replace(curves, edges=np.where(curves.edges == bidx[0],
                                                                    inner, curves.edges)),
-            "reversed": curves.take(np.arange(bidx.size)[::-1])}[fault]
+            "reversed": curve_rows(curves, np.arange(bidx.size)[::-1])}[fault]
     hacked = PolygonalMesh(**{**m.__dict__, "boundary_segments": rows})
     with pytest.raises(MeshError, match="not one per boundary edge, in order"):
         validate_mesh(hacked)

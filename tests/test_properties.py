@@ -82,7 +82,8 @@ def assert_interpolant_is_consistent(group, coeffs, div_u):
     """Zero stabilization and a commuting weak divergence for the WG interpolant
     `coeffs` on a group whose cells' edges are all interior."""
     x = coeffs[group.dofs]
-    S = local_stabilization(group, "straight")
+    S, diff = local_stabilization(group)
+    assert diff is None
     energy = np.einsum("gi,gij,gj->", x, S, x)
     assert energy <= 1e-12 * np.einsum("gi,gij,gj->", np.abs(x), np.abs(S), np.abs(x))
 

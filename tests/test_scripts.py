@@ -10,8 +10,10 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from wgmixed import convergence
 from wgmixed.convergence import StudyConfig
 from wgmixed.mesh import _disk_layers, mesh_to_text
 
@@ -57,16 +59,46 @@ def test_bench_case_record_compares_with_itself(tmp_path, capsys):
     assert rss == [[f"{m:.1f}"] * 2 for m in peaks]
 
 
+def test_bench_case_records_each_stage_traced_peak(monkeypatch, tmp_path, capsys):
+    # the traced peak is the stage's own: a stage that allocates a known array
+    # reads at least its size, whatever the stages before it held
+    bench = load_script("bench")
+    monkeypatch.setitem(bench.CASES, "tiny", ("disk", "original", 1, 16, "none"))
+    solve, size_mb = convergence.solve_saddle, 16
+
+    def solve_with_array(*args, **kwargs):
+        block = np.ones(size_mb * 2**20 // 8)
+        del block
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "solve_saddle", solve_with_array)
+    record = bench.run_case("tiny")
+    traced = record["stage_traced_mb"]
+    assert list(traced) == list(record["stages"])
+    assert all(peak > 0 for peak in traced.values()), traced
+    assert traced["solve"] >= size_mb and traced["norms"] < size_mb
+    path = tmp_path / "BENCH_tiny.json"
+    path.write_text(json.dumps({"cases": [record]}), encoding="utf-8")
+    bench.compare(path, path)
+    rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[1:] for row in rows if row[1].startswith("traced_mb@")] == [
+        [f"traced_mb@{stage}", f"{peak:.1f}", f"{peak:.1f}", "1.000"]
+        for stage, peak in traced.items()]
+
+
 def test_bench_record_holds_medians_and_quartiles_of_its_runs(tmp_path, capsys):
     bench = load_script("bench")
     runs = [{"case": "c", "stages": {"mesh": t, "solve": 2 * t}, "level_s": 3 * t,
              "peak_rss_mb": 100.0 + t, "stage_rss_mb": {"mesh": 50.0 + t, "solve": 90.0 + t},
+             "stage_traced_mb": {"mesh": 10 * t, "solve": 5 * t},
              "dofs": 7} for t in (5.0, 1.0, 4.0, 2.0, 3.0)]
     record = bench.summarize(runs)
     assert record["runs"] == 5 and record["dofs"] == 7
     assert record["stages"] == {"mesh": 3.0, "solve": 6.0} and record["level_s"] == 9.0
-    assert record["quartiles"] == {"mesh": [2.0, 4.0], "solve": [4.0, 8.0], "level": [6.0, 12.0]}
+    assert record["quartiles"] == {"mesh": [2.0, 4.0], "solve": [4.0, 8.0], "level": [6.0, 12.0],
+                                   "traced_mb@mesh": [20.0, 40.0], "traced_mb@solve": [10.0, 20.0]}
     assert record["peak_rss_mb"] == 103.0 and record["stage_rss_mb"] == {"mesh": 53.0, "solve": 93.0}
+    assert record["stage_traced_mb"] == {"mesh": 30.0, "solve": 15.0}
     # a record against itself: every ratio 1, every quartile range overlapping
     path = tmp_path / "BENCH_runs.json"
     path.write_text(json.dumps({"cases": [record]}), encoding="utf-8")
@@ -75,6 +107,9 @@ def test_bench_record_holds_medians_and_quartiles_of_its_runs(tmp_path, capsys):
     assert [row[1:] for row in rows if row[1] in ("mesh", "solve", "level")] == [
         ["mesh", "3.0000", "3.0000", "1.000", "~"], ["solve", "6.0000", "6.0000", "1.000", "~"],
         ["level", "9.0000", "9.0000", "1.000", "~"]]
+    assert [row[1:] for row in rows if row[1].startswith("traced_mb@")] == [
+        ["traced_mb@mesh", "30.0", "30.0", "1.000", "~"],
+        ["traced_mb@solve", "15.0", "15.0", "1.000", "~"]]
     assert not bench.overlap([1.0, 2.0], [2.5, 3.0]) and not bench.overlap(None, [1.0, 2.0])
 
 
@@ -87,7 +122,7 @@ def test_bench_against_a_parent_alternates_the_sides_by_round(tmp_path, monkeypa
         calls.append((env["PYTHONPATH"], name))
         t = float(len(calls))
         record = {"case": name, "dofs": 1, "level_s": t, "stages": {"solve": t},
-                  "peak_rss_mb": t, "stage_rss_mb": {"solve": t}}
+                  "peak_rss_mb": t, "stage_rss_mb": {"solve": t}, "stage_traced_mb": {"solve": t}}
         return SimpleNamespace(stdout=json.dumps(record) + "\n")
 
     (tmp_path / "child").mkdir()
