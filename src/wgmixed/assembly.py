@@ -222,14 +222,16 @@ class CellGroup:
         for name in ("edge_quad", "Ve", "proj_rule", "proj_values"):
             self.__dict__.pop(name, None)
 
-    def boundary_rows(self, a: np.ndarray) -> np.ndarray:
-        """The rows (G, nb, ...) of an edge array (G, m, ...) on each cell's nb boundary edges."""
-        nb = int(self.boundary[0].sum())
-        return a[self.boundary].reshape((self.ids.size, nb) + a.shape[2:])
+    def edge_rows(self, a: np.ndarray, boundary: bool) -> np.ndarray:
+        """The rows (G, k, ...) of an edge array (G, m, ...) on each cell's k boundary edges, or
+        on its k slots if not `boundary`; `a` itself, not a copy, when they are all m edges."""
+        mask = self.boundary if boundary else ~self.boundary
+        k = int(mask[0].sum())
+        return a if k == a.shape[1] else a[mask].reshape((self.ids.size, k) + a.shape[2:])
 
     def curve_normals(self) -> np.ndarray:
         """The analytic-curve normal pulled back to the boundary edges' points, (G, nb, q, 2)."""
-        edges = self.boundary_rows(self.edges)
+        edges = self.edge_rows(self.edges, True)
         curves = self.mesh.boundary_segments
         k = curves.rows(edges)
         if np.any(k < 0):
@@ -284,12 +286,13 @@ def local_stabilization(cells: CellGroup, rho: float = 1.0) -> tuple:
     traces = np.zeros((G, s, q, s, td))   # a slot's edge is interior: n_e . m is its sign
     own = -cells.edge_basis.eval(t) * cells.signs[g, slots][..., None, None]   # each slot's block
     traces[g, np.arange(s), :, np.arange(s)] = own                            # in its columns
-    S = gram(cells.Ve[g, slots], normal[g, slots], w[g, slots], traces.reshape(G, s, q, s * td))
+    S = gram(cells.edge_rows(cells.Ve, False), cells.edge_rows(normal, False),
+             cells.edge_rows(w, False), traces.reshape(G, s, q, s * td))
     scale = (rho / cells.mesh.cell_diameters[cells.ids])[:, None, None]
     if not cells.boundary.any():
         return scale * S, None
-    Vb, wb = cells.boundary_rows(cells.Ve), cells.boundary_rows(w)
-    straight = gram(Vb, cells.boundary_rows(normal), wb)
+    Vb, wb = cells.edge_rows(cells.Ve, True), cells.edge_rows(w, True)
+    straight = gram(Vb, cells.edge_rows(normal, True), wb)
     S[:, :ni, :ni] += straight
     return scale * S, scale * (gram(Vb, cells.curve_normals(), wb) - straight)
 
@@ -304,8 +307,8 @@ def local_boundary_correction(cells: CellGroup) -> np.ndarray:
 
     Rows run over the cell's pressure basis, columns over its interior dofs.
     """
-    w, Ve = cells.boundary_rows(cells.edge_quad[1]), cells.boundary_rows(cells.Ve)
-    n = cells.boundary_rows(cells.mesh.edge_normals[cells.edges])[:, :, None, None, :]
+    w, Ve = cells.edge_rows(cells.edge_quad[1], True), cells.edge_rows(cells.Ve, True)
+    n = cells.edge_rows(cells.mesh.edge_normals[cells.edges], True)[:, :, None, None, :]
     F = np.concatenate([Ve * n[..., 0], Ve * n[..., 1]], axis=-1)   # phi . n
     mean = np.einsum("gkq,gkqi->gki", w, F) / w.sum(axis=-1)[..., None]
     return np.einsum("gkqs,gkq,gkqi->gksi", Ve[..., :cells.layout.dim_sigma], w,

@@ -431,8 +431,8 @@ def test_curved_normals_read_the_stored_curves_without_a_copy(monkeypatch):
                 continue
             m_vec = group.curve_normals()
             t = group.edge_quad[2]
-            assert m_vec.shape == group.boundary_rows(group.edge_quad[0]).shape
-            for g, row in enumerate(group.boundary_rows(group.edges)):
+            assert m_vec.shape == group.edge_rows(group.edge_quad[0], True).shape
+            for g, row in enumerate(group.edge_rows(group.edges, True)):
                 for k, e in enumerate(row):
                     one = curve_rows(curves, curves.rows([e]))
                     want = segment_geometry(one, mesh.edge_lengths[e] * t[None])[2][0]
